@@ -163,8 +163,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "batch %d quarantined: %s\n", s.Seq, s.Reason)
 	}
 	for _, r := range result.Reports {
-		fmt.Fprintf(os.Stderr, "batch %d: %d nodes, %d edges, %d+%d clusters in %v (%.0f elem/s)\n",
-			r.Batch, r.Nodes, r.Edges, r.NodeClusters, r.EdgeClusters, r.Total(), r.Throughput())
+		fmt.Fprintf(os.Stderr, "batch %d: %d nodes, %d edges, %d+%d clusters in %v (%.0f elem/s), queue wait %v\n",
+			r.Batch, r.Nodes, r.Edges, r.NodeClusters, r.EdgeClusters, r.Total(), r.Throughput(), r.Wall-r.Load-r.Total())
 	}
 	fmt.Fprintf(os.Stderr, "discovered %d node types, %d edge types in %v (+%v post-processing)\n",
 		len(result.Def.Nodes), len(result.Def.Edges), result.Discovery, result.PostProcess)

@@ -56,8 +56,9 @@ func main() {
 	fmt.Printf("\nDiscovered %d node types, %d edge types in %v\n",
 		len(result.Def.Nodes), len(result.Def.Edges), result.Discovery)
 	for _, r := range result.Reports {
-		fmt.Printf("  batch %2d: %4d+%-4d elements in %-10v %8.0f elem/s\n",
-			r.Batch, r.Nodes, r.Edges, r.Wall.Round(time.Microsecond), r.Throughput())
+		fmt.Printf("  batch %2d: %4d+%-4d elements in %-10v %8.0f elem/s  queue wait %v\n",
+			r.Batch, r.Nodes, r.Edges, r.Total().Round(time.Microsecond), r.Throughput(),
+			(r.Wall - r.Load - r.Total()).Round(time.Microsecond))
 	}
 
 	// Result.Telemetry is the final aggregate snapshot — the same data the

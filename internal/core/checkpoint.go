@@ -24,7 +24,7 @@ import (
 // sampler, reports) always lags the preprocess frontier (session, aligner),
 // so a checkpoint taken after extract(k) must NOT serialize the live session
 // — it may already have trained on batches k+1, k+2, and in the adaptive-dim
-// case even retrained every vector. DrainFT therefore snapshots the
+// case even retrained every vector. The engine therefore snapshots the
 // session/aligner state at preprocess(k) time and pairs it with the
 // post-extract(k) schema, giving the resumed run the exact state the
 // original run had when it began batch k+1.

@@ -11,6 +11,7 @@ import (
 
 	"pghive/internal/align"
 	"pghive/internal/embed"
+	"pghive/internal/infer"
 	"pghive/internal/lsh"
 	"pghive/internal/obs"
 	"pghive/internal/schema"
@@ -119,10 +120,11 @@ type Config struct {
 	Telemetry obs.Sink
 	// Shards partitions the element stream across that many independent
 	// discovery pipelines — each with its own schema, sampler and embedding
-	// session — whose partial schemas are merged when the stream ends
-	// (DiscoverSharded/DiscoverShardedFT). Elements are assigned to shards by
-	// a fixed hash of their IDs (pg.ShardOf), so the partition is
-	// deterministic and batch-boundary independent. 0 or 1 runs the single
+	// session — whose partial schemas are merged when the stream ends, and at
+	// every fleet epoch when OnEpoch is set (DiscoverSharded/
+	// DiscoverShardedFT; the single-pipeline entry points ignore it). Elements
+	// are assigned to shards by a fixed hash of their IDs (pg.ShardOf), so the
+	// partition is deterministic and batch-boundary independent. 0 or 1 runs the single
 	// unsharded pipeline and produces byte-identical output to Discover.
 	// Values > 1 produce a deterministic schema for a fixed (Seed, Shards),
 	// but not byte-identical to the serial run: each shard clusters and
@@ -159,7 +161,10 @@ type Config struct {
 	// EpochInterval is the epoch window length: every that many batches
 	// through the extract gate (merged or quarantined), the engine snapshots
 	// the finalized schema, diffs it against the previous epoch and installs
-	// it as the new validation target. 0 means DefaultEpochInterval.
+	// it as the new validation target. Under sharding each shard keeps its
+	// own drift epochs over its sub-batches, while OnEpoch's fleet epochs
+	// count source batches routed, so the publication rate does not depend on
+	// the shard count. 0 means DefaultEpochInterval.
 	EpochInterval int
 	// DriftLog, when non-nil, receives JSONL drift records: classified
 	// violation batches (under alert/quarantine) and epoch diffs. Shared by
@@ -173,24 +178,25 @@ type Config struct {
 	// The hook runs at the serialized extract point and must return quickly;
 	// the snapshot Def is immutable and safe to retain. Execution-only: it
 	// observes the schema but never feeds back, so — like Telemetry — it is
-	// excluded from the checkpoint fingerprint. In a sharded run each shard
-	// fires the hook for its own partial schema (Shard tags the origin);
-	// whole-fleet publication goes through the checkpoint layer instead
-	// (see internal/serve).
+	// excluded from the checkpoint fingerprint. In a sharded run the router
+	// fires it for the whole fleet instead, on its own goroutine, at a
+	// consistent cut every EpochInterval source batches: every shard has
+	// folded what it was routed, and the epoch is byte-identical to
+	// DiscoverSharded over the batches before the cut. Shards never fire it.
 	OnEpoch func(EpochSnapshot)
 	// driftShard tags this pipeline's drift-log records with its shard index
 	// (set by shardConfig; 0 for unsharded runs).
 	driftShard int
-	// PipelineDepth controls the overlapped batch execution engine used by
-	// Discover/Drain. Values > 1 allow that many batches in flight at once:
-	// a prefetch goroutine keeps the next batch loaded while the current
+	// PipelineDepth controls the staged batch execution engine every entry
+	// point runs (engine.go). Values > 1 allow that many batches in flight at
+	// once: a load goroutine keeps the next batch pulled while the current
 	// one computes, preprocessing and LSH clustering of batch i+1 overlap
 	// candidate-building/extraction of batch i, and node and edge
 	// clustering of the same batch run concurrently. Extraction into the
 	// shared schema stays serialized in batch order, so the finalized
 	// schema is byte-identical to a serial run with the same seed (the
 	// monotone guarantee S_i ⊑ S_{i+1} is scheduling-independent).
-	// 1 forces the fully serial path; 0 means DefaultPipelineDepth.
+	// 1 runs the same stages inline; 0 means DefaultPipelineDepth.
 	PipelineDepth int
 	// Seed drives all randomness.
 	Seed int64
@@ -244,6 +250,14 @@ func (c Config) evidencePolicy() *schema.EvidencePolicy {
 		return nil
 	}
 	return schema.PolicyForBudget(c.MemBudgetBytes)
+}
+
+// finalize runs the post-processing of Algorithm 1 (lines 7-10) over s.
+func (c Config) finalize(s *schema.Schema) *schema.Def {
+	return infer.Finalize(s, infer.Options{
+		SampleBased:   c.SampleDatatypes,
+		Participation: c.Participation,
+	})
 }
 
 func (c Config) vectorizeConfig() vectorize.Config {

@@ -35,7 +35,6 @@ import (
 	"sync"
 	"time"
 
-	"pghive/internal/infer"
 	"pghive/internal/obs"
 	"pghive/internal/pg"
 	"pghive/internal/schema"
@@ -178,14 +177,14 @@ type driftEpochRecord struct {
 type EpochSnapshot struct {
 	// Epoch is the 1-based epoch counter; Batches is how many batches had
 	// been extracted into the schema when the snapshot was taken; Seq is the
-	// stream sequence number of the batch that closed the window.
+	// stream sequence number of the batch that closed the window. In a
+	// sharded run both count source batches: a fleet epoch after k source
+	// batches has Batches k and Seq k−1.
 	Epoch   int
 	Batches int
 	Seq     int
-	// Final marks the partial window closed at Finalize time.
+	// Final marks the partial window closed at the end of the stream.
 	Final bool
-	// Shard is the discovery shard that took the snapshot (0 unsharded).
-	Shard int
 	// Def is the finalized schema; it aliases nothing mutable and may be
 	// retained indefinitely.
 	Def *schema.Def
@@ -208,9 +207,6 @@ type driftState struct {
 	epoch      int
 	sinceEpoch int
 	prevDef    *schema.Def
-	// seen counts batches through extractChecked, the slot fallback for
-	// sources without explicit stream positions.
-	seen int
 	// Summary tallies, independent of whether a telemetry sink is attached.
 	byClass      [validate.NumDriftClasses]uint64
 	driftBatches int
@@ -294,17 +290,12 @@ func (p *Pipeline) driftSummary() *DriftSummary {
 // serialized extract point (strictly in batch order), validates the batch
 // against the current epoch, enforces the policy, and advances the epoch
 // clock. slot is the batch's source stream position for quarantine skip
-// reports; pass -1 when the caller has no stream position (the batch count
-// is used instead). A quarantined batch returns a zero report and is not
-// appended to p.reports, matching the fault path's skip semantics.
+// reports. A quarantined batch returns a zero report and is not appended to
+// p.reports, matching the fault path's skip semantics.
 func (p *Pipeline) extractChecked(c computed, slot int) BatchReport {
 	if p.drift == nil {
 		return p.extract(c)
 	}
-	if slot < 0 {
-		slot = p.drift.seen
-	}
-	p.drift.seen++
 	var rep BatchReport
 	if p.driftAdmit(c.b, c.seq, slot) {
 		rep = p.extract(c)
@@ -396,10 +387,7 @@ func driftReason(v *validate.BatchVerdict) string {
 func (p *Pipeline) driftEpoch(seq int, final bool) {
 	d := p.drift
 	start := time.Now()
-	def := infer.Finalize(p.schema, infer.Options{
-		SampleBased:   p.cfg.SampleDatatypes,
-		Participation: p.cfg.Participation,
-	})
+	def := p.cfg.finalize(p.schema)
 	var changes []schema.Change
 	baseline := d.prevDef == nil
 	if !baseline {
@@ -429,7 +417,7 @@ func (p *Pipeline) driftEpoch(seq int, final bool) {
 	if p.cfg.OnEpoch != nil {
 		p.cfg.OnEpoch(EpochSnapshot{
 			Epoch: d.epoch, Batches: len(p.reports), Seq: seq, Final: final,
-			Shard: p.cfg.driftShard, Def: def, Changes: changes,
+			Def: def, Changes: changes,
 		})
 	}
 }

@@ -1,87 +1,160 @@
-// The overlapped batch execution engine: a staged concurrent pipeline over
-// the incremental discovery loop of Algorithm 1.
+// The staged execution engine: one loop runs Algorithm 1's incremental
+// discovery loop for every entry point — plain and fault-tolerant, fresh and
+// resumed, the single pipeline and each shard of a sharded run.
 //
-//	load ──▶ preprocess ──▶ cluster ──▶ extract
-//	(prefetch   (serial,      (worker     (serial,
-//	 goroutine)  in order)     pool)       in order)
+//	load ──▶ preprocess ──▶ cluster ──▶ extract (+ checkpoint)
+//	(puller     (serial,      (depth−1     (serial,
+//	 goroutine)  in order)     workers)     in order)
 //
-// Load runs in a prefetch goroutine so the next batch is in memory while the
-// current one computes. Preprocess (align + vectorize) is serialized in
-// batch order because the label aligner and the cross-batch embedding cache
-// are order-dependent, but it only needs the CPU briefly and immediately
-// frees the next batch for clustering. Clustering — the dominant cost — is
-// pure: it reads an immutable Vectorizer snapshot and per-kind seeded hash
-// families, so a pool of workers clusters several batches at once, and node
-// and edge clustering of the same batch run concurrently. Extraction merges
-// candidates into the shared schema and consumes the shared data-type
-// sampler; it is the only order-dependent step and stays serialized in batch
-// order, which preserves the incremental guarantee S_i ⊑ S_{i+1} and makes
-// the finalized schema byte-identical to a serial run with the same seed.
+// Load runs the fault-absorbing puller (faults.go) ahead of the rest and
+// stamps each good batch with its stream position. Preprocess (align +
+// vectorize) is serialized in batch order because the label aligner and
+// the cross-batch embedding cache are order-dependent. Clustering — the
+// dominant cost — is pure, so depth−1 workers cluster several batches at
+// once. Extraction merges candidates into the shared schema and sampler; it
+// stays serialized in batch order, which preserves S_i ⊑ S_{i+1} and makes
+// the finalized schema byte-identical at every depth, and each batch's
+// checkpoint is written right after it. At PipelineDepth 1 the same stage
+// functions run inline on the caller's goroutine, with no goroutine and no
+// channel. A failed checkpoint save stops the run at every depth: nothing
+// more is pulled and every stage goroutine has exited when the error is
+// returned.
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"sync"
 	"time"
 
+	"pghive/internal/obs"
 	"pghive/internal/pg"
 )
 
 // Drain processes every batch from src through the pipeline. With
-// Config.PipelineDepth > 1 the overlapped engine runs with that many
-// batches in flight; with PipelineDepth <= 1 batches are processed strictly
-// serially. Both paths produce identical schemas.
+// Config.PipelineDepth > 1 the stages overlap with that many batches in
+// flight; with PipelineDepth <= 1 they run inline. Both produce identical
+// schemas. Stream positions continue from any batches already processed, so
+// Drain composes with ProcessBatch.
 func (p *Pipeline) Drain(src pg.Source) {
-	depth := p.cfg.PipelineDepth
-	if depth <= 1 {
-		// Explicit counter rather than len(p.reports): a drift-quarantined
-		// batch produces no report but still consumes a sequence number.
-		for seq := p.nextSeq(); ; seq++ {
-			t0 := time.Now()
-			b := src.Next()
-			if b == nil {
-				return
+	pl := newPuller(pg.AsErrSource(src), FTOptions{}, p.instr)
+	pl.slot = p.nextSeq()
+	p.drain(pl, nil, nil) // an infallible source without a checkpointer cannot fail
+}
+
+// pulled is one good batch as the load stage hands it on: its stream
+// position, the quarantine list as of its pull (only when checkpointing),
+// and when the wait for it began and how long it took.
+type pulled struct {
+	b       *pg.Batch
+	pos     int
+	skipped []SkipReport
+	t0      time.Time
+	load    time.Duration
+}
+
+// drain is the engine's one loop: it pulls good batches through pl, runs
+// them through the four stages and, with ck set, checkpoints after every
+// extraction. progress, when set, hears the position of every folded batch,
+// and the error that stops the loop as soon as it happens — before the
+// stages wind down, which waits for the pull in progress. drain returns the
+// first permanent source error or failed save.
+func (p *Pipeline) drain(pl *puller, ck Checkpointer, progress func(pos int, err error)) error {
+	base := p.nextSeq()
+	if p.cfg.PipelineDepth <= 1 {
+		for seq := base; ; seq++ {
+			in, err := pl.pull(ck != nil)
+			if err != nil || in.b == nil {
+				return err
 			}
-			load := time.Since(t0)
-			p.loadSpan(seq, b, t0, load)
-			p.processSerial(b, seq, load)
+			st, err := p.prep(in, seq, ck != nil)
+			if err != nil {
+				return err
+			}
+			if err := p.fold(p.cluster(st), ck, progress); err != nil {
+				return err
+			}
 		}
 	}
 
-	pf := pg.NewPrefetchSource(src, depth)
-	defer pf.Close()
+	// Each stage may run up to depth batches ahead of the next: that is
+	// what PipelineDepth bounds, so every channel buffers depth batches.
+	depth := p.cfg.PipelineDepth
+	stop := make(chan struct{})
+	var once sync.Once
+	halt := func(err error) {
+		once.Do(func() {
+			close(stop)
+			if progress != nil {
+				progress(0, err)
+			}
+		})
+	}
+	halted := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
 
-	prepped := make(chan staged, depth)
-	clustered := make(chan computed, depth)
-
-	// Preprocess stage: align + vectorize, strictly in batch order. Batch
-	// sequence numbers continue from any batches already processed, so they
-	// match the report indexes the extract stage assigns.
-	base := p.nextSeq()
+	// Load: checks for a halt before every pull.
+	loaded := make(chan pulled, depth)
+	var srcErr error
 	go func() {
-		defer close(prepped)
-		for seq := base; ; seq++ {
-			t0 := time.Now()
-			b := pf.Next()
-			if b == nil {
+		defer close(loaded)
+		for !halted() {
+			in, err := pl.pull(ck != nil)
+			if err != nil || in.b == nil {
+				srcErr = err
 				return
 			}
-			load := time.Since(t0)
-			p.loadSpan(seq, b, t0, load)
-			st := p.preprocess(b, seq)
-			st.report.Load = load
+			select {
+			case loaded <- in:
+			case <-stop:
+				return
+			}
+		}
+	}()
+
+	// Preprocess: in batch order; Load is the wait for the next batch. After
+	// a halt it only drains the load stage.
+	prepped := make(chan staged, depth)
+	var prepErr error
+	go func() {
+		defer close(prepped)
+		seq := base
+		for {
+			t0 := time.Now()
+			in, ok := <-loaded
+			if !ok {
+				return
+			}
+			if halted() {
+				continue
+			}
+			in.t0, in.load = t0, time.Since(t0)
+			st, err := p.prep(in, seq, ck != nil)
+			if err != nil {
+				prepErr = err
+				halt(err)
+				continue
+			}
+			seq++
 			prepped <- st
 		}
 	}()
 
-	// Cluster stage: a worker pool; batches may finish out of order.
-	workers := depth - 1
+	// Cluster: a worker pool; batches may finish out of order.
+	clustered := make(chan computed, depth)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < depth-1; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for st := range prepped {
-				clustered <- p.clusterStage(st)
+				clustered <- p.cluster(st)
 			}
 		}()
 	}
@@ -90,10 +163,16 @@ func (p *Pipeline) Drain(src pg.Source) {
 		close(clustered)
 	}()
 
-	// Extract stage: reorder by sequence number and merge in batch order.
+	// Extract: reorder by sequence number and fold in batch order. After a
+	// halt it only drains the cluster stage, so every goroutine has exited
+	// when the loop ends.
+	var saveErr error
 	pending := map[int]computed{}
 	next := base
 	for c := range clustered {
+		if halted() {
+			continue
+		}
 		pending[c.seq] = c
 		for {
 			cur, ok := pending[next]
@@ -101,18 +180,45 @@ func (p *Pipeline) Drain(src pg.Source) {
 				break
 			}
 			delete(pending, next)
-			p.extractChecked(cur, -1)
 			next++
+			if saveErr = p.fold(cur, ck, progress); saveErr != nil {
+				halt(saveErr)
+				break
+			}
 		}
 	}
+	switch {
+	case srcErr != nil:
+		return srcErr
+	case prepErr != nil:
+		return prepErr
+	}
+	return saveErr
 }
 
-// clusterStage runs LSH clustering for one staged batch, with node and edge
-// clustering concurrent (they are independent: separate hash families,
-// disjoint outputs, and a read-only Vectorizer snapshot between them).
-// Vectors are rendered into contiguous arenas.
-func (p *Pipeline) clusterStage(st staged) computed {
-	c := computed{seq: st.seq, b: st.b, start: st.start, report: st.report}
+// prep is the preprocess stage for one pulled batch: its load span, align +
+// vectorize, and — when checkpointing — the preprocess-frontier snapshot its
+// checkpoint pairs with the post-extract schema (see checkpoint.go).
+func (p *Pipeline) prep(in pulled, seq int, snapshot bool) (staged, error) {
+	p.loadSpan(seq, in.b, in.t0, in.load)
+	st := p.preprocess(in.b, seq)
+	st.report.Load = in.load
+	st.pos, st.skipped = in.pos, in.skipped
+	if snapshot {
+		var err error
+		if st.snap, err = p.stateSnapshot(); err != nil {
+			return st, fmt.Errorf("core: state snapshot: %w", err)
+		}
+	}
+	return st, nil
+}
+
+// cluster is the cluster stage for one staged batch. Node and edge
+// clustering run concurrently when the batch has both and Parallelism
+// allows: they are independent (separate hash families, disjoint outputs,
+// a read-only Vectorizer snapshot between them).
+func (p *Pipeline) cluster(st staged) computed {
+	c := computed{staged: st}
 	start := time.Now()
 	ns, es := nodeSpec(st.b, st.vz), edgeSpec(st.b, st.vz)
 	if p.cfg.Parallelism > 1 && ns.n > 0 && es.n > 0 {
@@ -120,17 +226,57 @@ func (p *Pipeline) clusterStage(st staged) computed {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.edgeClusters, c.report.EdgeParams = p.clusterKind(es, true)
+			c.edgeClusters, c.report.EdgeParams = p.clusterKind(es)
 		}()
-		c.nodeClusters, c.report.NodeParams = p.clusterKind(ns, true)
+		c.nodeClusters, c.report.NodeParams = p.clusterKind(ns)
 		wg.Wait()
 	} else {
-		c.nodeClusters, c.report.NodeParams = p.clusterKind(ns, true)
-		c.edgeClusters, c.report.EdgeParams = p.clusterKind(es, true)
+		c.nodeClusters, c.report.NodeParams = p.clusterKind(ns)
+		c.edgeClusters, c.report.EdgeParams = p.clusterKind(es)
 	}
+	c.vz = nil // extraction reads the batch, not its vectors
 	c.report.Cluster = time.Since(start)
 	c.report.NodeClusters = len(c.nodeClusters)
 	c.report.EdgeClusters = len(c.edgeClusters)
-	p.clusterSpan(&c, start)
+	p.instr.Span(obs.Span{
+		Stage: obs.StageCluster, Batch: c.seq, Slot: p.slot(c.seq),
+		Start: start, Duration: c.report.Cluster,
+		Elements: c.report.Nodes + c.report.Edges,
+	})
 	return c
+}
+
+// fold is the extract stage for one clustered batch: the drift gate and the
+// Algorithm 2 merge, then — when checkpointing — the batch's checkpoint.
+func (p *Pipeline) fold(c computed, ck Checkpointer, progress func(pos int, err error)) error {
+	p.extractChecked(c, c.pos-1)
+	if ck != nil {
+		// Merging after this batch's gate folds its own drift quarantine into
+		// its checkpoint; the fault skips keep their pull-time frontier.
+		if err := p.save(ck, c.snap, c.pos, p.mergedSkips(c.skipped)); err != nil {
+			return err
+		}
+	}
+	if progress != nil {
+		progress(c.pos, nil)
+	}
+	return nil
+}
+
+// save encodes and persists one checkpoint.
+func (p *Pipeline) save(ck Checkpointer, snap []byte, pos int, skipped []SkipReport) error {
+	start := time.Now()
+	var buf bytes.Buffer
+	if err := p.encodeCheckpoint(&buf, pos, skipped, snap); err != nil {
+		return fmt.Errorf("core: encode checkpoint: %w", err)
+	}
+	if err := ck.Save(buf.Bytes()); err != nil {
+		return fmt.Errorf("core: save checkpoint: %w", err)
+	}
+	p.instr.Span(obs.Span{
+		Stage: obs.StageCheckpoint, Batch: len(p.reports) - 1,
+		Start: start, Duration: time.Since(start),
+		Elements: buf.Len(),
+	})
+	return nil
 }

@@ -1,12 +1,14 @@
-// Fault-tolerant ingestion: DrainFT runs the discovery loop over a fallible
-// source, degrading gracefully instead of aborting —
+// Fault-tolerant ingestion: one puller, shared by the single pipeline's load
+// stage and the shard router, lets discovery degrade gracefully instead of
+// aborting:
 //
 //   - transient faults are retried in place (the slot is re-pulled; a
 //     RetrySource upstream additionally adds backoff),
 //   - poisoned batches (corruption, truncation) are quarantined into skip
 //     reports and the stream advances,
 //   - permanent failures stop the run with an error, after which the last
-//     checkpoint resumes it,
+//     checkpoint resumes it; so does a failed checkpoint save, at every
+//     pipeline depth and shard count,
 //
 // and per-batch checkpointing serializes the full pipeline state after every
 // extracted batch, so a killed run converges to byte-identical Finalize
@@ -15,10 +17,8 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"pghive/internal/obs"
@@ -48,7 +48,9 @@ type FTOptions struct {
 const DefaultMaxTransient = 100
 
 // Checkpointer persists encoded checkpoints. Save is called from the extract
-// stage, strictly in batch order.
+// stage, strictly in batch order (for a sharded run, once per shard
+// extraction, with the whole fleet container). An error from Save stops the
+// run: nothing is pulled after it and the error is returned.
 type Checkpointer interface {
 	Save(state []byte) error
 }
@@ -79,267 +81,136 @@ func (f FileCheckpointer) Load() ([]byte, bool, error) {
 	return state, true, nil
 }
 
-// ftStaged couples a preprocessed batch with the checkpoint material frozen
-// at its preprocess frontier: the session/aligner snapshot (nil when
-// checkpointing is off), the stream position, and the quarantine list as of
-// this batch.
-type ftStaged struct {
-	st          staged
-	snap        []byte
-	snapSlot    int
-	snapSkipped []SkipReport
-}
-
-// puller pulls the next good batch from a fallible source, absorbing
-// transient faults, quarantining poisoned batches and honoring the resume
-// skip window. It is not safe for concurrent use; DrainFT confines it to the
-// preprocess stage.
+// puller pulls good batches from a fallible source for the single
+// pipeline's load stage and the shard router alike. It retries transient
+// faults in place (up to the budget), quarantines poisoned batches (recorded
+// only past the resume skip window: the checkpointed run recorded the rest)
+// and returns each good batch with its stream position — also inside the
+// skip window, which the single pipeline drops (pull) and the router
+// re-delivers. It is not safe for concurrent use.
 type puller struct {
-	src     pg.ErrSource
-	opts    FTOptions
-	instr   obs.Instr
-	slot    int // stream position: delivered + quarantined batches
-	skipped []SkipReport
+	src       pg.ErrSource
+	budget    int
+	instr     obs.Instr
+	skipSlots int
+	slot      int // stream position: delivered + quarantined batches
+	skipped   []SkipReport
 }
 
-// next returns the next batch to process, or (nil, nil) at end of stream.
-// Transient errors are retried up to the budget; corrupt batches are
-// quarantined (recorded only past the skip window — inside it they were
-// already recorded by the checkpointed run) and the stream advances.
-func (pl *puller) next() (*pg.Batch, error) {
-	budget := pl.opts.MaxTransient
+// newPuller starts a puller at stream position 0 with the resume window and
+// quarantine list of opts.
+func newPuller(src pg.ErrSource, opts FTOptions, instr obs.Instr) *puller {
+	budget := opts.MaxTransient
 	if budget <= 0 {
 		budget = DefaultMaxTransient
 	}
+	return &puller{
+		src: src, budget: budget, instr: instr,
+		skipSlots: opts.SkipSlots,
+		skipped:   append([]SkipReport(nil), opts.Skipped...),
+	}
+}
+
+// next returns the next good batch and the stream position after it (the
+// batch occupies slot pos−1), or a nil batch at end of stream.
+func (pl *puller) next() (*pg.Batch, int, error) {
 	transients := 0
 	for {
 		b, err := pl.src.Next()
 		switch {
 		case err == nil && b == nil:
-			return nil, nil
+			return nil, pl.slot, nil
 		case err == nil:
 			pl.slot++
-			transients = 0
-			if pl.slot <= pl.opts.SkipSlots {
-				continue // already folded in by the checkpointed run
-			}
-			return b, nil
+			return b, pl.slot, nil
 		case pg.IsTransient(err):
 			transients++
-			if transients >= budget {
-				return nil, fmt.Errorf("core: slot %d: %d consecutive transient faults: %w", pl.slot, transients, err)
+			if transients >= pl.budget {
+				return nil, pl.slot, fmt.Errorf("core: slot %d: %d consecutive transient faults: %w", pl.slot, transients, err)
 			}
 			pl.instr.Add(obs.CtrRetries, 1)
 		case pg.IsCorrupt(err):
 			pl.slot++
 			transients = 0
-			if pl.slot <= pl.opts.SkipSlots {
-				continue
+			if pl.slot > pl.skipSlots {
+				pl.skipped = append(pl.skipped, SkipReport{Seq: pl.slot - 1, Reason: err.Error()})
+				pl.instr.Add(obs.CtrQuarantined, 1)
 			}
-			pl.skipped = append(pl.skipped, SkipReport{Seq: pl.slot - 1, Reason: err.Error()})
-			pl.instr.Add(obs.CtrQuarantined, 1)
 		default:
-			return nil, err
+			return nil, pl.slot, err
 		}
 	}
+}
+
+// pull is the single pipeline's load step: the next good batch past the
+// resume skip window, stamped with its position and — with stamp set — a
+// copy of the quarantine list as of its pull. A nil batch is end of stream.
+func (pl *puller) pull(stamp bool) (pulled, error) {
+	t0 := time.Now()
+	for {
+		b, pos, err := pl.next()
+		if err != nil || b == nil {
+			return pulled{}, err
+		}
+		if pos <= pl.skipSlots {
+			continue // already folded in by the checkpointed run
+		}
+		in := pulled{b: b, pos: pos, t0: t0, load: time.Since(t0)}
+		if stamp {
+			in.skipped = append([]SkipReport(nil), pl.skipped...)
+		}
+		return in, nil
+	}
+}
+
+// metered counts the checkpoints and bytes actually handed to ck — for a
+// sharded run, the fleet containers, not the shard sections inside them.
+type metered struct {
+	ck    Checkpointer
+	instr obs.Instr
+}
+
+// meter wraps ck (nil stays nil).
+func meter(ck Checkpointer, instr obs.Instr) Checkpointer {
+	if ck == nil {
+		return nil
+	}
+	return metered{ck: ck, instr: instr}
+}
+
+// Save implements Checkpointer.
+func (m metered) Save(state []byte) error {
+	err := m.ck.Save(state)
+	if err == nil {
+		m.instr.Add(obs.CtrCheckpoints, 1)
+		m.instr.Add(obs.CtrCheckpointBytes, uint64(len(state)))
+	}
+	return err
 }
 
 // DrainFT processes every batch from a fallible source, quarantining
 // poisoned batches and checkpointing after each extraction. It returns the
 // quarantine list (including any seeded by FTOptions.Skipped) and the first
-// permanent error, if any. Like Drain, PipelineDepth selects serial or
-// overlapped execution; both produce identical schemas and identical
-// checkpoint sequences.
+// permanent source error or failed save. Like Drain, every PipelineDepth
+// produces identical schemas and identical checkpoint sequences.
 func (p *Pipeline) DrainFT(src pg.ErrSource, opts FTOptions) ([]SkipReport, error) {
-	pl := &puller{src: src, opts: opts, instr: p.instr, skipped: append([]SkipReport(nil), opts.Skipped...)}
-
-	// prep pulls, preprocesses and (when checkpointing) snapshots the
-	// preprocess-frontier state for one batch. Must be called in batch
-	// order. Sequence numbers continue from any restored reports so they
-	// match the report indexes extract assigns (and the trace's batch
-	// labels stay globally consistent across a resume).
-	seq := p.nextSeq()
-	prep := func() (ftStaged, bool, error) {
-		t0 := time.Now()
-		b, err := pl.next()
-		if err != nil || b == nil {
-			return ftStaged{}, false, err
-		}
-		load := time.Since(t0)
-		p.loadSpan(seq, b, t0, load)
-		fs := ftStaged{st: p.preprocess(b, seq)}
-		fs.st.report.Load = load
-		seq++
-		if opts.Checkpoint != nil {
-			if fs.snap, err = p.stateSnapshot(); err != nil {
-				return ftStaged{}, false, fmt.Errorf("core: state snapshot: %w", err)
-			}
-		}
-		fs.snapSlot = pl.slot
-		fs.snapSkipped = append([]SkipReport(nil), pl.skipped...)
-		return fs, true, nil
-	}
-
-	// save encodes and persists one checkpoint; called after extract, in
-	// batch order. The slot position and quarantine list are the ones
-	// stamped when the batch was pulled — quarantines discovered after it
-	// belong to the next checkpoint.
-	save := func(snap []byte, slotAfter int, skipped []SkipReport) error {
-		start := time.Now()
-		var buf bytes.Buffer
-		if err := p.encodeCheckpoint(&buf, slotAfter, skipped, snap); err != nil {
-			return fmt.Errorf("core: encode checkpoint: %w", err)
-		}
-		if err := opts.Checkpoint.Save(buf.Bytes()); err != nil {
-			return fmt.Errorf("core: save checkpoint: %w", err)
-		}
-		p.instr.Add(obs.CtrCheckpoints, 1)
-		p.instr.Add(obs.CtrCheckpointBytes, uint64(buf.Len()))
-		p.instr.Span(obs.Span{
-			Stage: obs.StageCheckpoint, Batch: len(p.reports) - 1,
-			Start: start, Duration: time.Since(start),
-			Elements: buf.Len(),
-		})
-		return nil
-	}
-
-	depth := p.cfg.PipelineDepth
-	if depth <= 1 {
-		for {
-			fs, ok, err := prep()
-			if err != nil || !ok {
-				return p.mergedSkips(pl.skipped), err
-			}
-			// The batch's own stream slot is snapSlot-1 (snapSlot is the
-			// position after its pull); a drift quarantine records it there.
-			p.extractChecked(p.clusterSerial(fs.st), fs.snapSlot-1)
-			if opts.Checkpoint != nil {
-				if err := save(fs.snap, fs.snapSlot, p.mergedSkips(fs.snapSkipped)); err != nil {
-					return p.mergedSkips(pl.skipped), err
-				}
-			}
-		}
-	}
-
-	// Overlapped: same stage topology as Drain, with the fault-absorbing
-	// puller feeding the preprocess stage and checkpoints emitted from the
-	// ordered extract stage.
-	type ftComputed struct {
-		c         computed
-		snap      []byte
-		slotAfter int
-		skipped   []SkipReport
-	}
-	prepped := make(chan ftStaged, depth)
-	clustered := make(chan ftComputed, depth)
-	var srcErr error
-
-	go func() {
-		defer close(prepped)
-		for {
-			fs, ok, err := prep()
-			if err != nil {
-				srcErr = err
-				return
-			}
-			if !ok {
-				return
-			}
-			prepped <- fs
-		}
-	}()
-
-	workers := depth - 1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for fs := range prepped {
-				clustered <- ftComputed{
-					c:         p.clusterStage(fs.st),
-					snap:      fs.snap,
-					slotAfter: fs.snapSlot,
-					skipped:   fs.snapSkipped,
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(clustered)
-	}()
-
-	var ckErr error
-	pending := map[int]ftComputed{}
-	next := len(p.reports)
-	for fc := range clustered {
-		pending[fc.c.seq] = fc
-		for {
-			cur, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			p.extractChecked(cur.c, cur.slotAfter-1)
-			next++
-			if opts.Checkpoint != nil && ckErr == nil {
-				// Drift skips are appended on this goroutine (the extract
-				// point), so merging here — after this batch's gate — folds
-				// its own quarantine into its checkpoint; the prep-frozen
-				// fault skips keep their pull-time frontier.
-				ckErr = save(cur.snap, cur.slotAfter, p.mergedSkips(cur.skipped))
-			}
-		}
-	}
-	if srcErr != nil {
-		return p.mergedSkips(pl.skipped), srcErr
-	}
-	return p.mergedSkips(pl.skipped), ckErr
+	pl := newPuller(src, opts, p.instr)
+	err := p.drain(pl, meter(opts.Checkpoint, p.instr), nil)
+	return p.mergedSkips(pl.skipped), err
 }
 
 // DiscoverFT is Discover over a fallible source: it drains with fault
 // tolerance, finalizes, and reports quarantined batches in Result.Skipped.
-// On a permanent source failure it returns the error; progress up to the
-// failure lives in the last checkpoint (resume with ResumeDiscoverFT).
+// On a permanent source failure or a failed checkpoint save it returns the
+// error; progress up to the failure lives in the last checkpoint (resume
+// with ResumeDiscoverFT). Config.Shards is ignored.
 func DiscoverFT(src pg.ErrSource, cfg Config, opts FTOptions) (*Result, error) {
-	p := NewPipeline(cfg)
-	return p.finishFT(src, opts)
+	return run(src, unsharded(cfg), opts, nil)
 }
 
 // ResumeDiscoverFT restores a pipeline from checkpoint bytes and continues
 // draining src — which must replay the same stream from the beginning; the
 // slots already folded in are skipped — then finalizes.
 func ResumeDiscoverFT(state []byte, src pg.ErrSource, cfg Config, opts FTOptions) (*Result, error) {
-	p, slots, skipped, err := ResumePipeline(bytes.NewReader(state), cfg)
-	if err != nil {
-		return nil, err
-	}
-	opts.SkipSlots = slots
-	opts.Skipped = skipped
-	return p.finishFT(src, opts)
-}
-
-func (p *Pipeline) finishFT(src pg.ErrSource, opts FTOptions) (*Result, error) {
-	start := time.Now()
-	skipped, err := p.DrainFT(src, opts)
-	if err != nil {
-		return nil, err
-	}
-	discovery := time.Since(start)
-
-	start = time.Now()
-	def := p.Finalize()
-	post := time.Since(start)
-
-	return &Result{
-		Def:         def,
-		Schema:      p.schema,
-		Reports:     p.reports,
-		Skipped:     skipped,
-		Drift:       p.driftSummary(),
-		Discovery:   discovery,
-		PostProcess: post,
-		Telemetry:   telemetrySnapshot(p.cfg),
-	}, nil
+	return run(src, unsharded(cfg), opts, state)
 }

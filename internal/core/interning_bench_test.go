@@ -23,7 +23,7 @@ func BenchmarkCandidatesInterned(b *testing.B) {
 	cfg.SampleMin = 10 // warm the sampler quickly: the steady state is the frac path
 	p := NewPipeline(cfg)
 	st := p.preprocess(batch, 0)
-	c := p.clusterSerial(st)
+	c := p.cluster(st)
 
 	// Warm up: intern the batch and push sampler counters past SampleMin.
 	p.extract(c)

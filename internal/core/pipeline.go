@@ -1,11 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"sync/atomic"
 	"time"
 
 	"pghive/internal/align"
-	"pghive/internal/infer"
 	"pghive/internal/lsh"
 	"pghive/internal/obs"
 	"pghive/internal/pg"
@@ -25,7 +25,7 @@ type BatchReport struct {
 	NodeParams   lsh.Params
 	EdgeParams   lsh.Params
 	// Load is the time spent pulling this batch from the source (under the
-	// overlapped engine: the stall waiting on the prefetcher).
+	// overlapped engine: the stall waiting on the load stage).
 	Load       time.Duration
 	Preprocess time.Duration
 	Cluster    time.Duration
@@ -46,13 +46,16 @@ type BatchReport struct {
 // excluding load and queue waits).
 func (r BatchReport) Total() time.Duration { return r.Preprocess + r.Cluster + r.Extract }
 
-// Throughput returns the batch's elements per second of wall-clock time
-// (0 when Wall was not recorded).
+// Throughput returns the batch's elements per second of stage time — the
+// Total() it is reported beside (0 when no stage time was recorded). Queue
+// waits are not in it: under the overlapped engine they are
+// Wall − Load − Total().
 func (r BatchReport) Throughput() float64 {
-	if r.Wall <= 0 {
+	t := r.Total()
+	if t <= 0 {
 		return 0
 	}
-	return float64(r.Nodes+r.Edges) / r.Wall.Seconds()
+	return float64(r.Nodes+r.Edges) / t.Seconds()
 }
 
 // Pipeline is an incremental PG-HIVE discovery session. Feed it batches
@@ -79,7 +82,7 @@ type Pipeline struct {
 	// the quarantine policy withheld. Both are touched only from the
 	// serialized extract point, so no locking is needed — in particular
 	// driftSkipped is kept separate from the fault puller's skip list, which
-	// lives on the prep goroutine.
+	// lives on the load goroutine.
 	drift        *driftState
 	driftSkipped []SkipReport
 }
@@ -142,23 +145,26 @@ func (p *Pipeline) Config() Config { return p.cfg }
 
 // staged is a batch after the preprocess stage: aligned, vectorized, and
 // ready to cluster. seq is the absolute batch index within the run (the
-// Batch the report will carry once extracted in order).
+// Batch the report will carry once extracted in order); pos is its stream
+// position. skipped and snap are its checkpoint material, set only when
+// checkpointing: the quarantine list as of its pull and the
+// preprocess-frontier snapshot.
 type staged struct {
-	seq    int
-	b      *pg.Batch
-	vz     *vectorize.Vectorizer
-	start  time.Time // preprocess begin; anchors the report's Wall
-	report BatchReport
+	seq     int
+	pos     int
+	b       *pg.Batch
+	vz      *vectorize.Vectorizer
+	start   time.Time // preprocess begin; anchors the report's Wall
+	report  BatchReport
+	skipped []SkipReport
+	snap    []byte
 }
 
 // computed is a batch after the cluster stage, awaiting ordered extraction.
 type computed struct {
-	seq          int
-	b            *pg.Batch
-	start        time.Time
+	staged
 	nodeClusters []lsh.Cluster
 	edgeClusters []lsh.Cluster
-	report       BatchReport
 }
 
 // slot maps a batch sequence number onto its pipeline-depth slot — the
@@ -173,10 +179,11 @@ func (p *Pipeline) slot(seq int) int {
 // ProcessBatch runs the main pipeline of Algorithm 1 (lines 3-6) on one
 // batch: preprocess into vectors/sets, LSH-cluster nodes and edges, build
 // cluster representatives, and merge them into the schema via Algorithm 2.
-// Stages run serially; Drain overlaps them across batches when
-// Config.PipelineDepth > 1.
+// It calls the engine's stage functions one after another; Drain overlaps
+// them across batches when Config.PipelineDepth > 1.
 func (p *Pipeline) ProcessBatch(b *pg.Batch) BatchReport {
-	return p.processSerial(b, p.nextSeq(), 0)
+	seq := p.nextSeq()
+	return p.extractChecked(p.cluster(p.preprocess(b, seq)), seq)
 }
 
 // nextSeq is the next batch sequence number for serial feeding: processed
@@ -188,40 +195,6 @@ func (p *Pipeline) nextSeq() int {
 		n += p.drift.quarantined
 	}
 	return n
-}
-
-// processSerial is ProcessBatch with the sequence number and the
-// already-measured load time threaded through (Drain's serial path measures
-// the source pull and tracks sequence numbers across quarantined batches).
-func (p *Pipeline) processSerial(b *pg.Batch, seq int, load time.Duration) BatchReport {
-	st := p.preprocess(b, seq)
-	st.report.Load = load
-	return p.extractChecked(p.clusterSerial(st), -1)
-}
-
-// clusterSerial runs the cluster stage for one staged batch on the calling
-// goroutine, node kind then edge kind — the strictly serial counterpart of
-// the engine's clusterStage (which see), shared by ProcessBatch and the
-// depth-1 DrainFT path.
-func (p *Pipeline) clusterSerial(st staged) computed {
-	c := computed{seq: st.seq, b: st.b, start: st.start, report: st.report}
-	start := time.Now()
-	c.nodeClusters, c.report.NodeParams = p.clusterKind(nodeSpec(st.b, st.vz), false)
-	c.edgeClusters, c.report.EdgeParams = p.clusterKind(edgeSpec(st.b, st.vz), false)
-	c.report.Cluster = time.Since(start)
-	c.report.NodeClusters = len(c.nodeClusters)
-	c.report.EdgeClusters = len(c.edgeClusters)
-	p.clusterSpan(&c, start)
-	return c
-}
-
-// clusterSpan emits the cluster-stage span for one computed batch.
-func (p *Pipeline) clusterSpan(c *computed, start time.Time) {
-	p.instr.Span(obs.Span{
-		Stage: obs.StageCluster, Batch: c.seq, Slot: p.slot(c.seq),
-		Start: start, Duration: c.report.Cluster,
-		Elements: c.report.Nodes + c.report.Edges,
-	})
 }
 
 // loadSpan emits the load-stage span for one pulled batch.
@@ -314,7 +287,6 @@ type kindSpec struct {
 	manual      *lsh.Params // Config.NodeParams / Config.EdgeParams
 	dim         int
 	labelTokens int
-	vec         func(i int) []float64
 	vecInto     func(i int, dst []float64)
 	sets        func() [][]uint64
 	enc         func() *vectorize.Encoding
@@ -325,7 +297,6 @@ func nodeSpec(b *pg.Batch, vz *vectorize.Vectorizer) kindSpec {
 		n:           len(b.Nodes),
 		dim:         vz.NodeDim(),
 		labelTokens: vz.LabelTokens(),
-		vec:         func(i int) []float64 { return vz.NodeVector(&b.Nodes[i]) },
 		vecInto:     func(i int, dst []float64) { vz.NodeVectorInto(&b.Nodes[i], dst) },
 		sets:        func() [][]uint64 { return vz.NodeSets(b) },
 		enc:         func() *vectorize.Encoding { return vz.NodeEncoding(b) },
@@ -338,7 +309,6 @@ func edgeSpec(b *pg.Batch, vz *vectorize.Vectorizer) kindSpec {
 		isEdge:      true,
 		dim:         vz.EdgeDim(),
 		labelTokens: vz.LabelTokens(),
-		vec:         func(i int) []float64 { return vz.EdgeVector(&b.Edges[i]) },
 		vecInto:     func(i int, dst []float64) { vz.EdgeVectorInto(&b.Edges[i], dst) },
 		sets:        func() [][]uint64 { return vz.EdgeSets(b) },
 		enc:         func() *vectorize.Encoding { return vz.EdgeEncoding(b) },
@@ -348,10 +318,9 @@ func edgeSpec(b *pg.Batch, vz *vectorize.Vectorizer) kindSpec {
 // clusterKind clusters one element kind with the configured method and
 // returns the clusters plus the parameters used. It only reads the
 // Vectorizer snapshot captured in the spec, so different kinds — and
-// different batches — may cluster concurrently. With arena set, element
-// vectors are rendered into one contiguous allocation.
-func (p *Pipeline) clusterKind(spec kindSpec, arena bool) ([]lsh.Cluster, lsh.Params) {
-	clusters, params := p.clusterKindInner(spec, arena)
+// different batches — may cluster concurrently.
+func (p *Pipeline) clusterKind(spec kindSpec) ([]lsh.Cluster, lsh.Params) {
+	clusters, params := p.clusterKindInner(spec)
 	p.clusterEst[kindIndex(spec.isEdge)].Store(int64(len(clusters)))
 	if p.instr.Enabled() && len(clusters) > 0 {
 		hist := obs.HistNodeOccupancy
@@ -385,7 +354,7 @@ func (p *Pipeline) bucketHint(isEdge bool) int {
 	return est + est/8 + 16
 }
 
-func (p *Pipeline) clusterKindInner(spec kindSpec, arena bool) ([]lsh.Cluster, lsh.Params) {
+func (p *Pipeline) clusterKindInner(spec kindSpec) ([]lsh.Cluster, lsh.Params) {
 	n := spec.n
 	if n == 0 {
 		return nil, lsh.Params{}
@@ -417,7 +386,7 @@ func (p *Pipeline) clusterKindInner(spec kindSpec, arena bool) ([]lsh.Cluster, l
 		return p.clusterMinHashFactored(spec, mh), params
 	default:
 		if p.cfg.DenseSignatures {
-			vectors := p.renderVectors(spec, arena)
+			vectors := p.renderVectors(spec)
 			params := manual
 			if params == nil {
 				adapted := lsh.AdaptParamsAll(vectors, spec.labelTokens, spec.isEdge, p.cfg.Seed+adaptSeed)
@@ -497,21 +466,16 @@ func (p *Pipeline) clusterMinHashFactored(spec kindSpec, mh *lsh.MinHash) []lsh.
 	return lsh.GroupByHashSized(hashes, p.bucketHint(spec.isEdge))
 }
 
-// renderVectors materializes every element vector of one kind, either as one
-// allocation per record (the serial path's historical pattern) or sliced out
-// of a single contiguous arena — same float values, far fewer allocations
-// and much less GC pressure on large batches.
-func (p *Pipeline) renderVectors(spec kindSpec, arena bool) [][]float64 {
+// renderVectors materializes every element vector of one kind for the dense
+// kernels, sliced out of a single contiguous arena (far fewer allocations
+// and much less GC pressure on large batches than one per record).
+func (p *Pipeline) renderVectors(spec kindSpec) [][]float64 {
 	vectors := make([][]float64, spec.n)
-	if arena && spec.dim > 0 {
-		backing := make([]float64, spec.n*spec.dim)
-		for i := range vectors {
-			vectors[i] = backing[i*spec.dim : (i+1)*spec.dim : (i+1)*spec.dim]
-		}
-		parmap(spec.n, p.cfg.Parallelism, func(i int) { spec.vecInto(i, vectors[i]) })
-		return vectors
+	backing := make([]float64, spec.n*spec.dim)
+	for i := range vectors {
+		vectors[i] = backing[i*spec.dim : (i+1)*spec.dim : (i+1)*spec.dim]
 	}
-	parmap(spec.n, p.cfg.Parallelism, func(i int) { vectors[i] = spec.vec(i) })
+	parmap(spec.n, p.cfg.Parallelism, func(i int) { spec.vecInto(i, vectors[i]) })
 	return vectors
 }
 
@@ -612,10 +576,7 @@ func (p *Pipeline) edgeCandidates(b *pg.Batch, clusters []lsh.Cluster) []*schema
 func (p *Pipeline) Finalize() *schema.Def {
 	p.driftFinalEpoch()
 	start := time.Now()
-	def := infer.Finalize(p.schema, infer.Options{
-		SampleBased:   p.cfg.SampleDatatypes,
-		Participation: p.cfg.Participation,
-	})
+	def := p.cfg.finalize(p.schema)
 	p.instr.Span(obs.Span{
 		Stage: obs.StagePostprocess, Batch: -1,
 		Start: start, Duration: time.Since(start),
@@ -663,27 +624,54 @@ func telemetrySnapshot(cfg Config) *obs.Snapshot {
 // Discover drains the source through a pipeline and finalizes the schema —
 // the full Algorithm 1. With Config.PipelineDepth > 1 (the default) the
 // overlapped execution engine runs; the result is byte-identical to a
-// serial run with the same seed.
+// serial run with the same seed. Config.Shards is ignored (see
+// DiscoverSharded).
 func Discover(src pg.Source, cfg Config) *Result {
+	res, _ := run(pg.AsErrSource(src), unsharded(cfg), FTOptions{}, nil) // an infallible source without a checkpointer cannot fail
+	return res
+}
+
+// unsharded drops the shard count: the single-pipeline entry points ignore it.
+func unsharded(cfg Config) Config {
+	cfg.Shards = 0
+	return cfg
+}
+
+// run is the one discovery run behind every Discover* and ResumeDiscover*
+// entry point. cfg.Shards ≤ 1 drains the single pipeline, more runs the
+// shard router (shards.go); resume, when non-nil, is the checkpoint the run
+// continues from over a source that replays the stream from its start.
+func run(src pg.ErrSource, cfg Config, opts FTOptions, resume []byte) (*Result, error) {
+	cfg = cfg.withDefaults()
+	if cfg.Shards > 1 {
+		return runSharded(src, cfg, opts, resume)
+	}
 	p := NewPipeline(cfg)
+	if resume != nil {
+		var err error
+		if p, opts.SkipSlots, opts.Skipped, err = ResumePipeline(bytes.NewReader(resume), cfg); err != nil {
+			return nil, err
+		}
+	}
 	start := time.Now()
-	p.Drain(src)
+	skipped, err := p.DrainFT(src, opts)
+	if err != nil {
+		return nil, err
+	}
 	discovery := time.Since(start)
 
 	start = time.Now()
 	def := p.Finalize()
-	post := time.Since(start)
-
 	return &Result{
 		Def:         def,
 		Schema:      p.schema,
 		Reports:     p.reports,
-		Skipped:     p.driftSkipped,
+		Skipped:     skipped,
 		Drift:       p.driftSummary(),
 		Discovery:   discovery,
-		PostProcess: post,
+		PostProcess: time.Since(start),
 		Telemetry:   telemetrySnapshot(p.cfg),
-	}
+	}, nil
 }
 
 // DiscoverGraph is a convenience wrapper: discover the schema of a fully

@@ -1,24 +1,34 @@
 // Sharded multi-core discovery: the element stream is hash-partitioned
 // across Config.Shards independent pipelines — each with its own schema,
 // symbol table, sampler and embedding session — which run concurrently, one
-// overlapped engine per shard. When the stream ends, the partial schemas are
-// folded into one global schema by schema.MergeSchemas: shard symtab IDs are
-// remapped into the global table through dense translation tables, degree
-// and property evidence is unioned, and Algorithm 2's unlabeled-into-labeled
-// Jaccard merge re-runs across shard boundaries. Merging shards in index
-// order keeps the global symtab assignment — and therefore the serialized
-// schema — deterministic for a fixed (Seed, Shards).
+// engine loop (engine.go) per shard. When the stream ends, the partial
+// schemas are folded into one global schema by MergeShardSchemas: shard
+// symtab IDs are remapped into the global table through dense translation
+// tables, degree and property evidence is unioned, and Algorithm 2's
+// unlabeled-into-labeled Jaccard merge re-runs across shard boundaries.
+// Merging shards in index order keeps the global symtab assignment — and
+// therefore the serialized schema — deterministic for a fixed (Seed, Shards).
 //
-// The fault-tolerant variant checkpoints the whole fleet into one PGCK6
+// One router, on the caller's goroutine, serves every sharded entry point:
+// it pulls the source through the single pipeline's fault-absorbing puller
+// (faults.go) and feeds each good batch's non-empty sub-batches to the
+// shards. With Config.OnEpoch set it also publishes fleet epochs: every
+// EpochInterval source batches it waits until every shard has folded in
+// what it was routed, folds clones of the shard schemas with
+// MergeShardSchemas and finalizes — so fleet epoch k is byte-identical to
+// DiscoverSharded over the stream's first k·EpochInterval batches.
+//
+// The fault-tolerant variant checkpoints the whole fleet into one PGCK8
 // container: the router's stream position and quarantine list plus one
-// complete PGCK5 section per shard. Sections advance independently (each
+// complete PGCK7 section per shard. Sections advance independently (each
 // shard checkpoints after its own extractions), so a container pairs the
 // newest state of the shard that just saved with the latest states of the
 // rest; on resume the router replays the stream from the beginning and each
 // shard's own skip window drops exactly the sub-batches it already folded
 // in. Because the element→shard assignment ignores batch boundaries, the
 // replayed sub-batch sequence is identical, and the resumed run converges to
-// byte-identical Finalize output (TestShardedResume).
+// byte-identical Finalize output (TestShardedResume). Cuts inside the
+// replayed window publish no epoch: the shards are already past them.
 package core
 
 import (
@@ -27,7 +37,6 @@ import (
 	"sync"
 	"time"
 
-	"pghive/internal/infer"
 	"pghive/internal/obs"
 	"pghive/internal/pg"
 	"pghive/internal/schema"
@@ -41,11 +50,13 @@ type chanSource struct{ ch chan *pg.Batch }
 func (c *chanSource) Next() *pg.Batch { return <-c.ch }
 
 // shardConfig derives shard i's pipeline configuration: telemetry events are
-// tagged with the shard index, and the worker budget is split across shards
-// so N concurrent engines don't oversubscribe the host.
+// tagged with the shard index, the worker budget is split across shards so
+// N concurrent engines don't oversubscribe the host, and the epoch hook is
+// dropped — epochs are published for the whole fleet by the router.
 func shardConfig(cfg Config, i int) Config {
 	sc := cfg
 	sc.Shards = 0
+	sc.OnEpoch = nil
 	sc.Telemetry = obs.ShardSink(cfg.Telemetry, i)
 	sc.driftShard = i
 	if w := cfg.Parallelism / cfg.Shards; w >= 1 {
@@ -70,83 +81,299 @@ func newShardPipelines(cfg Config) []*Pipeline {
 // (byte-identical output); N > 1 merges the partial schemas in shard order
 // and finalizes the global schema.
 func DiscoverSharded(src pg.Source, cfg Config) *Result {
-	cfg = cfg.withDefaults()
-	if cfg.Shards <= 1 {
-		return Discover(src, cfg)
-	}
-	start := time.Now()
-	pipes := newShardPipelines(cfg)
-	feeds, wait := startShards(pipes, cfg, nil, nil, nil)
-	for b := src.Next(); b != nil; b = src.Next() {
-		for j, part := range pg.PartitionBatch(b, cfg.Shards) {
-			if part.Len() > 0 {
-				feeds[j] <- part
-			}
-		}
-	}
-	for _, ch := range feeds {
-		close(ch)
-	}
-	wait()
-	return finishSharded(pipes, cfg, start, nil)
+	res, _ := run(pg.AsErrSource(src), cfg, FTOptions{}, nil) // an infallible source without a checkpointer cannot fail
+	return res
 }
 
-// startShards launches one drain goroutine per pipeline, each consuming its
-// own buffered feed channel. With shardSlots/co set the shards run DrainFT
-// (skipping the sub-batches a resumed checkpoint already folded in,
-// checkpointing through the coordinator); otherwise they run the plain
-// Drain. errs, when non-nil, receives each shard's permanent error. The
-// returned wait blocks until every shard finishes. A shard that stops early
-// keeps draining its feed so the router never blocks on a dead shard.
-func startShards(pipes []*Pipeline, cfg Config, shardSlots []int, co *shardCoordinator, errs []error) ([]chan *pg.Batch, func()) {
-	feeds := make([]chan *pg.Batch, len(pipes))
+// DiscoverShardedFT is DiscoverFT with the stream partitioned across
+// cfg.Shards pipelines. Shards ≤ 1 is DiscoverFT. Checkpoints are PGCK8
+// containers covering the whole fleet; resume them with
+// ResumeDiscoverShardedFT.
+func DiscoverShardedFT(src pg.ErrSource, cfg Config, opts FTOptions) (*Result, error) {
+	return run(src, cfg, opts, nil)
+}
+
+// ResumeDiscoverShardedFT restores a fleet from a PGCK8 container and
+// continues draining src — which must replay the same stream from the
+// beginning — then merges and finalizes. The configuration (including
+// Shards) must match the writer's.
+func ResumeDiscoverShardedFT(state []byte, src pg.ErrSource, cfg Config, opts FTOptions) (*Result, error) {
+	return run(src, cfg, opts, state)
+}
+
+// MergeShardSchemas folds per-shard partial schemas, in shard order, into
+// one fresh global schema: shard symtab IDs are remapped into the global
+// table, evidence is unioned, and Algorithm 2 re-runs across shard
+// boundaries under cfg's θ, with the evidence policy cfg's memory budget
+// selects. It is the one fold behind a sharded run's result, its fleet
+// epochs and the soak harness's window checks. The shard schemas' types are
+// rebound to the global symtab, so pass schemas the caller owns.
+func MergeShardSchemas(shards []*schema.Schema, cfg Config) *schema.Schema {
+	cfg = cfg.withDefaults()
+	global := schema.NewSchema()
+	global.SetEvidencePolicy(cfg.evidencePolicy())
+	for _, s := range shards {
+		schema.MergeSchemas(global, s, cfg.Theta)
+	}
+	return global
+}
+
+// router drives a sharded run: it pulls the source through the shared
+// puller, feeds each shard its sub-batches, and publishes fleet epochs at
+// consistent cuts.
+type router struct {
+	cfg   Config
+	pipes []*Pipeline
+	feeds []chan *pg.Batch
+	pl    *puller
+	co    *shardCoordinator // nil without a checkpointer
+	instr obs.Instr
+
+	// routed[i] counts the sub-batches delivered to shard i since the stream
+	// began; batches counts the good source batches routed.
+	routed  []int
+	batches int
+	// folded[i] is the stream position of shard i's last folded sub-batch;
+	// errs[i] is the error shard i's loop stopped with. mu guards both; the
+	// router waits on cond at a cut.
+	mu     sync.Mutex
+	cond   *sync.Cond
+	folded []int
+	errs   []error
+	// prevDef is the last fleet epoch's schema, the base of the next diff.
+	prevDef *schema.Def
+}
+
+// runSharded restores or builds the fleet, routes the whole stream and
+// merges the shard schemas into the Result.
+func runSharded(src pg.ErrSource, cfg Config, opts FTOptions, resume []byte) (*Result, error) {
+	start := time.Now()
+	pipes := newShardPipelines(cfg)
+	shardSlots := make([]int, cfg.Shards)
+	if resume != nil {
+		sections, slots, skipped, err := decodeShardContainer(resume, cfg)
+		if err != nil {
+			return nil, err
+		}
+		for i := range pipes {
+			p, s, shardSkips, err := ResumePipeline(bytes.NewReader(sections[i]), shardConfig(cfg, i))
+			if err != nil {
+				return nil, fmt.Errorf("core: shard %d: %w", i, err)
+			}
+			// A shard's feed only ever delivers good batches, so its restored
+			// skip list holds exclusively drift quarantines: carry it forward
+			// so later shard checkpoints and the final Result keep reporting
+			// them.
+			p.driftSkipped = shardSkips
+			pipes[i] = p
+			shardSlots[i] = s
+		}
+		opts.SkipSlots, opts.Skipped = slots, skipped
+	}
+
+	r := &router{
+		cfg: cfg, pipes: pipes, instr: obs.NewInstr(cfg.Telemetry),
+		feeds:  make([]chan *pg.Batch, len(pipes)),
+		routed: make([]int, len(pipes)),
+		folded: append([]int(nil), shardSlots...),
+		errs:   make([]error, len(pipes)),
+	}
+	r.cond = sync.NewCond(&r.mu)
+	r.pl = newPuller(src, opts, r.instr)
+	if opts.Checkpoint != nil {
+		r.co = &shardCoordinator{
+			ck:      meter(opts.Checkpoint, r.instr),
+			cfg:     cfg,
+			states:  make([][]byte, cfg.Shards),
+			slots:   opts.SkipSlots,
+			skipped: append([]SkipReport(nil), opts.Skipped...),
+		}
+		// Seed every section with its shard's quiescent state so the very
+		// first container is already complete and resumable.
+		for i, p := range pipes {
+			var buf bytes.Buffer
+			if err := p.EncodeCheckpoint(&buf, shardSlots[i], nil); err != nil {
+				return nil, fmt.Errorf("core: shard %d: %w", i, err)
+			}
+			r.co.states[i] = buf.Bytes()
+		}
+	}
+
 	var wg sync.WaitGroup
 	for i := range pipes {
-		feeds[i] = make(chan *pg.Batch, cfg.PipelineDepth)
+		r.feeds[i] = make(chan *pg.Batch, cfg.PipelineDepth)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if shardSlots == nil {
-				pipes[i].Drain(&chanSource{ch: feeds[i]})
-			} else {
-				// The feed only ever delivers good batches (the router
-				// absorbs upstream faults), so the shard's own puller just
-				// counts sub-batch slots and honors its resume skip window.
-				var ck Checkpointer
-				if co != nil {
-					ck = shardSaver{co: co, shard: i}
-				}
-				_, err := pipes[i].DrainFT(pg.AsErrSource(&chanSource{ch: feeds[i]}), FTOptions{
-					Checkpoint: ck,
-					SkipSlots:  shardSlots[i],
-				})
-				if errs != nil {
-					errs[i] = err
-				}
-			}
-			for range feeds[i] { // unblock the router if this shard died early
-			}
+			r.shard(i, shardSlots[i])
 		}(i)
 	}
-	return feeds, wg.Wait
+	err := r.route()
+	wg.Wait()
+	if err == nil {
+		err = r.await(false)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return r.finish(start), nil
 }
 
-// finishSharded merges the shard schemas in index order, stamps each report
-// with its shard, finalizes the global schema and assembles the Result.
-func finishSharded(pipes []*Pipeline, cfg Config, start time.Time, skipped []SkipReport) *Result {
-	instr := obs.NewInstr(cfg.Telemetry)
+// shard runs shard i's engine loop over its feed. The feed only ever
+// delivers good batches (the router absorbs upstream faults), so the shard's
+// puller just counts sub-batch positions and honors its resume skip window.
+// The loop reports each folded position, and the error that stops it, to
+// the router as they happen.
+func (r *router) shard(i, skipSlots int) {
+	p := r.pipes[i]
+	pl := newPuller(pg.AsErrSource(&chanSource{ch: r.feeds[i]}), FTOptions{SkipSlots: skipSlots}, p.instr)
+	var ck Checkpointer
+	if r.co != nil {
+		ck = shardSaver{co: r.co, shard: i}
+	}
+	progress := func(pos int, err error) {
+		r.mu.Lock()
+		if err == nil {
+			r.folded[i] = pos
+		} else if r.errs[i] == nil {
+			r.errs[i] = err
+		}
+		r.mu.Unlock()
+		r.cond.Broadcast()
+	}
+	if err := p.drain(pl, ck, progress); err != nil {
+		progress(0, err)
+	}
+	for range r.feeds[i] { // unblock the router if this shard stopped early
+	}
+}
 
-	mStart := time.Now()
-	global := schema.NewSchema()
-	// The merge target carries the same evidence policy as the shards so
-	// cross-mode conversions only happen for evidence that predates the
-	// policy, and the merged sketches keep their caps.
-	global.SetEvidencePolicy(cfg.evidencePolicy())
+// await returns the first error a shard stopped with; with cut set it first
+// waits until every shard has folded in everything routed to it.
+func (r *router) await(cut bool) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for {
+		caughtUp := true
+		for i, err := range r.errs {
+			if err != nil {
+				return fmt.Errorf("core: shard %d: %w", i, err)
+			}
+			caughtUp = caughtUp && r.folded[i] >= r.routed[i]
+		}
+		if !cut || caughtUp {
+			return nil
+		}
+		r.cond.Wait()
+	}
+}
+
+// route pulls the source to its end, delivering each good batch's
+// non-empty sub-batches to the shard feeds and cutting a fleet epoch every
+// EpochInterval source batches. It stops at the first shard error — a
+// failed checkpoint save — and closes every feed on return.
+func (r *router) route() error {
+	defer func() {
+		for _, ch := range r.feeds {
+			close(ch)
+		}
+	}()
+	for {
+		if err := r.await(false); err != nil {
+			return err
+		}
+		b, pos, err := r.pl.next()
+		if err != nil || b == nil {
+			return err
+		}
+		// On resume every good batch is re-delivered (each shard drops its
+		// own already folded sub-batches); positions inside the skip window
+		// are already in the container.
+		fresh := pos > r.pl.skipSlots
+		if r.co != nil && fresh {
+			r.co.position(pos, r.pl.skipped)
+		}
+		for j, part := range pg.PartitionBatch(b, len(r.feeds)) {
+			if part.Len() > 0 {
+				r.routed[j]++
+				r.feeds[j] <- part
+			}
+		}
+		r.batches++
+		if r.cfg.OnEpoch != nil && fresh && r.batches%r.cfg.EpochInterval == 0 {
+			if err := r.cut(); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// cut publishes a fleet epoch at a consistent cut: once every shard has
+// folded in everything routed to it, it clones the shard schemas through
+// the checkpoint codec (the fold rebinds what it is handed, so it must never
+// see a live shard schema), folds the clones and finalizes.
+func (r *router) cut() error {
+	if err := r.await(true); err != nil {
+		return err
+	}
+	start := time.Now()
+	clones := make([]*schema.Schema, len(r.pipes))
+	for i, p := range r.pipes {
+		var buf bytes.Buffer
+		w := pg.NewWireWriter(&buf)
+		err := schema.WriteSchema(w, p.schema)
+		if err == nil {
+			err = w.Flush()
+		}
+		if err == nil {
+			clones[i], err = schema.ReadSchema(pg.NewWireReader(&buf))
+		}
+		if err != nil {
+			return fmt.Errorf("core: fleet epoch: shard %d: %w", i, err)
+		}
+		clones[i].SetEvidencePolicy(r.cfg.evidencePolicy())
+	}
+	r.publish(r.cfg.finalize(MergeShardSchemas(clones, r.cfg)), false, start)
+	return nil
+}
+
+// publish hands one fleet epoch to Config.OnEpoch. The epoch number is the
+// cut's index in the stream, so it is the same whether or not the run was
+// resumed.
+func (r *router) publish(def *schema.Def, final bool, start time.Time) {
+	var changes []schema.Change
+	if r.prevDef != nil {
+		changes = schema.Diff(r.prevDef, def)
+	}
+	r.prevDef = def
+	epoch := r.batches / r.cfg.EpochInterval
+	if final {
+		epoch++
+	}
+	r.instr.Add(obs.CtrEpochs, 1)
+	r.instr.Span(obs.Span{
+		Stage: obs.StageEpoch, Batch: r.batches - 1,
+		Start: start, Duration: time.Since(start),
+		Elements: len(changes),
+	})
+	r.cfg.OnEpoch(EpochSnapshot{
+		Epoch: epoch, Batches: r.batches, Seq: r.batches - 1, Final: final,
+		Def: def, Changes: changes,
+	})
+}
+
+// finish merges the shard schemas in index order, stamps each report with
+// its shard, finalizes the global schema, closes the last partial fleet
+// epoch and assembles the Result.
+func (r *router) finish(start time.Time) *Result {
+	cfg := r.cfg
+	skipped := r.pl.skipped
 	var reports []BatchReport
 	var drift *DriftSummary
 	merged := 0
-	for i, p := range pipes {
-		// Close each shard's final partial epoch before merging (shards
+	schemas := make([]*schema.Schema, len(r.pipes))
+	for i, p := range r.pipes {
+		// Close each shard's final partial drift epoch before merging (shards
 		// never call their own Finalize; the global schema is finalized
 		// below) and fold its drift activity into the run-level summary.
 		// Shard-level skip slots are positions in the shard's own sub-batch
@@ -163,14 +390,16 @@ func finishSharded(pipes []*Pipeline, cfg Config, start time.Time, skipped []Ski
 			s.Reason = fmt.Sprintf("shard %d: %s", i, s.Reason)
 			skipped = append(skipped, s)
 		}
-		schema.MergeSchemas(global, p.schema, cfg.Theta)
-		for _, r := range p.reports {
-			r.Shard = i
-			reports = append(reports, r)
-			merged += r.Nodes + r.Edges
+		for _, rep := range p.reports {
+			rep.Shard = i
+			reports = append(reports, rep)
+			merged += rep.Nodes + rep.Edges
 		}
+		schemas[i] = p.schema
 	}
-	instr.Span(obs.Span{
+	mStart := time.Now()
+	global := MergeShardSchemas(schemas, cfg)
+	r.instr.Span(obs.Span{
 		Stage: obs.StageMerge, Batch: -1,
 		Start: mStart, Duration: time.Since(mStart),
 		Elements: merged,
@@ -178,15 +407,19 @@ func finishSharded(pipes []*Pipeline, cfg Config, start time.Time, skipped []Ski
 	discovery := time.Since(start)
 
 	fStart := time.Now()
-	def := infer.Finalize(global, infer.Options{
-		SampleBased:   cfg.SampleDatatypes,
-		Participation: cfg.Participation,
-	})
-	instr.Span(obs.Span{
+	def := cfg.finalize(global)
+	r.instr.Span(obs.Span{
 		Stage: obs.StagePostprocess, Batch: -1,
 		Start: fStart, Duration: time.Since(fStart),
 		Elements: len(def.Nodes) + len(def.Edges),
 	})
+	post := time.Since(fStart)
+	// The last partial window closes like the single pipeline's
+	// driftFinalEpoch: only after at least one cut, and only if batches
+	// followed it.
+	if cfg.OnEpoch != nil && r.batches >= cfg.EpochInterval && r.batches%cfg.EpochInterval != 0 {
+		r.publish(def, true, time.Now())
+	}
 
 	return &Result{
 		Def:         def,
@@ -195,7 +428,7 @@ func finishSharded(pipes []*Pipeline, cfg Config, start time.Time, skipped []Ski
 		Skipped:     skipped,
 		Drift:       drift,
 		Discovery:   discovery,
-		PostProcess: time.Since(fStart),
+		PostProcess: post,
 		Telemetry:   telemetrySnapshot(cfg),
 	}
 }
@@ -281,8 +514,8 @@ func decodeShardContainer(state []byte, cfg Config) (sections [][]byte, slots in
 	return sections, slots, skipped, nil
 }
 
-// shardCoordinator assembles PGCK6 containers: it holds every shard's latest
-// encoded PGCK5 state plus the router's current stream position, and rewrites
+// shardCoordinator assembles PGCK8 containers: it holds every shard's latest
+// encoded PGCK7 state plus the router's current stream position, and rewrites
 // the container whenever any shard checkpoints. One mutex serializes shard
 // saves against router position updates, so a container's position is always
 // ≥ every sub-batch its sections have folded in, and its quarantine list is
@@ -325,145 +558,3 @@ type shardSaver struct {
 
 // Save implements Checkpointer.
 func (s shardSaver) Save(state []byte) error { return s.co.save(s.shard, state) }
-
-// routeShards pulls the fallible upstream, absorbing transient faults and
-// quarantining poisoned batches exactly like the single-pipeline puller, and
-// delivers each good batch's non-empty sub-batches to the shard feeds. On
-// resume every good batch is re-delivered (each shard drops its own already
-// folded sub-batches); the skip window only suppresses re-recording of
-// quarantines the checkpointed run already reported. Closes all feeds on
-// return.
-func routeShards(src pg.ErrSource, feeds []chan *pg.Batch, opts FTOptions, co *shardCoordinator, instr obs.Instr) ([]SkipReport, error) {
-	defer func() {
-		for _, ch := range feeds {
-			close(ch)
-		}
-	}()
-	budget := opts.MaxTransient
-	if budget <= 0 {
-		budget = DefaultMaxTransient
-	}
-	slot := 0
-	skipped := append([]SkipReport(nil), opts.Skipped...)
-	transients := 0
-	for {
-		b, err := src.Next()
-		switch {
-		case err == nil && b == nil:
-			return skipped, nil
-		case err == nil:
-			slot++
-			transients = 0
-			if co != nil && slot > opts.SkipSlots {
-				co.position(slot, skipped)
-			}
-			for j, part := range pg.PartitionBatch(b, len(feeds)) {
-				if part.Len() > 0 {
-					feeds[j] <- part
-				}
-			}
-		case pg.IsTransient(err):
-			transients++
-			if transients >= budget {
-				return skipped, fmt.Errorf("core: slot %d: %d consecutive transient faults: %w", slot, transients, err)
-			}
-			instr.Add(obs.CtrRetries, 1)
-		case pg.IsCorrupt(err):
-			slot++
-			transients = 0
-			if slot <= opts.SkipSlots {
-				continue // already recorded by the checkpointed run
-			}
-			skipped = append(skipped, SkipReport{Seq: slot - 1, Reason: err.Error()})
-			instr.Add(obs.CtrQuarantined, 1)
-			if co != nil {
-				co.position(slot, skipped)
-			}
-		default:
-			return skipped, err
-		}
-	}
-}
-
-// DiscoverShardedFT is DiscoverFT with the stream partitioned across
-// cfg.Shards pipelines. Shards ≤ 1 delegates to DiscoverFT. Checkpoints are
-// PGCK6 containers covering the whole fleet; resume them with
-// ResumeDiscoverShardedFT.
-func DiscoverShardedFT(src pg.ErrSource, cfg Config, opts FTOptions) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Shards <= 1 {
-		return DiscoverFT(src, cfg, opts)
-	}
-	return runShardedFT(newShardPipelines(cfg), make([]int, cfg.Shards), src, cfg, opts)
-}
-
-// ResumeDiscoverShardedFT restores a fleet from a PGCK6 container and
-// continues draining src — which must replay the same stream from the
-// beginning — then merges and finalizes. The configuration (including
-// Shards) must match the writer's.
-func ResumeDiscoverShardedFT(state []byte, src pg.ErrSource, cfg Config, opts FTOptions) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Shards <= 1 {
-		return ResumeDiscoverFT(state, src, cfg, opts)
-	}
-	sections, slots, skipped, err := decodeShardContainer(state, cfg)
-	if err != nil {
-		return nil, err
-	}
-	pipes := make([]*Pipeline, cfg.Shards)
-	shardSlots := make([]int, cfg.Shards)
-	for i := range pipes {
-		p, s, shardSkips, err := ResumePipeline(bytes.NewReader(sections[i]), shardConfig(cfg, i))
-		if err != nil {
-			return nil, fmt.Errorf("core: shard %d: %w", i, err)
-		}
-		// A shard's feed only ever delivers good batches, so its restored
-		// skip list holds exclusively drift quarantines: carry it forward so
-		// later shard checkpoints and the final Result keep reporting them.
-		p.driftSkipped = shardSkips
-		pipes[i] = p
-		shardSlots[i] = s
-	}
-	opts.SkipSlots = slots
-	opts.Skipped = skipped
-	return runShardedFT(pipes, shardSlots, src, cfg, opts)
-}
-
-// runShardedFT drives a fault-tolerant sharded drain: router on the calling
-// goroutine, one DrainFT per shard, PGCK6 checkpoints through the
-// coordinator, then merge + finalize.
-func runShardedFT(pipes []*Pipeline, shardSlots []int, src pg.ErrSource, cfg Config, opts FTOptions) (*Result, error) {
-	start := time.Now()
-	var co *shardCoordinator
-	if opts.Checkpoint != nil {
-		co = &shardCoordinator{
-			ck:      opts.Checkpoint,
-			cfg:     cfg,
-			states:  make([][]byte, cfg.Shards),
-			slots:   opts.SkipSlots,
-			skipped: append([]SkipReport(nil), opts.Skipped...),
-		}
-		// Seed every section with its shard's quiescent state so the very
-		// first container is already complete and resumable.
-		for i, p := range pipes {
-			var buf bytes.Buffer
-			if err := p.EncodeCheckpoint(&buf, shardSlots[i], nil); err != nil {
-				return nil, fmt.Errorf("core: shard %d: %w", i, err)
-			}
-			co.states[i] = buf.Bytes()
-		}
-	}
-	errs := make([]error, len(pipes))
-	feeds, wait := startShards(pipes, cfg, shardSlots, co, errs)
-	skipped, routeErr := routeShards(src, feeds, opts, co, obs.NewInstr(cfg.Telemetry))
-	wait()
-	if routeErr != nil {
-		return nil, routeErr
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: shard %d: %w", i, err)
-		}
-	}
-	return finishSharded(pipes, cfg, start, skipped), nil
-}

@@ -2,14 +2,10 @@ package serve
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"pghive/internal/core"
-	"pghive/internal/infer"
 	"pghive/internal/obs"
 	"pghive/internal/pg"
-	"pghive/internal/schema"
 )
 
 // IngestOptions configures a server's ingest run.
@@ -28,12 +24,21 @@ type IngestOptions struct {
 
 // Ingest drains src through the discovery engine, publishing schema epochs
 // as it goes, and blocks until the stream ends (or StopIngest is called).
-// The final Result's Def is published as the final epoch, so a served
-// detail=full response is then byte-identical to a batch Discover run over
-// the same input. Single ingest per server.
+// Every engine — single pipeline or sharded — publishes through the same
+// core.Config.OnEpoch hook, synchronously at a consistent point of the
+// stream. The final Result's Def is published as the final epoch, so a
+// served detail=full response is then byte-identical to a batch Discover
+// run over the same input. Single ingest per server.
 func (s *Server) Ingest(src pg.ErrSource, opts IngestOptions) (*core.Result, error) {
 	cfg := opts.Config
 	cfg.Telemetry = obs.Multi(cfg.Telemetry, s.reg)
+	chain := cfg.OnEpoch
+	cfg.OnEpoch = func(snap core.EpochSnapshot) {
+		if chain != nil {
+			chain(snap)
+		}
+		s.publish(snap.Def, snap.Batches, snap.Seq, snap.Final)
+	}
 	stop := NewStopSource(src)
 
 	s.mu.Lock()
@@ -44,33 +49,6 @@ func (s *Server) Ingest(src pg.ErrSource, opts IngestOptions) (*core.Result, err
 	s.ingest = "running"
 	s.stopper = stop
 	s.mu.Unlock()
-
-	if cfg.Shards <= 1 {
-		// Single-pipeline engines publish straight from the serialized
-		// extract point: the epoch hook hands over an immutable Def.
-		chain := cfg.OnEpoch
-		cfg.OnEpoch = func(snap core.EpochSnapshot) {
-			if chain != nil {
-				chain(snap)
-			}
-			s.publish(snap.Def, snap.Batches, snap.Seq, snap.Final)
-		}
-	} else {
-		// Sharded runs merge only at stream end, so mid-stream epochs ride
-		// the checkpoint layer instead: every shard extraction persists a
-		// fleet container, and every EpochInterval containers a background
-		// goroutine decodes it, merges the shard schemas and publishes the
-		// global view. No checkpointer configured means epochs ride an
-		// in-memory one.
-		if opts.FT.Checkpoint == nil {
-			opts.FT.Checkpoint = &memCheckpointer{}
-		}
-		interval := cfg.EpochInterval
-		if interval <= 0 {
-			interval = core.DefaultEpochInterval
-		}
-		opts.FT.Checkpoint = &epochTee{inner: opts.FT.Checkpoint, s: s, cfg: publishConfig(cfg), every: interval}
-	}
 
 	var res *core.Result
 	var err error
@@ -91,17 +69,18 @@ func (s *Server) Ingest(src pg.ErrSource, opts IngestOptions) (*core.Result, err
 	}
 	s.mu.Unlock()
 	if err == nil {
-		s.publish(res.Def, len(res.Reports), lastSeq(res), true)
+		// The stream ended at the last published epoch's frontier — either
+		// the engine's final epoch or a window boundary, whose epoch this
+		// re-stamps as final — or, before any epoch, after every batch the
+		// source delivered.
+		batches := int(stop.delivered.Load())
+		seq := batches - 1
+		if e := s.Current(); e.ID > 0 {
+			batches, seq = e.Batches, e.Seq
+		}
+		s.publish(res.Def, batches, seq, true)
 	}
 	return res, err
-}
-
-// lastSeq returns the stream sequence number of the last extracted batch.
-func lastSeq(res *core.Result) int {
-	if len(res.Reports) == 0 {
-		return -1
-	}
-	return res.Reports[len(res.Reports)-1].Batch
 }
 
 // StopIngest asks the running ingest to stop at the next batch boundary:
@@ -114,91 +93,4 @@ func (s *Server) StopIngest() {
 	if st != nil {
 		st.Stop()
 	}
-}
-
-// publishConfig strips the execution-only hooks off a config used to decode
-// checkpoints on the publication path (the decoded pipelines must not
-// re-instrument or re-publish).
-func publishConfig(cfg core.Config) core.Config {
-	cfg.Telemetry = nil
-	cfg.OnEpoch = nil
-	cfg.DriftLog = nil
-	return cfg
-}
-
-// memCheckpointer keeps the latest state in memory — enough for the sharded
-// epoch tee when the operator did not ask for durability.
-type memCheckpointer struct {
-	mu    sync.Mutex
-	state []byte
-}
-
-func (m *memCheckpointer) Save(state []byte) error {
-	m.mu.Lock()
-	m.state = append(m.state[:0], state...)
-	m.mu.Unlock()
-	return nil
-}
-
-// epochTee wraps a sharded run's checkpointer: every save persists as
-// before, and every `every` saves the container bytes are handed to a
-// background merge that publishes the fleet-wide schema. Merges never block
-// the ingest path — if the previous merge is still running the boundary is
-// skipped (the next one publishes a fresher frontier anyway).
-type epochTee struct {
-	inner core.Checkpointer
-	s     *Server
-	cfg   core.Config
-	every int
-
-	mu    sync.Mutex
-	saves int
-	busy  atomic.Bool
-}
-
-func (t *epochTee) Save(state []byte) error {
-	if err := t.inner.Save(state); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	t.saves++
-	due := t.saves%t.every == 0
-	saves := t.saves
-	t.mu.Unlock()
-	if !due || !t.busy.CompareAndSwap(false, true) {
-		return nil
-	}
-	snap := append([]byte(nil), state...)
-	go func() {
-		defer t.busy.Store(false)
-		t.s.publishFromCheckpoint(snap, t.cfg, saves)
-	}()
-	return nil
-}
-
-// publishFromCheckpoint decodes a fleet container, merges the shard schemas
-// exactly as finishSharded would, finalizes and publishes. Decode errors are
-// dropped — the next epoch boundary retries on a fresher container, and the
-// durable checkpoint itself already succeeded.
-func (s *Server) publishFromCheckpoint(state []byte, cfg core.Config, batches int) {
-	schemas, err := core.DecodeCheckpointSchemas(state, cfg)
-	if err != nil {
-		return
-	}
-	global := schema.NewSchema()
-	if cfg.MemBudgetBytes > 0 && !cfg.ExactEvidence {
-		global.SetEvidencePolicy(schema.PolicyForBudget(cfg.MemBudgetBytes))
-	}
-	theta := cfg.Theta
-	if theta <= 0 {
-		theta = 0.9
-	}
-	for _, sh := range schemas {
-		schema.MergeSchemas(global, sh, theta)
-	}
-	def := infer.Finalize(global, infer.Options{
-		SampleBased:   cfg.SampleDatatypes,
-		Participation: cfg.Participation,
-	})
-	s.publish(def, batches, batches-1, false)
 }

@@ -122,42 +122,116 @@ func TestServeEpochProgression(t *testing.T) {
 	}
 }
 
-// TestServeShardedPublishes runs a sharded ingest and checks that the
-// checkpoint-tee path publishes mid-stream fleet epochs (not only the final
-// one) and that the final schema matches the batch sharded run.
+// TestServeShardedPublishes runs a sharded ingest: the router publishes one
+// fleet epoch every EpochInterval source batches, each byte-identical to
+// DiscoverSharded over the batches before its cut, and the last one — the
+// stream ends on a cut — is re-stamped final with the run's schema.
 func TestServeShardedPublishes(t *testing.T) {
 	batches := stream(16)
 	cfg := core.Config{Shards: 2, EpochInterval: 4}
-
-	want := core.DiscoverSharded(pg.NewSliceSource(batches...), cfg)
-	var wantJSON bytes.Buffer
-	if err := serialize.WriteJSON(&wantJSON, want.Def); err != nil {
-		t.Fatal(err)
-	}
 
 	s := NewServer(nil)
 	if _, err := s.Ingest(src(batches), IngestOptions{Config: cfg}); err != nil {
 		t.Fatal(err)
 	}
-	e := s.Current()
-	if !e.Final {
-		t.Fatal("final epoch not published")
-	}
-	resp, _ := e.Rendered(TierFull)
-	if !bytes.Equal(resp.Body, wantJSON.Bytes()) {
-		t.Fatalf("sharded served schema differs from DiscoverSharded output")
-	}
-	// The async merge may skip boundaries under scheduler pressure, but the
-	// final publish always lands, so at least one epoch exists and the
-	// frontier is monotone.
 	hist := s.Epochs()
-	if len(hist) == 0 {
-		t.Fatal("no epochs published")
+	if len(hist) != 4 {
+		t.Fatalf("epochs = %d, want 4 (frontiers 4, 8, 12, 16)", len(hist))
 	}
-	for i := 1; i < len(hist); i++ {
-		if hist[i].Batches < hist[i-1].Batches {
-			t.Fatalf("epoch frontier regressed: %d after %d", hist[i].Batches, hist[i-1].Batches)
+	for i, e := range hist {
+		k := 4 * (i + 1)
+		if e.ID != i+1 || e.Batches != k || e.Seq != k-1 || e.Final != (i == 3) {
+			t.Errorf("epoch %d = {ID %d, Batches %d, Seq %d, Final %t}, want {%d, %d, %d, %t}",
+				i, e.ID, e.Batches, e.Seq, e.Final, i+1, k, k-1, i == 3)
 		}
+		want := shardedJSON(t, batches[:k], cfg)
+		if resp, _ := e.Rendered(TierFull); !bytes.Equal(resp.Body, want) {
+			t.Errorf("epoch %d schema differs from DiscoverSharded over the first %d batches", e.ID, k)
+		}
+	}
+}
+
+// shardedJSON renders DiscoverSharded over batches as schema JSON.
+func shardedJSON(t *testing.T, batches []*pg.Batch, cfg core.Config) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := serialize.WriteJSON(&buf, core.DiscoverSharded(pg.NewSliceSource(batches...), cfg).Def); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestServeShardedFrontiers: under sharding every epoch frontier counts
+// source batches — mid-stream and final alike — so /epochs never goes
+// backwards. 12 one-node batches over 3 shards at interval 4 publish cuts at
+// 4 and 8 and the cut at 12, re-stamped final.
+func TestServeShardedFrontiers(t *testing.T) {
+	var batches []*pg.Batch
+	for i := 0; i < 12; i++ {
+		batches = append(batches, &pg.Batch{Nodes: []pg.NodeRecord{{
+			ID: pg.ID(i + 1), Labels: []string{"Person"}, Props: pg.Properties{"name": pg.Str("p")},
+		}}})
+	}
+	for _, interval := range []int{4, 5} {
+		s := NewServer(nil)
+		if _, err := s.Ingest(src(batches), IngestOptions{Config: core.Config{Shards: 3, EpochInterval: interval}}); err != nil {
+			t.Fatal(err)
+		}
+		hist := s.Epochs()
+		last := hist[len(hist)-1]
+		if !last.Final || last.Batches != 12 || last.Seq != 11 {
+			t.Errorf("interval %d: final epoch {Final %t, Batches %d, Seq %d}, want {true, 12, 11}",
+				interval, last.Final, last.Batches, last.Seq)
+		}
+		for i := 1; i < len(hist); i++ {
+			if hist[i].Batches <= hist[i-1].Batches || hist[i].Seq <= hist[i-1].Seq {
+				t.Errorf("interval %d: frontier did not advance: epoch %d {%d, %d} after {%d, %d}", interval,
+					hist[i].ID, hist[i].Batches, hist[i].Seq, hist[i-1].Batches, hist[i-1].Seq)
+			}
+		}
+	}
+}
+
+// TestServeShardedGracefulResume stops a sharded ingest mid-stream and
+// resumes a fresh server from its fleet container: the resumed schema is
+// byte-identical to an uninterrupted sharded run, and the epoch frontiers of
+// both servers, in order, strictly increase — cuts the resumed router
+// replays publish nothing.
+func TestServeShardedGracefulResume(t *testing.T) {
+	batches := stream(16)
+	cfg := core.Config{Shards: 2, EpochInterval: 3}
+	want := shardedJSON(t, batches, cfg)
+
+	ck := &memCheckpointer{}
+	s1 := NewServer(nil)
+	var pulled atomic.Int64
+	gate := &gateSource{src: src(batches), after: 7, hit: func() { s1.StopIngest() }, pulled: &pulled}
+	if _, err := s1.Ingest(gate, IngestOptions{Config: cfg, FT: core.FTOptions{Checkpoint: ck}}); err != nil {
+		t.Fatalf("interrupted ingest: %v", err)
+	}
+	if pulled.Load() >= int64(len(batches)) {
+		t.Fatalf("stop did not interrupt the stream (pulled %d)", pulled.Load())
+	}
+	ck.mu.Lock()
+	state := append([]byte(nil), ck.state...)
+	ck.mu.Unlock()
+
+	s2 := NewServer(nil)
+	if _, err := s2.Ingest(src(batches), IngestOptions{Config: cfg, FT: core.FTOptions{Checkpoint: ck}, Resume: state}); err != nil {
+		t.Fatalf("resumed ingest: %v", err)
+	}
+	if resp, _ := s2.Current().Rendered(TierFull); !bytes.Equal(resp.Body, want) {
+		t.Fatal("resumed sharded schema differs from the uninterrupted run")
+	}
+	hist := append(s1.Epochs(), s2.Epochs()...)
+	for i := 1; i < len(hist); i++ {
+		if hist[i].Batches <= hist[i-1].Batches || hist[i].Seq <= hist[i-1].Seq {
+			t.Errorf("frontier did not advance across stop/resume: {%d, %d} after {%d, %d}",
+				hist[i].Batches, hist[i].Seq, hist[i-1].Batches, hist[i-1].Seq)
+		}
+	}
+	if last := hist[len(hist)-1]; !last.Final || last.Batches != len(batches) {
+		t.Errorf("last epoch {Final %t, Batches %d}, want {true, %d}", last.Final, last.Batches, len(batches))
 	}
 }
 
@@ -201,6 +275,19 @@ func TestServeGracefulResume(t *testing.T) {
 	if !bytes.Equal(resp.Body, wantJSON.Bytes()) {
 		t.Fatal("resumed served schema differs from uninterrupted run")
 	}
+}
+
+// memCheckpointer keeps the latest checkpoint state in memory.
+type memCheckpointer struct {
+	mu    sync.Mutex
+	state []byte
+}
+
+func (m *memCheckpointer) Save(state []byte) error {
+	m.mu.Lock()
+	m.state = append(m.state[:0], state...)
+	m.mu.Unlock()
+	return nil
 }
 
 // gateSource counts pulls and fires a hook once after the Nth.

@@ -65,10 +65,10 @@ func (s *Server) Epochs() []*Epoch {
 }
 
 // publish installs def as the next epoch. Monotone and idempotent: a
-// snapshot that does not advance the batch frontier is dropped (the sharded
-// checkpoint-tee path publishes asynchronously, so a slow merge must not
-// regress the served schema), and a final publish over an identical frontier
-// only re-stamps finality. Returns the current epoch after the call.
+// snapshot that does not advance the batch frontier is dropped, and a final
+// publish over an identical frontier only re-stamps finality (the stream
+// ended exactly on an epoch boundary). Returns the current epoch after the
+// call.
 func (s *Server) publish(def *schema.Def, batches, seq int, final bool) *Epoch {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -15,6 +15,9 @@ import (
 type StopSource struct {
 	src     pg.ErrSource
 	stopped atomic.Bool
+	// delivered counts the good batches handed to the engine — the source
+	// batches the published epoch frontiers count.
+	delivered atomic.Int64
 }
 
 // NewStopSource wraps src.
@@ -25,7 +28,11 @@ func (s *StopSource) Next() (*pg.Batch, error) {
 	if s.stopped.Load() {
 		return nil, nil
 	}
-	return s.src.Next()
+	b, err := s.src.Next()
+	if b != nil && err == nil {
+		s.delivered.Add(1)
+	}
+	return b, err
 }
 
 // Stop makes every subsequent Next report end-of-stream. Safe to call from

@@ -357,24 +357,13 @@ type checker struct {
 
 // windowDef finalizes a window's decoded checkpoint schemas into the Def a
 // reader of the system would see at that point — merging shard partials
-// exactly as the engine does at stream end.
+// with the engine's own fold.
 func windowDef(schemas []*schema.Schema, cfg core.Config) *schema.Def {
 	opts := infer.Options{SampleBased: cfg.SampleDatatypes, Participation: cfg.Participation}
 	if len(schemas) == 1 {
 		return infer.Finalize(schemas[0], opts)
 	}
-	global := schema.NewSchema()
-	if cfg.MemBudgetBytes > 0 && !cfg.ExactEvidence {
-		global.SetEvidencePolicy(schema.PolicyForBudget(cfg.MemBudgetBytes))
-	}
-	theta := cfg.Theta
-	if theta <= 0 {
-		theta = 0.9
-	}
-	for _, s := range schemas {
-		schema.MergeSchemas(global, s, theta)
-	}
-	return infer.Finalize(global, opts)
+	return infer.Finalize(core.MergeShardSchemas(schemas, cfg), opts)
 }
 
 // defRemovals lists the monotonicity-breaking changes between two
