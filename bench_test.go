@@ -271,41 +271,6 @@ func BenchmarkDiscoverTelemetry(b *testing.B) {
 	}
 }
 
-// BenchmarkDiscoverKernels contrasts the dense reference signature path
-// (Config.DenseSignatures) with the default factored kernels end-to-end:
-// the whole Discover run, not just hashing, so the delta also includes the
-// factored path's skipped dense rendering and the MinHash distinct-record
-// memoization. Both paths produce byte-identical schemas; see
-// TestFactoredMatchesDense in internal/core.
-func BenchmarkDiscoverKernels(b *testing.B) {
-	for _, dataset := range []string{"LDBC", "IYP"} {
-		ds := benchDataset(dataset, 2500)
-		for _, m := range []pghive.Method{pghive.MethodELSH, pghive.MethodMinHash} {
-			for _, bm := range []struct {
-				name  string
-				dense bool
-			}{
-				{"dense", true},
-				{"factored", false},
-			} {
-				b.Run(dataset+"/"+m.String()+"/"+bm.name, func(b *testing.B) {
-					cfg := pghive.DefaultConfig()
-					cfg.Method = m
-					cfg.DenseSignatures = bm.dense
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						res := pghive.Discover(ds.Graph, cfg)
-						if len(res.Def.Nodes) == 0 {
-							b.Fatal("no types discovered")
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
 func BenchmarkDiscoverELSHPole(b *testing.B)    { benchmarkDiscover(b, "POLE", pghive.MethodELSH) }
 func BenchmarkDiscoverELSHLdbc(b *testing.B)    { benchmarkDiscover(b, "LDBC", pghive.MethodELSH) }
 func BenchmarkDiscoverELSHIyp(b *testing.B)     { benchmarkDiscover(b, "IYP", pghive.MethodELSH) }

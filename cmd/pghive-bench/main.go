@@ -36,7 +36,7 @@ func mainErr() error {
 	datasets := flag.String("datasets", "", "comma-separated dataset filter (default: all eight)")
 	depth := flag.Int("pipeline-depth", 0, "execution engine depth for PG-HIVE runs: 0/1 = serial, >1 = overlapped batches")
 	shards := flag.Int("shards", 0, "narrow the shards experiment's sweep to {1, N} discovery shards (0 = full 1/2/4/8 sweep)")
-	csvDir := flag.String("csvdir", "", "also write machine-readable CSVs into this directory (every experiment, or just lsh.csv/shards.csv/scenarios.csv/memory.csv/drift.csv/serve.csv with the matching -exp)")
+	csvDir := flag.String("csvdir", "", "also write the CSV of each experiment -exp runs into this directory (table1 and table2 have none)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	telemetry := flag.Bool("telemetry", false, "aggregate metrics over every PG-HIVE run and print a summary to stderr at exit")
@@ -111,31 +111,15 @@ func mainErr() error {
 }
 
 func run(exp, csvDir string, settings bench.Settings) error {
-	if csvDir != "" {
-		switch exp {
-		case "lsh":
-			return bench.WriteLSHCSV(csvDir, os.Stdout, settings)
-		case "shards":
-			return bench.WriteShardsCSV(csvDir, os.Stdout, settings)
-		case "scenarios":
-			return bench.WriteScenariosCSV(csvDir, os.Stdout, settings)
-		case "memory":
-			return bench.WriteMemoryCSV(csvDir, os.Stdout, settings)
-		case "drift":
-			return bench.WriteDriftCSV(csvDir, os.Stdout, settings)
-		case "serve":
-			return bench.WriteServeCSV(csvDir, os.Stdout, settings)
-		}
-		return bench.WriteCSVs(csvDir, os.Stdout, settings)
-	}
 	if exp == "all" {
-		return bench.RunAll(os.Stdout, settings)
+		return bench.RunAll(os.Stdout, csvDir, settings)
 	}
-	runner, ok := bench.Experiments[exp]
-	if !ok {
-		return fmt.Errorf("unknown experiment %q (have: all, %s)", exp, strings.Join(bench.ExperimentNames(), ", "))
+	for _, e := range bench.Experiments {
+		if e.Name == exp {
+			return e.Run(os.Stdout, csvDir, settings)
+		}
 	}
-	return runner(os.Stdout, settings)
+	return fmt.Errorf("unknown experiment %q (have: all, %s)", exp, strings.Join(bench.ExperimentNames(), ", "))
 }
 
 func shardsDesc(n int) string {

@@ -62,7 +62,6 @@ func mainErr() error {
 		depth     = flag.Int("pipeline-depth", 0, "execution engine depth: 1 = serial, >1 = overlapped batches (0 = default)")
 		shards    = flag.Int("shards", 0, "partition the stream across N concurrent discovery pipelines (0/1 = single pipeline)")
 		memBudget = flag.Int("mem-budget", 0, "memory budget in MB: bound evidence memory with sketched counters (0 = exact, unbounded)")
-		exactEv   = flag.Bool("exact-evidence", false, "keep evidence counters exact even under -mem-budget")
 		sample    = flag.Bool("sample-datatypes", false, "infer property data types from a sample instead of a full scan")
 		particip  = flag.Bool("participation", false, "analyze edge participation to refine cardinality lower bounds")
 		driftPol  = flag.String("drift-policy", "off", "streaming conformance checking: off, evolve, alert, quarantine")
@@ -78,8 +77,7 @@ func mainErr() error {
 
 	cfg := core.Config{
 		Seed: *seed, Theta: *theta,
-		PipelineDepth: *depth, Shards: *shards,
-		MemBudgetBytes: int64(*memBudget) << 20, ExactEvidence: *exactEv,
+		PipelineDepth: *depth, Shards: *shards, MemBudgetBytes: int64(*memBudget) << 20,
 		SampleDatatypes: *sample, Participation: *particip,
 		EpochInterval: *epochIvl,
 	}

@@ -42,7 +42,6 @@ func main() {
 		faultRate   = flag.Float64("fault-rate", 0, "per-attempt transient fault probability")
 		corruptRate = flag.Float64("corrupt-rate", 0, "per-batch corrupt (quarantine) probability")
 		memBudgetMB = flag.Int("mem-budget-mb", 0, "enforce this memory budget (sketched evidence) and fail if retained heap or checkpointed evidence exceeds it (0 = unchecked)")
-		exactEv     = flag.Bool("exact-evidence", false, "keep evidence exact even under -mem-budget-mb (escape hatch)")
 		equivalence = flag.Bool("equivalence", false, "with -shards > 1, re-run serially and require schema equivalence")
 		noResume    = flag.Bool("skip-resume-check", false, "skip the kill/resume byte-identity reference run")
 		driftPol    = flag.String("drift-policy", "off", "streaming conformance checking: off, evolve, alert, or quarantine")
@@ -126,7 +125,6 @@ func main() {
 		Kills:            *kills,
 		KillEvery:        *killEvery,
 		MemBudgetBytes:   uint64(*memBudgetMB) * 1 << 20,
-		ExactEvidence:    *exactEv,
 		CheckEquivalence: *equivalence,
 		SkipResumeCheck:  *noResume,
 	}

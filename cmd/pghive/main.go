@@ -46,12 +46,10 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed")
 		depth     = flag.Int("pipeline-depth", 0, "execution engine depth: 1 = serial, >1 = overlapped batches (0 = default)")
 		shards    = flag.Int("shards", 0, "partition the stream across N concurrent discovery pipelines and merge their schemas (0/1 = single pipeline, byte-identical to serial)")
-		denseSigs = flag.Bool("dense-signatures", false, "use the dense reference signature kernels instead of the factored sparse ones (identical output, for A/B timing)")
 		retry     = flag.Int("retry", 0, "retry transient source faults up to this many attempts per batch (0 = fail fast)")
 		ckptPath  = flag.String("checkpoint", "", "checkpoint file: save pipeline state after every batch; resume from it when it already exists")
 		faultRate = flag.Float64("fault-rate", 0, "inject seeded transient faults at this per-attempt probability (exercises -retry)")
 		memBudget = flag.Int("mem-budget", 0, "memory budget in MB: bound evidence memory with sketched counters sized to the budget (0 = exact, unbounded)")
-		exactEv   = flag.Bool("exact-evidence", false, "keep evidence counters exact even under -mem-budget (escape hatch; byte-identical to no-budget output)")
 		sample    = flag.Bool("sample-datatypes", false, "infer property data types from a sample instead of a full scan")
 		particip  = flag.Bool("participation", false, "analyze edge participation to refine cardinality lower bounds")
 		selfCheck = flag.Bool("validate", false, "validate the input graph against its own discovered schema and report violations")
@@ -64,8 +62,18 @@ func main() {
 	)
 	flag.Parse()
 
+	// Output settings are checked before any work: one parsed mode drives
+	// both the PG-Schema DDL and -validate.
+	pgMode, err := parseMode(*mode)
+	if err != nil {
+		fatal(err)
+	}
+	write, err := schemaWriter(*format, pgMode, *name)
+	if err != nil {
+		fatal(err)
+	}
+
 	var g *pghive.Graph
-	var err error
 	if *scenario == "" {
 		g, err = loadGraph(*jsonlPath, *binPath, *nodesPath, *edgesPath, *dataset, *scale, *seed)
 		if err != nil {
@@ -109,8 +117,6 @@ func main() {
 	cfg.PipelineDepth = *depth
 	cfg.Shards = *shards
 	cfg.MemBudgetBytes = int64(*memBudget) << 20
-	cfg.ExactEvidence = *exactEv
-	cfg.DenseSignatures = *denseSigs
 	cfg.Telemetry = pghive.TelemetryMulti(sinks...)
 	cfg.DriftPolicy, err = pghive.ParseDriftPolicy(*driftPol)
 	if err != nil {
@@ -177,11 +183,7 @@ func main() {
 	}
 
 	if *selfCheck {
-		m := pghive.Loose
-		if *mode == "strict" {
-			m = pghive.Strict
-		}
-		report := pghive.ValidateGraph(g, result.Def, m)
+		report := pghive.ValidateGraph(g, result.Def, pgMode)
 		if report.Valid() {
 			fmt.Fprintf(os.Stderr, "validation (%s): OK — %d nodes, %d edges conform\n",
 				*mode, report.NodesChecked, report.EdgesChecked)
@@ -206,7 +208,7 @@ func main() {
 		defer f.Close()
 		out = f
 	}
-	if err := writeSchema(out, result.Def, *format, *mode, *name); err != nil {
+	if err := write(out, result.Def); err != nil {
 		fatal(err)
 	}
 }
@@ -305,22 +307,34 @@ func loadScenario(arg string) (*datagen.Scenario, error) {
 	return nil, fmt.Errorf("unknown scenario %q (no such built-in or file)", arg)
 }
 
-func writeSchema(w io.Writer, def *pghive.SchemaDef, format, mode, name string) error {
+// parseMode parses -mode.
+func parseMode(mode string) (pghive.Mode, error) {
+	switch mode {
+	case "strict":
+		return pghive.Strict, nil
+	case "loose":
+		return pghive.Loose, nil
+	default:
+		return pghive.Strict, fmt.Errorf("unknown mode %q (want strict or loose)", mode)
+	}
+}
+
+// schemaWriter resolves -format into the serializer the discovered schema
+// is written with.
+func schemaWriter(format string, mode pghive.Mode, name string) (func(io.Writer, *pghive.SchemaDef) error, error) {
 	switch format {
 	case "pgschema":
-		m := pghive.Strict
-		if mode == "loose" {
-			m = pghive.Loose
-		}
-		return pghive.WritePGSchema(w, def, name, m)
+		return func(w io.Writer, def *pghive.SchemaDef) error {
+			return pghive.WritePGSchema(w, def, name, mode)
+		}, nil
 	case "xsd":
-		return pghive.WriteXSD(w, def)
+		return pghive.WriteXSD, nil
 	case "json":
-		return pghive.WriteSchemaJSON(w, def)
+		return pghive.WriteSchemaJSON, nil
 	case "dot":
-		return pghive.WriteDOT(w, def)
+		return pghive.WriteDOT, nil
 	default:
-		return fmt.Errorf("unknown format %q (want pgschema, xsd, json, dot)", format)
+		return nil, fmt.Errorf("unknown format %q (want pgschema, xsd, json, dot)", format)
 	}
 }
 

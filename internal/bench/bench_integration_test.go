@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -230,15 +229,20 @@ func TestRunFig8BinsNormalized(t *testing.T) {
 }
 
 func TestExperimentRegistryComplete(t *testing.T) {
-	want := []string{"ablation", "drift", "faults", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "interning", "lsh", "memory", "metrics", "scaling", "scenarios", "serve", "shards", "table1", "table2", "telemetry"}
+	want := []string{"table1", "table2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "ablation", "metrics", "scaling", "shards", "faults", "scenarios", "memory", "drift", "serve"}
 	got := ExperimentNames()
-	if len(got) != len(want) {
+	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("experiments = %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("experiments = %v, want %v", got, want)
+	csvs := map[string]bool{}
+	for _, e := range Experiments {
+		if (e.CSV == "") != (e.Name == "table1" || e.Name == "table2") {
+			t.Errorf("%s: CSV file %q", e.Name, e.CSV)
 		}
+		if e.CSV != "" && csvs[e.CSV] {
+			t.Errorf("%s: CSV file %q shared with another experiment", e.Name, e.CSV)
+		}
+		csvs[e.CSV] = true
 	}
 }
 
@@ -313,122 +317,79 @@ func TestRunScalingSmall(t *testing.T) {
 	}
 }
 
-func TestRunTelemetrySmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("telemetry sweep is slow")
-	}
-	var buf bytes.Buffer
-	points, err := RunTelemetry(&buf, smallSettings("POLE"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 6 { // 1 dataset × 2 methods × 3 sink configs
-		t.Fatalf("got %d points, want 6", len(points))
-	}
-	for _, p := range points {
-		if !p.Identical {
-			t.Errorf("%s/%s/%s: schema diverged from sink-free baseline", p.Dataset, p.Method, p.Sink)
-		}
-		if p.Elapsed <= 0 {
-			t.Errorf("%s/%s/%s: non-positive elapsed", p.Dataset, p.Method, p.Sink)
-		}
-		switch p.Sink {
-		case "none":
-			if p.Spans != 0 || p.TraceBytes != 0 {
-				t.Errorf("sink-free point recorded telemetry: %+v", p)
-			}
-		case "registry":
-			if p.Spans == 0 {
-				t.Errorf("registry point recorded no spans: %+v", p)
-			}
-		case "registry+trace":
-			if p.Spans == 0 || p.TraceBytes == 0 {
-				t.Errorf("trace point missing spans or trace output: %+v", p)
-			}
-		}
-	}
-}
-
 func TestRunAllTinyPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full harness is slow")
 	}
 	// Exercise RunAll end-to-end on one tiny dataset, with the scaling
-	// sweep shrunk.
-	orig := ScalingSizes
-	ScalingSizes = []int{150}
-	defer func() { ScalingSizes = orig }()
-	var buf bytes.Buffer
-	if err := RunAll(&buf, Settings{Scale: 150, Seed: 1, Datasets: []string{"POLE"}}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"Table 1", "Table 2", "Figure 3", "Figure 4", "Figure 5", "Figure 6", "Figure 7", "Figure 8", "Ablation", "Supplementary", "Scaling", "Telemetry"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("RunAll output missing %q", want)
-		}
-	}
-}
-
-func TestRunLSHSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("kernel sweep is slow")
-	}
-	var buf bytes.Buffer
-	points, err := RunLSH(&buf, smallSettings("POLE"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var kernelRows, e2eRows int
-	for _, p := range points {
-		if p.Dense <= 0 || p.Factored <= 0 {
-			t.Errorf("%s: non-positive timing %v / %v", p.Case, p.Dense, p.Factored)
-		}
-		if p.K > 0 {
-			kernelRows++
-			// The kernel comparison at low occupancy is the tentpole; a
-			// tiny margin keeps the test robust to scheduler noise while
-			// still catching a silent fall-back to the dense path.
-			if p.NNZ <= 0.10 && p.Speedup < 1.5 {
-				t.Errorf("%s K=%d nnz=%.2f: factored speedup %.2fx, expected sparse win", p.Case, p.K, p.NNZ, p.Speedup)
-			}
-		} else {
-			e2eRows++
-		}
-	}
-	if kernelRows != 12 { // 2 layouts x 2 K x 3 occupancy levels
-		t.Errorf("got %d kernel rows, want 12", kernelRows)
-	}
-	if e2eRows != 2 { // one dataset x both methods
-		t.Errorf("got %d end-to-end rows, want 2", e2eRows)
-	}
-}
-
-func TestWriteCSVs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full CSV sweep is slow")
-	}
+	// sweep shrunk: every experiment prints its table and writes its CSV.
 	orig := ScalingSizes
 	ScalingSizes = []int{150}
 	defer func() { ScalingSizes = orig }()
 	dir := t.TempDir()
-	if err := WriteCSVs(dir, io.Discard, Settings{Scale: 150, Seed: 1, Datasets: []string{"POLE"}}); err != nil {
+	var buf bytes.Buffer
+	if err := RunAll(&buf, dir, Settings{Scale: 150, Seed: 1, Datasets: []string{"POLE"}}); err != nil {
 		t.Fatal(err)
 	}
-	files := []string{
-		"fig3_ranks.csv", "fig4_quality.csv", "fig5_runtime.csv",
-		"fig6_heatmap.csv", "fig7_incremental.csv", "fig8_sampling.csv",
-		"ablation.csv", "metrics.csv", "scaling.csv", "shards.csv", "lsh.csv",
+	out := buf.String()
+	for _, want := range []string{"Table 1", "Table 2", "Figure 3", "Figure 4", "Figure 5", "Figure 6", "Figure 7", "Figure 8", "Ablation", "Supplementary", "Scaling", "Faults", "Memory"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("RunAll output missing %q", want)
+		}
 	}
-	for _, name := range files {
+	checkCSVs(t, dir, "fig3_ranks.csv", "fig4_quality.csv", "fig5_runtime.csv",
+		"fig6_heatmap.csv", "fig7_incremental.csv", "fig8_sampling.csv",
+		"ablation.csv", "metrics.csv", "scaling.csv", "shards.csv", "faults.csv",
+		"scenarios.csv", "memory.csv", "drift.csv", "serve.csv")
+}
+
+// checkCSVs asserts dir holds exactly the named CSVs, each with a header
+// and at least one data row.
+func checkCSVs(t *testing.T, dir string, names ...string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(names) {
+		var got []string
+		for _, e := range entries {
+			got = append(got, e.Name())
+		}
+		t.Errorf("%s holds %v, want %v", dir, got, names)
+	}
+	for _, name := range names {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Errorf("missing %s: %v", name, err)
 			continue
 		}
-		lines := strings.Count(string(data), "\n")
-		if lines < 2 {
+		if lines := strings.Count(string(data), "\n"); lines < 2 {
 			t.Errorf("%s has %d lines, want header + data", name, lines)
+		}
+	}
+}
+
+// TestWriteCSVs: a single experiment run with a CSV directory writes only
+// its own CSV, and an experiment without one writes nothing.
+func TestWriteCSVs(t *testing.T) {
+	s := Settings{Scale: 150, Seed: 1, Datasets: []string{"POLE"}, Shards: 2}
+	for _, e := range Experiments {
+		if e.Name != "table1" && e.Name != "shards" {
+			continue
+		}
+		dir := t.TempDir()
+		var buf bytes.Buffer
+		if err := e.Run(&buf, dir, s); err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		if buf.Len() == 0 {
+			t.Errorf("%s printed no table", e.Name)
+		}
+		if e.CSV == "" {
+			checkCSVs(t, dir)
+		} else {
+			checkCSVs(t, dir, e.CSV)
 		}
 	}
 }

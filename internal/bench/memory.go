@@ -19,8 +19,7 @@ import (
 // against the exact baseline and recording what the run actually retained.
 type MemoryPoint struct {
 	Dataset string
-	// Mode is "exact" (no budget), "sketched" (budgeted evidence) or
-	// "escape-hatch" (budget set but -exact-evidence forces exact mode).
+	// Mode is "exact" (no budget) or "sketched" (budgeted evidence).
 	Mode string
 	// BudgetBytes is Config.MemBudgetBytes for the run (0 for exact).
 	BudgetBytes int64
@@ -42,8 +41,7 @@ type MemoryPoint struct {
 	// exact baseline itself).
 	ConstraintF1 float64
 	// Identical reports whether the finalized schema JSON is byte-identical
-	// to the exact baseline — required for exact and escape-hatch rows,
-	// not expected for sketched ones.
+	// to the exact baseline — not expected for sketched rows.
 	Identical bool
 }
 
@@ -51,16 +49,14 @@ type MemoryPoint struct {
 // (PolicyForBudget's breakpoints are 128MB and 512MB).
 var memoryBudgets = []int64{64 << 20, 256 << 20, 1 << 30}
 
-// memoryBatches matches the interning experiment's stream shape.
 const memoryBatches = 16
 
 // RunMemory pins the accuracy/memory trade-off of sketch-backed evidence:
-// each dataset streams through discovery exact (the baseline), under each
-// budget tier (HLL uniqueness, count-min degrees, space-saving enums sized
-// by PolicyForBudget), and once with the -exact-evidence escape hatch,
-// which must reproduce the baseline byte for byte. Constraint facts —
-// MANDATORY/OPTIONAL, key candidates, enums, edge cardinalities — are
-// scored as set-F1 against the exact run. Run at -scale large enough for a
+// each dataset streams through discovery exact (the baseline) and under
+// each budget tier (HLL uniqueness, count-min degrees, space-saving enums
+// sized by PolicyForBudget). Constraint facts — MANDATORY/OPTIONAL, key
+// candidates, enums, edge cardinalities — are scored as set-F1 against the
+// exact run. Run at -scale large enough for a
 // million-element stream to reproduce BENCH_memory.json.
 func RunMemory(w io.Writer, s Settings) ([]MemoryPoint, error) {
 	s = s.withDefaults()
@@ -81,7 +77,7 @@ func RunMemory(w io.Writer, s Settings) ([]MemoryPoint, error) {
 			elements += b.Len()
 		}
 
-		exact, exactDef := measureMemory(p.Name, "exact", 0, false, batches, elements, s)
+		exact, exactDef := measureMemory(p.Name, "exact", 0, batches, elements, s)
 		exactFacts := constraintFacts(exactDef)
 		exactJSON := defJSON(exactDef)
 		exact.Facts = len(exactFacts)
@@ -90,7 +86,8 @@ func RunMemory(w io.Writer, s Settings) ([]MemoryPoint, error) {
 		points = append(points, exact)
 		printMemoryRow(tw, exact)
 
-		score := func(pt MemoryPoint, def *schema.Def) {
+		for _, budget := range memoryBudgets {
+			pt, def := measureMemory(p.Name, "sketched", budget, batches, elements, s)
 			facts := constraintFacts(def)
 			pt.Facts = len(facts)
 			pt.ConstraintF1 = setF1(facts, exactFacts)
@@ -98,14 +95,6 @@ func RunMemory(w io.Writer, s Settings) ([]MemoryPoint, error) {
 			points = append(points, pt)
 			printMemoryRow(tw, pt)
 		}
-		for _, budget := range memoryBudgets {
-			pt, def := measureMemory(p.Name, "sketched", budget, false, batches, elements, s)
-			score(pt, def)
-		}
-		// The escape hatch: a budget is set but evidence stays exact, so
-		// the output must be byte-identical to the no-budget baseline.
-		pt, def := measureMemory(p.Name, "escape-hatch", memoryBudgets[0], true, batches, elements, s)
-		score(pt, def)
 	}
 	return points, tw.Flush()
 }
@@ -120,13 +109,12 @@ func printMemoryRow(tw io.Writer, pt MemoryPoint) {
 // measureMemory runs one instrumented discovery, capturing its memory
 // profile (runtime.MemStats deltas around the run, post-GC on both sides,
 // result held live) and the finalized definition for scoring.
-func measureMemory(dataset, mode string, budget int64, exactEvidence bool, batches []*pg.Batch, elements int, s Settings) (MemoryPoint, *schema.Def) {
+func measureMemory(dataset, mode string, budget int64, batches []*pg.Batch, elements int, s Settings) (MemoryPoint, *schema.Def) {
 	cfg := core.DefaultConfig()
 	cfg.Seed = s.Seed
 	cfg.PipelineDepth = s.engineDepth()
 	cfg.Telemetry = s.Telemetry
 	cfg.MemBudgetBytes = budget
-	cfg.ExactEvidence = exactEvidence
 
 	pt := MemoryPoint{Dataset: dataset, Mode: mode, BudgetBytes: budget, Elements: elements}
 	var before, after runtime.MemStats

@@ -63,19 +63,17 @@ type SkipReport struct {
 // fingerprint renders every configuration field that affects discovery
 // output. A checkpoint written under one fingerprint cannot be resumed under
 // another: the replayed batches would be processed differently and the
-// byte-identity guarantee would silently break. Execution-only knobs
-// (Parallelism, PipelineDepth, DenseSignatures, Telemetry) are excluded —
-// the engine produces identical schemas at every depth, the factored and
-// dense signature kernels are bit-identical, and telemetry only observes,
-// so a checkpoint written under one of these settings resumes cleanly
-// under any other.
+// byte-identity guarantee would silently break. Which Config fields it
+// covers, and why the others are left out, is declared once in
+// TestConfigFieldsClassified (config_fields_test.go), which fails when a
+// field is added without a class.
 func (c Config) fingerprint() string {
-	fp := fmt.Sprintf("v2 m=%d th=%g emb=%+v lw=%g sem=%t al=%t at=%g np=%s ep=%s mhr=%d sdt=%t part=%t sf=%g smin=%d tm=%t mb=%d ee=%t seed=%d",
+	fp := fmt.Sprintf("v3 m=%d th=%g emb=%+v lw=%g sem=%t al=%t at=%g as=%t np=%s ep=%s mhr=%d sdt=%t part=%t sf=%g smin=%d tm=%t mb=%d seed=%d",
 		c.Method, c.Theta, c.Embedding, c.LabelWeight, c.SemanticLabels,
-		c.AlignLabels, c.AlignThreshold, paramsFingerprint(c.NodeParams),
-		paramsFingerprint(c.EdgeParams), c.MinHashRows, c.SampleDatatypes,
-		c.Participation, c.SampleFraction, c.SampleMin, c.TrackMembers,
-		c.MemBudgetBytes, c.ExactEvidence, c.Seed)
+		c.AlignLabels, c.AlignThreshold, c.AlignSimilarity != nil,
+		paramsFingerprint(c.NodeParams), paramsFingerprint(c.EdgeParams),
+		c.MinHashRows, c.SampleDatatypes, c.Participation, c.SampleFraction,
+		c.SampleMin, c.TrackMembers, c.MemBudgetBytes, c.Seed)
 	// Only the quarantine policy decides which batches merge, so only it —
 	// together with the epoch cadence that times its validation targets —
 	// changes the discovered schema. Off, evolve and alert are

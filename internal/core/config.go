@@ -70,7 +70,11 @@ type Config struct {
 	AlignThreshold float64
 	// AlignSimilarity overrides the label similarity function (nil means
 	// normalized edit distance over folded labels; an embedding- or
-	// LLM-backed scorer can drop in).
+	// LLM-backed scorer can drop in). The checkpoint fingerprint records
+	// only whether a custom scorer is set, since func values cannot be
+	// compared: resuming a checkpoint written under one custom scorer with
+	// a different custom scorer is outside the fingerprint's reach, so the
+	// two must match by caller contract.
 	AlignSimilarity align.Similarity
 	// NodeParams and EdgeParams override the adaptive LSH parameters when
 	// non-nil (the paper's manual mode; Figure 6 sweeps these).
@@ -94,18 +98,6 @@ type Config struct {
 	// TrackMembers records per-type member element IDs (needed by the
 	// evaluation harness to compute F1*; costs memory).
 	TrackMembers bool
-	// DenseSignatures disables the factored signature kernels and hashes
-	// every element through the dense O(T·(d+K)) loops over materialized
-	// hybrid vectors — the pre-factoring behaviour, retained for A/B
-	// benchmarking (pghive-bench -exp lsh) and as an escape hatch. The
-	// default factored path exploits the shared-prefix/sparse-suffix
-	// structure of §4.1's vectors: per-(label-token, table) projection dots
-	// are cached and each element costs O(T·nnz); MinHash signatures are
-	// memoized per distinct element record. Both paths produce bit-identical
-	// signatures and therefore byte-identical schemas
-	// (TestFactoredMatchesDense), so this knob — like Parallelism and
-	// PipelineDepth — is excluded from the checkpoint fingerprint.
-	DenseSignatures bool
 	// Parallelism bounds worker goroutines for vectorization and hashing;
 	// 0 means GOMAXPROCS.
 	Parallelism int
@@ -144,10 +136,6 @@ type Config struct {
 	// uniqueness and max-degree become statistical estimates — so the
 	// budget is part of the checkpoint fingerprint.
 	MemBudgetBytes int64
-	// ExactEvidence is the escape hatch: with a budget set it forces the
-	// exact accumulators anyway (byte-identical output to an unbudgeted
-	// run), so the budget then only governs the ingest spill thresholds.
-	ExactEvidence bool
 	// DriftPolicy enables streaming conformance checking: every batch is
 	// validated against the schema of the current epoch at the serialized
 	// extract point, before its candidates merge, and classified violations
@@ -242,11 +230,10 @@ func (c Config) withDefaults() Config {
 }
 
 // evidencePolicy derives the schema evidence policy from the memory budget:
-// nil (exact evidence, today's behaviour) when no budget is set or the
-// -exact-evidence escape hatch is on, otherwise the sketch parameters
-// PolicyForBudget picks for the budget tier.
+// nil (exact evidence) when no budget is set, otherwise the sketch
+// parameters PolicyForBudget picks for the budget tier.
 func (c Config) evidencePolicy() *schema.EvidencePolicy {
-	if c.MemBudgetBytes <= 0 || c.ExactEvidence {
+	if c.MemBudgetBytes <= 0 {
 		return nil
 	}
 	return schema.PolicyForBudget(c.MemBudgetBytes)

@@ -1,21 +1,81 @@
 package core
 
 import (
-	"bytes"
-	"errors"
-	"path/filepath"
+	"reflect"
 	"testing"
 
+	"pghive/internal/datagen"
+	"pghive/internal/lsh"
 	"pghive/internal/pg"
 )
 
-// TestFactoredMatchesDense is the tentpole guarantee: the factored signature
-// kernels (the default) produce a finalized schema byte-identical — as JSON
-// and as PG-Schema DDL — to the dense reference path behind
-// Config.DenseSignatures, for both LSH methods, with banded MinHash, at
-// serial and overlapped pipeline depths.
+// denseClusterKind is the reference the factored kernels are held to: the
+// dense arms the cluster stage ran before the factored kernels became its
+// only path. Every element vector of the kind is materialized, ELSH
+// parameters adapt over the full batch (lsh.AdaptParamsAll), ELSH hashes
+// each vector through lsh.ELSH.SignatureHash, and MinHash hashes each
+// element's token set (vectorize's NodeSets/EdgeSets) or bands them through
+// lsh.MinHash.ClusterBanded. Seeds repeat clusterKindInner's per-kind
+// offsets.
+func denseClusterKind(cfg Config, spec kindSpec, sets [][]uint64) ([]lsh.Cluster, lsh.Params) {
+	n := spec.n
+	if n == 0 {
+		return nil, lsh.Params{}
+	}
+	manual := cfg.NodeParams
+	mhSeed, adaptSeed, famSeed := int64(101), int64(11), int64(102)
+	if spec.isEdge {
+		manual = cfg.EdgeParams
+		mhSeed, adaptSeed, famSeed = 201, 12, 202
+	}
+	vectors := make([][]float64, n)
+	for i := range vectors {
+		vectors[i] = make([]float64, spec.dim)
+		spec.vecInto(i, vectors[i])
+	}
+	var params lsh.Params
+	if manual != nil {
+		params = *manual
+	} else {
+		params = lsh.AdaptParamsAll(vectors, spec.labelTokens, spec.isEdge, cfg.Seed+adaptSeed)
+	}
+	hashes := make([]uint64, n)
+	switch cfg.Method {
+	case MethodMinHash:
+		mh := lsh.NewMinHash(params.Tables, cfg.Seed+mhSeed)
+		if cfg.MinHashRows > 0 {
+			return mh.ClusterBanded(sets, cfg.MinHashRows), params
+		}
+		for i, s := range sets {
+			hashes[i] = mh.SignatureHash(s)
+		}
+	default:
+		fam := lsh.NewELSH(spec.dim, params.Bucket, params.Tables, cfg.Seed+famSeed)
+		for i, v := range vectors {
+			hashes[i] = fam.SignatureHash(v)
+		}
+	}
+	return lsh.GroupByHash(hashes), params
+}
+
+// TestFactoredMatchesDense is the factored kernels' contract (DESIGN §8):
+// on every batch of a stream, the clusters and adapted LSH parameters
+// p.clusterKind produces for nodes and for edges equal those of the dense
+// reference above — for ELSH, MinHash, banded MinHash and manual ELSH
+// parameters. Equal clusters and parameters on every batch make the
+// finalized schema byte-identical to a dense-kernel run. The streams are
+// the engine graph and a noisy ICIJ graph, whose property removal and
+// missing labels give many near-duplicate records that only exact
+// signatures keep apart.
 func TestFactoredMatchesDense(t *testing.T) {
-	g := engineGraph(t, 400)
+	icij := datagen.Generate(datagen.ProfileByName("ICIJ"), datagen.Options{Nodes: 600, Seed: 3})
+	streams := []struct {
+		name    string
+		batches []*pg.Batch
+	}{
+		{"engine", engineGraph(t, 400).SplitRandom(6, 11)},
+		{"icij", datagen.NewNoise(0.3, 0.5, 7).Apply(icij).Graph.SplitRandom(5, 11)},
+	}
 	cases := []struct {
 		name string
 		set  func(*Config)
@@ -23,99 +83,101 @@ func TestFactoredMatchesDense(t *testing.T) {
 		{"elsh", func(c *Config) { c.Method = MethodELSH }},
 		{"minhash", func(c *Config) { c.Method = MethodMinHash }},
 		{"minhash-banded", func(c *Config) { c.Method = MethodMinHash; c.MinHashRows = 4 }},
+		{"elsh-manual", func(c *Config) {
+			c.NodeParams = &lsh.Params{Bucket: 0.5, Tables: 6}
+			c.EdgeParams = &lsh.Params{Bucket: 2, Tables: 3}
+		}},
 	}
 	for _, tc := range cases {
+		for _, st := range streams {
+			checkFactoredStream(t, tc.name+"/"+st.name, tc.set, st.batches)
+		}
+	}
+}
+
+// TestFactoredReportsMatchDense: the per-batch cluster counts and adapted
+// LSH parameters a full Discover run reports — not just the final schema —
+// agree with a dense-kernel run of the same stream, at serial and
+// overlapped pipeline depths. This pins the claim that the factored path's
+// sample-based adaptation sees exactly the vectors the dense path renders,
+// through the engine's own cluster stage.
+func TestFactoredReportsMatchDense(t *testing.T) {
+	batches := engineGraph(t, 300).SplitRandom(5, 3)
+	for _, m := range []Method{MethodELSH, MethodMinHash} {
 		for _, depth := range []int{1, 4} {
 			cfg := DefaultConfig()
-			tc.set(&cfg)
+			cfg.Method = m
 			cfg.PipelineDepth = depth
-
-			dense := cfg
-			dense.DenseSignatures = true
-			wantJSON, wantDDL := renderDef(t, discoverSplit(g, dense, 6, 11).Def)
-			gotJSON, gotDDL := renderDef(t, discoverSplit(g, cfg, 6, 11).Def)
-
-			if !bytes.Equal(wantJSON, gotJSON) {
-				t.Errorf("%s depth=%d: factored JSON diverges from dense\ndense:    %s\nfactored: %s",
-					tc.name, depth, wantJSON, gotJSON)
+			want := denseReports(cfg, batches)
+			got := Discover(pg.NewSliceSource(batches...), cfg).Reports
+			if len(want) != len(got) {
+				t.Fatalf("%v depth=%d: %d factored reports, %d dense", m, depth, len(got), len(want))
 			}
-			if !bytes.Equal(wantDDL, gotDDL) {
-				t.Errorf("%s depth=%d: factored DDL diverges from dense\ndense:\n%s\nfactored:\n%s",
-					tc.name, depth, wantDDL, gotDDL)
-			}
-		}
-	}
-}
-
-// TestFactoredReportsMatchDense: per-batch cluster counts and adapted LSH
-// parameters — not just the final schema — agree between the two kernels.
-// This pins the claim that the factored path's sample-based adaptation sees
-// exactly the vectors the dense path renders.
-func TestFactoredReportsMatchDense(t *testing.T) {
-	g := engineGraph(t, 300)
-	for _, m := range []Method{MethodELSH, MethodMinHash} {
-		cfg := DefaultConfig()
-		cfg.Method = m
-		dense := cfg
-		dense.DenseSignatures = true
-		want := discoverSplit(g, dense, 5, 3)
-		got := discoverSplit(g, cfg, 5, 3)
-		if len(want.Reports) != len(got.Reports) {
-			t.Fatalf("%v: %d factored reports, %d dense", m, len(got.Reports), len(want.Reports))
-		}
-		for i := range want.Reports {
-			w, gr := want.Reports[i], got.Reports[i]
-			if w.NodeClusters != gr.NodeClusters || w.EdgeClusters != gr.EdgeClusters {
-				t.Errorf("%v batch %d: clusters (n=%d,e=%d) factored vs (n=%d,e=%d) dense",
-					m, i, gr.NodeClusters, gr.EdgeClusters, w.NodeClusters, w.EdgeClusters)
-			}
-			if w.NodeParams != gr.NodeParams || w.EdgeParams != gr.EdgeParams {
-				t.Errorf("%v batch %d: adapted params diverge\nfactored: %+v / %+v\ndense:    %+v / %+v",
-					m, i, gr.NodeParams, gr.EdgeParams, w.NodeParams, w.EdgeParams)
+			for i := range want {
+				w, gr := want[i], got[i]
+				if w.NodeClusters != gr.NodeClusters || w.EdgeClusters != gr.EdgeClusters {
+					t.Errorf("%v depth=%d batch %d: clusters (n=%d,e=%d) factored vs (n=%d,e=%d) dense",
+						m, depth, i, gr.NodeClusters, gr.EdgeClusters, w.NodeClusters, w.EdgeClusters)
+				}
+				if w.NodeParams != gr.NodeParams || w.EdgeParams != gr.EdgeParams {
+					t.Errorf("%v depth=%d batch %d: adapted params diverge\nfactored: %+v / %+v\ndense:    %+v / %+v",
+						m, depth, i, gr.NodeParams, gr.EdgeParams, w.NodeParams, w.EdgeParams)
+				}
 			}
 		}
 	}
 }
 
-// TestResumeAcrossKernels: DenseSignatures is execution-only — a checkpoint
-// written by a dense run (crashed mid-stream) resumes under the factored
-// kernels, and vice versa, finishing byte-identical to an uninterrupted run.
-func TestResumeAcrossKernels(t *testing.T) {
-	batches := faultFreeBatches(t, 300, 6)
-	base := DefaultConfig()
-	wantJSON, wantDDL := renderDef(t, Discover(pg.NewSliceSource(batches...), base).Def)
+// denseReports runs batches through a pipeline whose cluster stage is the
+// dense reference, returning the per-batch reports a dense-kernel run makes.
+func denseReports(cfg Config, batches []*pg.Batch) []BatchReport {
+	p := NewPipeline(cfg)
+	for seq, b := range batches {
+		st := p.preprocess(b, seq)
+		c := computed{staged: st}
+		c.nodeClusters, c.report.NodeParams = denseClusterKind(p.cfg, nodeSpec(st.b, st.vz), st.vz.NodeSets(st.b))
+		c.edgeClusters, c.report.EdgeParams = denseClusterKind(p.cfg, edgeSpec(st.b, st.vz), st.vz.EdgeSets(st.b))
+		c.report.NodeClusters, c.report.EdgeClusters = len(c.nodeClusters), len(c.edgeClusters)
+		p.extractChecked(c, seq)
+	}
+	return p.reports
+}
 
-	for _, flip := range []struct {
-		name           string
-		writer, reader bool // DenseSignatures at crash time / resume time
-	}{
-		{"dense-to-factored", true, false},
-		{"factored-to-dense", false, true},
-	} {
-		cfg := base
-		cfg.DenseSignatures = flip.writer
-		ck := FileCheckpointer{Path: filepath.Join(t.TempDir(), "run.ck")}
-		crash := pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)),
-			pg.FaultProfile{FailAfter: 3, Seed: 1})
-		if _, err := DiscoverFT(crash, cfg, FTOptions{Checkpoint: ck}); !errors.Is(err, pg.ErrPermanentFault) {
-			t.Fatalf("%s: want permanent fault, got %v", flip.name, err)
+// checkFactoredStream feeds batches through a pipeline configured by set,
+// holding each batch's clusters and parameters to the dense reference.
+func checkFactoredStream(t *testing.T, name string, set func(*Config), batches []*pg.Batch) {
+	t.Helper()
+	cfg := DefaultConfig()
+	set(&cfg)
+	p := NewPipeline(cfg)
+	for seq, b := range batches {
+		st := p.preprocess(b, seq)
+		c := computed{staged: st}
+		ns, es := nodeSpec(st.b, st.vz), edgeSpec(st.b, st.vz)
+		c.nodeClusters, c.report.NodeParams = p.clusterKind(ns)
+		c.edgeClusters, c.report.EdgeParams = p.clusterKind(es)
+		for _, k := range []struct {
+			kind     string
+			spec     kindSpec
+			sets     [][]uint64
+			clusters []lsh.Cluster
+			params   lsh.Params
+		}{
+			{"nodes", ns, st.vz.NodeSets(st.b), c.nodeClusters, c.report.NodeParams},
+			{"edges", es, st.vz.EdgeSets(st.b), c.edgeClusters, c.report.EdgeParams},
+		} {
+			if k.spec.n == 0 {
+				t.Fatalf("%s batch %d: no %s to cluster", name, seq, k.kind)
+			}
+			want, wantParams := denseClusterKind(p.cfg, k.spec, k.sets)
+			if k.params != wantParams {
+				t.Errorf("%s batch %d %s: params %+v, dense %+v", name, seq, k.kind, k.params, wantParams)
+			}
+			if !reflect.DeepEqual(k.clusters, want) {
+				t.Errorf("%s batch %d %s: %d factored clusters differ from %d dense clusters",
+					name, seq, k.kind, len(k.clusters), len(want))
+			}
 		}
-
-		state, ok, err := ck.Load()
-		if err != nil || !ok {
-			t.Fatalf("%s: no checkpoint after crash: ok=%t err=%v", flip.name, ok, err)
-		}
-		cfg.DenseSignatures = flip.reader
-		res, err := ResumeDiscoverFT(state, pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, FTOptions{Checkpoint: ck})
-		if err != nil {
-			t.Fatalf("%s: resume: %v", flip.name, err)
-		}
-		gotJSON, gotDDL := renderDef(t, res.Def)
-		if !bytes.Equal(wantJSON, gotJSON) {
-			t.Errorf("%s: resumed JSON diverges\nwant %s\ngot  %s", flip.name, wantJSON, gotJSON)
-		}
-		if !bytes.Equal(wantDDL, gotDDL) {
-			t.Errorf("%s: resumed DDL diverges", flip.name)
-		}
+		p.extractChecked(c, seq)
 	}
 }

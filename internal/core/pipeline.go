@@ -288,7 +288,6 @@ type kindSpec struct {
 	dim         int
 	labelTokens int
 	vecInto     func(i int, dst []float64)
-	sets        func() [][]uint64
 	enc         func() *vectorize.Encoding
 }
 
@@ -298,7 +297,6 @@ func nodeSpec(b *pg.Batch, vz *vectorize.Vectorizer) kindSpec {
 		dim:         vz.NodeDim(),
 		labelTokens: vz.LabelTokens(),
 		vecInto:     func(i int, dst []float64) { vz.NodeVectorInto(&b.Nodes[i], dst) },
-		sets:        func() [][]uint64 { return vz.NodeSets(b) },
 		enc:         func() *vectorize.Encoding { return vz.NodeEncoding(b) },
 	}
 }
@@ -310,7 +308,6 @@ func edgeSpec(b *pg.Batch, vz *vectorize.Vectorizer) kindSpec {
 		dim:         vz.EdgeDim(),
 		labelTokens: vz.LabelTokens(),
 		vecInto:     func(i int, dst []float64) { vz.EdgeVectorInto(&b.Edges[i], dst) },
-		sets:        func() [][]uint64 { return vz.EdgeSets(b) },
 		enc:         func() *vectorize.Encoding { return vz.EdgeEncoding(b) },
 	}
 }
@@ -374,35 +371,14 @@ func (p *Pipeline) clusterKindInner(spec kindSpec) ([]lsh.Cluster, lsh.Params) {
 			params = adaptFromSample(spec, p.cfg.Seed+adaptSeed)
 		}
 		mh := lsh.NewMinHash(params.Tables, p.cfg.Seed+mhSeed)
-		if p.cfg.DenseSignatures {
-			sets := spec.sets()
-			if p.cfg.MinHashRows > 0 {
-				return mh.ClusterBanded(sets, p.cfg.MinHashRows), params
-			}
-			hashes := make([]uint64, n)
-			parmap(n, p.cfg.Parallelism, func(i int) { hashes[i] = mh.SignatureHash(sets[i]) })
-			return lsh.GroupByHashSized(hashes, p.bucketHint(spec.isEdge)), params
-		}
 		return p.clusterMinHashFactored(spec, mh), params
 	default:
-		if p.cfg.DenseSignatures {
-			vectors := p.renderVectors(spec)
-			params := manual
-			if params == nil {
-				adapted := lsh.AdaptParamsAll(vectors, spec.labelTokens, spec.isEdge, p.cfg.Seed+adaptSeed)
-				params = &adapted
-			}
-			fam := lsh.NewELSH(spec.dim, params.Bucket, params.Tables, p.cfg.Seed+famSeed)
-			hashes := make([]uint64, n)
-			parmap(n, p.cfg.Parallelism, func(i int) { hashes[i] = fam.SignatureHash(vectors[i]) })
-			return lsh.GroupByHashSized(hashes, p.bucketHint(spec.isEdge)), *params
-		}
 		params := manual
 		if params == nil {
 			// Adaptation needs Euclidean distances, so only the µ sample is
 			// rendered densely; the signature pass below never materializes
-			// a vector. Same sample indexes and float values as the dense
-			// path's AdaptParamsAll → identical parameters.
+			// a vector. Same sample indexes and float values as
+			// lsh.AdaptParamsAll over the full batch → identical parameters.
 			adapted := adaptFromSample(spec, p.cfg.Seed+adaptSeed)
 			params = &adapted
 		}
@@ -429,7 +405,8 @@ func (p *Pipeline) clusterKindInner(spec kindSpec) ([]lsh.Cluster, lsh.Params) {
 // record (prefix tokens + property-index set — the common case, most
 // elements share a type) are deduplicated and each distinct record's
 // signature is computed once. Exact-key dedup keeps the per-element hashes
-// bit-identical to the dense per-element loop.
+// bit-identical to hashing every element's token set (the dense reference
+// of TestFactoredMatchesDense).
 func (p *Pipeline) clusterMinHashFactored(spec kindSpec, mh *lsh.MinHash) []lsh.Cluster {
 	enc := spec.enc()
 	recID, reps := enc.DistinctRecords()
@@ -464,19 +441,6 @@ func (p *Pipeline) clusterMinHashFactored(spec kindSpec, mh *lsh.MinHash) []lsh.
 		hashes[i] = distinct[id]
 	}
 	return lsh.GroupByHashSized(hashes, p.bucketHint(spec.isEdge))
-}
-
-// renderVectors materializes every element vector of one kind for the dense
-// kernels, sliced out of a single contiguous arena (far fewer allocations
-// and much less GC pressure on large batches than one per record).
-func (p *Pipeline) renderVectors(spec kindSpec) [][]float64 {
-	vectors := make([][]float64, spec.n)
-	backing := make([]float64, spec.n*spec.dim)
-	for i := range vectors {
-		vectors[i] = backing[i*spec.dim : (i+1)*spec.dim : (i+1)*spec.dim]
-	}
-	parmap(spec.n, p.cfg.Parallelism, func(i int) { spec.vecInto(i, vectors[i]) })
-	return vectors
 }
 
 // adaptFromSample draws the paper's adaptation sample and renders only those

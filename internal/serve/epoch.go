@@ -9,11 +9,11 @@
 // Def plus its diff against the previous epoch — through a copy-on-write
 // atomic.Pointer swap, so readers never take a lock and never observe a
 // half-merged schema. On top of each epoch sits a render-once response
-// cache: every (epoch, tier, type-filter) response is materialized exactly
-// once (sync.Once) and then served as pre-encoded bytes until the next
-// epoch swap implicitly invalidates the whole cache by replacing the
-// pointer. A cache hit costs one atomic load and zero allocations
-// (BenchmarkServeCacheHit, asserted in CI).
+// cache: every (epoch, tier, type-filter) response whose filter names one of
+// the epoch's types is materialized exactly once (sync.Once) and then served
+// as pre-encoded bytes until the next epoch swap implicitly invalidates the
+// whole cache by replacing the pointer. A cache hit costs one atomic load
+// and zero allocations (BenchmarkServeCacheHit, asserted in CI).
 package serve
 
 import (
@@ -121,8 +121,9 @@ type Epoch struct {
 	Diff schema.DiffReport
 
 	// tiers caches the unfiltered response per detail tier; filtered caches
-	// (tier, type-filter) responses under string keys. Both are lock-free on
-	// the hit path (atomic pointer load / sync.Map read).
+	// (tier, type-filter) responses under string keys, for filters naming a
+	// type of the epoch only. Both are lock-free on the hit path (atomic
+	// pointer load / sync.Map read).
 	tiers    [numTiers]renderSlot
 	filtered sync.Map // "tier|type" -> *renderSlot
 	instr    obs.Instr
@@ -136,7 +137,10 @@ func (e *Epoch) Rendered(t Tier) (*Rendered, bool) {
 }
 
 // RenderedFiltered is Rendered with an optional type-name filter; the empty
-// filter is the unfiltered tier cache.
+// filter is the unfiltered tier cache. Only filters naming a node or edge
+// type of the epoch are cached, so the filtered cache holds at most one
+// response per (tier, type) however many distinct names clients send; any
+// other filter is rendered on every request.
 func (e *Epoch) RenderedFiltered(t Tier, typeName string) (*Rendered, bool) {
 	if typeName == "" {
 		return e.Rendered(t)
@@ -144,9 +148,27 @@ func (e *Epoch) RenderedFiltered(t Tier, typeName string) (*Rendered, bool) {
 	key := t.String() + "|" + typeName
 	v, ok := e.filtered.Load(key)
 	if !ok {
+		if !e.hasType(typeName) {
+			return e.render(t, typeName), false
+		}
 		v, _ = e.filtered.LoadOrStore(key, &renderSlot{})
 	}
 	return v.(*renderSlot).get(func() *Rendered { return e.render(t, typeName) })
+}
+
+// hasType reports whether name is a node or edge type of the epoch.
+func (e *Epoch) hasType(name string) bool {
+	for i := range e.Def.Nodes {
+		if e.Def.Nodes[i].Name == name {
+			return true
+		}
+	}
+	for i := range e.Def.Edges {
+		if e.Def.Edges[i].Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // render materializes one response body and records the one-time cost.

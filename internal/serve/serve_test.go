@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"pghive/internal/core"
 	"pghive/internal/pg"
+	"pghive/internal/schema"
 	"pghive/internal/serialize"
 )
 
@@ -560,6 +562,55 @@ func TestParseTierRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseTier("verbose"); err == nil {
 		t.Error("unknown tier must error")
+	}
+}
+
+// filteredEntries counts the epoch's cached type-filtered responses.
+func filteredEntries(e *Epoch) int {
+	n := 0
+	e.filtered.Range(func(any, any) bool { n++; return true })
+	return n
+}
+
+// TestServeFilterCacheBounded: a type filter naming no type of the epoch is
+// rendered on every request and never cached, so clients cycling through
+// distinct names cannot grow a resident server's heap. Each such response is
+// the filtered render it always was: for detail=full, the empty schema.
+func TestServeFilterCacheBounded(t *testing.T) {
+	s := NewServer(nil)
+	if _, err := s.Ingest(src(stream(12)), IngestOptions{Config: core.Config{EpochInterval: 4}}); err != nil {
+		t.Fatal(err)
+	}
+	var empty bytes.Buffer
+	if err := serialize.WriteJSON(&empty, &schema.Def{}); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	get := func(query string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/schema?"+query, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s -> %d", query, rec.Code)
+		}
+		return rec
+	}
+	for i := 0; i < 1000; i++ {
+		rec := get(fmt.Sprintf("detail=full&type=nosuch%d", i))
+		if !bytes.Equal(rec.Body.Bytes(), empty.Bytes()) {
+			t.Fatalf("type=nosuch%d body %q, want the empty schema %q", i, rec.Body.Bytes(), empty.Bytes())
+		}
+	}
+	if n := filteredEntries(s.Current()); n != 0 {
+		t.Fatalf("%d filtered cache entries after 1000 unknown type names, want 0", n)
+	}
+	// A filter naming a type renders once, then hits the cache.
+	for _, want := range []string{"miss", "hit"} {
+		if got := get("detail=full&type=Person").Header().Get("X-PGHive-Cache"); got != want {
+			t.Errorf("type=Person: cache %q, want %q", got, want)
+		}
+	}
+	if n := filteredEntries(s.Current()); n != 1 {
+		t.Errorf("%d filtered cache entries after one known type, want 1", n)
 	}
 }
 

@@ -59,9 +59,6 @@ type Options struct {
 	// second window invariant checks the checkpointed evidence footprint
 	// against it.
 	MemBudgetBytes uint64
-	// ExactEvidence keeps the evidence layer in exact mode even when a
-	// memory budget is set (the -exact-evidence escape hatch).
-	ExactEvidence bool
 	// CheckEquivalence re-runs the scenario serially and compares the
 	// labeled projection against the sharded result (only meaningful with
 	// Config.Shards > 1). Incompatible with Config.DriftPolicy quarantine:
@@ -188,9 +185,6 @@ func Run(opts Options) (*Report, error) {
 	// only the harness knows about.
 	if opts.MemBudgetBytes > 0 && cfg.MemBudgetBytes == 0 {
 		cfg.MemBudgetBytes = int64(opts.MemBudgetBytes)
-	}
-	if opts.ExactEvidence {
-		cfg.ExactEvidence = true
 	}
 	instr := obs.NewInstr(cfg.Telemetry)
 
@@ -428,7 +422,7 @@ func (c *checker) Save(state []byte) error {
 	// When the budget is enforced (sketched evidence mode), the decoded
 	// checkpoint state itself must honor it: the evidence footprint is the
 	// part of the retained heap the budget policy controls directly.
-	if budget := c.opts.MemBudgetBytes; budget > 0 && c.cfg.MemBudgetBytes > 0 && !c.cfg.ExactEvidence {
+	if budget := c.opts.MemBudgetBytes; budget > 0 && c.cfg.MemBudgetBytes > 0 {
 		var ev uint64
 		for _, s := range schemas {
 			ev += uint64(s.EvidenceBytes())

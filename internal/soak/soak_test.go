@@ -224,24 +224,6 @@ func TestSoakSketchedWithinBudget(t *testing.T) {
 	if rep.EvidencePeak > 256<<20 {
 		t.Errorf("evidence peak %d exceeds the 256MB budget", rep.EvidencePeak)
 	}
-
-	// The escape hatch keeps evidence exact: no evidence-budget tracking.
-	exact, err := Run(Options{
-		Scenario:       shrunk(t, "skew"),
-		Seed:           1,
-		Window:         2,
-		MemBudgetBytes: 256 << 20,
-		ExactEvidence:  true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !exact.OK() {
-		t.Fatalf("exact-evidence violations: %v", exact.Violations)
-	}
-	if exact.EvidencePeak != 0 {
-		t.Errorf("exact-evidence run tracked an evidence peak (%d)", exact.EvidencePeak)
-	}
 }
 
 func TestSoakRejectsBadOptions(t *testing.T) {
