@@ -211,11 +211,11 @@ func BenchmarkDiscoverFaults(b *testing.B) {
 						Sleep:       func(time.Duration) {}, // count, don't wait
 					})
 				}
-				var opts pghive.FTOptions
+				var opts pghive.RunOptions
 				if scenario.checkpoint {
 					opts.Checkpoint = &memCheckpointer{}
 				}
-				res, err := pghive.DiscoverStreamFT(src, cfg, opts)
+				res, err := pghive.Run(src, cfg, opts)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -17,7 +17,7 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"pghive"
+	"pghive/cmd/internal/cli"
 	"pghive/internal/bench"
 )
 
@@ -39,9 +39,10 @@ func mainErr() error {
 	csvDir := flag.String("csvdir", "", "also write the CSV of each experiment -exp runs into this directory (table1 and table2 have none)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	telemetry := flag.Bool("telemetry", false, "aggregate metrics over every PG-HIVE run and print a summary to stderr at exit")
-	metrics := flag.String("metrics-addr", "", "serve live metrics at http://ADDR/metrics while the harness runs; implies -telemetry")
-	traceOut := flag.String("trace-out", "", "stream per-stage spans of every PG-HIVE run to this file in Chrome trace format")
+	var f cli.Flags
+	flag.BoolVar(&f.Telemetry, "telemetry", false, "aggregate metrics over every PG-HIVE run and print a summary to stderr at exit")
+	flag.StringVar(&f.MetricsAddr, "metrics-addr", "", "serve live metrics at http://ADDR/metrics while the harness runs; implies -telemetry")
+	flag.StringVar(&f.TraceOut, "trace-out", "", "stream per-stage spans of every PG-HIVE run to this file in Chrome trace format")
 	flag.Parse()
 
 	settings := bench.Settings{Scale: *scale, Seed: *seed, PipelineDepth: *depth, Shards: *shards}
@@ -53,33 +54,14 @@ func mainErr() error {
 	fmt.Fprintf(os.Stderr, "host: %d CPUs, GOMAXPROCS %d, %s, shards sweep %s\n",
 		runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version(), shardsDesc(*shards))
 
-	// Telemetry wiring mirrors cmd/pghive: one registry/trace spans the
-	// whole harness run, aggregated across every PG-HIVE discovery it
-	// performs (baselines are not instrumented).
-	var reg *pghive.TelemetryRegistry
-	var sinks []pghive.TelemetrySink
-	if *telemetry || *metrics != "" {
-		reg = pghive.NewTelemetryRegistry()
-		sinks = append(sinks, reg)
+	// One registry/trace spans the whole harness run, aggregated across
+	// every PG-HIVE discovery it performs (baselines are not instrumented).
+	reg, sink, stopTelemetry, err := f.StartTelemetry()
+	if err != nil {
+		return err
 	}
-	if *metrics != "" {
-		addr, closer, err := pghive.ServeTelemetry(*metrics, reg)
-		if err != nil {
-			return err
-		}
-		defer closer.Close()
-		fmt.Fprintf(os.Stderr, "metrics at http://%s/metrics\n", addr)
-	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			return err
-		}
-		tw := pghive.NewTraceWriter(f)
-		defer tw.Close()
-		sinks = append(sinks, tw)
-	}
-	settings.Telemetry = pghive.TelemetryMulti(sinks...)
+	defer stopTelemetry()
+	settings.Telemetry = sink
 	if reg != nil {
 		defer func() { reg.Snapshot().WriteText(os.Stderr) }()
 	}

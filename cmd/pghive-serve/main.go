@@ -28,15 +28,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"pghive"
-	"pghive/internal/core"
-	"pghive/internal/datagen"
+	"pghive/cmd/internal/cli"
 	"pghive/internal/obs"
-	"pghive/internal/pg"
 	"pghive/internal/serve"
 )
 
@@ -48,62 +44,45 @@ func main() {
 }
 
 func mainErr() error {
+	// The server always clusters with ELSH: it has no -method flag.
+	f := cli.Flags{Method: "elsh"}
+	flag.StringVar(&f.JSONL, "jsonl", "", "input graph in JSON Lines")
+	flag.StringVar(&f.Binary, "binary", "", "input graph in binary snapshot format (.pgb)")
+	flag.StringVar(&f.Nodes, "nodes", "", "input node CSV (with -edges)")
+	flag.StringVar(&f.Edges, "edges", "", "input edge CSV")
+	flag.StringVar(&f.Dataset, "dataset", "", "generate a built-in dataset profile instead (POLE, MB6, HET.IO, FIB25, ICIJ, CORD19, LDBC, IYP)")
+	flag.StringVar(&f.Scenario, "scenario", "", "stream a built-in scenario (or scenario JSON file) as input")
+	flag.IntVar(&f.Scale, "scale", 5000, "nodes to generate with -dataset")
+	flag.IntVar(&f.Batches, "batches", 16, "split a materialized graph into this many stream batches")
+	flag.Int64Var(&f.Seed, "seed", 1, "random seed")
+	flag.Float64Var(&f.Theta, "theta", 0.9, "Jaccard merge threshold")
+	flag.IntVar(&f.Depth, "pipeline-depth", 0, "execution engine depth: 1 = serial, >1 = overlapped batches (0 = default)")
+	flag.IntVar(&f.Shards, "shards", 0, "partition the stream across N concurrent discovery pipelines (0/1 = single pipeline)")
+	flag.IntVar(&f.MemBudgetMB, "mem-budget", 0, "memory budget in MB: bound evidence memory with sketched counters (0 = exact, unbounded)")
+	flag.BoolVar(&f.SampleDatatypes, "sample-datatypes", false, "infer property data types from a sample instead of a full scan")
+	flag.BoolVar(&f.Participation, "participation", false, "analyze edge participation to refine cardinality lower bounds")
+	flag.StringVar(&f.DriftPolicy, "drift-policy", "off", "streaming conformance checking: off, evolve, alert, quarantine")
+	flag.IntVar(&f.EpochInterval, "epoch-interval", 0, "publish a schema epoch every N batches (0 = default)")
+	flag.StringVar(&f.DriftLog, "drift-log", "", "append drift records to this JSONL file (needs a -drift-policy)")
+	flag.IntVar(&f.Retry, "retry", 0, "retry transient source faults up to this many attempts per batch")
+	flag.StringVar(&f.Checkpoint, "checkpoint", "", "checkpoint file: save engine state per batch; resume from it when it already exists")
 	var (
-		jsonlPath = flag.String("jsonl", "", "input graph in JSON Lines")
-		binPath   = flag.String("binary", "", "input graph in binary snapshot format (.pgb)")
-		nodesPath = flag.String("nodes", "", "input node CSV (with -edges)")
-		edgesPath = flag.String("edges", "", "input edge CSV")
-		dataset   = flag.String("dataset", "", "generate a built-in dataset profile instead (POLE, MB6, HET.IO, FIB25, ICIJ, CORD19, LDBC, IYP)")
-		scenario  = flag.String("scenario", "", "stream a built-in scenario (or scenario JSON file) as input")
-		scale     = flag.Int("scale", 5000, "nodes to generate with -dataset")
-		batches   = flag.Int("batches", 16, "split a materialized graph into this many stream batches")
-		seed      = flag.Int64("seed", 1, "random seed")
-		theta     = flag.Float64("theta", 0.9, "Jaccard merge threshold")
-		depth     = flag.Int("pipeline-depth", 0, "execution engine depth: 1 = serial, >1 = overlapped batches (0 = default)")
-		shards    = flag.Int("shards", 0, "partition the stream across N concurrent discovery pipelines (0/1 = single pipeline)")
-		memBudget = flag.Int("mem-budget", 0, "memory budget in MB: bound evidence memory with sketched counters (0 = exact, unbounded)")
-		sample    = flag.Bool("sample-datatypes", false, "infer property data types from a sample instead of a full scan")
-		particip  = flag.Bool("participation", false, "analyze edge participation to refine cardinality lower bounds")
-		driftPol  = flag.String("drift-policy", "off", "streaming conformance checking: off, evolve, alert, quarantine")
-		epochIvl  = flag.Int("epoch-interval", 0, "publish a schema epoch every N batches (0 = default)")
-		driftLog  = flag.String("drift-log", "", "append drift records to this JSONL file (needs a -drift-policy)")
-		retry     = flag.Int("retry", 0, "retry transient source faults up to this many attempts per batch")
-		ckptPath  = flag.String("checkpoint", "", "checkpoint file: save engine state per batch; resume from it when it already exists")
-		addr      = flag.String("addr", "127.0.0.1:0", "HTTP listen address (port 0 picks a free port; the bound address is printed)")
-		delay     = flag.Duration("replay-delay", 0, "pause this long between stream batches (replay a materialized workload as a live trickle)")
-		resident  = flag.Bool("resident", false, "keep serving after ingest completes until SIGINT/SIGTERM")
+		addr     = flag.String("addr", "127.0.0.1:0", "HTTP listen address (port 0 picks a free port; the bound address is printed)")
+		delay    = flag.Duration("replay-delay", 0, "pause this long between stream batches (replay a materialized workload as a live trickle)")
+		resident = flag.Bool("resident", false, "keep serving after ingest completes until SIGINT/SIGTERM")
 	)
 	flag.Parse()
 
-	cfg := core.Config{
-		Seed: *seed, Theta: *theta,
-		PipelineDepth: *depth, Shards: *shards, MemBudgetBytes: int64(*memBudget) << 20,
-		SampleDatatypes: *sample, Participation: *particip,
-		EpochInterval: *epochIvl,
-	}
-	var err error
-	cfg.DriftPolicy, err = core.ParseDriftPolicy(*driftPol)
+	cfg, closeLog, err := f.Config(nil)
 	if err != nil {
 		return err
 	}
-	if *driftLog != "" {
-		if cfg.DriftPolicy == core.DriftOff {
-			return fmt.Errorf("-drift-log needs a -drift-policy")
-		}
-		f, err := os.Create(*driftLog)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		cfg.DriftLog = core.NewDriftLog(f)
-	}
-
-	src, err := loadSource(*jsonlPath, *binPath, *nodesPath, *edgesPath, *dataset, *scenario, *scale, *batches, *seed)
+	defer closeLog()
+	// The stream is the batch CLI's: the same flags give the same batches,
+	// so the served schema can be diffed against pghive's output.
+	_, src, err := f.Stream(nil)
 	if err != nil {
 		return err
-	}
-	if *retry > 0 {
-		src = pg.NewRetrySource(src, pg.RetryPolicy{MaxAttempts: *retry, Seed: *seed})
 	}
 	if *delay > 0 {
 		src = serve.NewPaceSource(src, *delay)
@@ -131,17 +110,8 @@ func mainErr() error {
 	}()
 
 	opts := serve.IngestOptions{Config: cfg}
-	if *ckptPath != "" {
-		ck := core.FileCheckpointer{Path: *ckptPath}
-		opts.FT.Checkpoint = ck
-		state, ok, err := ck.Load()
-		if err != nil {
-			return err
-		}
-		if ok {
-			fmt.Fprintf(os.Stderr, "resuming from checkpoint %s\n", *ckptPath)
-			opts.Resume = state
-		}
+	if opts.Run, err = f.RunOptions(); err != nil {
+		return err
 	}
 
 	start := time.Now()
@@ -164,91 +134,4 @@ func mainErr() error {
 		<-sig2
 	}
 	return nil
-}
-
-// loadSource builds the batch stream: a scenario's own phase timeline, or a
-// materialized graph split into -batches random batches (the same split the
-// batch CLI uses, so a served schema can be diffed against its output).
-func loadSource(jsonlPath, binPath, nodesPath, edgesPath, dataset, scenario string, scale, batches int, seed int64) (pg.ErrSource, error) {
-	if scenario != "" {
-		sc, err := loadScenario(scenario)
-		if err != nil {
-			return nil, err
-		}
-		return pg.AsErrSource(sc.Stream(seed)), nil
-	}
-	g, err := loadGraph(jsonlPath, binPath, nodesPath, edgesPath, dataset, scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	if batches < 1 {
-		batches = 1
-	}
-	return pg.AsErrSource(pg.NewSliceSource(g.SplitRandom(batches, seed)...)), nil
-}
-
-func loadGraph(jsonlPath, binPath, nodesPath, edgesPath, dataset string, scale int, seed int64) (*pghive.Graph, error) {
-	switch {
-	case binPath != "":
-		f, err := os.Open(binPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return pghive.ReadGraphBinary(f)
-	case jsonlPath != "":
-		f, err := os.Open(jsonlPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return pghive.ReadJSONL(f)
-	case nodesPath != "":
-		nf, err := os.Open(nodesPath)
-		if err != nil {
-			return nil, err
-		}
-		defer nf.Close()
-		var ef *os.File
-		if edgesPath != "" {
-			ef, err = os.Open(edgesPath)
-			if err != nil {
-				return nil, err
-			}
-			defer ef.Close()
-		}
-		if ef != nil {
-			return pghive.ReadCSV(nf, ef)
-		}
-		return pghive.ReadCSV(nf, nil)
-	case dataset != "":
-		p := datagen.ProfileByName(dataset)
-		if p == nil {
-			return nil, fmt.Errorf("unknown dataset %q", dataset)
-		}
-		return datagen.Generate(p, datagen.Options{Nodes: scale, Seed: seed}).Graph, nil
-	default:
-		return nil, fmt.Errorf("no input: pass -jsonl, -binary, -nodes, -dataset, or -scenario")
-	}
-}
-
-// loadScenario resolves a -scenario argument exactly as the batch CLI does:
-// a scenario JSON file by suffix or existence, otherwise a built-in name.
-func loadScenario(arg string) (*datagen.Scenario, error) {
-	if strings.HasSuffix(arg, ".json") {
-		f, err := os.Open(arg)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return datagen.ReadScenarioJSON(f)
-	}
-	if sc := datagen.ScenarioByName(arg); sc != nil {
-		return sc, nil
-	}
-	if f, err := os.Open(arg); err == nil {
-		defer f.Close()
-		return datagen.ReadScenarioJSON(f)
-	}
-	return nil, fmt.Errorf("unknown scenario %q (no such built-in or file)", arg)
 }

@@ -18,8 +18,7 @@ import (
 	"os"
 	"strings"
 
-	"pghive"
-	"pghive/internal/core"
+	"pghive/cmd/internal/cli"
 	"pghive/internal/datagen"
 	"pghive/internal/pg"
 	"pghive/internal/soak"
@@ -27,15 +26,21 @@ import (
 )
 
 func main() {
+	var f cli.Flags
+	flag.Int64Var(&f.Seed, "seed", 1, "random seed (scenario stream and fault schedule)")
+	flag.StringVar(&f.Method, "method", "elsh", "clustering method: elsh or minhash")
+	flag.Float64Var(&f.Theta, "theta", 0.9, "Jaccard merge threshold")
+	flag.IntVar(&f.Depth, "pipeline-depth", 0, "execution engine depth (0 = default)")
+	flag.IntVar(&f.Shards, "shards", 0, "partition the stream across N concurrent pipelines (0/1 = single)")
+	flag.StringVar(&f.DriftPolicy, "drift-policy", "off", "streaming conformance checking: off, evolve, alert, or quarantine")
+	flag.IntVar(&f.EpochInterval, "epoch-interval", 0, "schema epoch window in batches for the conformance checker (0 = default)")
+	flag.StringVar(&f.DriftLog, "drift-log", "", "append drift records (classified violations, epoch diffs) to this JSONL file")
+	flag.BoolVar(&f.Telemetry, "telemetry", false, "print aggregated run metrics to stderr")
+	flag.StringVar(&f.MetricsAddr, "metrics-addr", "", "serve live metrics at http://ADDR/metrics during the run")
 	var (
 		scenario    = flag.String("scenario", "", "scenario name (see -list) or path to a scenario JSON file")
 		list        = flag.Bool("list", false, "list built-in scenarios and exit")
-		seed        = flag.Int64("seed", 1, "random seed (scenario stream and fault schedule)")
 		repeat      = flag.Int("repeat", 1, "play the scenario timeline this many times back to back")
-		method      = flag.String("method", "elsh", "clustering method: elsh or minhash")
-		theta       = flag.Float64("theta", 0.9, "Jaccard merge threshold")
-		depth       = flag.Int("pipeline-depth", 0, "execution engine depth (0 = default)")
-		shards      = flag.Int("shards", 0, "partition the stream across N concurrent pipelines (0/1 = single)")
 		window      = flag.Int("window", soak.DefaultWindow, "check invariants every N checkpoints")
 		kills       = flag.Int("kills", 0, "inject N kill/resume cycles through the checkpoint path")
 		killEvery   = flag.Int("kill-every", soak.DefaultKillEvery, "deliver N more batches before each kill")
@@ -44,11 +49,6 @@ func main() {
 		memBudgetMB = flag.Int("mem-budget-mb", 0, "enforce this memory budget (sketched evidence) and fail if retained heap or checkpointed evidence exceeds it (0 = unchecked)")
 		equivalence = flag.Bool("equivalence", false, "with -shards > 1, re-run serially and require schema equivalence")
 		noResume    = flag.Bool("skip-resume-check", false, "skip the kill/resume byte-identity reference run")
-		driftPol    = flag.String("drift-policy", "off", "streaming conformance checking: off, evolve, alert, or quarantine")
-		epochIvl    = flag.Int("epoch-interval", 0, "schema epoch window in batches for the conformance checker (0 = default)")
-		driftLog    = flag.String("drift-log", "", "append drift records (classified violations, epoch diffs) to this JSONL file")
-		telemetry   = flag.Bool("telemetry", false, "print aggregated run metrics to stderr")
-		metrics     = flag.String("metrics-addr", "", "serve live metrics at http://ADDR/metrics during the run")
 		verbose     = flag.Bool("v", false, "log harness progress to stderr")
 		schemaOut   = flag.String("schema-out", "", "write the final schema JSON to this file")
 	)
@@ -63,61 +63,25 @@ func main() {
 	if *scenario == "" {
 		fatal(fmt.Errorf("no scenario: pass -scenario NAME (or a .json path); -list shows built-ins"))
 	}
-	sc, err := loadScenario(*scenario)
+	sc, err := cli.LoadScenario(*scenario)
 	if err != nil {
 		fatal(err)
 	}
 
-	var reg *pghive.TelemetryRegistry
-	if *telemetry || *metrics != "" {
-		reg = pghive.NewTelemetryRegistry()
-	}
-	if *metrics != "" {
-		addr, closer, err := pghive.ServeTelemetry(*metrics, reg)
-		if err != nil {
-			fatal(err)
-		}
-		defer closer.Close()
-		fmt.Fprintf(os.Stderr, "metrics at http://%s/metrics\n", addr)
-	}
-
-	cfg := core.Config{
-		Seed:          *seed,
-		Theta:         *theta,
-		PipelineDepth: *depth,
-		Shards:        *shards,
-	}
-	if reg != nil {
-		cfg.Telemetry = reg
-	}
-	cfg.DriftPolicy, err = core.ParseDriftPolicy(*driftPol)
+	reg, sink, stopTelemetry, err := f.StartTelemetry()
 	if err != nil {
 		fatal(err)
 	}
-	cfg.EpochInterval = *epochIvl
-	if *driftLog != "" {
-		if cfg.DriftPolicy == core.DriftOff {
-			fatal(fmt.Errorf("-drift-log needs a -drift-policy"))
-		}
-		f, err := os.Create(*driftLog)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		cfg.DriftLog = core.NewDriftLog(f)
+	defer stopTelemetry()
+	cfg, closeLog, err := f.Config(sink)
+	if err != nil {
+		fatal(err)
 	}
-	switch *method {
-	case "elsh":
-		cfg.Method = core.MethodELSH
-	case "minhash":
-		cfg.Method = core.MethodMinHash
-	default:
-		fatal(fmt.Errorf("unknown method %q (want elsh or minhash)", *method))
-	}
+	defer closeLog()
 
 	opts := soak.Options{
 		Scenario:         sc,
-		Seed:             *seed,
+		Seed:             f.Seed,
 		Repeat:           *repeat,
 		Config:           cfg,
 		Faults:           pg.FaultProfile{TransientRate: *faultRate, CorruptRate: *corruptRate},
@@ -136,7 +100,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if reg != nil && *telemetry {
+	if reg != nil && f.Telemetry {
 		reg.Snapshot().WriteText(os.Stderr)
 	}
 	if *schemaOut != "" {
@@ -180,27 +144,6 @@ func main() {
 		fmt.Printf("  window %d: %s: %s\n", v.Window, v.Invariant, v.Detail)
 	}
 	os.Exit(1)
-}
-
-// loadScenario resolves a -scenario argument: a path to a scenario JSON
-// file (by suffix or by existing on disk), otherwise a built-in name.
-func loadScenario(arg string) (*datagen.Scenario, error) {
-	if strings.HasSuffix(arg, ".json") {
-		f, err := os.Open(arg)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return datagen.ReadScenarioJSON(f)
-	}
-	if sc := datagen.ScenarioByName(arg); sc != nil {
-		return sc, nil
-	}
-	if f, err := os.Open(arg); err == nil {
-		defer f.Close()
-		return datagen.ReadScenarioJSON(f)
-	}
-	return nil, fmt.Errorf("unknown scenario %q (no such built-in or file; -list shows built-ins)", arg)
 }
 
 func fatal(err error) {

@@ -155,7 +155,7 @@ func RunMethod(ds *datagen.Dataset, m MethodID, s Settings) Outcome {
 // RunPGHive runs the PG-HIVE pipeline with an explicit configuration.
 func RunPGHive(ds *datagen.Dataset, cfg core.Config) Outcome {
 	cfg.TrackMembers = true
-	res := core.DiscoverGraph(ds.Graph, cfg)
+	res := core.Discover(pg.NewSliceSource(ds.Graph.Snapshot()), cfg)
 	nodeClusters := typeMembers(res.Schema.NodeTypes)
 	return Outcome{
 		OK:       true,

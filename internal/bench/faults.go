@@ -85,7 +85,7 @@ func RunFaults(w io.Writer, s Settings) ([]FaultPoint, error) {
 					Sleep:       func(time.Duration) {}, // count, don't wait
 				})
 				start := time.Now()
-				res, err := core.DiscoverFT(retry, cfg, core.FTOptions{})
+				res, err := core.Run(retry, cfg, core.RunOptions{})
 				if err != nil {
 					return nil, fmt.Errorf("bench: faults %s/%s rate %.2f: %w", p.Name, m, rate, err)
 				}

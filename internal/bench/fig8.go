@@ -7,6 +7,7 @@ import (
 	"pghive/internal/core"
 	"pghive/internal/eval"
 	"pghive/internal/infer"
+	"pghive/internal/pg"
 	"pghive/internal/schema"
 )
 
@@ -44,7 +45,7 @@ func RunFig8(w io.Writer, s Settings) ([]Fig8Row, error) {
 			if m == MinHash {
 				cfg.Method = core.MethodMinHash
 			}
-			res := core.DiscoverGraph(ds.Graph, cfg)
+			res := core.Discover(pg.NewSliceSource(ds.Graph.Snapshot()), cfg)
 			bins := samplingErrorBins(res.Schema)
 			rows = append(rows, Fig8Row{Dataset: p.Name, Method: m, Bins: bins})
 

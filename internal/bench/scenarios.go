@@ -69,7 +69,7 @@ func RunScenarios(w io.Writer, s Settings) ([]ScenarioPoint, error) {
 			cfg.Telemetry = s.Telemetry
 			cfg.PipelineDepth = s.engineDepth()
 			cfg.Shards = shards
-			res := core.DiscoverSharded(sc.Stream(s.Seed), cfg)
+			res := core.Discover(sc.Stream(s.Seed), cfg)
 			var buf bytes.Buffer
 			if err := serialize.WriteJSON(&buf, res.Def); err != nil {
 				return nil, nil, err

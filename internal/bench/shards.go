@@ -38,14 +38,14 @@ var ShardCounts = []int{1, 2, 4, 8}
 
 // RunShards measures multi-core sharded discovery: the stream is
 // hash-partitioned across N independent pipelines whose partial schemas are
-// merged at the end (core.DiscoverSharded). Expected shape on a host with
-// ≥ N CPUs: near-linear speedup while per-shard batches stay large enough
-// to amortize per-batch overheads (embedding, LSH setup), flattening as
-// shards outnumber cores or batches get thin. On a single-CPU host the
-// curve is flat-to-slightly-negative (shards add merge work without adding
-// compute) — the GoMaxProcs/NumCPU columns make that legible. Quality must
-// not degrade: labeled-type F1* stays at the serial level at every N
-// (merge equivalence, TestShardedEquivalence).
+// merged at the end (core.Discover with Config.Shards = N). Expected shape
+// on a host with ≥ N CPUs: near-linear speedup while per-shard batches stay
+// large enough to amortize per-batch overheads (embedding, LSH setup),
+// flattening as shards outnumber cores or batches get thin. On a single-CPU
+// host the curve is flat-to-slightly-negative (shards add merge work
+// without adding compute) — the GoMaxProcs/NumCPU columns make that
+// legible. Quality must not degrade: labeled-type F1* stays at the serial
+// level at every N (merge equivalence, TestShardedEquivalence).
 func RunShards(w io.Writer, s Settings) ([]ShardPoint, error) {
 	s = s.withDefaults()
 	profiles := s.profiles()
@@ -77,7 +77,7 @@ func RunShards(w io.Writer, s Settings) ([]ShardPoint, error) {
 				if m == MinHash {
 					cfg.Method = core.MethodMinHash
 				}
-				res := core.DiscoverSharded(pg.NewSliceSource(batches...), cfg)
+				res := core.Discover(pg.NewSliceSource(batches...), cfg)
 				if base == 0 {
 					base = res.Discovery
 				}

@@ -202,7 +202,7 @@ func (p *Pipeline) encodeCheckpoint(w io.Writer, slots int, skipped []SkipReport
 }
 
 // EncodeCheckpoint serializes the pipeline's current state. The pipeline
-// must be quiescent (no Drain in flight): the live session and aligner are
+// must be quiescent (no run in flight): the live session and aligner are
 // snapshotted directly.
 func (p *Pipeline) EncodeCheckpoint(w io.Writer, slots int, skipped []SkipReport) error {
 	snap, err := p.stateSnapshot()

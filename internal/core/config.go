@@ -113,17 +113,17 @@ type Config struct {
 	// Shards partitions the element stream across that many independent
 	// discovery pipelines — each with its own schema, sampler and embedding
 	// session — whose partial schemas are merged when the stream ends, and at
-	// every fleet epoch when OnEpoch is set (DiscoverSharded/
-	// DiscoverShardedFT; the single-pipeline entry points ignore it). Elements
-	// are assigned to shards by a fixed hash of their IDs (pg.ShardOf), so the
-	// partition is deterministic and batch-boundary independent. 0 or 1 runs the single
-	// unsharded pipeline and produces byte-identical output to Discover.
-	// Values > 1 produce a deterministic schema for a fixed (Seed, Shards),
-	// but not byte-identical to the serial run: each shard clusters and
-	// samples only its own elements, so abstract-type composition and
-	// SampleKinds can differ (see DESIGN.md §11). Not part of the checkpoint
-	// fingerprint — sharded checkpoints use their own container format
-	// (PGCK6) that records the shard count explicitly.
+	// every fleet epoch when OnEpoch is set. Every entry point honours it
+	// (Run, Discover, serve.Ingest, soak.Run). Elements are assigned to
+	// shards by a fixed hash of their IDs (pg.PartitionBatch), so the
+	// partition is deterministic and batch-boundary independent. 0 or 1 runs
+	// the single unsharded pipeline. Values > 1 produce a deterministic
+	// schema for a fixed (Seed, Shards), but not byte-identical to the
+	// serial run: each shard clusters and samples only its own elements, so
+	// abstract-type composition and SampleKinds can differ (see DESIGN.md
+	// §11). Not part of the checkpoint fingerprint — sharded checkpoints use
+	// their own container format (PGCK8) that records the shard count
+	// explicitly.
 	Shards int
 	// MemBudgetBytes caps the evidence layer's retained memory. 0 (the
 	// default) keeps today's exact accumulators: per-endpoint degree
@@ -170,7 +170,7 @@ type Config struct {
 	// fires it for the whole fleet instead, on its own goroutine, at a
 	// consistent cut every EpochInterval source batches: every shard has
 	// folded what it was routed, and the epoch is byte-identical to
-	// DiscoverSharded over the batches before the cut. Shards never fire it.
+	// Discover over the batches before the cut. Shards never fire it.
 	OnEpoch func(EpochSnapshot)
 	// driftShard tags this pipeline's drift-log records with its shard index
 	// (set by shardConfig; 0 for unsharded runs).

@@ -130,7 +130,7 @@ func TestResumeRejectsAlignSimilarityChange(t *testing.T) {
 		{"custom-to-custom", custom, custom, false},
 	} {
 		p := NewPipeline(tc.writer)
-		if _, err := p.DrainFT(pg.AsErrSource(pg.NewSliceSource(batches...)), FTOptions{}); err != nil {
+		if _, err := p.drainFT(pg.AsErrSource(pg.NewSliceSource(batches...)), nil, resumeState{}); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer

@@ -104,13 +104,13 @@ func TestDriftEvolveByteIdentical(t *testing.T) {
 			base := DefaultConfig()
 			base.PipelineDepth = depth
 			base.Shards = shards
-			want := DiscoverSharded(pg.NewSliceSource(batches...), base)
+			want := Discover(pg.NewSliceSource(batches...), base)
 			wantJSON, wantDDL := renderDef(t, want.Def)
 
 			cfg := base
 			cfg.DriftPolicy = DriftEvolve
 			cfg.EpochInterval = 3
-			got := DiscoverSharded(pg.NewSliceSource(batches...), cfg)
+			got := Discover(pg.NewSliceSource(batches...), cfg)
 			gotJSON, gotDDL := renderDef(t, got.Def)
 			if !bytes.Equal(wantJSON, gotJSON) || !bytes.Equal(wantDDL, gotDDL) {
 				t.Errorf("depth=%d shards=%d: evolve schema diverges from validator-free run\nwant %s\ngot  %s",
@@ -297,7 +297,7 @@ func TestDriftCrashResumeQuarantine(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DriftPolicy = DriftQuarantine
 	cfg.EpochInterval = 3
-	uninterrupted, err := DiscoverFT(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, FTOptions{})
+	uninterrupted, err := Run(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,14 +310,14 @@ func TestDriftCrashResumeQuarantine(t *testing.T) {
 			ck := FileCheckpointer{Path: filepath.Join(t.TempDir(), "drift.ck")}
 			crash := pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)),
 				pg.FaultProfile{FailAfter: kill, Seed: 1})
-			if _, err := DiscoverFT(crash, cfg, FTOptions{Checkpoint: ck}); !errors.Is(err, pg.ErrPermanentFault) {
+			if _, err := Run(crash, cfg, RunOptions{Checkpoint: ck}); !errors.Is(err, pg.ErrPermanentFault) {
 				t.Fatalf("kill=%d depth=%d: want permanent fault, got %v", kill, depth, err)
 			}
 			state, ok, err := ck.Load()
 			if err != nil || !ok {
 				t.Fatalf("kill=%d depth=%d: checkpoint load: ok=%t err=%v", kill, depth, ok, err)
 			}
-			res, err := ResumeDiscoverFT(state, pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, FTOptions{Checkpoint: ck})
+			res, err := Run(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, RunOptions{Checkpoint: ck, Resume: state})
 			if err != nil {
 				t.Fatalf("kill=%d depth=%d: resume: %v", kill, depth, err)
 			}
@@ -344,7 +344,7 @@ func TestDriftShardedQuarantine(t *testing.T) {
 	cfg.Shards = 2
 	cfg.DriftPolicy = DriftQuarantine
 	cfg.EpochInterval = 3
-	res := DiscoverSharded(pg.NewSliceSource(batches...), cfg)
+	res := Discover(pg.NewSliceSource(batches...), cfg)
 	if res.Drift == nil || res.Drift.Quarantined == 0 {
 		t.Fatalf("sharded quarantine saw no drift: %+v", res.Drift)
 	}

@@ -1,6 +1,6 @@
 // The staged execution engine: one loop runs Algorithm 1's incremental
-// discovery loop for every entry point — plain and fault-tolerant, fresh and
-// resumed, the single pipeline and each shard of a sharded run.
+// discovery loop for every Run — fresh and resumed, with and without
+// checkpoints, the single pipeline and each shard of a sharded run.
 //
 //	load ──▶ preprocess ──▶ cluster ──▶ extract (+ checkpoint)
 //	(puller     (serial,      (depth−1     (serial,
@@ -30,17 +30,6 @@ import (
 	"pghive/internal/obs"
 	"pghive/internal/pg"
 )
-
-// Drain processes every batch from src through the pipeline. With
-// Config.PipelineDepth > 1 the stages overlap with that many batches in
-// flight; with PipelineDepth <= 1 they run inline. Both produce identical
-// schemas. Stream positions continue from any batches already processed, so
-// Drain composes with ProcessBatch.
-func (p *Pipeline) Drain(src pg.Source) {
-	pl := newPuller(pg.AsErrSource(src), FTOptions{}, p.instr)
-	pl.slot = p.nextSeq()
-	p.drain(pl, nil, nil) // an infallible source without a checkpointer cannot fail
-}
 
 // pulled is one good batch as the load stage hands it on: its stream
 // position, the quarantine list as of its pull (only when checkpointing),

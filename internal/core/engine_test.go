@@ -150,25 +150,25 @@ func TestPipelineDepthDefaultApplied(t *testing.T) {
 	}
 }
 
-// TestDrainSingleBatch exercises the engine with exactly one batch (the
-// DiscoverGraph path) and with an exhausted source.
+// TestDrainSingleBatch exercises the engine with exactly one batch (a whole
+// graph's snapshot) and with an exhausted source.
 func TestDrainSingleBatch(t *testing.T) {
 	g := engineGraph(t, 50)
 	cfg := DefaultConfig()
 	cfg.PipelineDepth = 4
-	res := DiscoverGraph(g, cfg)
+	res := Discover(pg.NewSliceSource(g.Snapshot()), cfg)
 	if len(res.Def.Nodes) == 0 || len(res.Reports) != 1 {
 		t.Fatalf("single-batch engine run: %d types, %d reports", len(res.Def.Nodes), len(res.Reports))
 	}
 	p := NewPipeline(cfg)
-	p.Drain(pg.NewSliceSource())
+	p.drainFT(pg.AsErrSource(pg.NewSliceSource()), nil, resumeState{})
 	if len(p.Reports()) != 0 {
 		t.Error("draining an empty source should process nothing")
 	}
 }
 
 // TestProcessBatchInterchangeableWithDrain: feeding batches one at a time
-// through ProcessBatch equals a serial Drain over the same source.
+// through ProcessBatch equals a serial drain over the same source.
 func TestProcessBatchInterchangeableWithDrain(t *testing.T) {
 	g := engineGraph(t, 200)
 	batches := g.SplitRandom(4, 9)
@@ -180,7 +180,7 @@ func TestProcessBatchInterchangeableWithDrain(t *testing.T) {
 		byHand.ProcessBatch(b)
 	}
 	drained := NewPipeline(cfg)
-	drained.Drain(pg.NewSliceSource(batches...))
+	drained.drainFT(pg.AsErrSource(pg.NewSliceSource(batches...)), nil, resumeState{})
 
 	defsEqual(t, "processbatch-vs-drain", byHand.Finalize(), drained.Finalize())
 }

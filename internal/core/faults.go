@@ -25,26 +25,30 @@ import (
 	"pghive/internal/pg"
 )
 
-// FTOptions configures a fault-tolerant drain.
-type FTOptions struct {
-	// Checkpoint, when non-nil, receives the encoded pipeline state after
-	// every extracted batch.
+// RunOptions configures what a Run persists and what it continues from.
+type RunOptions struct {
+	// Checkpoint, when non-nil, receives the encoded run state after every
+	// extracted batch: a PGCK7 pipeline checkpoint, or a PGCK8 fleet
+	// container when Config.Shards > 1.
 	Checkpoint Checkpointer
-	// SkipSlots drops this many leading stream slots before processing:
-	// they were already folded in (or quarantined) by the run that wrote
-	// the checkpoint being resumed.
-	SkipSlots int
-	// Skipped seeds the quarantine list with the batches the checkpointed
-	// run had already skipped.
-	Skipped []SkipReport
-	// MaxTransient bounds consecutive transient faults on one slot before
-	// the drain gives up (0 means DefaultMaxTransient). A fault source
-	// whose transient bursts are bounded always stays under any positive
-	// budget.
-	MaxTransient int
+	// Resume, when non-nil, is a checkpoint the run continues from — PGCK7,
+	// or a PGCK8 fleet container when Config.Shards > 1, written under the
+	// same configuration. The source must replay the same stream from its
+	// start: the slots the checkpointed run already folded in are skipped.
+	Resume []byte
 }
 
-// DefaultMaxTransient is the consecutive-transient-fault budget per slot.
+// resumeState is the stream progress a resumed run restores: the leading
+// slots the checkpointed run already folded in (or quarantined), and the
+// quarantine list it had recorded by then.
+type resumeState struct {
+	slots   int
+	skipped []SkipReport
+}
+
+// DefaultMaxTransient bounds consecutive transient faults on one slot: the
+// run stops with an error at that many in a row. A fault source whose
+// transient bursts are shorter always stays under it.
 const DefaultMaxTransient = 100
 
 // Checkpointer persists encoded checkpoints. Save is called from the extract
@@ -83,14 +87,13 @@ func (f FileCheckpointer) Load() ([]byte, bool, error) {
 
 // puller pulls good batches from a fallible source for the single
 // pipeline's load stage and the shard router alike. It retries transient
-// faults in place (up to the budget), quarantines poisoned batches (recorded
-// only past the resume skip window: the checkpointed run recorded the rest)
-// and returns each good batch with its stream position — also inside the
-// skip window, which the single pipeline drops (pull) and the router
-// re-delivers. It is not safe for concurrent use.
+// faults in place (up to DefaultMaxTransient), quarantines poisoned batches
+// (recorded only past the resume skip window: the checkpointed run recorded
+// the rest) and returns each good batch with its stream position — also
+// inside the skip window, which the single pipeline drops (pull) and the
+// router re-delivers. It is not safe for concurrent use.
 type puller struct {
 	src       pg.ErrSource
-	budget    int
 	instr     obs.Instr
 	skipSlots int
 	slot      int // stream position: delivered + quarantined batches
@@ -98,16 +101,12 @@ type puller struct {
 }
 
 // newPuller starts a puller at stream position 0 with the resume window and
-// quarantine list of opts.
-func newPuller(src pg.ErrSource, opts FTOptions, instr obs.Instr) *puller {
-	budget := opts.MaxTransient
-	if budget <= 0 {
-		budget = DefaultMaxTransient
-	}
+// quarantine list of from.
+func newPuller(src pg.ErrSource, from resumeState, instr obs.Instr) *puller {
 	return &puller{
-		src: src, budget: budget, instr: instr,
-		skipSlots: opts.SkipSlots,
-		skipped:   append([]SkipReport(nil), opts.Skipped...),
+		src: src, instr: instr,
+		skipSlots: from.slots,
+		skipped:   append([]SkipReport(nil), from.skipped...),
 	}
 }
 
@@ -125,7 +124,7 @@ func (pl *puller) next() (*pg.Batch, int, error) {
 			return b, pl.slot, nil
 		case pg.IsTransient(err):
 			transients++
-			if transients >= pl.budget {
+			if transients >= DefaultMaxTransient {
 				return nil, pl.slot, fmt.Errorf("core: slot %d: %d consecutive transient faults: %w", pl.slot, transients, err)
 			}
 			pl.instr.Add(obs.CtrRetries, 1)
@@ -188,29 +187,13 @@ func (m metered) Save(state []byte) error {
 	return err
 }
 
-// DrainFT processes every batch from a fallible source, quarantining
-// poisoned batches and checkpointing after each extraction. It returns the
-// quarantine list (including any seeded by FTOptions.Skipped) and the first
-// permanent source error or failed save. Like Drain, every PipelineDepth
+// drainFT processes every batch from a fallible source past from's resume
+// window, quarantining poisoned batches and, with ck set, checkpointing
+// after each extraction. It returns the quarantine list (from's included)
+// and the first permanent source error or failed save. Every PipelineDepth
 // produces identical schemas and identical checkpoint sequences.
-func (p *Pipeline) DrainFT(src pg.ErrSource, opts FTOptions) ([]SkipReport, error) {
-	pl := newPuller(src, opts, p.instr)
-	err := p.drain(pl, meter(opts.Checkpoint, p.instr), nil)
+func (p *Pipeline) drainFT(src pg.ErrSource, ck Checkpointer, from resumeState) ([]SkipReport, error) {
+	pl := newPuller(src, from, p.instr)
+	err := p.drain(pl, meter(ck, p.instr), nil)
 	return p.mergedSkips(pl.skipped), err
-}
-
-// DiscoverFT is Discover over a fallible source: it drains with fault
-// tolerance, finalizes, and reports quarantined batches in Result.Skipped.
-// On a permanent source failure or a failed checkpoint save it returns the
-// error; progress up to the failure lives in the last checkpoint (resume
-// with ResumeDiscoverFT). Config.Shards is ignored.
-func DiscoverFT(src pg.ErrSource, cfg Config, opts FTOptions) (*Result, error) {
-	return run(src, unsharded(cfg), opts, nil)
-}
-
-// ResumeDiscoverFT restores a pipeline from checkpoint bytes and continues
-// draining src — which must replay the same stream from the beginning; the
-// slots already folded in are skipped — then finalizes.
-func ResumeDiscoverFT(state []byte, src pg.ErrSource, cfg Config, opts FTOptions) (*Result, error) {
-	return run(src, unsharded(cfg), opts, state)
 }

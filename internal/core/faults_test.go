@@ -37,16 +37,15 @@ func faultFreeBatches(t testing.TB, nodes, batches int) []*pg.Batch {
 // noSleep strips real latency out of retry backoff in tests.
 func noSleep(time.Duration) {}
 
-// TestDiscoverFTMatchesDiscover: over a fault-free source, the
-// fault-tolerant path is just Discover — identical finalized output, no
-// quarantine.
+// TestDiscoverFTMatchesDiscover: over a fault-free source, Run is just
+// Discover — identical finalized output, no quarantine.
 func TestDiscoverFTMatchesDiscover(t *testing.T) {
 	batches := faultFreeBatches(t, 300, 5)
 	for _, depth := range []int{1, 4} {
 		cfg := DefaultConfig()
 		cfg.PipelineDepth = depth
 		want := Discover(pg.NewSliceSource(batches...), cfg)
-		got, err := DiscoverFT(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, FTOptions{})
+		got, err := Run(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, RunOptions{})
 		if err != nil {
 			t.Fatalf("depth=%d: %v", depth, err)
 		}
@@ -78,7 +77,7 @@ func TestDiscoverFTTransientIdentity(t *testing.T) {
 				if withRetry {
 					src = pg.NewRetrySource(src, pg.RetryPolicy{Sleep: noSleep})
 				}
-				res, err := DiscoverFT(src, cfg, FTOptions{})
+				res, err := Run(src, cfg, RunOptions{})
 				if err != nil {
 					t.Fatalf("%v depth=%d retry=%t: %v", m, depth, withRetry, err)
 				}
@@ -108,7 +107,7 @@ func TestDiscoverFTQuarantinesCorrupt(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.PipelineDepth = depth
 		src := pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)), profile)
-		res, err := DiscoverFT(src, cfg, FTOptions{})
+		res, err := Run(src, cfg, RunOptions{})
 		if err != nil {
 			t.Fatalf("depth=%d: %v", depth, err)
 		}
@@ -132,13 +131,21 @@ func TestDiscoverFTQuarantinesCorrupt(t *testing.T) {
 }
 
 // TestDrainFTTransientBudget: an endlessly transient source exhausts the
-// per-slot budget instead of hanging.
+// per-slot budget of DefaultMaxTransient consecutive faults instead of
+// hanging.
 func TestDrainFTTransientBudget(t *testing.T) {
-	always := errSourceFunc(func() (*pg.Batch, error) { return nil, &pg.TransientError{} })
+	pulls := 0
+	always := errSourceFunc(func() (*pg.Batch, error) {
+		pulls++
+		return nil, &pg.TransientError{}
+	})
 	p := NewPipeline(DefaultConfig())
-	_, err := p.DrainFT(always, FTOptions{MaxTransient: 7})
+	_, err := p.drainFT(always, nil, resumeState{})
 	if err == nil || !pg.IsTransient(err) {
 		t.Fatalf("want transient-budget error, got %v", err)
+	}
+	if pulls != DefaultMaxTransient {
+		t.Errorf("gave up after %d pulls, want DefaultMaxTransient = %d", pulls, DefaultMaxTransient)
 	}
 }
 
@@ -171,7 +178,7 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 			if kill == 0 {
 				crash = errSourceFunc(func() (*pg.Batch, error) { return nil, pg.ErrPermanentFault })
 			}
-			if _, err := DiscoverFT(crash, cfg, FTOptions{Checkpoint: ck}); !errors.Is(err, pg.ErrPermanentFault) {
+			if _, err := Run(crash, cfg, RunOptions{Checkpoint: ck}); !errors.Is(err, pg.ErrPermanentFault) {
 				t.Fatalf("depth=%d kill=%d: want permanent fault, got %v", depth, kill, err)
 			}
 
@@ -185,12 +192,7 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 				t.Fatalf("depth=%d kill=%d: checkpoint exists=%t", depth, kill, ok)
 			}
 			replay := pg.AsErrSource(pg.NewSliceSource(batches...))
-			var res *Result
-			if ok {
-				res, err = ResumeDiscoverFT(state, replay, cfg, FTOptions{Checkpoint: ck})
-			} else {
-				res, err = DiscoverFT(replay, cfg, FTOptions{Checkpoint: ck})
-			}
+			res, err := Run(replay, cfg, RunOptions{Checkpoint: ck, Resume: state})
 			if err != nil {
 				t.Fatalf("depth=%d kill=%d: resume: %v", depth, kill, err)
 			}
@@ -211,42 +213,51 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 
 // TestCrashResumeWithCorruption: crash/resume composes with quarantine —
 // the resumed run inherits the checkpointed skip list and the final
-// quarantine set matches an uninterrupted faulty run's.
+// quarantine set matches an uninterrupted faulty run's. The same Run call
+// resumes both checkpoint formats: a PGCK7 pipeline checkpoint, and a PGCK8
+// fleet container under Shards 3.
 func TestCrashResumeWithCorruption(t *testing.T) {
 	batches := faultFreeBatches(t, 300, 8)
-	cfg := DefaultConfig()
 	profile := pg.FaultProfile{CorruptRate: 0.3, Seed: 9}
+	for _, tc := range []struct {
+		shards int
+		magic  string
+	}{{0, checkpointMagic}, {3, shardCheckpointMagic}} {
+		cfg := DefaultConfig()
+		cfg.Shards = tc.shards
+		uninterrupted, err := Run(pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)), profile), cfg, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, _ := renderDef(t, uninterrupted.Def)
 
-	uninterrupted, err := DiscoverFT(
-		pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)), profile), cfg, FTOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSON, _ := renderDef(t, uninterrupted.Def)
+		ck := FileCheckpointer{Path: filepath.Join(t.TempDir(), "run.ck")}
+		crashProfile := profile
+		crashProfile.FailAfter = 3 // dies after 3 pulled batches (delivered or quarantined)
+		crash := pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)), crashProfile)
+		if _, err := Run(crash, cfg, RunOptions{Checkpoint: ck}); !errors.Is(err, pg.ErrPermanentFault) {
+			t.Fatalf("shards=%d: want permanent fault, got %v", tc.shards, err)
+		}
 
-	ck := FileCheckpointer{Path: filepath.Join(t.TempDir(), "run.ck")}
-	crashProfile := profile
-	crashProfile.FailAfter = 3 // dies after 3 pulled batches (delivered or quarantined)
-	crash := pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)), crashProfile)
-	if _, err := DiscoverFT(crash, cfg, FTOptions{Checkpoint: ck}); !errors.Is(err, pg.ErrPermanentFault) {
-		t.Fatalf("want permanent fault, got %v", err)
-	}
-
-	state, ok, err := ck.Load()
-	if err != nil || !ok {
-		t.Fatalf("no checkpoint after crash: ok=%t err=%v", ok, err)
-	}
-	replay := pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)), profile)
-	res, err := ResumeDiscoverFT(state, replay, cfg, FTOptions{Checkpoint: ck})
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	gotJSON, _ := renderDef(t, res.Def)
-	if !bytes.Equal(wantJSON, gotJSON) {
-		t.Errorf("resumed faulty run diverges from uninterrupted faulty run\nwant %s\ngot  %s", wantJSON, gotJSON)
-	}
-	if len(res.Skipped) != len(uninterrupted.Skipped) {
-		t.Errorf("resumed run skipped %d batches, uninterrupted %d", len(res.Skipped), len(uninterrupted.Skipped))
+		state, ok, err := ck.Load()
+		if err != nil || !ok {
+			t.Fatalf("shards=%d: no checkpoint after crash: ok=%t err=%v", tc.shards, ok, err)
+		}
+		if !bytes.HasPrefix(state, []byte(tc.magic)) {
+			t.Fatalf("shards=%d: checkpoint starts %q, want %s", tc.shards, state[:5], tc.magic)
+		}
+		replay := pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)), profile)
+		res, err := Run(replay, cfg, RunOptions{Checkpoint: ck, Resume: state})
+		if err != nil {
+			t.Fatalf("shards=%d: resume: %v", tc.shards, err)
+		}
+		gotJSON, _ := renderDef(t, res.Def)
+		if !bytes.Equal(wantJSON, gotJSON) {
+			t.Errorf("shards=%d: resumed faulty run diverges from uninterrupted faulty run\nwant %s\ngot  %s", tc.shards, wantJSON, gotJSON)
+		}
+		if len(res.Skipped) != len(uninterrupted.Skipped) {
+			t.Errorf("shards=%d: resumed run skipped %d batches, uninterrupted %d", tc.shards, len(res.Skipped), len(uninterrupted.Skipped))
+		}
 	}
 }
 
@@ -256,7 +267,7 @@ func TestResumeRejectsConfigMismatch(t *testing.T) {
 	batches := faultFreeBatches(t, 100, 3)
 	cfg := DefaultConfig()
 	p := NewPipeline(cfg)
-	if _, err := p.DrainFT(pg.AsErrSource(pg.NewSliceSource(batches...)), FTOptions{}); err != nil {
+	if _, err := p.drainFT(pg.AsErrSource(pg.NewSliceSource(batches...)), nil, resumeState{}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

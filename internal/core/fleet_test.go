@@ -27,7 +27,7 @@ func defJSON(t *testing.T, res *Result) []byte {
 
 // TestShardedFleetEpochs: with OnEpoch set, a sharded run publishes one
 // fleet epoch every EpochInterval source batches — exactly ⌊N/I⌋ mid-stream
-// epochs — and fleet epoch k is byte-identical to DiscoverSharded over the
+// epochs — and fleet epoch k is byte-identical to Discover over the
 // first k·I batches. A partial last window closes with a final epoch whose
 // schema is the run's own; the run's result is unchanged by the hook. A
 // memory budget (sketched evidence) covers the clones' evidence policy.
@@ -41,9 +41,9 @@ func TestShardedFleetEpochs(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Shards = fleet.shards
 		cfg.MemBudgetBytes = fleet.budget
-		want := make([][]byte, n+1) // want[k]: DiscoverSharded over batches[:k]
+		want := make([][]byte, n+1) // want[k]: Discover over batches[:k]
 		for k := 1; k <= n; k++ {
-			want[k] = defJSON(t, DiscoverSharded(pg.NewSliceSource(batches[:k]...), cfg))
+			want[k] = defJSON(t, Discover(pg.NewSliceSource(batches[:k]...), cfg))
 		}
 		for _, depth := range []int{1, 4} {
 			for _, interval := range []int{1, 3} {
@@ -53,7 +53,7 @@ func TestShardedFleetEpochs(t *testing.T) {
 				run.EpochInterval = interval
 				var snaps []EpochSnapshot
 				run.OnEpoch = func(s EpochSnapshot) { snaps = append(snaps, s) }
-				res := DiscoverSharded(pg.NewSliceSource(batches...), run)
+				res := Discover(pg.NewSliceSource(batches...), run)
 				if got := defJSON(t, res); !bytes.Equal(got, want[n]) {
 					t.Errorf("%s: result differs from a hook-free run", name)
 				}
@@ -88,7 +88,7 @@ func TestShardedFleetEpochs(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !bytes.Equal(buf.Bytes(), want[k]) {
-						t.Errorf("%s: epoch %d differs from DiscoverSharded over the first %d batches", name, s.Epoch, k)
+						t.Errorf("%s: epoch %d differs from Discover over the first %d batches", name, s.Epoch, k)
 					}
 					if i == 0 && s.Changes != nil {
 						t.Errorf("%s: baseline epoch carries changes: %v", name, s.Changes)
@@ -114,7 +114,7 @@ func TestShardedFleetEpochsNoHook(t *testing.T) {
 		if hook {
 			cfg.OnEpoch = func(EpochSnapshot) { published++ }
 		}
-		DiscoverSharded(pg.NewSliceSource(batches...), cfg)
+		Discover(pg.NewSliceSource(batches...), cfg)
 		snap := reg.Snapshot()
 		if got := snap.Stage(obs.StageEpoch).Count; got != uint64(published) {
 			t.Errorf("hook=%t: %d epoch spans, %d epochs published", hook, got, published)
@@ -179,7 +179,7 @@ func checkSaveFailureStops(t *testing.T, shards, depth int) {
 	cfg.PipelineDepth = depth
 	src := &countingSource{src: pg.AsErrSource(pg.NewSliceSource(batches...))}
 	ck := &failingCheckpointer{failAt: 2, src: src}
-	_, err := DiscoverShardedFT(src, cfg, FTOptions{Checkpoint: ck})
+	_, err := Run(src, cfg, RunOptions{Checkpoint: ck})
 	if !errors.Is(err, errSaveFailed) {
 		t.Fatalf("shards=%d depth=%d: want the save error, got %v", shards, depth, err)
 	}
@@ -225,7 +225,7 @@ func TestShardedFleetEpochsSaveFailure(t *testing.T) {
 			src := &countingSource{src: pg.AsErrSource(pg.NewSliceSource(batches...))}
 			done := make(chan error, 1)
 			go func() {
-				_, err := DiscoverShardedFT(src, cfg, FTOptions{Checkpoint: &failingCheckpointer{failAt: failAt, src: src}})
+				_, err := Run(src, cfg, RunOptions{Checkpoint: &failingCheckpointer{failAt: failAt, src: src}})
 				done <- err
 			}()
 			select {
@@ -265,7 +265,7 @@ func TestShardedCheckpointBytesCounted(t *testing.T) {
 		cfg.Shards = shards
 		cfg.Telemetry = reg
 		ck := &recordingCheckpointer{}
-		if _, err := DiscoverShardedFT(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, FTOptions{Checkpoint: ck}); err != nil {
+		if _, err := Run(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, RunOptions{Checkpoint: ck}); err != nil {
 			t.Fatal(err)
 		}
 		snap := reg.Snapshot()

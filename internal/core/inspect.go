@@ -6,8 +6,8 @@ import (
 	"pghive/internal/schema"
 )
 
-// DecodeCheckpointSchemas opens a checkpoint written by the fault-tolerant
-// path — a single-pipeline PGCK7 stream or a sharded PGCK8 container — and
+// DecodeCheckpointSchemas opens a checkpoint written by Run — a
+// single-pipeline PGCK7 stream or a sharded PGCK8 container — and
 // returns every pipeline's accumulated schema (one per shard, in shard
 // order). cfg must match the configuration the checkpoint was written
 // under, exactly as a resume would require; the fingerprint gate rejects

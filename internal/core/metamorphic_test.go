@@ -109,7 +109,7 @@ func TestMetamorphicPermutationInvariance(t *testing.T) {
 	}
 }
 
-// monotonicityRecorder decodes every checkpoint DrainFT emits and keeps the
+// monotonicityRecorder decodes every checkpoint drainFT emits and keeps the
 // schema fingerprint sequence, in batch order.
 type monotonicityRecorder struct {
 	cfg   Config
@@ -149,7 +149,7 @@ func TestMetamorphicMonotonicity(t *testing.T) {
 				rec := &monotonicityRecorder{cfg: cfg}
 				src := pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)), profile)
 				p := NewPipeline(cfg)
-				_, err := p.DrainFT(src, FTOptions{Checkpoint: rec})
+				_, err := p.drainFT(src, rec, resumeState{})
 				if name == "fail-mid" {
 					if err == nil {
 						t.Errorf("%v depth=%d %s: expected permanent failure", m, depth, name)
@@ -184,7 +184,7 @@ func TestMetamorphicMonotonicityPermuted(t *testing.T) {
 		rec := &monotonicityRecorder{cfg: cfg}
 		p := NewPipeline(cfg)
 		src := pg.AsErrSource(pg.NewSliceSource(permuted(batches, seed)...))
-		if _, err := p.DrainFT(src, FTOptions{Checkpoint: rec}); err != nil {
+		if _, err := p.drainFT(src, rec, resumeState{}); err != nil {
 			t.Fatal(err)
 		}
 		for i := 1; i < len(rec.snaps); i++ {

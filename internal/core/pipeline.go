@@ -179,7 +179,7 @@ func (p *Pipeline) slot(seq int) int {
 // ProcessBatch runs the main pipeline of Algorithm 1 (lines 3-6) on one
 // batch: preprocess into vectors/sets, LSH-cluster nodes and edges, build
 // cluster representatives, and merge them into the schema via Algorithm 2.
-// It calls the engine's stage functions one after another; Drain overlaps
+// It calls the engine's stage functions one after another; Run overlaps
 // them across batches when Config.PipelineDepth > 1.
 func (p *Pipeline) ProcessBatch(b *pg.Batch) BatchReport {
 	seq := p.nextSeq()
@@ -557,9 +557,8 @@ type Result struct {
 	Schema *schema.Schema
 	// Reports holds one entry per processed batch.
 	Reports []BatchReport
-	// Skipped lists the batches quarantined by a fault-tolerant run or by
-	// the drift quarantine policy (empty for Discover/DiscoverGraph over
-	// infallible sources without drift quarantine).
+	// Skipped lists the batches quarantined as poisoned or by the drift
+	// quarantine policy (empty for Discover without drift quarantine).
 	Skipped []SkipReport
 	// Drift summarizes the run's streaming conformance activity (nil when
 	// Config.DriftPolicy is DriftOff).
@@ -585,40 +584,31 @@ func telemetrySnapshot(cfg Config) *obs.Snapshot {
 	return reg.Snapshot()
 }
 
-// Discover drains the source through a pipeline and finalizes the schema —
-// the full Algorithm 1. With Config.PipelineDepth > 1 (the default) the
-// overlapped execution engine runs; the result is byte-identical to a
-// serial run with the same seed. Config.Shards is ignored (see
-// DiscoverSharded).
-func Discover(src pg.Source, cfg Config) *Result {
-	res, _ := run(pg.AsErrSource(src), unsharded(cfg), FTOptions{}, nil) // an infallible source without a checkpointer cannot fail
-	return res
-}
-
-// unsharded drops the shard count: the single-pipeline entry points ignore it.
-func unsharded(cfg Config) Config {
-	cfg.Shards = 0
-	return cfg
-}
-
-// run is the one discovery run behind every Discover* and ResumeDiscover*
-// entry point. cfg.Shards ≤ 1 drains the single pipeline, more runs the
-// shard router (shards.go); resume, when non-nil, is the checkpoint the run
-// continues from over a source that replays the stream from its start.
-func run(src pg.ErrSource, cfg Config, opts FTOptions, resume []byte) (*Result, error) {
+// Run is the discovery run every entry point goes through: Algorithm 1
+// over a fallible source, finalized. Transient source faults are retried in
+// place and poisoned batches are quarantined into Result.Skipped.
+// cfg.Shards > 1 partitions the stream across that many pipelines and
+// merges their schemas (shards.go); otherwise one pipeline drains it, and
+// every PipelineDepth gives the same bytes. opts.Checkpoint saves the run
+// state after every extracted batch; opts.Resume continues from such a
+// state over a replay of the stream and finalizes byte-identically to an
+// uninterrupted run. A permanent source failure or a failed save stops the
+// run with its error; progress up to it lives in the last checkpoint.
+func Run(src pg.ErrSource, cfg Config, opts RunOptions) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Shards > 1 {
-		return runSharded(src, cfg, opts, resume)
+		return runSharded(src, cfg, opts)
 	}
 	p := NewPipeline(cfg)
-	if resume != nil {
+	var from resumeState
+	if opts.Resume != nil {
 		var err error
-		if p, opts.SkipSlots, opts.Skipped, err = ResumePipeline(bytes.NewReader(resume), cfg); err != nil {
+		if p, from.slots, from.skipped, err = ResumePipeline(bytes.NewReader(opts.Resume), cfg); err != nil {
 			return nil, err
 		}
 	}
 	start := time.Now()
-	skipped, err := p.DrainFT(src, opts)
+	skipped, err := p.drainFT(src, opts.Checkpoint, from)
 	if err != nil {
 		return nil, err
 	}
@@ -638,8 +628,14 @@ func run(src pg.ErrSource, cfg Config, opts FTOptions, resume []byte) (*Result, 
 	}, nil
 }
 
-// DiscoverGraph is a convenience wrapper: discover the schema of a fully
-// loaded graph in a single batch.
-func DiscoverGraph(g *pg.Graph, cfg Config) *Result {
-	return Discover(pg.NewSliceSource(g.Snapshot()), cfg)
+// Discover is Run over an infallible source without checkpoints, which
+// cannot fail.
+func Discover(src pg.Source, cfg Config) *Result {
+	res, _ := Run(pg.AsErrSource(src), cfg, RunOptions{}) // an infallible source without a checkpointer cannot fail
+	return res
 }
+
+// DiscoverSharded is Discover.
+//
+// Deprecated: Discover honours Config.Shards; call it instead.
+func DiscoverSharded(src pg.Source, cfg Config) *Result { return Discover(src, cfg) }

@@ -65,7 +65,7 @@ func testDiscoverFigure1(t *testing.T, m Method) {
 	g := figure1Graph(t)
 	cfg := DefaultConfig()
 	cfg.Method = m
-	res := DiscoverGraph(g, cfg)
+	res := Discover(pg.NewSliceSource(g.Snapshot()), cfg)
 
 	want := []string{"Organization", "Person", "Place", "Post"}
 	if got := nodeTypeNames(res.Def); !equalStrings(got, want) {
@@ -118,8 +118,8 @@ func equalStrings(a, b []string) bool {
 func TestDiscoverDeterministic(t *testing.T) {
 	g := figure1Graph(t)
 	cfg := DefaultConfig()
-	a := DiscoverGraph(g, cfg)
-	b := DiscoverGraph(g, cfg)
+	a := Discover(pg.NewSliceSource(g.Snapshot()), cfg)
+	b := Discover(pg.NewSliceSource(g.Snapshot()), cfg)
 	if !equalStrings(nodeTypeNames(a.Def), nodeTypeNames(b.Def)) {
 		t.Error("node types differ across identical runs")
 	}
@@ -135,7 +135,7 @@ func TestDiscoverIncrementalMatchesSingleBatch(t *testing.T) {
 	for _, m := range []Method{MethodELSH, MethodMinHash} {
 		cfg := DefaultConfig()
 		cfg.Method = m
-		single := DiscoverGraph(g, cfg)
+		single := Discover(pg.NewSliceSource(g.Snapshot()), cfg)
 		batched := Discover(pg.NewSliceSource(g.SplitRandom(3, 7)...), cfg)
 		if !equalStrings(nodeTypeNames(single.Def), nodeTypeNames(batched.Def)) {
 			t.Errorf("%v: batched node types %v != single %v", m, nodeTypeNames(batched.Def), nodeTypeNames(single.Def))
@@ -178,7 +178,7 @@ func TestTypeCompletenessOnGraph(t *testing.T) {
 	for _, m := range []Method{MethodELSH, MethodMinHash} {
 		cfg := DefaultConfig()
 		cfg.Method = m
-		res := DiscoverGraph(g, cfg)
+		res := Discover(pg.NewSliceSource(g.Snapshot()), cfg)
 		g.Nodes(func(n *pg.Node) bool {
 			if !res.Schema.Covers(schema.NodeKind, n.Labels, n.Props.Keys()) {
 				t.Errorf("%v: node %d (labels=%v) not covered", m, n.ID, n.Labels)
@@ -205,7 +205,7 @@ func TestDiscoverNoLabels(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		g.AddNode(nil, pg.Properties{"title": pg.Str("t"), "isbn": pg.Str("i"), "pages": pg.Int(9)})
 	}
-	res := DiscoverGraph(g, DefaultConfig())
+	res := Discover(pg.NewSliceSource(g.Snapshot()), DefaultConfig())
 	if len(res.Def.Nodes) != 2 {
 		t.Fatalf("got %d node types, want 2", len(res.Def.Nodes))
 	}
@@ -277,7 +277,7 @@ func TestTrackMembersRecordsAssignments(t *testing.T) {
 	g := figure1Graph(t)
 	cfg := DefaultConfig()
 	cfg.TrackMembers = true
-	res := DiscoverGraph(g, cfg)
+	res := Discover(pg.NewSliceSource(g.Snapshot()), cfg)
 	total := 0
 	for _, ty := range res.Schema.NodeTypes {
 		total += len(ty.Members)
@@ -292,7 +292,7 @@ func TestMinHashBandedMode(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Method = MethodMinHash
 	cfg.MinHashRows = 2
-	res := DiscoverGraph(g, cfg)
+	res := Discover(pg.NewSliceSource(g.Snapshot()), cfg)
 	if len(res.Def.Nodes) == 0 || len(res.Def.Edges) == 0 {
 		t.Error("banded MinHash produced an empty schema")
 	}
@@ -357,14 +357,14 @@ func TestAlignLabelsMergesVariants(t *testing.T) {
 		g.AddNode([]string{"Organisation"}, pg.Properties{"name": pg.Str("b"), "vat": pg.Str("w")})
 	}
 	// Without alignment: two types.
-	plain := DiscoverGraph(g, DefaultConfig())
+	plain := Discover(pg.NewSliceSource(g.Snapshot()), DefaultConfig())
 	if len(plain.Def.Nodes) != 2 {
 		t.Fatalf("without alignment: %d types, want 2", len(plain.Def.Nodes))
 	}
 	// With alignment: one type under the first-seen spelling.
 	cfg := DefaultConfig()
 	cfg.AlignLabels = true
-	aligned := DiscoverGraph(g, cfg)
+	aligned := Discover(pg.NewSliceSource(g.Snapshot()), cfg)
 	if len(aligned.Def.Nodes) != 1 {
 		t.Fatalf("with alignment: %d types, want 1", len(aligned.Def.Nodes))
 	}
@@ -380,7 +380,7 @@ func TestAlignLabelsDoesNotMutateGraph(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AlignLabels = true
 	cfg.AlignThreshold = 0.8
-	DiscoverGraph(g, cfg)
+	Discover(pg.NewSliceSource(g.Snapshot()), cfg)
 	if g.Node(0).Labels[0] != "Colour" || g.Node(1).Labels[0] != "Color" {
 		t.Error("alignment mutated the source graph's labels")
 	}

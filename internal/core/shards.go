@@ -9,21 +9,21 @@
 // Merging shards in index order keeps the global symtab assignment — and
 // therefore the serialized schema — deterministic for a fixed (Seed, Shards).
 //
-// One router, on the caller's goroutine, serves every sharded entry point:
-// it pulls the source through the single pipeline's fault-absorbing puller
+// One router, on the caller's goroutine, drives every sharded Run: it
+// pulls the source through the single pipeline's fault-absorbing puller
 // (faults.go) and feeds each good batch's non-empty sub-batches to the
 // shards. With Config.OnEpoch set it also publishes fleet epochs: every
 // EpochInterval source batches it waits until every shard has folded in
 // what it was routed, folds clones of the shard schemas with
 // MergeShardSchemas and finalizes — so fleet epoch k is byte-identical to
-// DiscoverSharded over the stream's first k·EpochInterval batches.
+// Discover over the stream's first k·EpochInterval batches.
 //
-// The fault-tolerant variant checkpoints the whole fleet into one PGCK8
-// container: the router's stream position and quarantine list plus one
-// complete PGCK7 section per shard. Sections advance independently (each
-// shard checkpoints after its own extractions), so a container pairs the
-// newest state of the shard that just saved with the latest states of the
-// rest; on resume the router replays the stream from the beginning and each
+// With a checkpointer, Run saves the whole fleet into one PGCK8 container:
+// the router's stream position and quarantine list plus one complete PGCK7
+// section per shard. Sections advance independently (each shard
+// checkpoints after its own extractions), so a container pairs the newest
+// state of the shard that just saved with the latest states of the rest;
+// on resume (RunOptions.Resume) the router replays the stream from the beginning and each
 // shard's own skip window drops exactly the sub-batches it already folded
 // in. Because the element→shard assignment ignores batch boundaries, the
 // replayed sub-batch sequence is identical, and the resumed run converges to
@@ -76,31 +76,6 @@ func newShardPipelines(cfg Config) []*Pipeline {
 	return pipes
 }
 
-// DiscoverSharded is Discover with the stream partitioned across
-// cfg.Shards concurrent pipelines. Shards ≤ 1 is exactly Discover
-// (byte-identical output); N > 1 merges the partial schemas in shard order
-// and finalizes the global schema.
-func DiscoverSharded(src pg.Source, cfg Config) *Result {
-	res, _ := run(pg.AsErrSource(src), cfg, FTOptions{}, nil) // an infallible source without a checkpointer cannot fail
-	return res
-}
-
-// DiscoverShardedFT is DiscoverFT with the stream partitioned across
-// cfg.Shards pipelines. Shards ≤ 1 is DiscoverFT. Checkpoints are PGCK8
-// containers covering the whole fleet; resume them with
-// ResumeDiscoverShardedFT.
-func DiscoverShardedFT(src pg.ErrSource, cfg Config, opts FTOptions) (*Result, error) {
-	return run(src, cfg, opts, nil)
-}
-
-// ResumeDiscoverShardedFT restores a fleet from a PGCK8 container and
-// continues draining src — which must replay the same stream from the
-// beginning — then merges and finalizes. The configuration (including
-// Shards) must match the writer's.
-func ResumeDiscoverShardedFT(state []byte, src pg.ErrSource, cfg Config, opts FTOptions) (*Result, error) {
-	return run(src, cfg, opts, state)
-}
-
 // MergeShardSchemas folds per-shard partial schemas, in shard order, into
 // one fresh global schema: shard symtab IDs are remapped into the global
 // table, evidence is unioned, and Algorithm 2 re-runs across shard
@@ -146,12 +121,13 @@ type router struct {
 
 // runSharded restores or builds the fleet, routes the whole stream and
 // merges the shard schemas into the Result.
-func runSharded(src pg.ErrSource, cfg Config, opts FTOptions, resume []byte) (*Result, error) {
+func runSharded(src pg.ErrSource, cfg Config, opts RunOptions) (*Result, error) {
 	start := time.Now()
 	pipes := newShardPipelines(cfg)
 	shardSlots := make([]int, cfg.Shards)
-	if resume != nil {
-		sections, slots, skipped, err := decodeShardContainer(resume, cfg)
+	var from resumeState
+	if opts.Resume != nil {
+		sections, slots, skipped, err := decodeShardContainer(opts.Resume, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -168,7 +144,7 @@ func runSharded(src pg.ErrSource, cfg Config, opts FTOptions, resume []byte) (*R
 			pipes[i] = p
 			shardSlots[i] = s
 		}
-		opts.SkipSlots, opts.Skipped = slots, skipped
+		from = resumeState{slots: slots, skipped: skipped}
 	}
 
 	r := &router{
@@ -179,14 +155,14 @@ func runSharded(src pg.ErrSource, cfg Config, opts FTOptions, resume []byte) (*R
 		errs:   make([]error, len(pipes)),
 	}
 	r.cond = sync.NewCond(&r.mu)
-	r.pl = newPuller(src, opts, r.instr)
+	r.pl = newPuller(src, from, r.instr)
 	if opts.Checkpoint != nil {
 		r.co = &shardCoordinator{
 			ck:      meter(opts.Checkpoint, r.instr),
 			cfg:     cfg,
 			states:  make([][]byte, cfg.Shards),
-			slots:   opts.SkipSlots,
-			skipped: append([]SkipReport(nil), opts.Skipped...),
+			slots:   from.slots,
+			skipped: append([]SkipReport(nil), from.skipped...),
 		}
 		// Seed every section with its shard's quiescent state so the very
 		// first container is already complete and resumable.
@@ -226,7 +202,7 @@ func runSharded(src pg.ErrSource, cfg Config, opts FTOptions, resume []byte) (*R
 // the router as they happen.
 func (r *router) shard(i, skipSlots int) {
 	p := r.pipes[i]
-	pl := newPuller(pg.AsErrSource(&chanSource{ch: r.feeds[i]}), FTOptions{SkipSlots: skipSlots}, p.instr)
+	pl := newPuller(pg.AsErrSource(&chanSource{ch: r.feeds[i]}), resumeState{slots: skipSlots}, p.instr)
 	var ck Checkpointer
 	if r.co != nil {
 		ck = shardSaver{co: r.co, shard: i}

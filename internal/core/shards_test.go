@@ -77,7 +77,7 @@ func TestShardedOneShardByteIdentical(t *testing.T) {
 		for _, shards := range []int{0, 1} {
 			cfg := cfg
 			cfg.Shards = shards
-			gotJSON, gotDDL := renderDef(t, DiscoverSharded(pg.NewSliceSource(batches...), cfg).Def)
+			gotJSON, gotDDL := renderDef(t, Discover(pg.NewSliceSource(batches...), cfg).Def)
 			if !bytes.Equal(wantJSON, gotJSON) {
 				t.Errorf("%v shards=%d: JSON diverges from serial\nwant %s\ngot  %s", m, shards, wantJSON, gotJSON)
 			}
@@ -85,6 +85,32 @@ func TestShardedOneShardByteIdentical(t *testing.T) {
 				t.Errorf("%v shards=%d: DDL diverges from serial", m, shards)
 			}
 		}
+	}
+}
+
+// TestDiscoverHonoursShards: Discover runs the sharded fleet when
+// Config.Shards > 1 — its bytes are the sharded run's, on an input whose
+// sharded and serial schemas differ.
+func TestDiscoverHonoursShards(t *testing.T) {
+	batches := faultFreeBatches(t, 300, 6)
+	cfg := DefaultConfig()
+	cfg.Shards = 3
+	serial := cfg
+	serial.Shards = 0
+	sharded, err := Run(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, wantDDL := renderDef(t, sharded.Def)
+	if serialJSON, _ := renderDef(t, Discover(pg.NewSliceSource(batches...), serial).Def); bytes.Equal(serialJSON, wantJSON) {
+		t.Fatal("the sharded and serial schemas agree on this input, so it cannot tell them apart")
+	}
+	gotJSON, gotDDL := renderDef(t, Discover(pg.NewSliceSource(batches...), cfg).Def)
+	if !bytes.Equal(wantJSON, gotJSON) {
+		t.Errorf("Discover with Shards=3: JSON diverges from the sharded run\nwant %s\ngot  %s", wantJSON, gotJSON)
+	}
+	if !bytes.Equal(wantDDL, gotDDL) {
+		t.Errorf("Discover with Shards=3: DDL diverges from the sharded run")
 	}
 }
 
@@ -155,7 +181,7 @@ func TestShardedEquivalence(t *testing.T) {
 			for _, shards := range []int{1, 2, 4} {
 				cfg := cfg
 				cfg.Shards = shards
-				res := DiscoverSharded(pg.NewSliceSource(batches...), cfg)
+				res := Discover(pg.NewSliceSource(batches...), cfg)
 				gotNodes, gotEdges := totalInstances(res.Def)
 				if gotNodes != wantNodes || gotEdges != wantEdges {
 					t.Errorf("%s/%v shards=%d: instance mass not conserved: nodes %d→%d edges %d→%d",
@@ -186,8 +212,8 @@ func TestShardedDeterministic(t *testing.T) {
 	batches := faultFreeBatches(t, 300, 6)
 	cfg := DefaultConfig()
 	cfg.Shards = 3
-	a := DiscoverSharded(pg.NewSliceSource(batches...), cfg)
-	b := DiscoverSharded(pg.NewSliceSource(batches...), cfg)
+	a := Discover(pg.NewSliceSource(batches...), cfg)
+	b := Discover(pg.NewSliceSource(batches...), cfg)
 	aJSON, aDDL := renderDef(t, a.Def)
 	bJSON, bDDL := renderDef(t, b.Def)
 	if !bytes.Equal(aJSON, bJSON) {
@@ -208,20 +234,20 @@ func TestShardedDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardedFTMatchesSharded: over a fault-free source the fault-tolerant
-// sharded path is just DiscoverSharded — identical output, no quarantine —
-// and a transient-fault storm changes nothing.
+// TestShardedFTMatchesSharded: over a fault-free source a sharded Run is
+// just Discover — identical output, no quarantine — and a transient-fault
+// storm changes nothing.
 func TestShardedFTMatchesSharded(t *testing.T) {
 	batches := faultFreeBatches(t, 300, 6)
 	cfg := DefaultConfig()
 	cfg.Shards = 3
-	wantJSON, wantDDL := renderDef(t, DiscoverSharded(pg.NewSliceSource(batches...), cfg).Def)
+	wantJSON, wantDDL := renderDef(t, Discover(pg.NewSliceSource(batches...), cfg).Def)
 	for _, transient := range []float64{0, 0.3} {
 		var src pg.ErrSource = pg.AsErrSource(pg.NewSliceSource(batches...))
 		if transient > 0 {
 			src = pg.NewFaultSource(src, pg.FaultProfile{TransientRate: transient, Seed: 77})
 		}
-		res, err := DiscoverShardedFT(src, cfg, FTOptions{})
+		res, err := Run(src, cfg, RunOptions{})
 		if err != nil {
 			t.Fatalf("transient=%g: %v", transient, err)
 		}
@@ -249,7 +275,7 @@ func TestShardedQuarantine(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Shards = shards
 		src := pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)), profile)
-		res, err := DiscoverShardedFT(src, cfg, FTOptions{})
+		res, err := Run(src, cfg, RunOptions{})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -279,20 +305,20 @@ func TestShardedResume(t *testing.T) {
 	batches := faultFreeBatches(t, 300, 6)
 	cfg := DefaultConfig()
 	cfg.Shards = 3
-	wantJSON, wantDDL := renderDef(t, DiscoverSharded(pg.NewSliceSource(batches...), cfg).Def)
+	wantJSON, wantDDL := renderDef(t, Discover(pg.NewSliceSource(batches...), cfg).Def)
 
 	for _, failAfter := range []int{1, 3, 5} {
 		ck := FileCheckpointer{Path: filepath.Join(t.TempDir(), "fleet.ck")}
 		crash := pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)),
 			pg.FaultProfile{FailAfter: failAfter, Seed: 1})
-		if _, err := DiscoverShardedFT(crash, cfg, FTOptions{Checkpoint: ck}); !errors.Is(err, pg.ErrPermanentFault) {
+		if _, err := Run(crash, cfg, RunOptions{Checkpoint: ck}); !errors.Is(err, pg.ErrPermanentFault) {
 			t.Fatalf("failAfter=%d: want permanent fault, got %v", failAfter, err)
 		}
 		state, ok, err := ck.Load()
 		if err != nil || !ok {
 			t.Fatalf("failAfter=%d: no container after crash: ok=%t err=%v", failAfter, ok, err)
 		}
-		res, err := ResumeDiscoverShardedFT(state, pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, FTOptions{Checkpoint: ck})
+		res, err := Run(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, RunOptions{Checkpoint: ck, Resume: state})
 		if err != nil {
 			t.Fatalf("failAfter=%d: resume: %v", failAfter, err)
 		}
@@ -317,7 +343,7 @@ func TestShardedResumeRejects(t *testing.T) {
 	ck := FileCheckpointer{Path: filepath.Join(t.TempDir(), "fleet.ck")}
 	crash := pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)),
 		pg.FaultProfile{FailAfter: 2, Seed: 1})
-	if _, err := DiscoverShardedFT(crash, cfg, FTOptions{Checkpoint: ck}); !errors.Is(err, pg.ErrPermanentFault) {
+	if _, err := Run(crash, cfg, RunOptions{Checkpoint: ck}); !errors.Is(err, pg.ErrPermanentFault) {
 		t.Fatalf("want permanent fault, got %v", err)
 	}
 	state, ok, err := ck.Load()
@@ -329,24 +355,24 @@ func TestShardedResumeRejects(t *testing.T) {
 
 	wrong := cfg
 	wrong.Shards = 4
-	if _, err := ResumeDiscoverShardedFT(state, src(), wrong, FTOptions{}); err == nil {
+	if _, err := Run(src(), wrong, RunOptions{Resume: state}); err == nil {
 		t.Error("resume with wrong shard count succeeded")
 	}
 
 	wrong = cfg
 	wrong.Theta = 0.5
-	if _, err := ResumeDiscoverShardedFT(state, src(), wrong, FTOptions{}); err == nil {
+	if _, err := Run(src(), wrong, RunOptions{Resume: state}); err == nil {
 		t.Error("resume with different theta succeeded")
 	}
 
-	if _, err := ResumeDiscoverFT(state, src(), DefaultConfig(), FTOptions{}); err == nil {
+	if _, err := Run(src(), DefaultConfig(), RunOptions{Resume: state}); err == nil {
 		t.Error("single-pipeline resume accepted a fleet container")
 	}
 
 	// A container in the superseded pre-sketch format must be rejected by
 	// its magic, not misparsed.
 	stale := append([]byte("PGCK4"), state[len(shardCheckpointMagic):]...)
-	if _, err := ResumeDiscoverShardedFT(stale, src(), cfg, FTOptions{}); err == nil {
+	if _, err := Run(src(), cfg, RunOptions{Resume: stale}); err == nil {
 		t.Error("fleet resume accepted a PGCK4 container")
 	}
 
@@ -354,11 +380,11 @@ func TestShardedResumeRejects(t *testing.T) {
 	soloCk := FileCheckpointer{Path: filepath.Join(t.TempDir(), "solo.ck")}
 	soloCrash := pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)),
 		pg.FaultProfile{FailAfter: 2, Seed: 1})
-	if _, err := DiscoverFT(soloCrash, DefaultConfig(), FTOptions{Checkpoint: soloCk}); !errors.Is(err, pg.ErrPermanentFault) {
+	if _, err := Run(soloCrash, DefaultConfig(), RunOptions{Checkpoint: soloCk}); !errors.Is(err, pg.ErrPermanentFault) {
 		t.Fatalf("want permanent fault, got %v", err)
 	}
 	soloState, _, _ := soloCk.Load()
-	if _, err := ResumeDiscoverShardedFT(soloState, src(), cfg, FTOptions{}); err == nil {
+	if _, err := Run(src(), cfg, RunOptions{Resume: soloState}); err == nil {
 		t.Error("fleet resume accepted a single-pipeline checkpoint")
 	}
 }

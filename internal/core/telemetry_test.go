@@ -260,7 +260,7 @@ func TestFTTelemetryCounters(t *testing.T) {
 	fault := pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)),
 		pg.FaultProfile{TransientRate: 0.3, CorruptRate: 0.2, Seed: 5})
 	fault.SetSleep(func(time.Duration) {})
-	res, err := DiscoverFT(fault, cfg, FTOptions{Checkpoint: discardCheckpointer{}})
+	res, err := Run(fault, cfg, RunOptions{Checkpoint: discardCheckpointer{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -446,7 +446,7 @@ func dropProps(props pg.Properties, rate, corr float64, seed int64, salt uint64,
 // canonical wire encoding of every element, plus what it counted — the
 // byte-identity fingerprint reproducibility tests and benches pin. The
 // per-batch encoding is pg.WriteBatch, so the pinned stream hashes also pin
-// the spill queue's on-disk batch format.
+// the batch wire format.
 func HashStream(src pg.Source) (digest string, batches, nodes, edges int) {
 	h := sha256.New()
 	w := pg.NewWireWriter(h)

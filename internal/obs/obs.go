@@ -141,9 +141,6 @@ const (
 	CtrSoakWindows
 	CtrSoakKills
 	CtrSoakViolations
-	// CtrSpilledBatches counts ingest batches that overflowed the in-memory
-	// queue onto disk (stream.SpillQueue).
-	CtrSpilledBatches
 	// Drift violation counters, one per validate.DriftClass: elements whose
 	// labels name a type the epoch has never seen (CtrDriftNewType), a new
 	// combination of known labels (CtrDriftNewLabelSet), a property value
@@ -185,7 +182,6 @@ var counterNames = [numCounters]string{
 	"prefix_dots_computed", "prefix_dot_hits",
 	"record_sigs_computed", "record_sig_hits",
 	"soak_windows", "soak_kills", "soak_violations",
-	"spilled_batches",
 	"drift_new_type", "drift_new_label_set", "drift_widened_type",
 	"drift_missing_mandatory", "drift_cardinality_break", "drift_type_downgrade",
 	"drift_batches", "drift_quarantined",
@@ -257,10 +253,6 @@ const (
 	// GaugeEvidenceBytes is the schema evidence layer's estimated retained
 	// bytes (schema.EvidenceBytes), refreshed after every extraction.
 	GaugeEvidenceBytes
-	// GaugeSpillMemBytes and GaugeSpillDiskBytes are the ingest spill
-	// queue's resident and on-disk encoded bytes.
-	GaugeSpillMemBytes
-	GaugeSpillDiskBytes
 	// Process-level gauges, computed inside Registry.Snapshot (never stored,
 	// so the instrument path stays allocation-free): live heap bytes,
 	// goroutine count, and whole seconds since the registry was created.
@@ -276,7 +268,7 @@ const (
 )
 
 var gaugeNames = [numGauges]string{
-	"mem_budget_bytes", "evidence_bytes", "spill_mem_bytes", "spill_disk_bytes",
+	"mem_budget_bytes", "evidence_bytes",
 	"process_heap_bytes", "process_goroutines", "process_uptime_seconds",
 	"serve_epoch", "serve_inflight_reads",
 }

@@ -4,8 +4,8 @@ package pg
 // per-batch encoding datagen.HashStream has always fed its SHA-256 — node
 // and edge counts, then each record with sorted property keys — so the
 // stream-hash goldens double as a regression suite for this codec. The
-// spill-to-disk ingest queue (stream.SpillQueue) persists overflow batches
-// in this format.
+// repo benchmark replays its workload streams from this encoding, decoding
+// each batch inside the source's Next.
 
 // Codec bounds for untrusted batch headers: a batch larger than this is
 // rejected rather than pre-allocated.

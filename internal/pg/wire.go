@@ -135,8 +135,8 @@ func NewWireReader(r io.Reader) *WireReader {
 }
 
 // Reset redirects the reader to a new stream, keeping the scratch buffer
-// and intern table warm. Decode loops over many streams (the spill queue,
-// checkpoint shards) reuse one reader instead of allocating per stream.
+// and intern table warm, so a decode loop over many streams reuses one
+// reader instead of allocating per stream.
 func (r *WireReader) Reset(rd io.Reader) {
 	if br, ok := rd.(*bufio.Reader); ok {
 		r.br = br

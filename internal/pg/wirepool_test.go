@@ -158,8 +158,8 @@ func TestReadBatchAllocBound(t *testing.T) {
 	}
 }
 
-// BenchmarkReadBatchWarm measures the steady-state spill-queue decode path:
-// one reader, warm intern table, reused scratch buffer.
+// BenchmarkReadBatchWarm measures the steady-state decode path over many
+// streams: one reader, warm intern table, reused scratch buffer.
 func BenchmarkReadBatchWarm(bm *testing.B) {
 	b := poolBatch(512)
 	enc := encodeBatch(bm, b)
@@ -179,8 +179,7 @@ func BenchmarkReadBatchWarm(bm *testing.B) {
 }
 
 // BenchmarkReadBatchCold decodes with a fresh reader every time — a cold
-// scratch buffer and intern table per batch, which is what the spill queue
-// paid before it started reusing its decoder.
+// scratch buffer and intern table per batch, the cost Reset avoids.
 func BenchmarkReadBatchCold(bm *testing.B) {
 	b := poolBatch(512)
 	enc := encodeBatch(bm, b)

@@ -16,15 +16,14 @@ type IngestOptions struct {
 	// its own OnEpoch publication hook (chained after any caller-supplied
 	// one) and routes Telemetry into its registry.
 	Config core.Config
-	// FT carries the fault-tolerance options (checkpointer, retry budget).
-	FT core.FTOptions
-	// Resume, when non-nil, is a checkpoint state to resume from.
-	Resume []byte
+	// Run sets where the ingest checkpoints and the checkpoint it resumes
+	// from, as for core.Run.
+	Run core.RunOptions
 }
 
-// Ingest drains src through the discovery engine, publishing schema epochs
-// as it goes, and blocks until the stream ends (or StopIngest is called).
-// Every engine — single pipeline or sharded — publishes through the same
+// Ingest drains src through core.Run, publishing schema epochs as it goes,
+// and blocks until the stream ends (or StopIngest is called). Every engine
+// — single pipeline or sharded — publishes through the same
 // core.Config.OnEpoch hook, synchronously at a consistent point of the
 // stream. The final Result's Def is published as the final epoch, so a
 // served detail=full response is then byte-identical to a batch Discover
@@ -50,13 +49,7 @@ func (s *Server) Ingest(src pg.ErrSource, opts IngestOptions) (*core.Result, err
 	s.stopper = stop
 	s.mu.Unlock()
 
-	var res *core.Result
-	var err error
-	if opts.Resume != nil {
-		res, err = core.ResumeDiscoverShardedFT(opts.Resume, stop, cfg, opts.FT)
-	} else {
-		res, err = core.DiscoverShardedFT(stop, cfg, opts.FT)
-	}
+	res, err := core.Run(stop, cfg, opts.Run)
 
 	s.mu.Lock()
 	if err != nil {

@@ -126,7 +126,7 @@ func TestServeEpochProgression(t *testing.T) {
 
 // TestServeShardedPublishes runs a sharded ingest: the router publishes one
 // fleet epoch every EpochInterval source batches, each byte-identical to
-// DiscoverSharded over the batches before its cut, and the last one — the
+// Discover over the batches before its cut, and the last one — the
 // stream ends on a cut — is re-stamped final with the run's schema.
 func TestServeShardedPublishes(t *testing.T) {
 	batches := stream(16)
@@ -148,16 +148,16 @@ func TestServeShardedPublishes(t *testing.T) {
 		}
 		want := shardedJSON(t, batches[:k], cfg)
 		if resp, _ := e.Rendered(TierFull); !bytes.Equal(resp.Body, want) {
-			t.Errorf("epoch %d schema differs from DiscoverSharded over the first %d batches", e.ID, k)
+			t.Errorf("epoch %d schema differs from Discover over the first %d batches", e.ID, k)
 		}
 	}
 }
 
-// shardedJSON renders DiscoverSharded over batches as schema JSON.
+// shardedJSON renders Discover over batches as schema JSON.
 func shardedJSON(t *testing.T, batches []*pg.Batch, cfg core.Config) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := serialize.WriteJSON(&buf, core.DiscoverSharded(pg.NewSliceSource(batches...), cfg).Def); err != nil {
+	if err := serialize.WriteJSON(&buf, core.Discover(pg.NewSliceSource(batches...), cfg).Def); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -208,7 +208,7 @@ func TestServeShardedGracefulResume(t *testing.T) {
 	s1 := NewServer(nil)
 	var pulled atomic.Int64
 	gate := &gateSource{src: src(batches), after: 7, hit: func() { s1.StopIngest() }, pulled: &pulled}
-	if _, err := s1.Ingest(gate, IngestOptions{Config: cfg, FT: core.FTOptions{Checkpoint: ck}}); err != nil {
+	if _, err := s1.Ingest(gate, IngestOptions{Config: cfg, Run: core.RunOptions{Checkpoint: ck}}); err != nil {
 		t.Fatalf("interrupted ingest: %v", err)
 	}
 	if pulled.Load() >= int64(len(batches)) {
@@ -219,7 +219,7 @@ func TestServeShardedGracefulResume(t *testing.T) {
 	ck.mu.Unlock()
 
 	s2 := NewServer(nil)
-	if _, err := s2.Ingest(src(batches), IngestOptions{Config: cfg, FT: core.FTOptions{Checkpoint: ck}, Resume: state}); err != nil {
+	if _, err := s2.Ingest(src(batches), IngestOptions{Config: cfg, Run: core.RunOptions{Checkpoint: ck, Resume: state}}); err != nil {
 		t.Fatalf("resumed ingest: %v", err)
 	}
 	if resp, _ := s2.Current().Rendered(TierFull); !bytes.Equal(resp.Body, want) {
@@ -255,7 +255,7 @@ func TestServeGracefulResume(t *testing.T) {
 	s1 := NewServer(nil)
 	var pulled atomic.Int64
 	gate := &gateSource{src: src(batches), after: 5, hit: func() { s1.StopIngest() }, pulled: &pulled}
-	if _, err := s1.Ingest(gate, IngestOptions{Config: cfg, FT: core.FTOptions{Checkpoint: ck}}); err != nil {
+	if _, err := s1.Ingest(gate, IngestOptions{Config: cfg, Run: core.RunOptions{Checkpoint: ck}}); err != nil {
 		t.Fatalf("interrupted ingest: %v", err)
 	}
 	if pulled.Load() >= int64(len(batches)) {
@@ -270,7 +270,7 @@ func TestServeGracefulResume(t *testing.T) {
 
 	// Second server: resume from the checkpoint over a full replay.
 	s2 := NewServer(nil)
-	if _, err := s2.Ingest(src(batches), IngestOptions{Config: cfg, FT: core.FTOptions{Checkpoint: ck}, Resume: state}); err != nil {
+	if _, err := s2.Ingest(src(batches), IngestOptions{Config: cfg, Run: core.RunOptions{Checkpoint: ck, Resume: state}}); err != nil {
 		t.Fatalf("resumed ingest: %v", err)
 	}
 	resp, _ := s2.Current().Rendered(TierFull)

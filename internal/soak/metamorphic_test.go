@@ -124,7 +124,7 @@ func TestScenarioMetamorphic(t *testing.T) {
 			t.Run("shards-1", func(t *testing.T) {
 				cfg := base
 				cfg.Shards = 1
-				got := core.DiscoverSharded(pg.NewSliceSource(batches...), cfg)
+				got := core.Discover(pg.NewSliceSource(batches...), cfg)
 				if !bytes.Equal(schemaJSON(t, got), serialJSON) {
 					t.Error("shards=1 schema differs from serial")
 				}
@@ -133,8 +133,8 @@ func TestScenarioMetamorphic(t *testing.T) {
 			t.Run("shards-2", func(t *testing.T) {
 				cfg := base
 				cfg.Shards = 2
-				a := core.DiscoverSharded(pg.NewSliceSource(batches...), cfg)
-				b := core.DiscoverSharded(pg.NewSliceSource(batches...), cfg)
+				a := core.Discover(pg.NewSliceSource(batches...), cfg)
+				b := core.Discover(pg.NewSliceSource(batches...), cfg)
 				if !bytes.Equal(schemaJSON(t, a), schemaJSON(t, b)) {
 					t.Error("shards=2 not deterministic run to run")
 				}

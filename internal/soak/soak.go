@@ -149,10 +149,10 @@ func (k *killSource) Next() (*pg.Batch, error) {
 	return b, err
 }
 
-// Run plays the scenario through fault-tolerant discovery, injecting kills
-// and checking invariants, and reports what it saw. A non-nil error means
-// the run itself broke (not an invariant — those land in
-// Report.Violations).
+// Run plays the scenario through core.Run, injecting kills (each segment
+// after the first resumes from the last checkpoint) and checking
+// invariants, and reports what it saw. A non-nil error means the run
+// itself broke (not an invariant — those land in Report.Violations).
 func Run(opts Options) (*Report, error) {
 	if opts.Scenario == nil {
 		return nil, errors.New("soak: no scenario")
@@ -181,8 +181,8 @@ func Run(opts Options) (*Report, error) {
 	cfg := opts.Config
 	// The soak heap budget doubles as the pipeline's enforced evidence
 	// budget, so the heap invariant polices a budget the system actually
-	// acts on (sketched counters, spill thresholds) rather than a number
-	// only the harness knows about.
+	// acts on (sketched counters) rather than a number only the harness
+	// knows about.
 	if opts.MemBudgetBytes > 0 && cfg.MemBudgetBytes == 0 {
 		cfg.MemBudgetBytes = int64(opts.MemBudgetBytes)
 	}
@@ -193,7 +193,6 @@ func Run(opts Options) (*Report, error) {
 	start := time.Now()
 
 	checker := &checker{opts: &opts, cfg: cfg, rep: rep, instr: instr}
-	ftOpts := core.FTOptions{Checkpoint: checker}
 
 	// Segment loop: run until the stream drains, resuming from the last
 	// checkpoint after each injected kill. Segment k's delivery budget is
@@ -208,11 +207,7 @@ func Run(opts Options) (*Report, error) {
 		}
 		src := &killSource{inner: opts.faultedSource(), budget: budget}
 		var err error
-		if segment == 0 {
-			result, err = core.DiscoverShardedFT(src, cfg, ftOpts)
-		} else {
-			result, err = core.ResumeDiscoverShardedFT(checker.last, src, cfg, ftOpts)
-		}
+		result, err = core.Run(src, cfg, core.RunOptions{Checkpoint: checker, Resume: checker.last})
 		if err == nil {
 			break
 		}
@@ -280,7 +275,7 @@ func Run(opts Options) (*Report, error) {
 	refCfg.DriftLog = nil
 	if rep.Kills > 0 && !opts.SkipResumeCheck {
 		opts.logf("verifying kill/resume byte-identity against an uninterrupted run")
-		ref, err := core.DiscoverShardedFT(&killSource{inner: opts.faultedSource(), budget: -1}, refCfg, core.FTOptions{})
+		ref, err := core.Run(&killSource{inner: opts.faultedSource(), budget: -1}, refCfg, core.RunOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("soak: reference run: %w", err)
 		}
@@ -297,7 +292,7 @@ func Run(opts Options) (*Report, error) {
 		opts.logf("verifying sharded-vs-serial schema equivalence")
 		serialCfg := refCfg
 		serialCfg.Shards = 0
-		ref, err := core.DiscoverFT(&killSource{inner: opts.faultedSource(), budget: -1}, serialCfg, core.FTOptions{})
+		ref, err := core.Run(&killSource{inner: opts.faultedSource(), budget: -1}, serialCfg, core.RunOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("soak: serial reference run: %w", err)
 		}

@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"pghive/internal/core"
-	"pghive/internal/obs"
 	"pghive/internal/pg"
 	"pghive/internal/schema"
 )
@@ -31,22 +30,6 @@ type Collector struct {
 	// schema on every insert.
 	memBudget int64
 	evBytes   int64
-	// onFlush, when set, inspects each batch before it enters the
-	// pipeline; see SetOnFlush for the error contract.
-	onFlush func(*pg.Batch) error
-	skipped []core.SkipReport
-	err     error // last non-transient flush error
-	slot    int   // flush slots consumed (processed + quarantined)
-
-	// Spill mode (EnableSpill): full batches queue on spill instead of
-	// being processed synchronously; drainLoop feeds them to the pipeline.
-	spill       *SpillQueue
-	spillCond   *sync.Cond
-	spillStop   bool // CloseSpill asked the drainer to exit
-	drainerDone bool
-	inFlight    bool // drainer is mid-ProcessBatch (outside the lock)
-	instr       obs.Instr
-	lastSpilled uint64
 }
 
 // DefaultBatchSize is used when NewCollector receives batchSize ≤ 0.
@@ -55,9 +38,9 @@ const DefaultBatchSize = 10_000
 // NewCollector wraps a pipeline. Each time batchSize buffered elements
 // accumulate, they are flushed into the pipeline as one batch. When the
 // pipeline runs under a memory budget (Config.MemBudgetBytes), the flush
-// threshold adapts: as retained evidence (plus any spill-queue residency)
-// approaches the budget, batches shrink — down to batchSize/8 — so the
-// buffer stops amplifying peak memory right when memory is scarce.
+// threshold adapts: as retained evidence approaches the budget, batches
+// shrink — down to batchSize/8 — so the buffer stops amplifying peak memory
+// right when memory is scarce.
 func NewCollector(pipe *core.Pipeline, batchSize int) *Collector {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
@@ -88,14 +71,7 @@ func adaptiveThreshold(base int, used, budget int64) int {
 
 // thresholdLocked is the current flush threshold under the adaptive policy.
 func (c *Collector) thresholdLocked() int {
-	if c.memBudget <= 0 {
-		return c.batchSize
-	}
-	used := c.evBytes
-	if c.spill != nil {
-		used += c.spill.MemBytes()
-	}
-	return adaptiveThreshold(c.batchSize, used, c.memBudget)
+	return adaptiveThreshold(c.batchSize, c.evBytes, c.memBudget)
 }
 
 // BatchThreshold reports the flush threshold currently in effect (equal to
@@ -106,25 +82,7 @@ func (c *Collector) BatchThreshold() int {
 	return c.thresholdLocked()
 }
 
-// SetOnFlush installs a pre-flight check invoked on each batch before it
-// enters the pipeline (e.g. validation against an upstream contract, or a
-// write-ahead persist that may fail). Its error decides the batch's fate
-// using the pg fault taxonomy:
-//
-//   - a transient error (pg.IsTransient) keeps the batch buffered — the
-//     next Flush retries it;
-//   - any other error quarantines the batch (recorded in Skipped, dropped
-//     from the buffer) and is remembered as Err.
-//
-// Must be set before elements arrive; not safe to change concurrently.
-func (c *Collector) SetOnFlush(fn func(*pg.Batch) error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.onFlush = fn
-}
-
-// AddNode buffers one node record, flushing if the batch is full. A flush
-// failure is reported by Err (and by the next explicit Flush).
+// AddNode buffers one node record, flushing if the batch is full.
 func (c *Collector) AddNode(rec pg.NodeRecord) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -134,8 +92,7 @@ func (c *Collector) AddNode(rec pg.NodeRecord) {
 }
 
 // AddEdge buffers one edge record (endpoint labels must be resolved by the
-// caller, as in pg.EdgeRecord), flushing if the batch is full. A flush
-// failure is reported by Err (and by the next explicit Flush).
+// caller, as in pg.EdgeRecord), flushing if the batch is full.
 func (c *Collector) AddEdge(rec pg.EdgeRecord) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -150,83 +107,30 @@ func (c *Collector) maybeFlushLocked() {
 	}
 }
 
-func (c *Collector) flushLocked() error {
+func (c *Collector) flushLocked() {
 	if c.buf.Len() == 0 {
-		return nil
-	}
-	if c.onFlush != nil {
-		if err := c.onFlush(&c.buf); err != nil {
-			if pg.IsTransient(err) {
-				return err // keep the buffer; retry on the next flush
-			}
-			c.skipped = append(c.skipped, core.SkipReport{Seq: c.slot, Reason: err.Error()})
-			c.slot++
-			c.buf = pg.Batch{}
-			c.err = err
-			return err
-		}
+		return
 	}
 	batch := c.buf
 	c.buf = pg.Batch{}
-	if c.spill != nil && !c.spillStop {
-		if err := c.spill.Enqueue(&batch); err == nil {
-			c.flushes++
-			c.slot++
-			c.publishSpillLocked()
-			c.spillCond.Broadcast()
-			return nil
-		}
-		// Enqueue failed (spill-file I/O): degrade to synchronous
-		// processing — correctness over backpressure relief. Wait out any
-		// in-flight drain so the pipeline sees batches one at a time.
-		for c.inFlight {
-			c.spillCond.Wait()
-		}
-	}
 	c.pipe.ProcessBatch(&batch)
 	c.flushes++
-	c.slot++
-	c.refreshPressureLocked()
-	return nil
-}
-
-// refreshPressureLocked re-reads the schema's evidence footprint after a
-// processed batch — the only moment it can have grown.
-func (c *Collector) refreshPressureLocked() {
 	if c.memBudget > 0 {
+		// Evidence only grows when a batch is processed: re-read it now.
 		c.evBytes = c.pipe.Schema().EvidenceBytes()
 	}
 }
 
-// Flush forces buffered elements into the pipeline immediately. The error
-// is the OnFlush verdict: transient errors leave the buffer intact for a
-// retry, others quarantine the batch.
-func (c *Collector) Flush() error {
+// Flush forces buffered elements into the pipeline immediately.
+func (c *Collector) Flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	err := c.flushLocked()
-	c.waitDrainedLocked()
-	return err
+	c.flushLocked()
 }
 
 // Close flushes any remainder; the collector stays usable (Close is a
 // synonym for Flush, provided for defer-friendly call sites).
-func (c *Collector) Close() error { return c.Flush() }
-
-// Err returns the last non-transient flush error, nil if every flush
-// succeeded.
-func (c *Collector) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
-}
-
-// Skipped lists batches quarantined by OnFlush.
-func (c *Collector) Skipped() []core.SkipReport {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]core.SkipReport(nil), c.skipped...)
-}
+func (c *Collector) Close() { c.Flush() }
 
 // Schema returns the pipeline's evolving schema. Call Flush first to
 // include buffered elements. The returned schema aliases pipeline state:
@@ -235,7 +139,6 @@ func (c *Collector) Skipped() []core.SkipReport {
 func (c *Collector) Schema() *schema.Schema {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.waitDrainedLocked()
 	return c.pipe.Schema()
 }
 
@@ -245,7 +148,6 @@ func (c *Collector) Finalize() *schema.Def {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.flushLocked()
-	c.waitDrainedLocked()
 	return c.pipe.Finalize()
 }
 

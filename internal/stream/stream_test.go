@@ -111,83 +111,3 @@ func TestCollectorSchemaVisibleMidStream(t *testing.T) {
 			len(s.NodeTypes), s.NodeTypes[0].Instances)
 	}
 }
-
-// failNth returns an OnFlush hook that fails the nth flush attempt
-// (0-based) with the given error.
-func failNth(n int, err error) func(*pg.Batch) error {
-	calls := 0
-	return func(*pg.Batch) error {
-		calls++
-		if calls-1 == n {
-			return err
-		}
-		return nil
-	}
-}
-
-func TestCollectorOnFlushQuarantine(t *testing.T) {
-	c := NewCollector(core.NewPipeline(core.DefaultConfig()), 5)
-	c.SetOnFlush(failNth(1, &pg.CorruptBatchError{Seq: 1, Reason: "poisoned"}))
-	for i := 0; i < 15; i++ {
-		c.AddNode(person(i))
-	}
-	if err := c.Err(); err == nil || !pg.IsCorrupt(err) {
-		t.Fatalf("Err() = %v, want the corrupt flush error", err)
-	}
-	skipped := c.Skipped()
-	if len(skipped) != 1 || skipped[0].Seq != 1 || skipped[0].Reason == "" {
-		t.Fatalf("Skipped() = %+v, want one report for slot 1", skipped)
-	}
-	// Two of three batches made it through; the schema reflects only them.
-	_, flushes, _ := c.Stats()
-	if flushes != 2 {
-		t.Errorf("flushes = %d, want 2 (quarantined batch not processed)", flushes)
-	}
-	s := c.Schema()
-	if len(s.NodeTypes) != 1 || s.NodeTypes[0].Instances != 10 {
-		t.Errorf("schema has %d instances, want 10 (5 quarantined)", s.NodeTypes[0].Instances)
-	}
-}
-
-func TestCollectorOnFlushTransientRetries(t *testing.T) {
-	c := NewCollector(core.NewPipeline(core.DefaultConfig()), 100)
-	c.SetOnFlush(failNth(0, &pg.TransientError{Err: fmt.Errorf("backpressure")}))
-	for i := 0; i < 5; i++ {
-		c.AddNode(person(i))
-	}
-	// First explicit flush hits the transient fault: buffer retained.
-	if err := c.Flush(); err == nil || !pg.IsTransient(err) {
-		t.Fatalf("first Flush = %v, want transient error", err)
-	}
-	if _, flushes, buffered := c.Stats(); flushes != 0 || buffered != 5 {
-		t.Fatalf("after transient failure: flushes=%d buffered=%d, want 0/5", flushes, buffered)
-	}
-	if c.Err() != nil {
-		t.Errorf("transient failures must not stick in Err: %v", c.Err())
-	}
-	// The retry succeeds and nothing was lost.
-	if err := c.Flush(); err != nil {
-		t.Fatalf("retry Flush: %v", err)
-	}
-	if _, flushes, buffered := c.Stats(); flushes != 1 || buffered != 0 {
-		t.Errorf("after retry: flushes=%d buffered=%d, want 1/0", flushes, buffered)
-	}
-	if len(c.Skipped()) != 0 {
-		t.Errorf("transient retry must not quarantine: %+v", c.Skipped())
-	}
-}
-
-func TestCollectorFinalizeAfterQuarantine(t *testing.T) {
-	c := NewCollector(core.NewPipeline(core.DefaultConfig()), 5)
-	c.SetOnFlush(failNth(0, fmt.Errorf("sink unavailable")))
-	for i := 0; i < 10; i++ {
-		c.AddNode(person(i))
-	}
-	def := c.Finalize()
-	if len(def.Nodes) != 1 {
-		t.Fatalf("finalize after quarantine: %d node types, want 1", len(def.Nodes))
-	}
-	if len(c.Skipped()) != 1 {
-		t.Errorf("Skipped() = %+v, want one report", c.Skipped())
-	}
-}

@@ -187,7 +187,7 @@ func TestSelfValidationInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res := core.DiscoverGraph(g, core.DefaultConfig())
+	res := core.Discover(pg.NewSliceSource(g.Snapshot()), core.DefaultConfig())
 	for _, mode := range []serialize.Mode{serialize.Strict, serialize.Loose} {
 		r := Validate(g, res.Def, Options{Mode: mode})
 		if !r.Valid() {
@@ -207,7 +207,7 @@ func TestSelfValidationLooseOnNoisyGraph(t *testing.T) {
 		}
 		g.AddNode(labels, pg.Properties{"name": pg.Str("p"), "n": pg.Int(int64(i))})
 	}
-	res := core.DiscoverGraph(g, core.DefaultConfig())
+	res := core.Discover(pg.NewSliceSource(g.Snapshot()), core.DefaultConfig())
 	r := ValidateSelf(g, res.Schema, serialize.Loose)
 	if !r.Valid() {
 		t.Errorf("LOOSE self-validation failed: %v", r.Violations)

@@ -134,23 +134,30 @@ const DefaultPipelineDepth = core.DefaultPipelineDepth
 // parameters, merge threshold θ = 0.9, and 10 %/≥1000 data-type sampling.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// Discover infers the schema of a fully loaded graph in one batch.
-func Discover(g *Graph, cfg Config) *Result { return core.DiscoverGraph(g, cfg) }
+// Discover infers the schema of a fully loaded graph in one batch. Like
+// every entry point it honours Config.Shards: N > 1 hash-partitions the
+// elements by ID across N concurrent pipelines and merges their schemas,
+// deterministically for a fixed (Seed, Shards).
+func Discover(g *Graph, cfg Config) *Result {
+	return core.Discover(pg.NewSliceSource(g.Snapshot()), cfg)
+}
 
 // DiscoverStream drains a batch source through the incremental pipeline
 // and finalizes the schema (Algorithm 1 of the paper).
 func DiscoverStream(src Source, cfg Config) *Result { return core.Discover(src, cfg) }
 
+// Run is discovery over a fallible source, the one entry point the others
+// wrap: transient faults are retried, poisoned batches are quarantined into
+// Result.Skipped, opts.Checkpoint saves the run state after every batch and
+// opts.Resume continues from such a state over a replay of the same stream,
+// finalizing byte-identically to an uninterrupted run.
+func Run(src ErrSource, cfg Config, opts RunOptions) (*Result, error) {
+	return core.Run(src, cfg, opts)
+}
+
 // NewPipeline starts an incremental discovery session; feed it batches
 // with ProcessBatch and call Finalize for the schema definition.
 func NewPipeline(cfg Config) *Pipeline { return core.NewPipeline(cfg) }
-
-// DiscoverSharded drains a batch source through Config.Shards concurrent
-// discovery pipelines — the stream is hash-partitioned by element ID — and
-// merges the partial schemas into one global schema. Shards ≤ 1 is exactly
-// DiscoverStream (byte-identical output); N > 1 is deterministic for a
-// fixed (Seed, Shards) and scales across cores.
-func DiscoverSharded(src Source, cfg Config) *Result { return core.DiscoverSharded(src, cfg) }
 
 // NewSliceSource wraps pre-built batches as a Source.
 func NewSliceSource(batches ...*Batch) Source { return pg.NewSliceSource(batches...) }
@@ -178,8 +185,9 @@ type (
 	RetrySource = pg.RetrySource
 	// RetryExhaustedError reports a slot that kept failing transiently.
 	RetryExhaustedError = pg.RetryExhaustedError
-	// FTOptions configures fault-tolerant discovery.
-	FTOptions = core.FTOptions
+	// RunOptions sets where Run checkpoints and what it resumes from (a
+	// checkpoint, or a fleet container when Config.Shards > 1).
+	RunOptions = core.RunOptions
 	// SkipReport records one quarantined batch.
 	SkipReport = core.SkipReport
 	// Checkpointer persists per-batch pipeline checkpoints.
@@ -201,38 +209,6 @@ func NewFaultSource(src ErrSource, p FaultProfile) *FaultSource { return pg.NewF
 // NewRetrySource absorbs transient faults with exponential backoff and
 // jitter, bounded by a per-batch attempt budget.
 func NewRetrySource(src ErrSource, p RetryPolicy) *RetrySource { return pg.NewRetrySource(src, p) }
-
-// DiscoverStreamFT drains a fallible source with graceful degradation:
-// transient faults are retried, poisoned batches are quarantined into
-// Result.Skipped, and — when opts.Checkpoint is set — the pipeline state is
-// checkpointed after every batch.
-func DiscoverStreamFT(src ErrSource, cfg Config, opts FTOptions) (*Result, error) {
-	return core.DiscoverFT(src, cfg, opts)
-}
-
-// ResumeDiscoverStreamFT restores a run from checkpoint bytes and continues
-// it over a replay of the same stream; the finalized schema is
-// byte-identical to an uninterrupted run.
-func ResumeDiscoverStreamFT(state []byte, src ErrSource, cfg Config, opts FTOptions) (*Result, error) {
-	return core.ResumeDiscoverFT(state, src, cfg, opts)
-}
-
-// DiscoverShardedFT is DiscoverSharded over a fallible source: the router
-// retries transient faults and quarantines poisoned batches, and — with
-// opts.Checkpoint set — the whole fleet checkpoints into one container
-// (router position + one section per shard). Shards ≤ 1 delegates to
-// DiscoverStreamFT.
-func DiscoverShardedFT(src ErrSource, cfg Config, opts FTOptions) (*Result, error) {
-	return core.DiscoverShardedFT(src, cfg, opts)
-}
-
-// ResumeDiscoverShardedFT restores a sharded run from container bytes and
-// continues it over a replay of the same stream; the finalized schema is
-// byte-identical to an uninterrupted sharded run with the same
-// configuration.
-func ResumeDiscoverShardedFT(state []byte, src ErrSource, cfg Config, opts FTOptions) (*Result, error) {
-	return core.ResumeDiscoverShardedFT(state, src, cfg, opts)
-}
 
 // Streaming drift observability: with Config.DriftPolicy set, every batch
 // is validated against the schema of the current epoch before it merges,
