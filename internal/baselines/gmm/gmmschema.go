@@ -87,7 +87,7 @@ func DiscoverNodeTypes(b *pg.Batch, cfg Config) (*Result, error) {
 		t := schema.NewType(tab, schema.NodeKind)
 		for _, i := range members {
 			rec := &b.Nodes[i]
-			t.ObserveNode(rec, schema.NeverSample, true)
+			t.ObserveNode(rec, true)
 			res.Assignments[i] = ti
 		}
 		res.Types = append(res.Types, t)

@@ -108,7 +108,7 @@ func Discover(b *pg.Batch, cfg Config) (*Result, error) {
 	for gi, key := range groupKeys {
 		ti := nodeTypeOf[gi]
 		for _, i := range nodeGroups[key] {
-			res.NodeTypes[ti].ObserveNode(&b.Nodes[i], schema.NeverSample, true)
+			res.NodeTypes[ti].ObserveNode(&b.Nodes[i], true)
 			res.NodeAssignments[i] = ti
 			nodeTypeByID[b.Nodes[i].ID] = ti
 		}
@@ -166,7 +166,7 @@ func Discover(b *pg.Batch, cfg Config) (*Result, error) {
 	for gi, key := range edgeKeys {
 		ti := edgeTypeOf[gi]
 		for _, i := range edgeGroups[key] {
-			res.EdgeTypes[ti].ObserveEdge(&b.Edges[i], schema.NeverSample, true)
+			res.EdgeTypes[ti].ObserveEdge(&b.Edges[i], true)
 			res.EdgeAssignments[i] = ti
 		}
 	}

@@ -364,8 +364,6 @@ func readParams(r *pg.WireReader) (lsh.Params, error) {
 // IDs resolve against the schema symtab, which the checkpoint restores
 // verbatim before the sampler state is read.
 func (s *sampler) writeState(w *pg.WireWriter) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	keys := make([]uint64, 0, len(s.counts))
 	for k := range s.counts {
 		keys = append(keys, k)
@@ -400,8 +398,6 @@ func (s *sampler) readState(r *pg.WireReader) error {
 		}
 		counts[k] = int(c)
 	}
-	s.mu.Lock()
 	s.counts = counts
-	s.mu.Unlock()
 	return nil
 }

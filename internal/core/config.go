@@ -98,8 +98,12 @@ type Config struct {
 	// TrackMembers records per-type member element IDs (needed by the
 	// evaluation harness to compute F1*; costs memory).
 	TrackMembers bool
-	// Parallelism bounds worker goroutines for vectorization and hashing;
-	// 0 means GOMAXPROCS.
+	// Parallelism bounds the worker goroutines of the cluster stage
+	// (signature hashing, node and edge clustering side by side) and of
+	// candidate building (evidence observation and the data-type sample);
+	// 0 means GOMAXPROCS. Execution-only: the discovered schema — the
+	// data-type sample included — is the same at every value, so it is
+	// excluded from the checkpoint fingerprint.
 	Parallelism int
 	// Telemetry receives execution events during the run: per-stage spans,
 	// counters (batches, elements, clusters, retries, cache hits, checkpoint

@@ -15,7 +15,7 @@ func nodeCandidate(s *schema.Schema, labels []string, keys ...string) *schema.Ty
 	for _, k := range keys {
 		props[k] = pg.Int(1)
 	}
-	t.ObserveNode(&pg.NodeRecord{Labels: labels, Props: props}, schema.NeverSample, false)
+	t.ObserveNode(&pg.NodeRecord{Labels: labels, Props: props}, false)
 	return t
 }
 
@@ -25,8 +25,7 @@ func edgeCandidate(s *schema.Schema, labels, src, dst []string, keys ...string) 
 	for _, k := range keys {
 		props[k] = pg.Int(1)
 	}
-	t.ObserveEdge(&pg.EdgeRecord{Labels: labels, SrcLabels: src, DstLabels: dst, Props: props},
-		schema.NeverSample, false)
+	t.ObserveEdge(&pg.EdgeRecord{Labels: labels, SrcLabels: src, DstLabels: dst, Props: props}, false)
 	return t
 }
 
@@ -118,8 +117,7 @@ func TestExtractUnlabeledPicksBestMatch(t *testing.T) {
 func TestExtractUnlabeledTieBreaksOnInstances(t *testing.T) {
 	s := schema.NewSchema()
 	big := nodeCandidate(s, []string{"Big"}, "x", "y")
-	big.ObserveNode(&pg.NodeRecord{Labels: []string{"Big"}, Props: pg.Properties{"x": pg.Int(1), "y": pg.Int(1)}},
-		schema.NeverSample, false)
+	big.ObserveNode(&pg.NodeRecord{Labels: []string{"Big"}, Props: pg.Properties{"x": pg.Int(1), "y": pg.Int(1)}}, false)
 	small := nodeCandidate(s, []string{"Small"}, "x", "y")
 	ExtractTypes(s, schema.NodeKind, []*schema.Type{small, big, nodeCandidate(s, nil, "x", "y")}, 0.9)
 	b := s.FindByLabelKey(schema.NodeKind, "Big")

@@ -11,13 +11,15 @@ import (
 
 // denseClusterKind is the reference the factored kernels are held to: the
 // dense arms the cluster stage ran before the factored kernels became its
-// only path. Every element vector of the kind is materialized, ELSH
-// parameters adapt over the full batch (lsh.AdaptParamsAll), ELSH hashes
-// each vector through lsh.ELSH.SignatureHash, and MinHash hashes each
-// element's token set (vectorize's NodeSets/EdgeSets) or bands them through
-// lsh.MinHash.ClusterBanded. Seeds repeat clusterKindInner's per-kind
-// offsets.
-func denseClusterKind(cfg Config, spec kindSpec, sets [][]uint64) ([]lsh.Cluster, lsh.Params) {
+// only path. Every element vector of the kind is materialized by
+// vectorize's reference renderer (NodeVectors/EdgeVectors), ELSH parameters
+// adapt over those vectors as a dense vector set (each vector its own
+// prefix, no suffix — lsh's adaptation tests hold that case to the dense µ
+// loop), ELSH hashes each vector through lsh.ELSH.SignatureHash, and
+// MinHash hashes each element's token set (vectorize's NodeSets/EdgeSets)
+// or bands them through lsh.MinHash.ClusterBanded. Seeds repeat
+// clusterKindInner's per-kind offsets.
+func denseClusterKind(cfg Config, spec kindSpec, vectors [][]float64, sets [][]uint64) ([]lsh.Cluster, lsh.Params) {
 	n := spec.n
 	if n == 0 {
 		return nil, lsh.Params{}
@@ -28,16 +30,12 @@ func denseClusterKind(cfg Config, spec kindSpec, sets [][]uint64) ([]lsh.Cluster
 		manual = cfg.EdgeParams
 		mhSeed, adaptSeed, famSeed = 201, 12, 202
 	}
-	vectors := make([][]float64, n)
-	for i := range vectors {
-		vectors[i] = make([]float64, spec.dim)
-		spec.vecInto(i, vectors[i])
-	}
 	var params lsh.Params
 	if manual != nil {
 		params = *manual
 	} else {
-		params = lsh.AdaptParamsAll(vectors, spec.labelTokens, spec.isEdge, cfg.Seed+adaptSeed)
+		params = lsh.AdaptParams(vectors, 0, n, func(i int) (int, []int32) { return i, nil },
+			spec.labelTokens, spec.isEdge, cfg.Seed+adaptSeed)
 	}
 	hashes := make([]uint64, n)
 	switch cfg.Method {
@@ -50,7 +48,7 @@ func denseClusterKind(cfg Config, spec kindSpec, sets [][]uint64) ([]lsh.Cluster
 			hashes[i] = mh.SignatureHash(s)
 		}
 	default:
-		fam := lsh.NewELSH(spec.dim, params.Bucket, params.Tables, cfg.Seed+famSeed)
+		fam := lsh.NewELSH(len(vectors[0]), params.Bucket, params.Tables, cfg.Seed+famSeed)
 		for i, v := range vectors {
 			hashes[i] = fam.SignatureHash(v)
 		}
@@ -135,8 +133,8 @@ func denseReports(cfg Config, batches []*pg.Batch) []BatchReport {
 	for seq, b := range batches {
 		st := p.preprocess(b, seq)
 		c := computed{staged: st}
-		c.nodeClusters, c.report.NodeParams = denseClusterKind(p.cfg, nodeSpec(st.b, st.vz), st.vz.NodeSets(st.b))
-		c.edgeClusters, c.report.EdgeParams = denseClusterKind(p.cfg, edgeSpec(st.b, st.vz), st.vz.EdgeSets(st.b))
+		c.nodeClusters, c.report.NodeParams = denseClusterKind(p.cfg, nodeSpec(st.b, st.vz), st.vz.NodeVectors(st.b), st.vz.NodeSets(st.b))
+		c.edgeClusters, c.report.EdgeParams = denseClusterKind(p.cfg, edgeSpec(st.b, st.vz), st.vz.EdgeVectors(st.b), st.vz.EdgeSets(st.b))
 		c.report.NodeClusters, c.report.EdgeClusters = len(c.nodeClusters), len(c.edgeClusters)
 		p.extractChecked(c, seq)
 	}
@@ -159,17 +157,18 @@ func checkFactoredStream(t *testing.T, name string, set func(*Config), batches [
 		for _, k := range []struct {
 			kind     string
 			spec     kindSpec
+			vectors  [][]float64
 			sets     [][]uint64
 			clusters []lsh.Cluster
 			params   lsh.Params
 		}{
-			{"nodes", ns, st.vz.NodeSets(st.b), c.nodeClusters, c.report.NodeParams},
-			{"edges", es, st.vz.EdgeSets(st.b), c.edgeClusters, c.report.EdgeParams},
+			{"nodes", ns, st.vz.NodeVectors(st.b), st.vz.NodeSets(st.b), c.nodeClusters, c.report.NodeParams},
+			{"edges", es, st.vz.EdgeVectors(st.b), st.vz.EdgeSets(st.b), c.edgeClusters, c.report.EdgeParams},
 		} {
 			if k.spec.n == 0 {
 				t.Fatalf("%s batch %d: no %s to cluster", name, seq, k.kind)
 			}
-			want, wantParams := denseClusterKind(p.cfg, k.spec, k.sets)
+			want, wantParams := denseClusterKind(p.cfg, k.spec, k.vectors, k.sets)
 			if k.params != wantParams {
 				t.Errorf("%s batch %d %s: params %+v, dense %+v", name, seq, k.kind, k.params, wantParams)
 			}

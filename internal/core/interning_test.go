@@ -126,9 +126,9 @@ func TestResumeAcrossInterning(t *testing.T) {
 func TestSamplerStateRoundTrip(t *testing.T) {
 	s := newSampler(0.1, 2, 7)
 	for i := 0; i < 40; i++ {
-		s.nextNode(0, "name")
-		s.nextEdge(0, "name")
-		s.nextNode(3, "age")
+		decide(s, sampleNodes, 0, "name")
+		decide(s, sampleEdges, 0, "name")
+		decide(s, sampleNodes, 3, "age")
 	}
 	var buf bytes.Buffer
 	w := pg.NewWireWriter(&buf)
@@ -142,13 +142,13 @@ func TestSamplerStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if s.nextNode(0, "name") != restored.nextNode(0, "name") {
+		if decide(s, sampleNodes, 0, "name") != decide(restored, sampleNodes, 0, "name") {
 			t.Fatal("node decisions diverge after state restore")
 		}
-		if s.nextEdge(0, "name") != restored.nextEdge(0, "name") {
+		if decide(s, sampleEdges, 0, "name") != decide(restored, sampleEdges, 0, "name") {
 			t.Fatal("edge decisions diverge after state restore")
 		}
-		if s.nextNode(3, "age") != restored.nextNode(3, "age") {
+		if decide(s, sampleNodes, 3, "age") != decide(restored, sampleNodes, 3, "age") {
 			t.Fatal("decisions diverge for a second key")
 		}
 	}
@@ -159,14 +159,14 @@ func TestSamplerStateRoundTrip(t *testing.T) {
 func TestSamplerNodeEdgeKeysIndependent(t *testing.T) {
 	s := newSampler(0.0, 3, 1)
 	for i := 0; i < 3; i++ {
-		if !s.nextNode(5, "k") {
+		if !decide(s, sampleNodes, 5, "k") {
 			t.Fatal("below-minimum node observation not sampled")
 		}
 	}
 	// Node counter is exhausted; the edge counter for the same ID must
 	// still be at zero and sample its first min observations.
 	for i := 0; i < 3; i++ {
-		if !s.nextEdge(5, "k") {
+		if !decide(s, sampleEdges, 5, "k") {
 			t.Fatal("edge counter shared state with node counter")
 		}
 	}

@@ -284,19 +284,14 @@ func (p *Pipeline) extract(c computed) BatchReport {
 type kindSpec struct {
 	n           int
 	isEdge      bool
-	manual      *lsh.Params // Config.NodeParams / Config.EdgeParams
-	dim         int
 	labelTokens int
-	vecInto     func(i int, dst []float64)
 	enc         func() *vectorize.Encoding
 }
 
 func nodeSpec(b *pg.Batch, vz *vectorize.Vectorizer) kindSpec {
 	return kindSpec{
 		n:           len(b.Nodes),
-		dim:         vz.NodeDim(),
 		labelTokens: vz.LabelTokens(),
-		vecInto:     func(i int, dst []float64) { vz.NodeVectorInto(&b.Nodes[i], dst) },
 		enc:         func() *vectorize.Encoding { return vz.NodeEncoding(b) },
 	}
 }
@@ -305,9 +300,7 @@ func edgeSpec(b *pg.Batch, vz *vectorize.Vectorizer) kindSpec {
 	return kindSpec{
 		n:           len(b.Edges),
 		isEdge:      true,
-		dim:         vz.EdgeDim(),
 		labelTokens: vz.LabelTokens(),
-		vecInto:     func(i int, dst []float64) { vz.EdgeVectorInto(&b.Edges[i], dst) },
 		enc:         func() *vectorize.Encoding { return vz.EdgeEncoding(b) },
 	}
 }
@@ -356,49 +349,41 @@ func (p *Pipeline) clusterKindInner(spec kindSpec) ([]lsh.Cluster, lsh.Params) {
 	if n == 0 {
 		return nil, lsh.Params{}
 	}
-	manual := p.cfg.NodeParams
+	params := p.cfg.NodeParams
 	mhSeed, adaptSeed, famSeed := int64(101), int64(11), int64(102)
 	if spec.isEdge {
-		manual = p.cfg.EdgeParams
+		params = p.cfg.EdgeParams
 		mhSeed, adaptSeed, famSeed = 201, 12, 202
 	}
-	switch p.cfg.Method {
-	case MethodMinHash:
-		params := lsh.Params{}
-		if manual != nil {
-			params = *manual
-		} else {
-			params = adaptFromSample(spec, p.cfg.Seed+adaptSeed)
-		}
-		mh := lsh.NewMinHash(params.Tables, p.cfg.Seed+mhSeed)
-		return p.clusterMinHashFactored(spec, mh), params
-	default:
-		params := manual
-		if params == nil {
-			// Adaptation needs Euclidean distances, so only the µ sample is
-			// rendered densely; the signature pass below never materializes
-			// a vector. Same sample indexes and float values as
-			// lsh.AdaptParamsAll over the full batch → identical parameters.
-			adapted := adaptFromSample(spec, p.cfg.Seed+adaptSeed)
-			params = &adapted
-		}
-		fam := lsh.NewELSH(spec.dim, params.Bucket, params.Tables, p.cfg.Seed+famSeed)
-		enc := spec.enc()
-		fk := lsh.NewFactoredELSH(fam, enc.PrefixDim, enc.Prefixes)
-		// The factored kernel computes one projection-dot set per distinct
-		// label prefix; every further element sharing that prefix is a hit.
-		p.instr.Add(obs.CtrPrefixDotsComputed, uint64(len(enc.Prefixes)))
-		p.instr.Add(obs.CtrPrefixDotHits, uint64(n-len(enc.Prefixes)))
-		hashes := make([]uint64, n)
-		parmapChunks(n, p.cfg.Parallelism, func(lo, hi int) {
-			h := fk.Hasher()
-			for i := lo; i < hi; i++ {
-				r := enc.Records[i]
-				hashes[i] = h.SignatureHash(r.TokenID, r.Props)
-			}
-		})
-		return lsh.GroupByHashSized(hashes, p.bucketHint(spec.isEdge)), *params
+	// One factored encoding feeds adaptation and both kernels; no element
+	// is ever rendered as a dense vector.
+	enc := spec.enc()
+	if params == nil {
+		adapted := lsh.AdaptParams(enc.Prefixes, enc.Dim-enc.PrefixDim, n, func(i int) (int, []int32) {
+			r := enc.Records[i]
+			return r.TokenID, r.Props
+		}, spec.labelTokens, spec.isEdge, p.cfg.Seed+adaptSeed)
+		params = &adapted
 	}
+	if p.cfg.Method == MethodMinHash {
+		mh := lsh.NewMinHash(params.Tables, p.cfg.Seed+mhSeed)
+		return p.clusterMinHashFactored(spec, enc, mh), *params
+	}
+	fam := lsh.NewELSH(enc.Dim, params.Bucket, params.Tables, p.cfg.Seed+famSeed)
+	fk := lsh.NewFactoredELSH(fam, enc.PrefixDim, enc.Prefixes)
+	// The factored kernel computes one projection-dot set per distinct
+	// label prefix; every further element sharing that prefix is a hit.
+	p.instr.Add(obs.CtrPrefixDotsComputed, uint64(len(enc.Prefixes)))
+	p.instr.Add(obs.CtrPrefixDotHits, uint64(n-len(enc.Prefixes)))
+	hashes := make([]uint64, n)
+	parmapChunks(n, p.cfg.Parallelism, func(lo, hi int) {
+		h := fk.Hasher()
+		for i := lo; i < hi; i++ {
+			r := enc.Records[i]
+			hashes[i] = h.SignatureHash(r.TokenID, r.Props)
+		}
+	})
+	return lsh.GroupByHashSized(hashes, p.bucketHint(spec.isEdge)), *params
 }
 
 // clusterMinHashFactored is the factored MinHash path: elements sharing a
@@ -407,8 +392,7 @@ func (p *Pipeline) clusterKindInner(spec kindSpec) ([]lsh.Cluster, lsh.Params) {
 // signature is computed once. Exact-key dedup keeps the per-element hashes
 // bit-identical to hashing every element's token set (the dense reference
 // of TestFactoredMatchesDense).
-func (p *Pipeline) clusterMinHashFactored(spec kindSpec, mh *lsh.MinHash) []lsh.Cluster {
-	enc := spec.enc()
+func (p *Pipeline) clusterMinHashFactored(spec kindSpec, enc *vectorize.Encoding, mh *lsh.MinHash) []lsh.Cluster {
 	recID, reps := enc.DistinctRecords()
 	// One signature per distinct record; every duplicate record is a hit.
 	p.instr.Add(obs.CtrRecordSigsComputed, uint64(len(reps)))
@@ -441,22 +425,6 @@ func (p *Pipeline) clusterMinHashFactored(spec kindSpec, mh *lsh.MinHash) []lsh.
 		hashes[i] = distinct[id]
 	}
 	return lsh.GroupByHashSized(hashes, p.bucketHint(spec.isEdge))
-}
-
-// adaptFromSample draws the paper's adaptation sample and renders only those
-// elements densely (into one arena) to estimate the distance scale µ — the
-// same indexes and float values AdaptParamsAll sees, without materializing
-// the full batch.
-func adaptFromSample(spec kindSpec, seed int64) lsh.Params {
-	idx := lsh.SampleIndexes(spec.n, seed)
-	backing := make([]float64, len(idx)*spec.dim)
-	sample := make([][]float64, len(idx))
-	for i, j := range idx {
-		v := backing[i*spec.dim : (i+1)*spec.dim : (i+1)*spec.dim]
-		spec.vecInto(j, v)
-		sample[i] = v
-	}
-	return lsh.AdaptParams(sample, spec.n, spec.labelTokens, spec.isEdge, seed)
 }
 
 // internBatch pre-interns every label, property key and endpoint ID the
@@ -509,16 +477,19 @@ func (p *Pipeline) internBatch(b *pg.Batch) {
 // representatives, §4.2): labels and property keys are unioned over the
 // members, and per-property evidence is accumulated. The batch must have
 // been pre-interned (internBatch), so the parallel observers only read the
-// symtab.
+// symtab. The data-type sample is drawn afterwards, in the serial run's
+// ordinal order (sampler.sampleCandidates).
 func (p *Pipeline) nodeCandidates(b *pg.Batch, clusters []lsh.Cluster) []*schema.Type {
 	out := make([]*schema.Type, len(clusters))
 	parmap(len(clusters), p.cfg.Parallelism, func(ci int) {
 		t := p.schema.NewType(schema.NodeKind)
 		for _, i := range clusters[ci].Members {
-			t.ObserveNode(&b.Nodes[i], p.sampler.nextNode, p.cfg.TrackMembers)
+			t.ObserveNode(&b.Nodes[i], p.cfg.TrackMembers)
 		}
 		out[ci] = t
 	})
+	p.sampler.sampleCandidates(sampleNodes, out, clusters,
+		func(i int) pg.Properties { return b.Nodes[i].Props }, p.cfg.Parallelism)
 	return out
 }
 
@@ -528,10 +499,12 @@ func (p *Pipeline) edgeCandidates(b *pg.Batch, clusters []lsh.Cluster) []*schema
 	parmap(len(clusters), p.cfg.Parallelism, func(ci int) {
 		t := p.schema.NewType(schema.EdgeKind)
 		for _, i := range clusters[ci].Members {
-			t.ObserveEdge(&b.Edges[i], p.sampler.nextEdge, p.cfg.TrackMembers)
+			t.ObserveEdge(&b.Edges[i], p.cfg.TrackMembers)
 		}
 		out[ci] = t
 	})
+	p.sampler.sampleCandidates(sampleEdges, out, clusters,
+		func(i int) pg.Properties { return b.Edges[i].Props }, p.cfg.Parallelism)
 	return out
 }
 

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"sort"
 	"testing"
 
+	"pghive/internal/datagen"
 	"pghive/internal/lsh"
 	"pghive/internal/pg"
 	"pghive/internal/schema"
+	"pghive/internal/serialize"
 )
 
 // figure1Graph rebuilds the paper's running example.
@@ -298,11 +302,17 @@ func TestMinHashBandedMode(t *testing.T) {
 	}
 }
 
+// decide reserves the key's next ordinal and decides it — what
+// sampleCandidates does for a key one member of one candidate carries.
+func decide(s *sampler, kind sampleKind, id uint32, key string) bool {
+	return s.sampled(keyHash(kind.prefix, key), s.reserve(kind, id, 1))
+}
+
 func TestSamplerDeterministicAndMinimum(t *testing.T) {
 	s := newSampler(0.1, 5, 42)
 	s2 := newSampler(0.1, 5, 42)
 	for i := 0; i < 200; i++ {
-		a, b := s.nextNode(7, "key"), s2.nextNode(7, "key")
+		a, b := decide(s, sampleNodes, 7, "key"), decide(s2, sampleNodes, 7, "key")
 		if a != b {
 			t.Fatal("sampler not deterministic")
 		}
@@ -317,13 +327,114 @@ func TestSamplerFractionRoughlyHolds(t *testing.T) {
 	hits := 0
 	const extra = 20000
 	for i := 0; i < 100+extra; i++ {
-		if s.nextEdge(3, "k") && i >= 100 {
+		if decide(s, sampleEdges, 3, "k") && i >= 100 {
 			hits++
 		}
 	}
 	rate := float64(hits) / extra
 	if rate < 0.07 || rate > 0.13 {
 		t.Errorf("post-minimum sampling rate = %.3f, want ≈ 0.10", rate)
+	}
+}
+
+// TestSampleKindsIndependentOfScheduling: the data-type sample is part of
+// the discovered schema, so — like every other output — it must not depend
+// on the execution-only Parallelism and PipelineDepth. Candidates of one
+// batch are observed in parallel; an observation's sample decision hangs on
+// its per-key ordinal, so ordinals must follow cluster and member order,
+// not the order goroutines reach a shared counter. Every type's
+// SampleKinds and the sample-based JSON output must match the serial run's.
+// IYP's types share property keys whose values differ in kind, and a low
+// SampleMin puts most observations on the fractional draw.
+func TestSampleKindsIndependentOfScheduling(t *testing.T) {
+	ds := datagen.Generate(datagen.ProfileByName("IYP"), datagen.Options{Nodes: 3000, Seed: 1})
+	batches := ds.Graph.SplitRandom(3, 5)
+	var wantKinds, wantJSON []byte
+	for _, par := range []int{1, 4} {
+		for _, depth := range []int{1, 4} {
+			cfg := DefaultConfig()
+			cfg.SampleDatatypes = true
+			cfg.SampleMin = 10
+			cfg.Parallelism = par
+			cfg.PipelineDepth = depth
+			res := Discover(pg.NewSliceSource(batches...), cfg)
+			var kinds, out bytes.Buffer
+			for _, types := range [][]*schema.Type{res.Schema.NodeTypes, res.Schema.EdgeTypes} {
+				for ti, ty := range types {
+					for _, key := range ty.PropKeyStrings() {
+						fmt.Fprintf(&kinds, "%d %q %q %v\n", ti, ty.LabelKey(), key, ty.Prop(key).SampleKinds)
+					}
+				}
+			}
+			if err := serialize.WriteJSON(&out, res.Def); err != nil {
+				t.Fatal(err)
+			}
+			if wantKinds == nil {
+				wantKinds, wantJSON = kinds.Bytes(), out.Bytes()
+				continue
+			}
+			if !bytes.Equal(kinds.Bytes(), wantKinds) {
+				t.Errorf("parallelism=%d depth=%d: SampleKinds differ from the serial run", par, depth)
+			}
+			if !bytes.Equal(out.Bytes(), wantJSON) {
+				t.Errorf("parallelism=%d depth=%d: sample-based JSON differs from the serial run", par, depth)
+			}
+		}
+	}
+}
+
+// TestSampleCandidatesMatchesSerialDecider: sampleCandidates gives every
+// observation the ordinal a serial observer gives it — per key, over the
+// clusters in order, then over each cluster's members in order — so the
+// candidates carry exactly the SampleKinds of a reference that walks the
+// members one at a time, deciding each property occurrence as it comes,
+// batch after batch. Key "v" mixes kinds within a cluster (the member
+// walk); the other keys hold one kind (the range count).
+func TestSampleCandidatesMatchesSerialDecider(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.SampleMin = 7
+	cfg.Parallelism = 4
+	p := NewPipeline(cfg)
+	ref := newSampler(p.cfg.SampleFraction, p.cfg.SampleMin, p.cfg.Seed)
+	for batch := 0; batch < 3; batch++ {
+		b := &pg.Batch{}
+		for i := 0; i < 400; i++ {
+			v := pg.Int(int64(i))
+			if (i+batch)%3 == 0 {
+				v = pg.Str("s")
+			}
+			b.Nodes = append(b.Nodes, pg.NodeRecord{ID: pg.ID(i), Props: pg.Properties{
+				"v": v, "name": pg.Str("n"), fmt.Sprintf("k%d", i%4): pg.Int(1),
+			}})
+		}
+		// Five interleaved clusters, members in descending order.
+		clusters := make([]lsh.Cluster, 5)
+		for i := len(b.Nodes) - 1; i >= 0; i-- {
+			clusters[(i*7+batch)%5].Members = append(clusters[(i*7+batch)%5].Members, i)
+		}
+		p.internBatch(b)
+		got := p.nodeCandidates(b, clusters)
+		for ci, c := range clusters {
+			want := map[string]map[pg.Kind]int{}
+			for _, i := range c.Members {
+				for key, v := range b.Nodes[i].Props {
+					id, _ := p.schema.Tab.Lookup(key)
+					if !decide(ref, sampleNodes, id, key) {
+						continue
+					}
+					if want[key] == nil {
+						want[key] = map[pg.Kind]int{}
+					}
+					want[key][v.Kind()]++
+				}
+			}
+			for _, key := range got[ci].PropKeyStrings() {
+				w, g := want[key], got[ci].Prop(key).SampleKinds
+				if fmt.Sprint(w) != fmt.Sprint(g) {
+					t.Errorf("batch %d cluster %d key %q: SampleKinds %v, serial decider %v", batch, ci, key, g, w)
+				}
+			}
+		}
 	}
 }
 

@@ -11,8 +11,7 @@ import (
 func nodeType(n int, props func(i int) pg.Properties) *schema.Type {
 	t := schema.NewType(schema.NewSymtab(), schema.NodeKind)
 	for i := 0; i < n; i++ {
-		t.ObserveNode(&pg.NodeRecord{ID: pg.ID(i), Labels: []string{"T"}, Props: props(i)},
-			schema.NeverSample, false)
+		t.ObserveNode(&pg.NodeRecord{ID: pg.ID(i), Labels: []string{"T"}, Props: props(i)}, false)
 	}
 	return t
 }
@@ -109,21 +108,18 @@ func buildParticipationSchema(participating int) *schema.Schema {
 	s := schema.NewSchema()
 	person := s.NewType(schema.NodeKind)
 	for i := 0; i < 10; i++ {
-		person.ObserveNode(&pg.NodeRecord{ID: pg.ID(i), Labels: []string{"Person"}},
-			schema.NeverSample, false)
+		person.ObserveNode(&pg.NodeRecord{ID: pg.ID(i), Labels: []string{"Person"}}, false)
 	}
 	s.Add(person)
 	org := s.NewType(schema.NodeKind)
-	org.ObserveNode(&pg.NodeRecord{ID: 100, Labels: []string{"Org"}},
-		schema.NeverSample, false)
+	org.ObserveNode(&pg.NodeRecord{ID: 100, Labels: []string{"Org"}}, false)
 	s.Add(org)
 
 	worksAt := s.NewType(schema.EdgeKind)
 	for i := 0; i < participating; i++ {
 		worksAt.ObserveEdge(&pg.EdgeRecord{ID: pg.ID(i), Labels: []string{"WORKS_AT"},
 			Src: pg.ID(i), Dst: 100,
-			SrcLabels: []string{"Person"}, DstLabels: []string{"Org"}},
-			schema.NeverSample, false)
+			SrcLabels: []string{"Person"}, DstLabels: []string{"Org"}}, false)
 	}
 	s.Add(worksAt)
 	return s
@@ -172,8 +168,7 @@ func TestParticipationRejectsForeignSources(t *testing.T) {
 	worksAt := s.EdgeTypes[0]
 	worksAt.ObserveEdge(&pg.EdgeRecord{ID: 99, Labels: []string{"WORKS_AT"},
 		Src: 999, Dst: 100,
-		SrcLabels: []string{"Person"}, DstLabels: []string{"Org"}},
-		schema.NeverSample, false)
+		SrcLabels: []string{"Person"}, DstLabels: []string{"Org"}}, false)
 	def := Finalize(s, Options{Participation: true})
 	e := def.EdgeType("WORKS_AT")
 	if e.SrcTotal {

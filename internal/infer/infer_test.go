@@ -8,7 +8,11 @@ import (
 	"pghive/internal/schema"
 )
 
-func alwaysSample(uint32, string) bool { return true }
+// observeSampled records v and counts it in the data-type sample.
+func observeSampled(p *schema.PropStat, v pg.Value) {
+	p.Observe(v)
+	p.SampleKinds[v.Kind()]++
+}
 
 func kinds(pairs ...interface{}) map[pg.Kind]int {
 	m := map[pg.Kind]int{}
@@ -49,7 +53,7 @@ func TestPropertyDefMandatoryOptional(t *testing.T) {
 	// a property in some instances is optional.
 	stat := schema.NewPropStat()
 	for i := 0; i < 10; i++ {
-		stat.Observe(pg.Str("x"), false)
+		stat.Observe(pg.Str("x"))
 	}
 	d := PropertyDef("name", stat, 10, Options{})
 	if !d.Mandatory || d.Frequency != 1 {
@@ -75,7 +79,7 @@ func TestPropertyDefSampleBasedFallback(t *testing.T) {
 	// A property never sampled falls back to STRING under sample-based
 	// inference (the paper's fallback), even if the full scan saw ints.
 	stat := schema.NewPropStat()
-	stat.Observe(pg.Int(7), false)
+	stat.Observe(pg.Int(7))
 	d := PropertyDef("n", stat, 1, Options{SampleBased: true})
 	if d.DataType != pg.KindString {
 		t.Errorf("unsampled DataType = %v, want STRING", d.DataType)
@@ -91,16 +95,16 @@ func TestSamplingError(t *testing.T) {
 	// 8/10 sampled values disagree with DOUBLE.
 	stat := schema.NewPropStat()
 	for i := 0; i < 82; i++ {
-		stat.Observe(pg.Int(int64(i)), false)
+		stat.Observe(pg.Int(int64(i)))
 	}
 	for i := 0; i < 8; i++ {
-		stat.Observe(pg.Int(int64(100+i)), true)
+		observeSampled(stat, pg.Int(int64(100+i)))
 	}
 	for i := 0; i < 8; i++ {
-		stat.Observe(pg.Float(float64(i)+0.5), false)
+		stat.Observe(pg.Float(float64(i) + 0.5))
 	}
 	for i := 0; i < 2; i++ {
-		stat.Observe(pg.Float(float64(i)+99.5), true)
+		observeSampled(stat, pg.Float(float64(i)+99.5))
 	}
 	if got := SamplingError(stat); math.Abs(got-0.8) > 1e-12 {
 		t.Errorf("SamplingError = %v, want 0.8", got)
@@ -110,7 +114,11 @@ func TestSamplingError(t *testing.T) {
 func TestSamplingErrorHomogeneous(t *testing.T) {
 	stat := schema.NewPropStat()
 	for i := 0; i < 50; i++ {
-		stat.Observe(pg.Int(int64(i)), i%10 == 0)
+		if i%10 == 0 {
+			observeSampled(stat, pg.Int(int64(i)))
+		} else {
+			stat.Observe(pg.Int(int64(i)))
+		}
 	}
 	if got := SamplingError(stat); got != 0 {
 		t.Errorf("homogeneous SamplingError = %v, want 0", got)
@@ -119,7 +127,7 @@ func TestSamplingErrorHomogeneous(t *testing.T) {
 
 func TestSamplingErrorNoSample(t *testing.T) {
 	stat := schema.NewPropStat()
-	stat.Observe(pg.Int(1), false)
+	stat.Observe(pg.Int(1))
 	if got := SamplingError(stat); got != 0 {
 		t.Errorf("no-sample SamplingError = %v, want 0", got)
 	}
@@ -130,31 +138,28 @@ func buildExampleSchema() *schema.Schema {
 	person := s.NewType(schema.NodeKind)
 	for i := 0; i < 3; i++ {
 		person.ObserveNode(&pg.NodeRecord{ID: pg.ID(i), Labels: []string{"Person"},
-			Props: pg.Properties{"name": pg.Str("x"), "bday": pg.Date(pg.ParseValue("1999-12-19").AsTime())}},
-			alwaysSample, false)
+			Props: pg.Properties{"name": pg.Str("x"), "bday": pg.Date(pg.ParseValue("1999-12-19").AsTime())}}, false)
 	}
 	person.ObserveNode(&pg.NodeRecord{ID: 3, Labels: []string{"Person"},
-		Props: pg.Properties{"name": pg.Str("y")}}, alwaysSample, false)
+		Props: pg.Properties{"name": pg.Str("y")}}, false)
 	s.Add(person)
 
 	org := s.NewType(schema.NodeKind)
 	org.ObserveNode(&pg.NodeRecord{ID: 4, Labels: []string{"Organization"},
-		Props: pg.Properties{"name": pg.Str("o"), "url": pg.Str("u")}}, alwaysSample, false)
+		Props: pg.Properties{"name": pg.Str("o"), "url": pg.Str("u")}}, false)
 	s.Add(org)
 
 	abstract := s.NewType(schema.NodeKind)
 	abstract.Abstract = true
-	abstract.ObserveNode(&pg.NodeRecord{ID: 5, Props: pg.Properties{"blob": pg.Str("?")}},
-		alwaysSample, false)
+	abstract.ObserveNode(&pg.NodeRecord{ID: 5, Props: pg.Properties{"blob": pg.Str("?")}}, false)
 	s.Add(abstract)
 
 	worksAt := s.NewType(schema.EdgeKind)
 	worksAt.ObserveEdge(&pg.EdgeRecord{ID: 0, Labels: []string{"WORKS_AT"}, Src: 0, Dst: 4,
 		SrcLabels: []string{"Person"}, DstLabels: []string{"Organization"},
-		Props: pg.Properties{"from": pg.Int(2020)}}, alwaysSample, false)
+		Props: pg.Properties{"from": pg.Int(2020)}}, false)
 	worksAt.ObserveEdge(&pg.EdgeRecord{ID: 1, Labels: []string{"WORKS_AT"}, Src: 1, Dst: 4,
-		SrcLabels: []string{"Person"}, DstLabels: []string{"Organization"}},
-		alwaysSample, false)
+		SrcLabels: []string{"Person"}, DstLabels: []string{"Organization"}}, false)
 	s.Add(worksAt)
 	return s
 }
@@ -242,8 +247,7 @@ func TestFinalizeMultipleAbstractNamesDistinct(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		ty := s.NewType(schema.NodeKind)
 		ty.Abstract = true
-		ty.ObserveNode(&pg.NodeRecord{ID: pg.ID(i), Props: pg.Properties{"k": pg.Int(1)}},
-			schema.NeverSample, false)
+		ty.ObserveNode(&pg.NodeRecord{ID: pg.ID(i), Props: pg.Properties{"k": pg.Int(1)}}, false)
 		s.Add(ty)
 	}
 	def := Finalize(s, Options{})

@@ -2,6 +2,7 @@ package lsh
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -56,17 +57,29 @@ func SampleIndexes(population int, seed int64) []int {
 	return rng.Perm(population)[:SampleSize(population)]
 }
 
-// AdaptParams implements the paper's adaptive parameterization (§4.2).
-// sample holds the vectorized adaptation sample (use SampleIndexes to draw
-// it), population is the full batch size N, labelCount is the number of
-// distinct label-set tokens L, and isEdge selects the edge variant of the
-// T formula (floor 3 and cap 20 instead of 5 and 25).
+// AdaptParams implements the paper's adaptive parameterization (§4.2) over
+// a batch of population hybrid vectors held in factored form, the layout
+// FactoredELSH hashes: element(i) returns vector i's prefix id and the
+// ascending positions set in its 0/1 suffix, so the vector is
+// prefixes[prefixID] followed by suffixWidth suffix entries. A dense vector
+// set is the special case where every vector is its own prefix and the
+// suffix is empty. The adaptation sample is SampleIndexes(population, seed);
+// element is called only for sampled indexes. labelCount is the number of
+// distinct label-set tokens L, and isEdge selects the edge variant of the T
+// formula (floor 3 and cap 20 instead of 5 and 25).
 //
 //	µ     = average Euclidean distance over sampled pairs,
 //	b_base = 1.2·µ,  b = b_base·α,
-//	T = b_base · max(floor, α·min(cap, log10 N)), clamped to [5, 50].
-func AdaptParams(sample [][]float64, population int, labelCount int, isEdge bool, seed int64) Params {
-	mu := pairDistanceScale(sample, seed)
+//	T = b_base · max(floor, α·min(cap, log10 N)), clamped to [15, 35].
+func AdaptParams(prefixes [][]float64, suffixWidth, population int,
+	element func(i int) (prefixID int, suffix []int32),
+	labelCount int, isEdge bool, seed int64) Params {
+	mu := newFactoredSample(prefixes, suffixWidth, SampleIndexes(population, seed), element).distanceScale(seed)
+	return paramsForScale(mu, population, labelCount, isEdge)
+}
+
+// paramsForScale derives the batch's parameters from its distance scale µ.
+func paramsForScale(mu float64, population int, labelCount int, isEdge bool) Params {
 	bBase := 1.2 * mu
 	if bBase <= 0 {
 		// Degenerate batch (all vectors identical or < 2 elements): any
@@ -102,22 +115,6 @@ func AdaptParams(sample [][]float64, population int, labelCount int, isEdge bool
 	}
 }
 
-// AdaptParamsAll is a convenience wrapper for callers that already hold all
-// vectors in memory: it draws the paper's sample internally and adapts on
-// it, with population = len(vectors).
-func AdaptParamsAll(vectors [][]float64, labelCount int, isEdge bool, seed int64) Params {
-	n := len(vectors)
-	if n == 0 {
-		return AdaptParams(nil, 0, labelCount, isEdge, seed)
-	}
-	idx := SampleIndexes(n, seed)
-	sample := make([][]float64, len(idx))
-	for i, j := range idx {
-		sample[i] = vectors[j]
-	}
-	return AdaptParams(sample, n, labelCount, isEdge, seed)
-}
-
 // alphaForLabels returns the label-count factor α (§4.2): graphs with few
 // labels need tighter buckets to keep types distinct; graphs with many
 // labels need wider buckets to avoid over-fragmentation.
@@ -138,32 +135,107 @@ const (
 	maxPairs    = 20_000 // distance evaluations, not all O(S²) pairs
 )
 
-// pairDistanceScale estimates µ, the average pairwise Euclidean distance
-// over the sample, evaluating at most maxPairs random pairs.
-func pairDistanceScale(sample [][]float64, seed int64) float64 {
-	n := len(sample)
+// factoredSample is the adaptation sample in factored form: per sampled
+// element its prefix id and its suffix as a bitset of words uint64s.
+//
+// The dense distance loop accumulates Σ(a_i−b_i)² in ascending position
+// order. Over the prefix block that is the prefix pair's partial sum; over
+// the suffix every term is exactly 1.0 (the bit is set in one element only)
+// or +0.0, and adding +0.0 to a non-negative sum leaves it unchanged. So the
+// dense sum is the prefix-pair partial sum plus m additions of 1.0, one at a
+// time, with m = popcount of the suffix XOR — bit for bit. A single
+// s += float64(m) rounds differently when the ones carry s across two or
+// more powers of two and s has fraction bits the intermediate sums shed.
+type factoredSample struct {
+	prefixes [][]float64
+	prefix   []int // per sampled element: its prefix id
+	bits     []uint64
+	words    int
+	// sums holds squaredDistance for every ordered prefix pair when that
+	// table has no more entries than there are pairs to evaluate, so
+	// filling it never costs more than computing each pair's prefix sum.
+	// Otherwise (a dense vector set has one prefix per element) it is nil
+	// and each pair computes its prefix sum directly.
+	sums []float64
+}
+
+func newFactoredSample(prefixes [][]float64, suffixWidth int, idx []int, element func(int) (int, []int32)) *factoredSample {
+	words := (suffixWidth + 63) / 64
+	s := &factoredSample{
+		prefixes: prefixes,
+		prefix:   make([]int, len(idx)),
+		bits:     make([]uint64, len(idx)*words),
+		words:    words,
+	}
+	for e, i := range idx {
+		id, suffix := element(i)
+		s.prefix[e] = id
+		row := s.bits[e*words : (e+1)*words]
+		for _, k := range suffix {
+			row[k>>6] |= 1 << (k & 63)
+		}
+	}
+	n, p := len(idx), len(prefixes)
+	if p*p <= min(n*(n-1)/2, maxPairs) {
+		s.sums = make([]float64, p*p)
+		for a := range prefixes {
+			for b := range prefixes {
+				s.sums[a*p+b] = squaredDistance(prefixes[a], prefixes[b])
+			}
+		}
+	}
+	return s
+}
+
+// distance returns the Euclidean distance between sampled elements a and b,
+// bit-identical to EuclideanDistance on their dense vectors.
+func (s *factoredSample) distance(a, b int) float64 {
+	pa, pb := s.prefix[a], s.prefix[b]
+	var sum float64
+	if s.sums != nil {
+		sum = s.sums[pa*len(s.prefixes)+pb]
+	} else {
+		sum = squaredDistance(s.prefixes[pa], s.prefixes[pb])
+	}
+	ra := s.bits[a*s.words : (a+1)*s.words]
+	rb := s.bits[b*s.words : (b+1)*s.words]
+	m := 0
+	for w := range ra {
+		m += bits.OnesCount64(ra[w] ^ rb[w])
+	}
+	for ; m > 0; m-- {
+		sum += 1.0
+	}
+	return math.Sqrt(sum)
+}
+
+// distanceScale estimates µ, the average pairwise Euclidean distance over
+// the sample: every pair when there are at most maxPairs of them, otherwise
+// maxPairs random pairs drawn from seed.
+func (s *factoredSample) distanceScale(seed int64) float64 {
+	n := len(s.prefix)
 	if n < 2 {
 		return 0
 	}
-	rng := rand.New(rand.NewSource(seed))
 	allPairs := n * (n - 1) / 2
 	var sum float64
 	count := 0
 	if allPairs <= maxPairs {
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				sum += EuclideanDistance(sample[i], sample[j])
+				sum += s.distance(i, j)
 				count++
 			}
 		}
 	} else {
+		rng := rand.New(rand.NewSource(seed))
 		for k := 0; k < maxPairs; k++ {
 			i := rng.Intn(n)
 			j := rng.Intn(n - 1)
 			if j >= i {
 				j++
 			}
-			sum += EuclideanDistance(sample[i], sample[j])
+			sum += s.distance(i, j)
 			count++
 		}
 	}

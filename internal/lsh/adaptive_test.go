@@ -1,6 +1,7 @@
 package lsh
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -17,6 +18,72 @@ func randomVectors(n, dim int, spread float64, seed int64) [][]float64 {
 		out[i] = v
 	}
 	return out
+}
+
+// denseAdaptParams is the dense reference adaptation: it draws the paper's
+// sample from the full vector set, averages EuclideanDistance over the
+// sampled pairs with the same pair draws as the factored kernel (denseScale)
+// and derives the parameters from that µ.
+func denseAdaptParams(vectors [][]float64, labelCount int, isEdge bool, seed int64) Params {
+	n := len(vectors)
+	idx := SampleIndexes(n, seed)
+	sample := make([][]float64, len(idx))
+	for i, j := range idx {
+		sample[i] = vectors[j]
+	}
+	return paramsForScale(denseScale(sample, seed), n, labelCount, isEdge)
+}
+
+// denseScale is the dense µ loop: the average Euclidean distance over every
+// pair of the sample when there are at most maxPairs of them, otherwise over
+// maxPairs random pairs drawn from seed.
+func denseScale(sample [][]float64, seed int64) float64 {
+	n := len(sample)
+	if n < 2 {
+		return 0
+	}
+	rng := rand.New(rand.NewSource(seed))
+	allPairs := n * (n - 1) / 2
+	var sum float64
+	count := 0
+	if allPairs <= maxPairs {
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				sum += EuclideanDistance(sample[i], sample[j])
+				count++
+			}
+		}
+	} else {
+		for k := 0; k < maxPairs; k++ {
+			i := rng.Intn(n)
+			j := rng.Intn(n - 1)
+			if j >= i {
+				j++
+			}
+			sum += EuclideanDistance(sample[i], sample[j])
+			count++
+		}
+	}
+	return sum / float64(count)
+}
+
+// ownPrefix presents a dense vector set to the factored kernel: every
+// vector is its own prefix and the suffix is empty.
+func ownPrefix(i int) (int, []int32) { return i, nil }
+
+// adaptVectors adapts on a dense vector set through the factored kernel.
+func adaptVectors(vectors [][]float64, labelCount int, isEdge bool, seed int64) Params {
+	return AdaptParams(vectors, 0, len(vectors), ownPrefix, labelCount, isEdge, seed)
+}
+
+// factoredScale is the factored kernel's µ over exactly the given vectors
+// (no sample draw), the counterpart of denseScale.
+func factoredScale(vectors [][]float64, seed int64) float64 {
+	idx := make([]int, len(vectors))
+	for i := range idx {
+		idx[i] = i
+	}
+	return newFactoredSample(vectors, 0, idx, ownPrefix).distanceScale(seed)
 }
 
 func TestAlphaForLabels(t *testing.T) {
@@ -66,8 +133,8 @@ func TestSampleIndexesDistinct(t *testing.T) {
 }
 
 func TestAdaptParamsBucketScalesWithData(t *testing.T) {
-	tight := AdaptParamsAll(randomVectors(500, 8, 0.1, 1), 5, false, 1)
-	loose := AdaptParamsAll(randomVectors(500, 8, 10.0, 1), 5, false, 1)
+	tight := adaptVectors(randomVectors(500, 8, 0.1, 1), 5, false, 1)
+	loose := adaptVectors(randomVectors(500, 8, 10.0, 1), 5, false, 1)
 	if tight.Bucket >= loose.Bucket {
 		t.Errorf("tight data bucket %v should be below loose data bucket %v", tight.Bucket, loose.Bucket)
 	}
@@ -79,9 +146,9 @@ func TestAdaptParamsBucketScalesWithData(t *testing.T) {
 
 func TestAdaptParamsAlphaApplied(t *testing.T) {
 	vecs := randomVectors(300, 8, 1, 2)
-	few := AdaptParamsAll(vecs, 2, false, 1)
-	mid := AdaptParamsAll(vecs, 7, false, 1)
-	many := AdaptParamsAll(vecs, 20, false, 1)
+	few := adaptVectors(vecs, 2, false, 1)
+	mid := adaptVectors(vecs, 7, false, 1)
+	many := adaptVectors(vecs, 20, false, 1)
 	if few.Alpha != 0.8 || mid.Alpha != 1.0 || many.Alpha != 1.5 {
 		t.Fatalf("alphas = %v %v %v, want 0.8 1.0 1.5", few.Alpha, mid.Alpha, many.Alpha)
 	}
@@ -107,7 +174,7 @@ func TestAdaptParamsTablesClamped(t *testing.T) {
 		if tc.n > 0 {
 			vecs = randomVectors(tc.n, 6, tc.spread, 3)
 		}
-		p := AdaptParamsAll(vecs, tc.labels, tc.isEdge, 1)
+		p := adaptVectors(vecs, tc.labels, tc.isEdge, 1)
 		if p.Tables < minTables || p.Tables > maxTables {
 			t.Errorf("n=%d spread=%v: Tables = %d outside [%d,%d]", tc.n, tc.spread, p.Tables, minTables, maxTables)
 		}
@@ -119,8 +186,8 @@ func TestAdaptParamsTablesClamped(t *testing.T) {
 
 func TestAdaptParamsDeterministic(t *testing.T) {
 	vecs := randomVectors(400, 8, 1, 7)
-	a := AdaptParamsAll(vecs, 5, false, 42)
-	b := AdaptParamsAll(vecs, 5, false, 42)
+	a := adaptVectors(vecs, 5, false, 42)
+	b := adaptVectors(vecs, 5, false, 42)
 	if a != b {
 		t.Errorf("AdaptParams not deterministic: %+v vs %+v", a, b)
 	}
@@ -130,8 +197,8 @@ func TestAdaptParamsEdgeVariant(t *testing.T) {
 	// With tiny logN, the node floor is 5 and the edge floor is 3, so for
 	// identical small inputs T_node ≥ T_edge.
 	vecs := randomVectors(20, 6, 1, 9)
-	node := AdaptParamsAll(vecs, 5, false, 1)
-	edge := AdaptParamsAll(vecs, 5, true, 1)
+	node := adaptVectors(vecs, 5, false, 1)
+	edge := adaptVectors(vecs, 5, true, 1)
 	if node.Tables < edge.Tables {
 		t.Errorf("node T %d < edge T %d; node floor should dominate on small data", node.Tables, edge.Tables)
 	}
@@ -141,8 +208,9 @@ func TestAdaptParamsPopulationDrivesT(t *testing.T) {
 	// The same sample with a larger claimed population must not shrink T
 	// (T grows with log10 N until the cap).
 	sample := randomVectors(100, 6, 3, 4)
-	small := AdaptParams(sample, 100, 5, false, 1)
-	large := AdaptParams(sample, 10_000_000, 5, false, 1)
+	mu := factoredScale(sample, 1)
+	small := paramsForScale(mu, 100, 5, false)
+	large := paramsForScale(mu, 10_000_000, 5, false)
 	if large.Tables < small.Tables {
 		t.Errorf("T(large N) = %d < T(small N) = %d", large.Tables, small.Tables)
 	}
@@ -151,17 +219,17 @@ func TestAdaptParamsPopulationDrivesT(t *testing.T) {
 func TestPairDistanceScaleExactSmall(t *testing.T) {
 	// Three points on a line: distances 1, 1, 2 → mean 4/3.
 	vecs := [][]float64{{0}, {1}, {2}}
-	mu := pairDistanceScale(vecs, 1)
+	mu := factoredScale(vecs, 1)
 	if math.Abs(mu-4.0/3) > 1e-12 {
 		t.Errorf("µ = %v, want 4/3", mu)
 	}
 }
 
 func TestPairDistanceScaleDegenerate(t *testing.T) {
-	if mu := pairDistanceScale(nil, 1); mu != 0 {
+	if mu := factoredScale(nil, 1); mu != 0 {
 		t.Errorf("µ(nil) = %v, want 0", mu)
 	}
-	if mu := pairDistanceScale([][]float64{{1, 2}}, 1); mu != 0 {
+	if mu := factoredScale([][]float64{{1, 2}}, 1); mu != 0 {
 		t.Errorf("µ(single) = %v, want 0", mu)
 	}
 	// All identical vectors: µ = 0, AdaptParams must still be usable.
@@ -169,7 +237,7 @@ func TestPairDistanceScaleDegenerate(t *testing.T) {
 	for i := range same {
 		same[i] = []float64{1, 2, 3}
 	}
-	p := AdaptParamsAll(same, 1, false, 1)
+	p := adaptVectors(same, 1, false, 1)
 	if p.Bucket <= 0 {
 		t.Errorf("degenerate Bucket = %v, want positive fallback", p.Bucket)
 	}
@@ -179,9 +247,135 @@ func TestPairDistanceScaleLargeInputSampled(t *testing.T) {
 	// A large sample must cap pair evaluations and land near the true scale
 	// for i.i.d. Gaussians: E||x−y|| ≈ 2.66 for N(0, I₄).
 	vecs := randomVectors(30000, 4, 1, 5)
-	mu := pairDistanceScale(vecs, 1)
+	mu := factoredScale(vecs, 1)
 	if mu < 2.2 || mu > 3.2 {
 		t.Errorf("µ = %v, want ≈ 2.7 for N(0,I₄) pairs", mu)
+	}
+}
+
+// TestAdaptParamsFactoredMatchesDense is the factored adaptation's
+// bit-identity property: on hybrid vectors in factored form, every pair
+// distance equals EuclideanDistance on the materialized vectors, and
+// AdaptParams returns exactly the Params (µ included) of the dense µ loop.
+// The cases cover both pair regimes (a sample of at most 200 evaluates every
+// pair, a larger one 20,000 drawn pairs), the all-zero prefix of unlabeled
+// elements, empty suffixes, suffix widths at and across word boundaries,
+// one prefix shared by every element, one prefix per element, and the dense
+// special case itself. Small prefix scales keep the prefix-pair sums below
+// the suffix counts, where adding the suffix ones in bulk would round
+// differently from the dense loop.
+func TestAdaptParamsFactoredMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const (
+		pool      = iota // elements draw from a few prefixes; prefix 0 is all-zero
+		unlabeled        // every element has the all-zero prefix
+		shared           // every element has the same non-zero prefix
+		own              // one prefix per element
+	)
+	cases := []struct {
+		name      string
+		elements  int
+		prefixDim int
+		suffixLen int
+		prefixes  int
+		nnz       float64
+		scale     float64 // multiplies the generated prefix floats
+	}{
+		{"all-pairs/width1", 150, 16, 1, pool, 0.5, 1},
+		{"all-pairs/width64", 200, 16, 64, pool, 0.3, 0.05},
+		{"all-pairs/width65", 120, 8, 65, pool, 0.4, 1},
+		{"all-pairs/width200", 180, 48, 200, pool, 0.2, 0.02},
+		{"drawn/width1", 700, 16, 1, pool, 0.5, 0.1},
+		{"drawn/width64", 500, 16, 64, pool, 0.3, 1},
+		{"drawn/width65", 900, 4, 65, pool, 0.5, 0.05},
+		{"drawn/width300", 400, 48, 300, pool, 0.1, 0.02},
+		{"unlabeled/all-pairs", 60, 16, 40, unlabeled, 0.3, 1},
+		{"unlabeled/drawn", 300, 16, 40, unlabeled, 0.3, 1},
+		{"shared/all-pairs", 80, 16, 66, shared, 0.3, 1},
+		{"shared/drawn", 350, 16, 66, shared, 0.3, 1},
+		{"own/all-pairs", 100, 16, 130, own, 0.25, 0.03},
+		{"own/drawn", 260, 16, 130, own, 0.25, 0.03},
+		{"empty-suffix/all-pairs", 90, 16, 0, pool, 0, 1},
+		{"empty-suffix/drawn", 250, 16, 0, pool, 0, 1},
+		{"no-bits-set", 300, 16, 70, pool, 0, 1},
+		{"suffix-only", 400, 0, 129, unlabeled, 0.3, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := genHybrid(rng, tc.elements, tc.prefixDim, tc.suffixLen, 6, tc.nnz)
+			for _, w := range c.prefixes {
+				for d := range w {
+					w[d] *= tc.scale
+				}
+			}
+			switch tc.prefixes {
+			case unlabeled:
+				clear(c.tokenIDs)
+			case shared:
+				for i := range c.tokenIDs {
+					c.tokenIDs[i] = 1
+				}
+			}
+			for i, v := range c.dense {
+				copy(v, c.prefixes[c.tokenIDs[i]])
+			}
+			if tc.prefixes == own {
+				c.prefixes = make([][]float64, tc.elements)
+				for i := range c.prefixes {
+					c.prefixes[i] = c.dense[i][:tc.prefixDim]
+					c.tokenIDs[i] = i
+				}
+			}
+			element := func(i int) (int, []int32) { return c.tokenIDs[i], c.suffixes[i] }
+			all := make([]int, tc.elements)
+			for i := range all {
+				all[i] = i
+			}
+			fs := newFactoredSample(c.prefixes, tc.suffixLen, all, element)
+			for i := range c.dense {
+				for j := i + 1; j < len(c.dense); j += 1 + i%7 {
+					if got, want := fs.distance(i, j), EuclideanDistance(c.dense[i], c.dense[j]); got != want {
+						t.Fatalf("elements %d, %d: factored distance %v, dense %v", i, j, got, want)
+					}
+				}
+			}
+			for _, labels := range []int{2, 7, 40} {
+				for _, isEdge := range []bool{false, true} {
+					seed := rng.Int63()
+					want := denseAdaptParams(c.dense, labels, isEdge, seed)
+					if got := AdaptParams(c.prefixes, tc.suffixLen, tc.elements, element, labels, isEdge, seed); got != want {
+						t.Fatalf("L=%d edge=%v: factored %+v, dense %+v", labels, isEdge, got, want)
+					}
+					if got := adaptVectors(c.dense, labels, isEdge, seed); got != want {
+						t.Fatalf("L=%d edge=%v: dense special case %+v, dense %+v", labels, isEdge, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAdapt compares the dense µ loop over materialized vectors with
+// the factored kernel on the same elements, for a batch whose sample is the
+// whole batch and one large enough to sample 10,000 elements. Both draw
+// 20,000 pairs.
+func BenchmarkAdapt(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{500, 24_000} {
+		c := genHybrid(rng, n, 48, 64, 12, 0.2)
+		element := func(i int) (int, []int32) { return c.tokenIDs[i], c.suffixes[i] }
+		b.Run(fmt.Sprintf("n=%d/dense", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				denseAdaptParams(c.dense, 5, true, 1)
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/factored", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				AdaptParams(c.prefixes, 64, n, element, 5, true, 1)
+			}
+		})
 	}
 }
 

@@ -159,10 +159,16 @@ func stdNormalCDF(x float64) float64 {
 // EuclideanDistance returns the L2 distance between two equal-length
 // vectors.
 func EuclideanDistance(a, b []float64) float64 {
+	return math.Sqrt(squaredDistance(a, b))
+}
+
+// squaredDistance accumulates Σ(a_i−b_i)² in ascending index order — the
+// operation sequence factored adaptation reproduces over the prefix block.
+func squaredDistance(a, b []float64) float64 {
 	var s float64
 	for i := range a {
 		d := a[i] - b[i]
 		s += d * d
 	}
-	return math.Sqrt(s)
+	return s
 }

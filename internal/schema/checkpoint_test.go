@@ -19,13 +19,13 @@ func checkpointSchema() *Schema {
 	person.AddLabel("Agent")
 	person.Instances = 42
 	name := NewPropStat()
-	name.Observe(pg.Str("ada"), true)
-	name.Observe(pg.Str("bob"), true)
+	observeSampled(name, pg.Str("ada"))
+	observeSampled(name, pg.Str("bob"))
 	person.SetProp("name", name)
 	age := NewPropStat()
-	age.Observe(pg.Int(30), true)
-	age.Observe(pg.Int(30), false) // duplicate → dup flag, hashes dropped
-	age.Observe(pg.Float(29.5), true)
+	observeSampled(age, pg.Int(30))
+	age.Observe(pg.Int(30)) // duplicate → dup flag, hashes dropped
+	observeSampled(age, pg.Float(29.5))
 	person.SetProp("age", age)
 	person.Members = []pg.ID{3, 1, 2}
 	s.Add(person)
@@ -40,7 +40,7 @@ func checkpointSchema() *Schema {
 	knows.AddLabel("KNOWS")
 	knows.Instances = 9
 	since := NewPropStat()
-	since.Observe(pg.Int(1999), true)
+	observeSampled(since, pg.Int(1999))
 	knows.SetProp("since", since)
 	knows.AddSrcLabel("Person")
 	knows.AddDstLabel("Person")

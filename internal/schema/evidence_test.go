@@ -54,7 +54,7 @@ func sketchedEdgeSchema(pol *EvidencePolicy, edges []pg.EdgeRecord) *Schema {
 	s.SetEvidencePolicy(pol)
 	t := NewType(s.Tab, EdgeKind)
 	for i := range edges {
-		t.ObserveEdge(&edges[i], NeverSample, false)
+		t.ObserveEdge(&edges[i], false)
 	}
 	s.Add(t)
 	return s

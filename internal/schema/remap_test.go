@@ -101,7 +101,7 @@ func TestTypeMergeCrossTab(t *testing.T) {
 		ty.AddSrcLabel("Person")
 		ty.AddDstLabel("Person")
 		p := NewPropStat()
-		p.Observe(pg.Int(1), false)
+		p.Observe(pg.Int(1))
 		ty.SetProp("since", p)
 		ty.AddOutDeg(pg.ID(1), 2)
 		ty.AddInDeg(pg.ID(2), 1)
@@ -117,7 +117,7 @@ func TestTypeMergeCrossTab(t *testing.T) {
 	tabB.InternEp(pg.ID(999))
 	a, b := build(tabA), build(tabB)
 	p := NewPropStat()
-	p.Observe(pg.Str("x"), false)
+	p.Observe(pg.Str("x"))
 	b.SetProp("note", p)
 
 	a.Merge(b) // cross-tab: must auto-remap, not panic

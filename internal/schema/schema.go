@@ -130,14 +130,12 @@ func newPropStatPol(pol *EvidencePolicy) *PropStat {
 	}
 }
 
-// Observe records one value occurrence; sampled marks it as part of the
-// data-type sample.
-func (p *PropStat) Observe(v pg.Value, sampled bool) {
+// Observe records one value occurrence. It leaves SampleKinds alone: the
+// data-type sample is drawn over whole candidates once they are observed
+// (core's sampler).
+func (p *PropStat) Observe(v pg.Value) {
 	p.Count++
 	p.Kinds[v.Kind()]++
-	if sampled {
-		p.SampleKinds[v.Kind()]++
-	}
 	p.Values.Observe(v)
 }
 
@@ -170,15 +168,6 @@ const (
 	NodeKind ElementKind = iota
 	EdgeKind
 )
-
-// SampleFunc decides, per property occurrence, whether the value joins the
-// data-type sample. It receives the interned key ID and the key string (the
-// string is already at hand in the record, so deciders can hash it without
-// re-resolving).
-type SampleFunc func(id uint32, key string) bool
-
-// NeverSample is the SampleFunc that declines every occurrence.
-func NeverSample(uint32, string) bool { return false }
 
 // Type is a discovered (candidate or merged) node or edge type: the cluster
 // representative of §4.2 plus the accumulated evidence the post-processing
@@ -294,6 +283,10 @@ func (t *Type) Prop(key string) *PropStat {
 // helper).
 func (t *Type) SetProp(key string, p *PropStat) { t.props.put(t.tab.Intern(key), p) }
 
+// PropAt returns the i-th property (0 ≤ i < NumProps, in interned-ID
+// order): its key ID and accumulator.
+func (t *Type) PropAt(i int) (uint32, *PropStat) { return t.props.At(i) }
+
 // EachProp calls f for every property key (in interned-ID order) with its
 // accumulator.
 func (t *Type) EachProp(f func(key string, p *PropStat)) {
@@ -374,9 +367,8 @@ func (t *Type) InDistinct() int {
 	return t.inDeg.Distinct()
 }
 
-// ObserveNode folds one node record into the type. sampled reports, per
-// property key, whether this occurrence joins the data-type sample.
-func (t *Type) ObserveNode(n *pg.NodeRecord, sampled SampleFunc, trackMembers bool) {
+// ObserveNode folds one node record into the type.
+func (t *Type) ObserveNode(n *pg.NodeRecord, trackMembers bool) {
 	if t.Kind != NodeKind {
 		panic("schema: ObserveNode on edge type")
 	}
@@ -386,8 +378,7 @@ func (t *Type) ObserveNode(n *pg.NodeRecord, sampled SampleFunc, trackMembers bo
 	}
 	pol := t.tab.Evidence()
 	for k, v := range n.Props {
-		id := t.tab.Intern(k)
-		t.props.getOrCreatePol(id, pol).Observe(v, sampled(id, k))
+		t.props.getOrCreatePol(t.tab.Intern(k), pol).Observe(v)
 	}
 	if trackMembers {
 		t.Members = append(t.Members, n.ID)
@@ -395,7 +386,7 @@ func (t *Type) ObserveNode(n *pg.NodeRecord, sampled SampleFunc, trackMembers bo
 }
 
 // ObserveEdge folds one edge record into the type.
-func (t *Type) ObserveEdge(e *pg.EdgeRecord, sampled SampleFunc, trackMembers bool) {
+func (t *Type) ObserveEdge(e *pg.EdgeRecord, trackMembers bool) {
 	if t.Kind != EdgeKind {
 		panic("schema: ObserveEdge on node type")
 	}
@@ -411,8 +402,7 @@ func (t *Type) ObserveEdge(e *pg.EdgeRecord, sampled SampleFunc, trackMembers bo
 	}
 	pol := t.tab.Evidence()
 	for k, v := range e.Props {
-		id := t.tab.Intern(k)
-		t.props.getOrCreatePol(id, pol).Observe(v, sampled(id, k))
+		t.props.getOrCreatePol(t.tab.Intern(k), pol).Observe(v)
 	}
 	if pol != nil && pol.SketchDegrees {
 		// Sketched degrees are keyed by the raw global endpoint ID —

@@ -8,10 +8,11 @@ import (
 	"pghive/internal/pg"
 )
 
-func never(uint32, string) bool  { return false }
-func always(uint32, string) bool { return true }
-
-var _ SampleFunc = always
+// observeSampled records v and counts it in the data-type sample.
+func observeSampled(p *PropStat, v pg.Value) {
+	p.Observe(v)
+	p.SampleKinds[v.Kind()]++
+}
 
 func TestStringSetBasics(t *testing.T) {
 	s := NewStringSet("b", "a", "b")
@@ -57,9 +58,9 @@ func TestJaccardSet(t *testing.T) {
 func TestObserveNodeAccumulates(t *testing.T) {
 	ty := NewType(NewSymtab(), NodeKind)
 	ty.ObserveNode(&pg.NodeRecord{ID: 1, Labels: []string{"Person"},
-		Props: pg.Properties{"name": pg.Str("a"), "age": pg.Int(3)}}, never, true)
+		Props: pg.Properties{"name": pg.Str("a"), "age": pg.Int(3)}}, true)
 	ty.ObserveNode(&pg.NodeRecord{ID: 2, Labels: []string{"Person", "Student"},
-		Props: pg.Properties{"name": pg.Str("b")}}, never, true)
+		Props: pg.Properties{"name": pg.Str("b")}}, true)
 	if ty.Instances != 2 {
 		t.Errorf("Instances = %d, want 2", ty.Instances)
 	}
@@ -81,9 +82,9 @@ func TestObserveEdgeAccumulates(t *testing.T) {
 	ty := NewType(NewSymtab(), EdgeKind)
 	ty.ObserveEdge(&pg.EdgeRecord{ID: 1, Labels: []string{"KNOWS"}, Src: 10, Dst: 20,
 		SrcLabels: []string{"Person"}, DstLabels: []string{"Person"},
-		Props: pg.Properties{"since": pg.Int(2017)}}, never, false)
+		Props: pg.Properties{"since": pg.Int(2017)}}, false)
 	ty.ObserveEdge(&pg.EdgeRecord{ID: 2, Labels: []string{"KNOWS"}, Src: 10, Dst: 30,
-		SrcLabels: []string{"Person"}, DstLabels: []string{"Admin"}}, never, false)
+		SrcLabels: []string{"Person"}, DstLabels: []string{"Admin"}}, false)
 	if !ty.SrcLabels().Has("Person") || !ty.DstLabels().Has("Admin") {
 		t.Error("endpoint labels not unioned")
 	}
@@ -102,7 +103,7 @@ func TestObserveKindMismatchPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	NewType(NewSymtab(), EdgeKind).ObserveNode(&pg.NodeRecord{}, never, false)
+	NewType(NewSymtab(), EdgeKind).ObserveNode(&pg.NodeRecord{}, false)
 }
 
 func TestMergeMonotonicityLemma1(t *testing.T) {
@@ -110,9 +111,9 @@ func TestMergeMonotonicityLemma1(t *testing.T) {
 	// or property keys.
 	tab := NewSymtab()
 	a := NewType(tab, NodeKind)
-	a.ObserveNode(&pg.NodeRecord{Labels: []string{"Person"}, Props: pg.Properties{"name": pg.Str("x")}}, never, false)
+	a.ObserveNode(&pg.NodeRecord{Labels: []string{"Person"}, Props: pg.Properties{"name": pg.Str("x")}}, false)
 	b := NewType(tab, NodeKind)
-	b.ObserveNode(&pg.NodeRecord{Labels: []string{"Student"}, Props: pg.Properties{"gpa": pg.Float(4)}}, never, false)
+	b.ObserveNode(&pg.NodeRecord{Labels: []string{"Student"}, Props: pg.Properties{"gpa": pg.Float(4)}}, false)
 	a.Merge(b)
 	for _, l := range []string{"Person", "Student"} {
 		if !a.HasLabel(l) {
@@ -134,10 +135,10 @@ func TestMergeMonotonicityLemma2(t *testing.T) {
 	tab := NewSymtab()
 	a := NewType(tab, EdgeKind)
 	a.ObserveEdge(&pg.EdgeRecord{Labels: []string{"LIKES"}, Src: 1, Dst: 2,
-		SrcLabels: []string{"Person"}, DstLabels: []string{"Post"}}, never, false)
+		SrcLabels: []string{"Person"}, DstLabels: []string{"Post"}}, false)
 	b := NewType(tab, EdgeKind)
 	b.ObserveEdge(&pg.EdgeRecord{Labels: []string{"LIKES"}, Src: 3, Dst: 4,
-		SrcLabels: []string{"Bot"}, DstLabels: []string{"Comment"}}, never, false)
+		SrcLabels: []string{"Bot"}, DstLabels: []string{"Comment"}}, false)
 	a.Merge(b)
 	if !a.SrcLabels().Has("Person") || !a.SrcLabels().Has("Bot") {
 		t.Error("source labels lost")
@@ -161,9 +162,9 @@ func TestMergeRescuesAbstract(t *testing.T) {
 	tab := NewSymtab()
 	a := NewType(tab, NodeKind)
 	a.Abstract = true
-	a.ObserveNode(&pg.NodeRecord{Props: pg.Properties{"x": pg.Int(1)}}, never, false)
+	a.ObserveNode(&pg.NodeRecord{Props: pg.Properties{"x": pg.Int(1)}}, false)
 	b := NewType(tab, NodeKind)
-	b.ObserveNode(&pg.NodeRecord{Labels: []string{"T"}}, never, false)
+	b.ObserveNode(&pg.NodeRecord{Labels: []string{"T"}}, false)
 	a.Merge(b)
 	if a.Abstract {
 		t.Error("merge with labeled type should clear Abstract")
@@ -174,9 +175,9 @@ func TestMergeDegreeEvidenceSums(t *testing.T) {
 	// The same source node observed in two batches must sum its out-degree.
 	tab := NewSymtab()
 	a := NewType(tab, EdgeKind)
-	a.ObserveEdge(&pg.EdgeRecord{Labels: []string{"R"}, Src: 1, Dst: 2}, never, false)
+	a.ObserveEdge(&pg.EdgeRecord{Labels: []string{"R"}, Src: 1, Dst: 2}, false)
 	b := NewType(tab, EdgeKind)
-	b.ObserveEdge(&pg.EdgeRecord{Labels: []string{"R"}, Src: 1, Dst: 3}, never, false)
+	b.ObserveEdge(&pg.EdgeRecord{Labels: []string{"R"}, Src: 1, Dst: 3}, false)
 	a.Merge(b)
 	if a.MaxDegrees().MaxOut != 2 {
 		t.Errorf("MaxOut = %d, want 2 after cross-batch merge", a.MaxDegrees().MaxOut)
@@ -185,9 +186,9 @@ func TestMergeDegreeEvidenceSums(t *testing.T) {
 
 func TestPropStatSampling(t *testing.T) {
 	p := NewPropStat()
-	p.Observe(pg.Int(1), true)
-	p.Observe(pg.Int(2), false)
-	p.Observe(pg.Float(1.5), true)
+	observeSampled(p, pg.Int(1))
+	p.Observe(pg.Int(2))
+	observeSampled(p, pg.Float(1.5))
 	if p.Count != 3 {
 		t.Errorf("Count = %d, want 3", p.Count)
 	}
@@ -203,7 +204,7 @@ func TestSchemaFindAndCovers(t *testing.T) {
 	s := NewSchema()
 	ty := s.NewType(NodeKind)
 	ty.ObserveNode(&pg.NodeRecord{Labels: []string{"Person"},
-		Props: pg.Properties{"name": pg.Str("x"), "age": pg.Int(1)}}, never, false)
+		Props: pg.Properties{"name": pg.Str("x"), "age": pg.Int(1)}}, false)
 	s.Add(ty)
 	if s.FindByLabelKey(NodeKind, "Person") != ty {
 		t.Error("FindByLabelKey failed")
@@ -225,9 +226,9 @@ func TestSchemaFindAndCovers(t *testing.T) {
 func TestSchemaAllAccessors(t *testing.T) {
 	s := NewSchema()
 	n := s.NewType(NodeKind)
-	n.ObserveNode(&pg.NodeRecord{Labels: []string{"A"}, Props: pg.Properties{"p": pg.Int(1)}}, never, false)
+	n.ObserveNode(&pg.NodeRecord{Labels: []string{"A"}, Props: pg.Properties{"p": pg.Int(1)}}, false)
 	e := s.NewType(EdgeKind)
-	e.ObserveEdge(&pg.EdgeRecord{Labels: []string{"R"}, Props: pg.Properties{"q": pg.Int(1)}}, never, false)
+	e.ObserveEdge(&pg.EdgeRecord{Labels: []string{"R"}, Props: pg.Properties{"q": pg.Int(1)}}, false)
 	s.Add(n)
 	s.Add(e)
 	if !s.AllLabels(NodeKind).Has("A") || !s.AllLabels(EdgeKind).Has("R") {
@@ -259,7 +260,7 @@ func TestMergeMonotoneQuick(t *testing.T) {
 					rec.Props[k] = pg.Int(int64(rng.Intn(10)))
 				}
 			}
-			ty.ObserveNode(rec, never, false)
+			ty.ObserveNode(rec, false)
 		}
 		return ty
 	}

@@ -14,6 +14,11 @@
 // introduces are trained. The weighted embedding block (LabelWeight × vector)
 // is memoized per token, so rendering a record copies a precomputed prefix
 // instead of re-scaling the embedding for every element that shares a token.
+//
+// Discovery never renders a dense vector: it clusters, and adapts its LSH
+// parameters, on the factored Encoding (encoding.go). The dense renderers
+// (NodeVector(Into), EdgeVector(Into), NodeVectors, EdgeVectors) are the
+// reference the Encoding and the factored kernels are tested against.
 package vectorize
 
 import (
@@ -345,7 +350,8 @@ func (v *Vectorizer) EdgePropertyKeys() []string { return v.edgeKeys }
 func (v *Vectorizer) LabelTokens() int { return v.labelTokens }
 
 // NodeVector renders one node record as f_v ∈ R^{d+K}: the label embedding
-// (zero vector when unlabeled) concatenated with the property indicator.
+// (zero vector when unlabeled) concatenated with the property indicator. It
+// is the reference renderer the factored NodeEncoding is checked against.
 func (v *Vectorizer) NodeVector(n *pg.NodeRecord) []float64 {
 	out := make([]float64, v.NodeDim())
 	v.NodeVectorInto(n, out)
@@ -378,7 +384,8 @@ func (v *Vectorizer) copyEmbedding(dst []float64, token string) {
 
 // EdgeVector renders one edge record as f_e ∈ R^{3d+Q}: embeddings of the
 // edge label, the source label set and the target label set, then the edge
-// property indicator.
+// property indicator. It is the reference renderer the factored EdgeEncoding
+// is checked against.
 func (v *Vectorizer) EdgeVector(e *pg.EdgeRecord) []float64 {
 	out := make([]float64, v.EdgeDim())
 	v.EdgeVectorInto(e, out)
