@@ -29,28 +29,31 @@ import (
 // post-extract(k) schema, giving the resumed run the exact state the
 // original run had when it began batch k+1.
 
-// checkpointMagic versions the checkpoint format. PGCK7 appends the drift
-// section — the epoch counter, the window position and the epoch baseline
-// Def — so a resumed run validates against the same epoch the writer was
-// using (see drift.go); PGCK5 added the self-describing evidence mode bytes
-// — degree counters and value stats may serialize either as exact tables or
-// as sketches (HLL + count-min + top-k, see schema/checkpoint.go) — and
-// extended the fingerprint with the memory budget; PGCK3 introduced the
-// symbol intern table (symtab serializes first so a resumed run reassigns
-// the exact same IDs); PGCK2 added Load/Wall timing columns to the
-// per-batch reports. Older checkpoints are rejected (resume from scratch
-// rather than guess at an incompatible layout).
-const checkpointMagic = "PGCK7"
+// checkpointMagic versions the checkpoint format. PGCK9 replaces the drift
+// section with the epoch clock's whole state — tallies, drift quarantines
+// and the last epoch included (see epoch.go) — and keeps only the fault
+// quarantines in the header skip list; PGCK7 appended the drift section
+// (epoch counter, window position, epoch baseline Def); PGCK5 added the
+// self-describing evidence mode bytes — degree counters and value stats may
+// serialize either as exact tables or as sketches (HLL + count-min + top-k,
+// see schema/checkpoint.go) — and extended the fingerprint with the memory
+// budget; PGCK3 introduced the symbol intern table (symtab serializes first
+// so a resumed run reassigns the exact same IDs); PGCK2 added Load/Wall
+// timing columns to the per-batch reports. Older checkpoints are rejected
+// (resume from scratch rather than guess at an incompatible layout).
+const checkpointMagic = "PGCK9"
 
-// Codec bounds for untrusted counts.
+// Codec bounds for untrusted counts; no count preallocates more than
+// maxPrealloc entries.
 const (
-	maxSkipped = 1 << 24
-	maxReports = 1 << 24
-	maxSamples = 1 << 24
+	maxSkipped  = 1 << 24
+	maxReports  = 1 << 24
+	maxSamples  = 1 << 24
+	maxPrealloc = 1 << 12
 )
 
 // SkipReport records one quarantined batch: its stream slot and why it was
-// poisoned.
+// poisoned or withheld.
 type SkipReport struct {
 	// Seq is the batch's slot in the source stream (delivered and
 	// quarantined batches both advance the slot counter; retried transient
@@ -143,17 +146,19 @@ func (p *Pipeline) restoreSnapshot(r *pg.WireReader) error {
 		if err != nil {
 			return err
 		}
-		order := make([]string, n)
-		for i := range order {
-			if order[i], err = r.String(); err != nil {
+		order := make([]string, 0, min(n, maxPrealloc))
+		for i := uint64(0); i < n; i++ {
+			rep, err := r.String()
+			if err != nil {
 				return err
 			}
+			order = append(order, rep)
 		}
 		m, err := r.Uvarint(maxSamples)
 		if err != nil {
 			return err
 		}
-		canonical := make(map[string]string, m)
+		canonical := make(map[string]string, min(m, maxPrealloc))
 		for i := uint64(0); i < m; i++ {
 			l, err := r.String()
 			if err != nil {
@@ -172,18 +177,15 @@ func (p *Pipeline) restoreSnapshot(r *pg.WireReader) error {
 
 // encodeCheckpoint writes the full checkpoint. snap is the preprocess-frontier
 // snapshot to embed (from stateSnapshot); slots is the stream position
-// consumed so far (delivered + quarantined batches).
+// consumed so far (delivered + quarantined batches); skipped lists the fault
+// quarantines (the drift quarantines ride in the clock section).
 func (p *Pipeline) encodeCheckpoint(w io.Writer, slots int, skipped []SkipReport, snap []byte) error {
 	bw := pg.NewWireWriter(w)
 	bw.Raw([]byte(checkpointMagic))
 	bw.String(p.cfg.fingerprint())
 	bw.Uvarint(uint64(slots))
 
-	bw.Uvarint(uint64(len(skipped)))
-	for _, s := range skipped {
-		bw.Varint(int64(s.Seq))
-		bw.String(s.Reason)
-	}
+	writeSkips(bw, skipped)
 
 	bw.Uvarint(uint64(len(p.reports)))
 	for _, r := range p.reports {
@@ -195,9 +197,11 @@ func (p *Pipeline) encodeCheckpoint(w io.Writer, slots int, skipped []SkipReport
 	}
 	p.sampler.writeState(bw)
 	bw.Raw(snap)
-	if err := p.writeDriftState(bw); err != nil {
+	clock, err := encodeClock(p.clock)
+	if err != nil {
 		return err
 	}
+	bw.String(string(clock))
 	return bw.Flush()
 }
 
@@ -216,8 +220,8 @@ func (p *Pipeline) EncodeCheckpoint(w io.Writer, slots int, skipped []SkipReport
 // config must match the writer's (fingerprint-checked): resuming under a
 // different configuration would process the remaining batches differently
 // and break the byte-identity guarantee. It returns the restored pipeline,
-// the stream position to skip to, and the batches quarantined before the
-// checkpoint.
+// the stream position to skip to, and the batches the fault puller
+// quarantined before the checkpoint.
 func ResumePipeline(r io.Reader, cfg Config) (*Pipeline, int, []SkipReport, error) {
 	p := NewPipeline(cfg)
 	br := pg.NewWireReader(r)
@@ -236,28 +240,16 @@ func ResumePipeline(r io.Reader, cfg Config) (*Pipeline, int, []SkipReport, erro
 		return nil, 0, nil, fmt.Errorf("core: checkpoint slots: %w", err)
 	}
 
-	skipCount, err := br.Uvarint(maxSkipped)
+	skipped, err := readSkips(br)
 	if err != nil {
 		return nil, 0, nil, err
-	}
-	var skipped []SkipReport
-	for i := uint64(0); i < skipCount; i++ {
-		seq, err := br.Varint()
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		reason, err := br.String()
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		skipped = append(skipped, SkipReport{Seq: int(seq), Reason: reason})
 	}
 
 	reportCount, err := br.Uvarint(maxReports)
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	p.reports = make([]BatchReport, 0, reportCount)
+	p.reports = make([]BatchReport, 0, min(reportCount, maxPrealloc))
 	for i := uint64(0); i < reportCount; i++ {
 		rep, err := readReport(br)
 		if err != nil {
@@ -279,10 +271,42 @@ func ResumePipeline(r io.Reader, cfg Config) (*Pipeline, int, []SkipReport, erro
 	if err := p.restoreSnapshot(br); err != nil {
 		return nil, 0, nil, fmt.Errorf("core: checkpoint state: %w", err)
 	}
-	if err := p.readDriftState(br); err != nil {
+	clock, err := br.String()
+	if err != nil {
+		return nil, 0, nil, fmt.Errorf("core: checkpoint epoch clock: %w", err)
+	}
+	if err := decodeClock([]byte(clock), p.clock); err != nil {
 		return nil, 0, nil, err
 	}
 	return p, int(slots), skipped, nil
+}
+
+func writeSkips(w *pg.WireWriter, skipped []SkipReport) {
+	w.Uvarint(uint64(len(skipped)))
+	for _, s := range skipped {
+		w.Varint(int64(s.Seq))
+		w.String(s.Reason)
+	}
+}
+
+func readSkips(r *pg.WireReader) ([]SkipReport, error) {
+	n, err := r.Uvarint(maxSkipped)
+	if err != nil {
+		return nil, err
+	}
+	var skipped []SkipReport
+	for i := uint64(0); i < n; i++ {
+		seq, err := r.Varint()
+		if err != nil {
+			return nil, err
+		}
+		reason, err := r.String()
+		if err != nil {
+			return nil, err
+		}
+		skipped = append(skipped, SkipReport{Seq: int(seq), Reason: reason})
+	}
+	return skipped, nil
 }
 
 func writeReport(w *pg.WireWriter, r BatchReport) {
@@ -381,7 +405,7 @@ func (s *sampler) readState(r *pg.WireReader) error {
 	if err != nil {
 		return err
 	}
-	counts := make(map[uint64]int, n)
+	counts := make(map[uint64]int, min(n, maxPrealloc))
 	last := int64(-1)
 	for i := uint64(0); i < n; i++ {
 		k, err := r.Uvarint(^uint64(0))

@@ -117,17 +117,19 @@ type Config struct {
 	// Shards partitions the element stream across that many independent
 	// discovery pipelines — each with its own schema, sampler and embedding
 	// session — whose partial schemas are merged when the stream ends, and at
-	// every fleet epoch when OnEpoch is set. Every entry point honours it
-	// (Run, Discover, serve.Ingest, soak.Run). Elements are assigned to
+	// every epoch cut of a run with an epoch clock. Every entry point honours
+	// it (Run, Discover, serve.Ingest, soak.Run). Elements are assigned to
 	// shards by a fixed hash of their IDs (pg.PartitionBatch), so the
-	// partition is deterministic and batch-boundary independent. 0 or 1 runs
-	// the single unsharded pipeline. Values > 1 produce a deterministic
-	// schema for a fixed (Seed, Shards), but not byte-identical to the
-	// serial run: each shard clusters and samples only its own elements, so
-	// abstract-type composition and SampleKinds can differ (see DESIGN.md
-	// §11). Not part of the checkpoint fingerprint — sharded checkpoints use
-	// their own container format (PGCK8) that records the shard count
-	// explicitly.
+	// partition is deterministic and batch-boundary independent. The run's
+	// one epoch clock (drift gate and epochs) belongs to the shard router,
+	// which checks each whole source batch before partitioning it; shard
+	// pipelines run no drift. 0 or 1 runs the single unsharded pipeline.
+	// Values > 1 produce a deterministic schema for a fixed (Seed, Shards),
+	// but not byte-identical to the serial run: each shard clusters and
+	// samples only its own elements, so abstract-type composition and
+	// SampleKinds can differ (see DESIGN.md §11). Not part of the checkpoint
+	// fingerprint — sharded checkpoints use their own container format
+	// (PGCK10) that records the shard count explicitly.
 	Shards int
 	// MemBudgetBytes caps the evidence layer's retained memory. 0 (the
 	// default) keeps today's exact accumulators: per-endpoint degree
@@ -140,10 +142,10 @@ type Config struct {
 	// uniqueness and max-degree become statistical estimates — so the
 	// budget is part of the checkpoint fingerprint.
 	MemBudgetBytes int64
-	// DriftPolicy enables streaming conformance checking: every batch is
-	// validated against the schema of the current epoch at the serialized
-	// extract point, before its candidates merge, and classified violations
-	// flow out as obs drift counters and drift-log records (see drift.go).
+	// DriftPolicy enables streaming conformance checking: the run's epoch
+	// clock validates every batch against the schema of the current epoch
+	// before its candidates merge, and classified violations flow out as
+	// obs drift counters and drift-log records (see drift.go, epoch.go).
 	// DriftOff (the zero value) disables validation entirely. Evolve and
 	// alert are execution-only — the discovered schema is byte-identical to
 	// a validator-free run — so they are excluded from the checkpoint
@@ -151,34 +153,31 @@ type Config struct {
 	// therefore fingerprints (together with EpochInterval).
 	DriftPolicy DriftPolicy
 	// EpochInterval is the epoch window length: every that many batches
-	// through the extract gate (merged or quarantined), the engine snapshots
-	// the finalized schema, diffs it against the previous epoch and installs
-	// it as the new validation target. Under sharding each shard keeps its
-	// own drift epochs over its sub-batches, while OnEpoch's fleet epochs
-	// count source batches routed, so the publication rate does not depend on
-	// the shard count. 0 means DefaultEpochInterval.
+	// through the clock's gate (merged or quarantined), the run's epoch clock
+	// snapshots the finalized schema, diffs it against the previous epoch
+	// and installs it as the new validation target. A sharded run counts
+	// source batches at the router, so its epochs fall where the unsharded
+	// run's do. 0 means DefaultEpochInterval.
 	EpochInterval int
-	// DriftLog, when non-nil, receives JSONL drift records: classified
-	// violation batches (under alert/quarantine) and epoch diffs. Shared by
-	// every shard of a sharded run; execution-only.
+	// DriftLog, when non-nil, receives JSONL drift records from the run's
+	// epoch clock: classified violation batches (under alert and quarantine
+	// only; evolve counts without logging) and epoch diffs. Execution-only.
 	DriftLog *DriftLog
 	// OnEpoch, when non-nil, receives an EpochSnapshot at every epoch
 	// boundary — the resident schema service's publication hook. Setting it
 	// activates the epoch clock even under DriftPolicy off (snapshot + diff
 	// every EpochInterval batches, no validation), so a server can publish
 	// copy-on-write schema epochs without paying for conformance checking.
-	// The hook runs at the serialized extract point and must return quickly;
-	// the snapshot Def is immutable and safe to retain. Execution-only: it
-	// observes the schema but never feeds back, so — like Telemetry — it is
-	// excluded from the checkpoint fingerprint. In a sharded run the router
-	// fires it for the whole fleet instead, on its own goroutine, at a
-	// consistent cut every EpochInterval source batches: every shard has
-	// folded what it was routed, and the epoch is byte-identical to
-	// Discover over the batches before the cut. Shards never fire it.
+	// Every successful run with a clock ends with exactly one Final snapshot
+	// whose Def is Result.Def (see EpochSnapshot.Final). The hook runs on the
+	// clock owner's goroutine — the single pipeline's extract point, or the
+	// shard router at a consistent cut where every shard has folded what it
+	// was routed, so a fleet epoch is byte-identical to Discover over the
+	// batches before the cut — and must return quickly; the snapshot Def is
+	// immutable and safe to retain. Execution-only: it observes the schema
+	// but never feeds back, so — like Telemetry — it is excluded from the
+	// checkpoint fingerprint.
 	OnEpoch func(EpochSnapshot)
-	// driftShard tags this pipeline's drift-log records with its shard index
-	// (set by shardConfig; 0 for unsharded runs).
-	driftShard int
 	// PipelineDepth controls the staged batch execution engine every entry
 	// point runs (engine.go). Values > 1 allow that many batches in flight at
 	// once: a load goroutine keeps the next batch pulled while the current

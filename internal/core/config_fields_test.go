@@ -60,7 +60,6 @@ var configFields = map[string]struct {
 	"Telemetry":       {executionOnly, func(c *Config) { c.Telemetry = obs.NewRegistry() }},
 	"DriftLog":        {executionOnly, func(c *Config) { c.DriftLog = NewDriftLog(io.Discard) }},
 	"OnEpoch":         {executionOnly, func(c *Config) { c.OnEpoch = func(EpochSnapshot) {} }},
-	"driftShard":      {executionOnly, func(c *Config) { c.driftShard = 2 }},
 	"PipelineDepth":   {executionOnly, func(c *Config) { c.PipelineDepth = 8 }},
 	"DriftPolicy":     {quarantineOnly, func(c *Config) { c.DriftPolicy = DriftAlert }},
 	"EpochInterval":   {quarantineOnly, func(c *Config) { c.EpochInterval = 3 }},

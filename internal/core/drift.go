@@ -1,10 +1,10 @@
 // Streaming drift observability: the discovery pipeline doubles as a
-// conformance guardrail. With a DriftPolicy set, every batch is validated
-// against the schema of the current *epoch* at the serialized extract point
-// — before its candidates are merged — and classified violations flow out
-// as obs drift counters, per-window histograms and JSONL records. At every
-// EpochInterval extracted windows the engine snapshots the finalized
-// schema, diffs it against the previous epoch (schema.Diff) and emits the
+// conformance guardrail. With a DriftPolicy set, the run's epoch clock
+// (epoch.go) validates every batch against the schema of the current
+// *epoch* before its candidates are merged, and classified violations flow
+// out as obs drift counters, per-window histograms and JSONL records. At
+// every EpochInterval batches the clock snapshots the finalized schema,
+// diffs it against the previous epoch (schema.Diff) and emits the
 // structured diff, so "what changed since epoch k" is a query over the
 // drift log rather than a forensic exercise.
 //
@@ -20,25 +20,20 @@
 //     into Result.Skipped alongside the fault-tolerant path's poisoned
 //     batches, so the pre-drift schema holds.
 //
-// Epoch state (counter, window position, baseline Def) is carried in
-// checkpoints: under quarantine it decides which future batches merge, so
-// it is part of the configuration fingerprint; under evolve/alert it is
-// execution-only, like telemetry.
+// The clock's state (window, epoch, baseline Def, tallies, quarantines) is
+// carried in checkpoints: under quarantine it decides which future batches
+// merge, so it is part of the configuration fingerprint; under evolve/alert
+// it is execution-only, like telemetry.
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
-	"time"
 
 	"pghive/internal/obs"
-	"pghive/internal/pg"
 	"pghive/internal/schema"
-	"pghive/internal/serialize"
 	"pghive/internal/validate"
 )
 
@@ -112,8 +107,8 @@ var driftCounterOf = [validate.NumDriftClasses]obs.Counter{
 }
 
 // DriftLog is a concurrency-safe JSONL sink for drift records (violation
-// batches and epoch diffs). It is execution-only — shared by every shard of
-// a sharded run — and write errors are swallowed after the first (an
+// batches and epoch diffs), written by the run's epoch clock. It is
+// execution-only, and write errors are swallowed after the first (an
 // observability sink must never fail the pipeline).
 type DriftLog struct {
 	mu   sync.Mutex
@@ -151,7 +146,6 @@ func (l *DriftLog) emit(rec any) {
 // driftViolationRecord is one JSONL line: a batch that violated the epoch.
 type driftViolationRecord struct {
 	Kind    string                    `json:"kind"` // "violations"
-	Shard   int                       `json:"shard,omitempty"`
 	Batch   int                       `json:"batch"`
 	Slot    int                       `json:"slot"`
 	Policy  string                    `json:"policy"`
@@ -164,7 +158,6 @@ type driftViolationRecord struct {
 // against the previous epoch.
 type driftEpochRecord struct {
 	Kind    string            `json:"kind"` // "epoch"
-	Shard   int               `json:"shard,omitempty"`
 	Epoch   int               `json:"epoch"`
 	Batch   int               `json:"batch"`
 	Final   bool              `json:"final,omitempty"`
@@ -177,13 +170,18 @@ type driftEpochRecord struct {
 type EpochSnapshot struct {
 	// Epoch is the 1-based epoch counter; Batches is how many batches had
 	// been extracted into the schema when the snapshot was taken; Seq is the
-	// stream sequence number of the batch that closed the window. In a
-	// sharded run both count source batches: a fleet epoch after k source
-	// batches has Batches k and Seq k−1.
+	// sequence number of the batch that closed the window (quarantined
+	// batches take a number too). In a sharded run both count source
+	// batches, so without quarantines a fleet epoch after k source batches
+	// has Batches k and Seq k−1, as the unsharded run's does.
 	Epoch   int
 	Batches int
 	Seq     int
-	// Final marks the partial window closed at the end of the stream.
+	// Final marks the run's last snapshot. Every successful run with an
+	// epoch clock ends with exactly one, whose Def is Result.Def: a new
+	// epoch closing the partial last window (Seq is then Batches−1), or —
+	// when the stream ended on a window boundary — the last epoch sent
+	// again with only Final and Def fresh.
 	Final bool
 	// Def is the finalized schema; it aliases nothing mutable and may be
 	// retained indefinitely.
@@ -191,43 +189,6 @@ type EpochSnapshot struct {
 	// Changes is the schema.Diff against the previous epoch (nil for the
 	// baseline epoch).
 	Changes []schema.Change
-}
-
-// driftState is the per-pipeline drift machinery, allocated when a policy
-// is set — or, checker-less, when only an OnEpoch hook wants the epoch
-// clock.
-type driftState struct {
-	// checker is nil in epoch-only mode (DriftOff + OnEpoch): the epoch
-	// clock runs, validation does not.
-	checker *validate.StreamChecker
-	log     *DriftLog
-	// epoch counts snapshots taken; sinceEpoch counts extracted (or
-	// quarantined) windows since the last one; prevDef is the baseline the
-	// checker validates against and the diff compares to.
-	epoch      int
-	sinceEpoch int
-	prevDef    *schema.Def
-	// Summary tallies, independent of whether a telemetry sink is attached.
-	byClass      [validate.NumDriftClasses]uint64
-	driftBatches int
-	quarantined  int
-	epochChanges int
-}
-
-// newDriftState builds the drift machinery for a configured pipeline.
-func newDriftState(cfg Config) *driftState {
-	if cfg.DriftPolicy == DriftOff {
-		if cfg.OnEpoch == nil {
-			return nil
-		}
-		// Epoch-only mode: the publication hook needs the epoch clock but
-		// nobody asked for validation, so no checker and no drift log.
-		return &driftState{}
-	}
-	return &driftState{
-		checker: validate.NewStreamChecker(driftMaxDetails),
-		log:     cfg.DriftLog,
-	}
 }
 
 // DriftSummary aggregates a run's drift activity, exposed as Result.Drift.
@@ -258,98 +219,6 @@ func (s *DriftSummary) Total() uint64 {
 // Class returns one class's violation count.
 func (s *DriftSummary) Class(c validate.DriftClass) uint64 { return s.ByClass[c] }
 
-// merge folds another shard's summary into this one.
-func (s *DriftSummary) merge(o *DriftSummary) {
-	s.Epochs += o.Epochs
-	s.EpochChanges += o.EpochChanges
-	for i := range s.ByClass {
-		s.ByClass[i] += o.ByClass[i]
-	}
-	s.DriftBatches += o.DriftBatches
-	s.Quarantined += o.Quarantined
-}
-
-// driftSummary renders the pipeline's drift tallies (nil when drift is off,
-// including epoch-only mode — an OnEpoch hook alone is not drift activity).
-func (p *Pipeline) driftSummary() *DriftSummary {
-	d := p.drift
-	if d == nil || p.cfg.DriftPolicy == DriftOff {
-		return nil
-	}
-	return &DriftSummary{
-		Policy:       p.cfg.DriftPolicy,
-		Epochs:       d.epoch,
-		EpochChanges: d.epochChanges,
-		ByClass:      d.byClass,
-		DriftBatches: d.driftBatches,
-		Quarantined:  d.quarantined,
-	}
-}
-
-// extractChecked is the policy gate in front of extract. It runs at the
-// serialized extract point (strictly in batch order), validates the batch
-// against the current epoch, enforces the policy, and advances the epoch
-// clock. slot is the batch's source stream position for quarantine skip
-// reports. A quarantined batch returns a zero report and is not appended to
-// p.reports, matching the fault path's skip semantics.
-func (p *Pipeline) extractChecked(c computed, slot int) BatchReport {
-	if p.drift == nil {
-		return p.extract(c)
-	}
-	var rep BatchReport
-	if p.driftAdmit(c.b, c.seq, slot) {
-		rep = p.extract(c)
-	}
-	p.drift.sinceEpoch++
-	if p.drift.sinceEpoch >= p.cfg.EpochInterval {
-		p.driftEpoch(c.seq, false)
-	}
-	return rep
-}
-
-// driftAdmit validates one batch and reports whether it may merge. Before
-// the first epoch there is nothing to validate against, so warm-up batches
-// admit trivially.
-func (p *Pipeline) driftAdmit(b *pg.Batch, seq, slot int) bool {
-	d := p.drift
-	if d.checker == nil || !d.checker.Ready() {
-		return true
-	}
-	start := time.Now()
-	v := d.checker.CheckBatch(b)
-	p.instr.Span(obs.Span{
-		Stage: obs.StageValidate, Batch: seq, Slot: p.slot(seq),
-		Start: start, Duration: time.Since(start),
-		Elements: int(v.Total()),
-	})
-	if v.Clean() {
-		return true
-	}
-	d.driftBatches++
-	for cl, n := range v.Counts {
-		if n > 0 {
-			d.byClass[cl] += n
-			p.instr.Add(driftCounterOf[cl], n)
-		}
-	}
-	p.instr.Add(obs.CtrDriftBatches, 1)
-	p.instr.Observe(obs.HistDriftBatchViolations, v.Total())
-	if p.cfg.DriftPolicy != DriftEvolve {
-		d.log.emit(driftViolationRecord{
-			Kind: "violations", Shard: p.cfg.driftShard, Batch: seq, Slot: slot,
-			Policy: p.cfg.DriftPolicy.String(),
-			Total:  v.Total(), Counts: classCounts(&v), Details: v.Details,
-		})
-	}
-	if p.cfg.DriftPolicy == DriftQuarantine {
-		d.quarantined++
-		p.instr.Add(obs.CtrDriftQuarantined, 1)
-		p.driftSkipped = append(p.driftSkipped, SkipReport{Seq: slot, Reason: driftReason(&v)})
-		return false
-	}
-	return true
-}
-
 // classCounts renders a verdict's non-zero per-class counts by name.
 func classCounts(v *validate.BatchVerdict) map[string]uint64 {
 	out := make(map[string]uint64)
@@ -376,136 +245,4 @@ func driftReason(v *validate.BatchVerdict) string {
 		r += fmt.Sprintf("%s=%d", validate.DriftClass(cl), n)
 	}
 	return r + ")"
-}
-
-// driftEpoch takes an epoch snapshot: finalize the current schema, diff it
-// against the previous epoch, publish the diff, and install the snapshot as
-// the checker's new validation target. The first epoch is the baseline —
-// it emits no diff (there is nothing to compare against), which also means
-// validation only begins after one full warm-up window, keeping stable
-// streams at zero across all windows.
-func (p *Pipeline) driftEpoch(seq int, final bool) {
-	d := p.drift
-	start := time.Now()
-	def := p.cfg.finalize(p.schema)
-	var changes []schema.Change
-	baseline := d.prevDef == nil
-	if !baseline {
-		changes = schema.Diff(d.prevDef, def)
-	}
-	d.epoch++
-	d.sinceEpoch = 0
-	d.prevDef = def
-	if d.checker != nil {
-		d.checker.SetEpoch(def)
-	}
-	p.instr.Add(obs.CtrEpochs, 1)
-	if !baseline {
-		d.epochChanges += len(changes)
-		p.instr.Add(obs.CtrEpochChanges, uint64(len(changes)))
-		p.instr.Observe(obs.HistEpochDiffChanges, uint64(len(changes)))
-		d.log.emit(driftEpochRecord{
-			Kind: "epoch", Shard: p.cfg.driftShard, Epoch: d.epoch, Batch: seq,
-			Final: final, Changes: len(changes), Diff: schema.NewDiffReport(changes),
-		})
-	}
-	p.instr.Span(obs.Span{
-		Stage: obs.StageEpoch, Batch: seq,
-		Start: start, Duration: time.Since(start),
-		Elements: len(changes),
-	})
-	if p.cfg.OnEpoch != nil {
-		p.cfg.OnEpoch(EpochSnapshot{
-			Epoch: d.epoch, Batches: len(p.reports), Seq: seq, Final: final,
-			Def: def, Changes: changes,
-		})
-	}
-}
-
-// driftFinalEpoch closes the last partial window at Finalize time: whatever
-// changed since the most recent epoch boundary is reported against the
-// run's final Def, so the drift log always covers the whole stream.
-func (p *Pipeline) driftFinalEpoch() {
-	d := p.drift
-	if d == nil || d.epoch == 0 || d.sinceEpoch == 0 {
-		return
-	}
-	p.driftEpoch(len(p.reports)-1, true)
-}
-
-// mergedSkips combines the fault-quarantine list with the drift-quarantine
-// list, ordered by stream slot.
-func (p *Pipeline) mergedSkips(faultSkips []SkipReport) []SkipReport {
-	if len(p.driftSkipped) == 0 {
-		return faultSkips
-	}
-	out := make([]SkipReport, 0, len(faultSkips)+len(p.driftSkipped))
-	out = append(out, faultSkips...)
-	out = append(out, p.driftSkipped...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
-
-// writeDriftState appends the drift section to a checkpoint: the epoch
-// counter, the window position, and the baseline Def (as schema JSON).
-// Always written — a pipeline without drift writes the empty section — so
-// the layout is policy-independent and a checkpoint taken under one
-// execution-only policy resumes under another.
-func (p *Pipeline) writeDriftState(w *pg.WireWriter) error {
-	d := p.drift
-	if d == nil {
-		w.Uvarint(0)
-		w.Uvarint(0)
-		w.Bool(false)
-		return nil
-	}
-	w.Uvarint(uint64(d.epoch))
-	w.Uvarint(uint64(d.sinceEpoch))
-	if d.prevDef == nil {
-		w.Bool(false)
-		return nil
-	}
-	w.Bool(true)
-	var buf bytes.Buffer
-	if err := serialize.WriteJSON(&buf, d.prevDef); err != nil {
-		return fmt.Errorf("core: encode epoch def: %w", err)
-	}
-	w.String(buf.String())
-	return nil
-}
-
-// readDriftState decodes the drift section. State is restored only when the
-// resuming pipeline has drift enabled; otherwise it is read and discarded.
-func (p *Pipeline) readDriftState(r *pg.WireReader) error {
-	epoch, err := r.Uvarint(1 << 40)
-	if err != nil {
-		return fmt.Errorf("core: checkpoint drift epoch: %w", err)
-	}
-	since, err := r.Uvarint(1 << 40)
-	if err != nil {
-		return fmt.Errorf("core: checkpoint drift window: %w", err)
-	}
-	hasDef, err := r.Bool()
-	if err != nil {
-		return fmt.Errorf("core: checkpoint drift def flag: %w", err)
-	}
-	var def *schema.Def
-	if hasDef {
-		js, err := r.String()
-		if err != nil {
-			return fmt.Errorf("core: checkpoint drift def: %w", err)
-		}
-		if def, err = serialize.ReadJSON(bytes.NewReader([]byte(js))); err != nil {
-			return fmt.Errorf("core: decode epoch def: %w", err)
-		}
-	}
-	if d := p.drift; d != nil {
-		d.epoch = int(epoch)
-		d.sinceEpoch = int(since)
-		d.prevDef = def
-		if def != nil && d.checker != nil {
-			d.checker.SetEpoch(def)
-		}
-	}
-	return nil
 }

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"pghive/internal/datagen"
 	"pghive/internal/obs"
 	"pghive/internal/pg"
 	"pghive/internal/validate"
@@ -287,80 +290,206 @@ func TestDriftFingerprints(t *testing.T) {
 	}
 }
 
-// TestDriftCrashResumeQuarantine: kill a checkpointing quarantine run
-// mid-stream and resume it — the finalized schema, the quarantine list and
-// the epoch counter all match an uninterrupted run. The epoch baseline
-// rides in the checkpoint, so the resumed run validates the remaining
-// batches against the exact Def the dead run was using.
+// TestDriftCrashResumeQuarantine: kill a checkpointing quarantine run at
+// every stream position and resume it — the finalized schema, the
+// quarantine list, the whole drift summary (epochs, per-class counts, drift
+// batches, quarantines, epoch-diff changes) and every epoch the resumed run
+// publishes all match an uninterrupted run, unsharded and sharded, inline
+// and overlapped. The clock's whole state rides in the checkpoint (the
+// fleet container's header under sharding), so the resumed run validates
+// the remaining batches against the exact Def the dead run was using and
+// counts on from its tallies. A drifted batch amid stable ones makes late
+// kills replay past a quarantined batch, and a container saved between a
+// window's last batch and its cut makes the resumed router take that cut.
 func TestDriftCrashResumeQuarantine(t *testing.T) {
-	batches := driftStream(6, 3)
-	cfg := DefaultConfig()
-	cfg.DriftPolicy = DriftQuarantine
-	cfg.EpochInterval = 3
-	uninterrupted, err := Run(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
+	stream := driftStream(9, 1)
+	batches := append(append(append([]*pg.Batch(nil), stream[:6]...), stream[9]), stream[6:9]...)
+	// epochKey identifies a published epoch by number, frontier and content.
+	epochKey := func(s EpochSnapshot) string {
+		js, _ := renderDef(t, s.Def)
+		return fmt.Sprintf("epoch %d final %t batches %d seq %d changes %d %s", s.Epoch, s.Final, s.Batches, s.Seq, len(s.Changes), js)
 	}
-	wantJSON, wantDDL := renderDef(t, uninterrupted.Def)
+	for _, shards := range []int{0, 2} {
+		cfg := DefaultConfig()
+		cfg.Shards = shards
+		cfg.DriftPolicy = DriftQuarantine
+		cfg.EpochInterval = 3
+		var snaps []EpochSnapshot
+		cfg.OnEpoch = func(s EpochSnapshot) { snaps = append(snaps, s) }
+		uninterrupted, err := Run(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, wantDDL := renderDef(t, uninterrupted.Def)
+		wantEpochs := map[string]bool{}
+		for _, s := range snaps {
+			wantEpochs[epochKey(s)] = true
+		}
+		if uninterrupted.Drift.Quarantined != 1 {
+			t.Fatalf("shards=%d: uninterrupted run quarantined %d batches, want the drifted one", shards, uninterrupted.Drift.Quarantined)
+		}
 
-	for _, kill := range []int{4, 7} {
-		for _, depth := range []int{1, 4} {
-			cfg := cfg
-			cfg.PipelineDepth = depth
-			ck := FileCheckpointer{Path: filepath.Join(t.TempDir(), "drift.ck")}
-			crash := pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)),
-				pg.FaultProfile{FailAfter: kill, Seed: 1})
-			if _, err := Run(crash, cfg, RunOptions{Checkpoint: ck}); !errors.Is(err, pg.ErrPermanentFault) {
-				t.Fatalf("kill=%d depth=%d: want permanent fault, got %v", kill, depth, err)
-			}
-			state, ok, err := ck.Load()
-			if err != nil || !ok {
-				t.Fatalf("kill=%d depth=%d: checkpoint load: ok=%t err=%v", kill, depth, ok, err)
-			}
-			res, err := Run(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, RunOptions{Checkpoint: ck, Resume: state})
-			if err != nil {
-				t.Fatalf("kill=%d depth=%d: resume: %v", kill, depth, err)
-			}
-			gotJSON, gotDDL := renderDef(t, res.Def)
-			if !bytes.Equal(wantJSON, gotJSON) || !bytes.Equal(wantDDL, gotDDL) {
-				t.Errorf("kill=%d depth=%d: resumed schema diverges\nwant %s\ngot  %s", kill, depth, wantJSON, gotJSON)
-			}
-			if len(res.Skipped) != len(uninterrupted.Skipped) {
-				t.Errorf("kill=%d depth=%d: resumed skip list %v, want %v", kill, depth, res.Skipped, uninterrupted.Skipped)
-			}
-			if res.Drift.Epochs != uninterrupted.Drift.Epochs {
-				t.Errorf("kill=%d depth=%d: epochs %d, want %d", kill, depth, res.Drift.Epochs, uninterrupted.Drift.Epochs)
+		for kill := 1; kill < len(batches); kill++ {
+			for _, depth := range []int{1, 4} {
+				name := fmt.Sprintf("shards=%d kill=%d depth=%d", shards, kill, depth)
+				cfg := cfg
+				cfg.PipelineDepth = depth
+				ck := FileCheckpointer{Path: filepath.Join(t.TempDir(), "drift.ck")}
+				crash := pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)),
+					pg.FaultProfile{FailAfter: kill, Seed: 1})
+				if _, err := Run(crash, cfg, RunOptions{Checkpoint: ck}); !errors.Is(err, pg.ErrPermanentFault) {
+					t.Fatalf("%s: want permanent fault, got %v", name, err)
+				}
+				state, ok, err := ck.Load()
+				if err != nil || !ok {
+					t.Fatalf("%s: checkpoint load: ok=%t err=%v", name, ok, err)
+				}
+				snaps = nil
+				res, err := Run(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, RunOptions{Checkpoint: ck, Resume: state})
+				if err != nil {
+					t.Fatalf("%s: resume: %v", name, err)
+				}
+				gotJSON, gotDDL := renderDef(t, res.Def)
+				if !bytes.Equal(wantJSON, gotJSON) || !bytes.Equal(wantDDL, gotDDL) {
+					t.Errorf("%s: resumed schema diverges\nwant %s\ngot  %s", name, wantJSON, gotJSON)
+				}
+				if !reflect.DeepEqual(res.Skipped, uninterrupted.Skipped) {
+					t.Errorf("%s: resumed skip list %v, want %v", name, res.Skipped, uninterrupted.Skipped)
+				}
+				if *res.Drift != *uninterrupted.Drift {
+					t.Errorf("%s: resumed drift %+v, want %+v", name, *res.Drift, *uninterrupted.Drift)
+				}
+				for _, s := range snaps {
+					if !wantEpochs[epochKey(s)] {
+						t.Errorf("%s: resumed run published epoch %d (final %t) at batches %d, seq %d, which the uninterrupted run did not",
+							name, s.Epoch, s.Final, s.Batches, s.Seq)
+					}
+				}
 			}
 		}
 	}
 }
 
-// TestDriftShardedQuarantine: under -shards N each shard validates its own
-// sub-stream against its own epochs; shard-level quarantines surface in
-// Result.Skipped with the shard named, and the summaries merge.
+// ownsStream builds `stable` batches in which each of 20 Persons OWNS one
+// Car (a 1:1 edge type), then one batch giving each of 20 new Persons two
+// OWNS edges: 20 cardinality breaks against any epoch taken before it.
+func ownsStream(stable int) []*pg.Batch {
+	var batches []*pg.Batch
+	id := pg.ID(1)
+	next := func() pg.ID { id++; return id - 1 }
+	batch := func(owned int) *pg.Batch {
+		b := &pg.Batch{}
+		for j := 0; j < 20; j++ {
+			p := pg.NodeRecord{ID: next(), Labels: []string{"Person"}, Props: pg.Properties{"name": pg.Str("p")}}
+			b.Nodes = append(b.Nodes, p)
+			for k := 0; k < owned; k++ {
+				c := pg.NodeRecord{ID: next(), Labels: []string{"Car"}, Props: pg.Properties{"plate": pg.Str("c")}}
+				b.Nodes = append(b.Nodes, c)
+				b.Edges = append(b.Edges, pg.EdgeRecord{
+					ID: next(), Labels: []string{"OWNS"}, Src: p.ID, Dst: c.ID,
+					SrcLabels: []string{"Person"}, DstLabels: []string{"Car"},
+				})
+			}
+		}
+		return b
+	}
+	for i := 0; i < stable; i++ {
+		batches = append(batches, batch(1))
+	}
+	return append(batches, batch(2))
+}
+
+// TestDriftOneClockPerRun: a sharded run has one epoch clock, the router's,
+// which checks whole source batches before they are partitioned; shard
+// pipelines hold none. So a source's two edges are checked together however
+// the edges are routed, and drift numbers are per-run counts equal to the
+// unsharded run's.
+func TestDriftOneClockPerRun(t *testing.T) {
+	fleet := DefaultConfig()
+	fleet.Shards = 3
+	fleet.DriftPolicy = DriftQuarantine
+	fleet.OnEpoch = func(EpochSnapshot) {}
+	for i, p := range newShardPipelines(fleet.withDefaults()) {
+		if p.clock != nil {
+			t.Errorf("shard %d pipeline holds an epoch clock", i)
+		}
+	}
+
+	owns := ownsStream(2)
+	for _, shards := range []int{0, 2, 4} {
+		cfg := DefaultConfig()
+		cfg.Shards = shards
+		cfg.DriftPolicy = DriftAlert
+		cfg.EpochInterval = 2
+		res := Discover(pg.NewSliceSource(owns...), cfg)
+		if got := res.Drift.Class(validate.DriftCardinalityBreak); got != 20 {
+			t.Errorf("shards=%d: %d cardinality breaks, want 20", shards, got)
+		}
+	}
+
+	sc := datagen.ScenarioByName("gradual-drift")
+	var serial *DriftSummary
+	for _, shards := range []int{0, 2, 4} {
+		cfg := DefaultConfig()
+		cfg.Shards = shards
+		cfg.DriftPolicy = DriftQuarantine
+		cfg.EpochInterval = 4
+		res := Discover(sc.Stream(1), cfg)
+		if shards == 0 {
+			serial = res.Drift
+		} else if res.Drift.Epochs != serial.Epochs {
+			t.Errorf("shards=%d: %d epochs, unsharded %d", shards, res.Drift.Epochs, serial.Epochs)
+		}
+		drift := 0
+		for _, s := range res.Skipped {
+			if !strings.HasPrefix(s.Reason, "drift: ") {
+				continue
+			}
+			drift++
+			if s.Seq < 0 || s.Seq >= 14 {
+				t.Errorf("shards=%d: drift skip names slot %d, not a source slot of the 14-batch stream", shards, s.Seq)
+			}
+		}
+		if drift != res.Drift.Quarantined || drift > 14 || drift == 0 {
+			t.Errorf("shards=%d: %d drift skip reports, %d quarantined, want equal and in 1..14", shards, drift, res.Drift.Quarantined)
+		}
+	}
+}
+
+// TestDriftShardedQuarantine: under -shards N the router's clock validates
+// each whole source batch against the fleet's epochs before partitioning
+// it, so quarantines name source slots — the unsharded run's — and the
+// summary counts per run, not per shard.
 func TestDriftShardedQuarantine(t *testing.T) {
 	batches := driftStream(6, 3)
 	cfg := DefaultConfig()
-	cfg.Shards = 2
 	cfg.DriftPolicy = DriftQuarantine
 	cfg.EpochInterval = 3
-	res := Discover(pg.NewSliceSource(batches...), cfg)
-	if res.Drift == nil || res.Drift.Quarantined == 0 {
-		t.Fatalf("sharded quarantine saw no drift: %+v", res.Drift)
-	}
-	if len(res.Skipped) != res.Drift.Quarantined {
-		t.Errorf("%d skip reports, summary says %d", len(res.Skipped), res.Drift.Quarantined)
-	}
-	for _, s := range res.Skipped {
-		if !strings.Contains(s.Reason, "shard ") {
-			t.Errorf("sharded skip reason %q does not name its shard", s.Reason)
+	serial := Discover(pg.NewSliceSource(batches...), cfg)
+	for _, shards := range []int{2, 4} {
+		cfg := cfg
+		cfg.Shards = shards
+		res := Discover(pg.NewSliceSource(batches...), cfg)
+		if res.Drift == nil || res.Drift.Quarantined == 0 {
+			t.Fatalf("shards=%d: sharded quarantine saw no drift: %+v", shards, res.Drift)
 		}
-	}
-	// The drifted tail must not have leaked its new label into the merge.
-	for _, n := range res.Def.Nodes {
-		for _, l := range n.Labels {
-			if l == "Device" {
-				t.Error("quarantined label Device leaked into the merged schema")
+		if *res.Drift != *serial.Drift {
+			t.Errorf("shards=%d: drift summary %+v, unsharded %+v", shards, *res.Drift, *serial.Drift)
+		}
+		if len(res.Skipped) != res.Drift.Quarantined || len(res.Skipped) != len(serial.Skipped) {
+			t.Fatalf("shards=%d: %d skip reports, summary says %d, unsharded %d", shards, len(res.Skipped), res.Drift.Quarantined, len(serial.Skipped))
+		}
+		for i, s := range res.Skipped {
+			if s != serial.Skipped[i] {
+				t.Errorf("shards=%d: skip %d = %+v, unsharded %+v", shards, i, s, serial.Skipped[i])
+			}
+		}
+		// The drifted tail must not have leaked its new label into the merge.
+		for _, n := range res.Def.Nodes {
+			for _, l := range n.Labels {
+				if l == "Device" {
+					t.Errorf("shards=%d: quarantined label Device leaked into the merged schema", shards)
+				}
 			}
 		}
 	}

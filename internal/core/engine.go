@@ -235,14 +235,14 @@ func (p *Pipeline) cluster(st staged) computed {
 	return c
 }
 
-// fold is the extract stage for one clustered batch: the drift gate and the
-// Algorithm 2 merge, then — when checkpointing — the batch's checkpoint.
+// fold is the extract stage for one clustered batch: the clock's gate and
+// the Algorithm 2 merge, then — when checkpointing — the batch's checkpoint.
 func (p *Pipeline) fold(c computed, ck Checkpointer, progress func(pos int, err error)) error {
 	p.extractChecked(c, c.pos-1)
 	if ck != nil {
-		// Merging after this batch's gate folds its own drift quarantine into
-		// its checkpoint; the fault skips keep their pull-time frontier.
-		if err := p.save(ck, c.snap, c.pos, p.mergedSkips(c.skipped)); err != nil {
+		// The fault skips keep their pull-time frontier; the clock section
+		// carries this batch's own drift quarantine.
+		if err := p.save(ck, c.snap, c.pos, c.skipped); err != nil {
 			return err
 		}
 	}

@@ -31,7 +31,7 @@ func edgeCandidate(s *schema.Schema, labels, src, dst []string, keys ...string) 
 
 func TestExtractMergesSameLabel(t *testing.T) {
 	s := schema.NewSchema()
-	ExtractTypes(s, schema.NodeKind, []*schema.Type{
+	schema.MergeTypes(s, schema.NodeKind, []*schema.Type{
 		nodeCandidate(s, []string{"Post"}, "imgFile"),
 		nodeCandidate(s, []string{"Post"}, "content"),
 	}, 0.9)
@@ -49,7 +49,7 @@ func TestExtractMergesSameLabel(t *testing.T) {
 
 func TestExtractDistinctLabelSetsStaySeparate(t *testing.T) {
 	s := schema.NewSchema()
-	ExtractTypes(s, schema.NodeKind, []*schema.Type{
+	schema.MergeTypes(s, schema.NodeKind, []*schema.Type{
 		nodeCandidate(s, []string{"Person"}, "name"),
 		nodeCandidate(s, []string{"Person", "Student"}, "name"),
 	}, 0.9)
@@ -62,7 +62,7 @@ func TestExtractUnlabeledMergesIntoLabeled(t *testing.T) {
 	// The paper's Example 5: Alice's unlabeled cluster has the same
 	// property set as Person and merges into it.
 	s := schema.NewSchema()
-	ExtractTypes(s, schema.NodeKind, []*schema.Type{
+	schema.MergeTypes(s, schema.NodeKind, []*schema.Type{
 		nodeCandidate(s, []string{"Person"}, "name", "gender", "bday"),
 		nodeCandidate(s, nil, "name", "gender", "bday"),
 	}, 0.9)
@@ -79,7 +79,7 @@ func TestExtractUnlabeledMergesIntoLabeled(t *testing.T) {
 
 func TestExtractUnlabeledBelowThetaStaysAbstract(t *testing.T) {
 	s := schema.NewSchema()
-	ExtractTypes(s, schema.NodeKind, []*schema.Type{
+	schema.MergeTypes(s, schema.NodeKind, []*schema.Type{
 		nodeCandidate(s, []string{"Person"}, "name", "gender", "bday"),
 		nodeCandidate(s, nil, "name"), // Jaccard 1/3 < 0.9
 	}, 0.9)
@@ -96,7 +96,7 @@ func TestExtractUnlabeledPicksBestMatch(t *testing.T) {
 	// {a,b,c,d,e,f} (J=5/6 < 0.9): only one qualifies, and no transitive
 	// fusion of the two labeled types may happen.
 	s := schema.NewSchema()
-	ExtractTypes(s, schema.NodeKind, []*schema.Type{
+	schema.MergeTypes(s, schema.NodeKind, []*schema.Type{
 		nodeCandidate(s, []string{"A"}, "a", "b", "c", "d", "e"),
 		nodeCandidate(s, []string{"B"}, "a", "b", "c", "d", "e", "f"),
 		nodeCandidate(s, nil, "a", "b", "c", "d", "e"),
@@ -119,7 +119,7 @@ func TestExtractUnlabeledTieBreaksOnInstances(t *testing.T) {
 	big := nodeCandidate(s, []string{"Big"}, "x", "y")
 	big.ObserveNode(&pg.NodeRecord{Labels: []string{"Big"}, Props: pg.Properties{"x": pg.Int(1), "y": pg.Int(1)}}, false)
 	small := nodeCandidate(s, []string{"Small"}, "x", "y")
-	ExtractTypes(s, schema.NodeKind, []*schema.Type{small, big, nodeCandidate(s, nil, "x", "y")}, 0.9)
+	schema.MergeTypes(s, schema.NodeKind, []*schema.Type{small, big, nodeCandidate(s, nil, "x", "y")}, 0.9)
 	b := s.FindByLabelKey(schema.NodeKind, "Big")
 	if b.Instances != 3 {
 		t.Errorf("tie should break toward the larger type; Big has %d instances, want 3", b.Instances)
@@ -128,7 +128,7 @@ func TestExtractUnlabeledTieBreaksOnInstances(t *testing.T) {
 
 func TestExtractUnlabeledMergeAmongThemselves(t *testing.T) {
 	s := schema.NewSchema()
-	ExtractTypes(s, schema.NodeKind, []*schema.Type{
+	schema.MergeTypes(s, schema.NodeKind, []*schema.Type{
 		nodeCandidate(s, nil, "p", "q"),
 		nodeCandidate(s, nil, "p", "q"),
 		nodeCandidate(s, nil, "zzz"),
@@ -150,8 +150,8 @@ func TestExtractIncrementalAbstractReuse(t *testing.T) {
 	// An unlabeled cluster from a later batch must merge into the abstract
 	// type discovered earlier, not create a duplicate.
 	s := schema.NewSchema()
-	ExtractTypes(s, schema.NodeKind, []*schema.Type{nodeCandidate(s, nil, "p", "q")}, 0.9)
-	ExtractTypes(s, schema.NodeKind, []*schema.Type{nodeCandidate(s, nil, "p", "q")}, 0.9)
+	schema.MergeTypes(s, schema.NodeKind, []*schema.Type{nodeCandidate(s, nil, "p", "q")}, 0.9)
+	schema.MergeTypes(s, schema.NodeKind, []*schema.Type{nodeCandidate(s, nil, "p", "q")}, 0.9)
 	if len(s.NodeTypes) != 1 {
 		t.Fatalf("got %d types, want 1", len(s.NodeTypes))
 	}
@@ -166,8 +166,8 @@ func TestExtractIncrementalLabelArrivesLater(t *testing.T) {
 	// merging an older abstract into a newer labeled type in Algorithm 2 —
 	// but a *new* unlabeled candidate prefers the labeled type.
 	s := schema.NewSchema()
-	ExtractTypes(s, schema.NodeKind, []*schema.Type{nodeCandidate(s, nil, "name", "age")}, 0.9)
-	ExtractTypes(s, schema.NodeKind, []*schema.Type{
+	schema.MergeTypes(s, schema.NodeKind, []*schema.Type{nodeCandidate(s, nil, "name", "age")}, 0.9)
+	schema.MergeTypes(s, schema.NodeKind, []*schema.Type{
 		nodeCandidate(s, []string{"Person"}, "name", "age"),
 		nodeCandidate(s, nil, "name", "age"),
 	}, 0.9)
@@ -181,7 +181,7 @@ func TestExtractEdgesMergeByLabelOnly(t *testing.T) {
 	// Edge clusters with the same label merge even when endpoints differ;
 	// endpoint label sets union (Lemma 2).
 	s := schema.NewSchema()
-	ExtractTypes(s, schema.EdgeKind, []*schema.Type{
+	schema.MergeTypes(s, schema.EdgeKind, []*schema.Type{
 		edgeCandidate(s, []string{"LIKES"}, []string{"Person"}, []string{"Post"}),
 		edgeCandidate(s, []string{"LIKES"}, []string{"Bot"}, []string{"Comment"}),
 	}, 0.9)
@@ -199,7 +199,7 @@ func TestExtractUnlabeledEdgesUseEndpointsInJaccard(t *testing.T) {
 	// different endpoints must NOT merge: edge patterns are distinguished
 	// by R as well (Definition 3.6).
 	s := schema.NewSchema()
-	ExtractTypes(s, schema.EdgeKind, []*schema.Type{
+	schema.MergeTypes(s, schema.EdgeKind, []*schema.Type{
 		edgeCandidate(s, nil, []string{"Person"}, []string{"Post"}),
 		edgeCandidate(s, nil, []string{"Org"}, []string{"Place"}),
 	}, 0.9)
@@ -208,7 +208,7 @@ func TestExtractUnlabeledEdgesUseEndpointsInJaccard(t *testing.T) {
 	}
 	// Identical endpoints do merge.
 	s2 := schema.NewSchema()
-	ExtractTypes(s2, schema.EdgeKind, []*schema.Type{
+	schema.MergeTypes(s2, schema.EdgeKind, []*schema.Type{
 		edgeCandidate(s2, nil, []string{"Person"}, []string{"Post"}),
 		edgeCandidate(s2, nil, []string{"Person"}, []string{"Post"}),
 	}, 0.9)
@@ -219,7 +219,7 @@ func TestExtractUnlabeledEdgesUseEndpointsInJaccard(t *testing.T) {
 
 func TestExtractThetaZeroMergesEverythingUnlabeled(t *testing.T) {
 	s := schema.NewSchema()
-	ExtractTypes(s, schema.NodeKind, []*schema.Type{
+	schema.MergeTypes(s, schema.NodeKind, []*schema.Type{
 		nodeCandidate(s, nil, "a"),
 		nodeCandidate(s, nil, "b"),
 		nodeCandidate(s, nil, "c"),
@@ -238,7 +238,7 @@ func TestExtractTypeCompleteness(t *testing.T) {
 		nodeCandidate(s, []string{"B"}, "k3"),
 		nodeCandidate(s, nil, "k4", "k5"),
 	}
-	ExtractTypes(s, schema.NodeKind, cands, 0.9)
+	schema.MergeTypes(s, schema.NodeKind, cands, 0.9)
 	for _, tc := range []struct {
 		labels []string
 		keys   []string

@@ -28,11 +28,11 @@ import (
 // RunOptions configures what a Run persists and what it continues from.
 type RunOptions struct {
 	// Checkpoint, when non-nil, receives the encoded run state after every
-	// extracted batch: a PGCK7 pipeline checkpoint, or a PGCK8 fleet
+	// extracted batch: a PGCK9 pipeline checkpoint, or a PGCK10 fleet
 	// container when Config.Shards > 1.
 	Checkpoint Checkpointer
-	// Resume, when non-nil, is a checkpoint the run continues from — PGCK7,
-	// or a PGCK8 fleet container when Config.Shards > 1, written under the
+	// Resume, when non-nil, is a checkpoint the run continues from — PGCK9,
+	// or a PGCK10 fleet container when Config.Shards > 1, written under the
 	// same configuration. The source must replay the same stream from its
 	// start: the slots the checkpointed run already folded in are skipped.
 	Resume []byte
@@ -189,11 +189,12 @@ func (m metered) Save(state []byte) error {
 
 // drainFT processes every batch from a fallible source past from's resume
 // window, quarantining poisoned batches and, with ck set, checkpointing
-// after each extraction. It returns the quarantine list (from's included)
-// and the first permanent source error or failed save. Every PipelineDepth
-// produces identical schemas and identical checkpoint sequences.
+// after each extraction. It returns the quarantine list — fault and drift
+// quarantines, from's included — and the first permanent source error or
+// failed save. Every PipelineDepth produces identical schemas and identical
+// checkpoint sequences.
 func (p *Pipeline) drainFT(src pg.ErrSource, ck Checkpointer, from resumeState) ([]SkipReport, error) {
 	pl := newPuller(src, from, p.instr)
 	err := p.drain(pl, meter(ck, p.instr), nil)
-	return p.mergedSkips(pl.skipped), err
+	return p.clock.skips(pl.skipped), err
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -317,4 +318,69 @@ func TestPipelineCheckpointRoundTrip(t *testing.T) {
 		restored.ProcessBatch(b)
 	}
 	defsEqual(t, "checkpoint-roundtrip", p.Finalize(), restored.Finalize())
+}
+
+// statesCheckpointer keeps every state it was handed, in order.
+type statesCheckpointer struct{ states [][]byte }
+
+func (s *statesCheckpointer) Save(state []byte) error {
+	s.states = append(s.states, append([]byte(nil), state...))
+	return nil
+}
+
+// FuzzResumePipeline: arbitrary checkpoint bytes must be rejected cleanly or
+// restore a pipeline that finalizes and checkpoints again. The seed is a
+// real mid-run checkpoint with types, sketched evidence and an epoch clock
+// holding a drift epoch Def, quarantines and tallies.
+func FuzzResumePipeline(f *testing.F) {
+	cfg := DefaultConfig()
+	cfg.MemBudgetBytes = 1 << 20
+	cfg.DriftPolicy = DriftQuarantine
+	cfg.EpochInterval = 2
+	ck := &statesCheckpointer{}
+	if _, err := Run(pg.AsErrSource(pg.NewSliceSource(driftStream(4, 3)...)), cfg, RunOptions{Checkpoint: ck}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ck.states[len(ck.states)-2])
+	f.Add([]byte(checkpointMagic))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, slots, _, err := ResumePipeline(bytes.NewReader(data), cfg)
+		if err != nil {
+			return
+		}
+		p.Finalize()
+		var buf bytes.Buffer
+		if err := p.EncodeCheckpoint(&buf, slots, nil); err != nil {
+			t.Fatalf("restored pipeline does not checkpoint: %v", err)
+		}
+		if _, _, _, err := ResumePipeline(&buf, cfg); err != nil {
+			t.Fatalf("re-encoded checkpoint does not resume: %v", err)
+		}
+	})
+}
+
+// TestResumePreallocCapped: the counts in a checkpoint are untrusted, so a
+// header claiming 2^24 batch reports must fail at end of input after
+// preallocating at most maxPrealloc of them, not the ~2.8 GB it claims.
+func TestResumePreallocCapped(t *testing.T) {
+	cfg := DefaultConfig()
+	var buf bytes.Buffer
+	w := pg.NewWireWriter(&buf)
+	w.Raw([]byte(checkpointMagic))
+	w.String(cfg.withDefaults().fingerprint())
+	w.Uvarint(0)          // slots
+	writeSkips(w, nil)    // fault quarantines
+	w.Uvarint(maxReports) // report count, and no reports follow
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, _, err := ResumePipeline(&buf, cfg); err == nil {
+		t.Fatal("checkpoint without its reports resumed")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<20 {
+		t.Errorf("truncated checkpoint allocated %d bytes before failing, want at most 64 MiB", got)
+	}
 }

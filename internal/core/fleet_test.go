@@ -28,9 +28,10 @@ func defJSON(t *testing.T, res *Result) []byte {
 // TestShardedFleetEpochs: with OnEpoch set, a sharded run publishes one
 // fleet epoch every EpochInterval source batches — exactly ⌊N/I⌋ mid-stream
 // epochs — and fleet epoch k is byte-identical to Discover over the
-// first k·I batches. A partial last window closes with a final epoch whose
-// schema is the run's own; the run's result is unchanged by the hook. A
-// memory budget (sketched evidence) covers the clones' evidence policy.
+// first k·I batches. The run closes with one final snapshot whose schema is
+// the run's own: a new epoch for a partial last window, otherwise the last
+// epoch sent again. The run's result is unchanged by the hook. A memory
+// budget (sketched evidence) covers the clones' evidence policy.
 func TestShardedFleetEpochs(t *testing.T) {
 	const n = 7
 	batches := faultFreeBatches(t, 280, n)
@@ -67,21 +68,20 @@ func TestShardedFleetEpochs(t *testing.T) {
 				if mid != n/interval {
 					t.Fatalf("%s: %d mid-stream epochs, want %d", name, mid, n/interval)
 				}
-				wantFinals := 0
-				if n%interval != 0 {
-					wantFinals = 1 // a partial last window
-				}
-				if got := len(snaps) - mid; got != wantFinals {
-					t.Fatalf("%s: %d final epochs, want %d", name, got, wantFinals)
+				if got := len(snaps) - mid; got != 1 || !snaps[len(snaps)-1].Final {
+					t.Fatalf("%s: %d final snapshots, want the last one only", name, got)
 				}
 				for i, s := range snaps {
-					k := (i + 1) * interval
+					k, epoch := (i+1)*interval, i+1
 					if s.Final {
 						k = n
+						if n%interval == 0 {
+							epoch = i // the last epoch, sent again
+						}
 					}
-					if s.Epoch != i+1 || s.Batches != k || s.Seq != k-1 {
+					if s.Epoch != epoch || s.Batches != k || s.Seq != k-1 {
 						t.Errorf("%s: snapshot %d = {Epoch %d, Batches %d, Seq %d}, want {%d, %d, %d}",
-							name, i, s.Epoch, s.Batches, s.Seq, i+1, k, k-1)
+							name, i, s.Epoch, s.Batches, s.Seq, epoch, k, k-1)
 					}
 					var buf bytes.Buffer
 					if err := serialize.WriteJSON(&buf, s.Def); err != nil {
@@ -99,9 +99,10 @@ func TestShardedFleetEpochs(t *testing.T) {
 	}
 }
 
-// TestShardedFleetEpochsNoHook: without OnEpoch the router never stops at a
-// cut — no epoch span, no epoch counter — and with it every published epoch
-// is one span.
+// TestShardedFleetEpochsNoHook: without OnEpoch (or a drift policy) the
+// router has no clock and never stops at a cut — no epoch span, no epoch
+// counter — and with it every epoch is one span; the final re-send adds
+// none.
 func TestShardedFleetEpochsNoHook(t *testing.T) {
 	batches := faultFreeBatches(t, 200, 6)
 	for _, hook := range []bool{false, true} {
@@ -110,20 +111,20 @@ func TestShardedFleetEpochsNoHook(t *testing.T) {
 		cfg.Shards = 2
 		cfg.EpochInterval = 2
 		cfg.Telemetry = reg
-		published := 0
+		epochs, calls := 0, 0
 		if hook {
-			cfg.OnEpoch = func(EpochSnapshot) { published++ }
+			cfg.OnEpoch = func(s EpochSnapshot) { epochs, calls = s.Epoch, calls+1 }
 		}
 		Discover(pg.NewSliceSource(batches...), cfg)
 		snap := reg.Snapshot()
-		if got := snap.Stage(obs.StageEpoch).Count; got != uint64(published) {
-			t.Errorf("hook=%t: %d epoch spans, %d epochs published", hook, got, published)
+		if got := snap.Stage(obs.StageEpoch).Count; got != uint64(epochs) {
+			t.Errorf("hook=%t: %d epoch spans, %d epochs published", hook, got, epochs)
 		}
-		if got := snap.Counter(obs.CtrEpochs); got != uint64(published) {
-			t.Errorf("hook=%t: epoch counter %d, %d epochs published", hook, got, published)
+		if got := snap.Counter(obs.CtrEpochs); got != uint64(epochs) {
+			t.Errorf("hook=%t: epoch counter %d, %d epochs published", hook, got, epochs)
 		}
-		if hook && published != 3 {
-			t.Errorf("6 batches at interval 2 published %d epochs, want 3", published)
+		if hook && (epochs != 3 || calls != 4) {
+			t.Errorf("6 batches at interval 2 published %d epochs in %d calls, want 3 and the final re-send", epochs, calls)
 		}
 	}
 }
@@ -274,6 +275,52 @@ func TestShardedCheckpointBytesCounted(t *testing.T) {
 		}
 		if got := snap.Counter(obs.CtrCheckpoints); got != uint64(ck.saves) {
 			t.Errorf("shards=%d: checkpoints counted %d, checkpointer received %d", shards, got, ck.saves)
+		}
+	}
+}
+
+// lastCheckpointer keeps the latest state it was handed.
+type lastCheckpointer struct {
+	mu    sync.Mutex
+	state []byte
+}
+
+func (l *lastCheckpointer) Save(state []byte) error {
+	l.mu.Lock()
+	l.state = append(l.state[:0], state...)
+	l.mu.Unlock()
+	return nil
+}
+
+// TestShardedEvidenceGauge: under sharding the evidence_bytes gauge reports
+// the fleet — the sum of every shard's latest evidence footprint — not
+// whichever shard extracted last; mem_budget_bytes is the configured budget.
+func TestShardedEvidenceGauge(t *testing.T) {
+	batches := faultFreeBatches(t, 600, 6)
+	for _, budget := range []int64{0, 1 << 20} {
+		reg := obs.NewRegistry()
+		cfg := DefaultConfig()
+		cfg.Shards = 3
+		cfg.MemBudgetBytes = budget
+		cfg.Telemetry = reg
+		ck := &lastCheckpointer{}
+		if _, err := Run(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, RunOptions{Checkpoint: ck}); err != nil {
+			t.Fatal(err)
+		}
+		schemas, err := DecodeCheckpointSchemas(ck.state, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want uint64
+		for _, s := range schemas {
+			want += uint64(s.EvidenceBytes())
+		}
+		snap := reg.Snapshot()
+		if got := snap.Gauge(obs.GaugeEvidenceBytes); got != want {
+			t.Errorf("budget=%d: evidence_bytes gauge %d, shards hold %d in total", budget, got, want)
+		}
+		if got := snap.Gauge(obs.GaugeMemBudgetBytes); got != uint64(budget) {
+			t.Errorf("budget=%d: mem_budget_bytes gauge %d", budget, got)
 		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // DecodeCheckpointSchemas opens a checkpoint written by Run — a
-// single-pipeline PGCK7 stream or a sharded PGCK8 container — and
+// single-pipeline PGCK9 stream or a sharded PGCK10 container — and
 // returns every pipeline's accumulated schema (one per shard, in shard
 // order). cfg must match the configuration the checkpoint was written
 // under, exactly as a resume would require; the fingerprint gate rejects
@@ -20,7 +20,7 @@ import (
 func DecodeCheckpointSchemas(state []byte, cfg Config) ([]*schema.Schema, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Shards > 1 && bytes.HasPrefix(state, []byte(shardCheckpointMagic)) {
-		sections, _, _, err := decodeShardContainer(state, cfg)
+		sections, _, _, err := decodeShardContainer(state, cfg, nil)
 		if err != nil {
 			return nil, err
 		}

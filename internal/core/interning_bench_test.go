@@ -34,8 +34,8 @@ func BenchmarkCandidatesInterned(b *testing.B) {
 		nodeCands := p.nodeCandidates(c.b, c.nodeClusters)
 		edgeCands := p.edgeCandidates(c.b, c.edgeClusters)
 		s := benchSchema(p)
-		ExtractTypes(s, schema.NodeKind, nodeCands, p.cfg.Theta)
-		ExtractTypes(s, schema.EdgeKind, edgeCands, p.cfg.Theta)
+		schema.MergeTypes(s, schema.NodeKind, nodeCands, p.cfg.Theta)
+		schema.MergeTypes(s, schema.EdgeKind, edgeCands, p.cfg.Theta)
 	}
 }
 

@@ -77,14 +77,12 @@ type Pipeline struct {
 	// preprocess emits per-batch deltas against it (preprocess is
 	// serialized, so no locking is needed).
 	lastSess vectorize.SessionStats
-	// drift is the streaming conformance machinery (nil when
-	// Config.DriftPolicy is DriftOff); driftSkipped accumulates the batches
-	// the quarantine policy withheld. Both are touched only from the
-	// serialized extract point, so no locking is needed — in particular
-	// driftSkipped is kept separate from the fault puller's skip list, which
-	// lives on the load goroutine.
-	drift        *driftState
-	driftSkipped []SkipReport
+	// clock is the run's epoch clock (epoch.go): nil when Config asks for
+	// no drift policy and no OnEpoch hook, and for every shard pipeline.
+	// Only the serialized extract point touches it, so no locking is
+	// needed; its drift quarantines stay apart from the fault puller's skip
+	// list, which lives on the load goroutine.
+	clock *epochClock
 }
 
 // NewPipeline starts a discovery session.
@@ -98,7 +96,7 @@ func NewPipeline(cfg Config) *Pipeline {
 		instr:   obs.NewInstr(cfg.Telemetry),
 	}
 	p.schema.SetEvidencePolicy(cfg.evidencePolicy())
-	p.drift = newDriftState(cfg)
+	p.clock = newEpochClock(cfg, p.instr)
 	if cfg.AlignLabels {
 		// The aligner persists across batches so alignment classes stay
 		// stable throughout an incremental run.
@@ -191,8 +189,8 @@ func (p *Pipeline) ProcessBatch(b *pg.Batch) BatchReport {
 // number but produced no report).
 func (p *Pipeline) nextSeq() int {
 	n := len(p.reports)
-	if p.drift != nil {
-		n += p.drift.quarantined
+	if p.clock != nil {
+		n += p.clock.quarantined
 	}
 	return n
 }
@@ -246,8 +244,8 @@ func (p *Pipeline) extract(c computed) BatchReport {
 	if p.instr.Enabled() {
 		typesBefore = len(p.schema.Types(schema.NodeKind)) + len(p.schema.Types(schema.EdgeKind))
 	}
-	ExtractTypes(p.schema, schema.NodeKind, nodeCands, p.cfg.Theta)
-	ExtractTypes(p.schema, schema.EdgeKind, edgeCands, p.cfg.Theta)
+	schema.MergeTypes(p.schema, schema.NodeKind, nodeCands, p.cfg.Theta)
+	schema.MergeTypes(p.schema, schema.EdgeKind, edgeCands, p.cfg.Theta)
 	c.report.Extract = time.Since(start)
 	if !c.start.IsZero() {
 		// Wall spans the batch's pull through its extraction: the load time
@@ -270,12 +268,31 @@ func (p *Pipeline) extract(c computed) BatchReport {
 			Start: start, Duration: c.report.Extract,
 			Elements: c.report.Nodes + c.report.Edges,
 		})
-		if p.cfg.MemBudgetBytes > 0 {
-			p.instr.Gauge(obs.GaugeMemBudgetBytes, uint64(p.cfg.MemBudgetBytes))
-		}
 		p.instr.Gauge(obs.GaugeEvidenceBytes, uint64(p.schema.EvidenceBytes()))
 	}
 	return c.report
+}
+
+// extractChecked is the clock's gate in front of extract: at the serialized
+// extract point, strictly in batch order, the clock validates the batch
+// against the current epoch, enforces the policy and advances its window,
+// and when the window is full it takes an epoch at the finalized schema.
+// slot is the batch's stream slot for quarantine skip reports. A
+// quarantined batch returns a zero report and is not appended to p.reports,
+// matching the fault path's skip semantics.
+func (p *Pipeline) extractChecked(c computed, slot int) BatchReport {
+	if p.clock == nil {
+		return p.extract(c)
+	}
+	var rep BatchReport
+	if p.clock.gate(c.b, c.seq, slot, p.slot(c.seq)) {
+		rep = p.extract(c)
+	}
+	if p.clock.due() {
+		start := time.Now()
+		p.clock.take(p.cfg.finalize(p.schema), len(p.reports), c.seq, false, start)
+	}
+	return rep
 }
 
 // kindSpec parameterizes clustering over the element kind, deduplicating
@@ -509,9 +526,9 @@ func (p *Pipeline) edgeCandidates(b *pg.Batch, clusters []lsh.Cluster) []*schema
 }
 
 // Finalize runs post-processing (Algorithm 1 lines 7-10) and returns the
-// finalized schema definition.
+// finalized schema definition, which also closes the run's epoch clock: the
+// final epoch carries this Def.
 func (p *Pipeline) Finalize() *schema.Def {
-	p.driftFinalEpoch()
 	start := time.Now()
 	def := p.cfg.finalize(p.schema)
 	p.instr.Span(obs.Span{
@@ -519,6 +536,7 @@ func (p *Pipeline) Finalize() *schema.Def {
 		Start: start, Duration: time.Since(start),
 		Elements: len(def.Nodes) + len(def.Edges),
 	})
+	p.clock.close(def, len(p.reports))
 	return def
 }
 
@@ -569,6 +587,9 @@ func telemetrySnapshot(cfg Config) *obs.Snapshot {
 // run with its error; progress up to it lives in the last checkpoint.
 func Run(src pg.ErrSource, cfg Config, opts RunOptions) (*Result, error) {
 	cfg = cfg.withDefaults()
+	if cfg.MemBudgetBytes > 0 {
+		obs.NewInstr(cfg.Telemetry).Gauge(obs.GaugeMemBudgetBytes, uint64(cfg.MemBudgetBytes))
+	}
 	if cfg.Shards > 1 {
 		return runSharded(src, cfg, opts)
 	}
@@ -594,7 +615,7 @@ func Run(src pg.ErrSource, cfg Config, opts RunOptions) (*Result, error) {
 		Schema:      p.schema,
 		Reports:     p.reports,
 		Skipped:     skipped,
-		Drift:       p.driftSummary(),
+		Drift:       p.clock.summary(),
 		Discovery:   discovery,
 		PostProcess: time.Since(start),
 		Telemetry:   telemetrySnapshot(p.cfg),

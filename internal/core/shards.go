@@ -12,23 +12,27 @@
 // One router, on the caller's goroutine, drives every sharded Run: it
 // pulls the source through the single pipeline's fault-absorbing puller
 // (faults.go) and feeds each good batch's non-empty sub-batches to the
-// shards. With Config.OnEpoch set it also publishes fleet epochs: every
-// EpochInterval source batches it waits until every shard has folded in
+// shards. It also owns the run's one epoch clock (epoch.go), so shards run
+// no drift and take no epochs: each whole source batch passes the clock's
+// gate before it is partitioned (a quarantined batch is not routed), and
+// when the window is full the router waits until every shard has folded in
 // what it was routed, folds clones of the shard schemas with
-// MergeShardSchemas and finalizes — so fleet epoch k is byte-identical to
-// Discover over the stream's first k·EpochInterval batches.
+// MergeShardSchemas, finalizes and hands the Def to the clock — so fleet
+// epoch k is byte-identical to Discover over the stream's first
+// k·EpochInterval batches.
 //
-// With a checkpointer, Run saves the whole fleet into one PGCK8 container:
-// the router's stream position and quarantine list plus one complete PGCK7
-// section per shard. Sections advance independently (each shard
-// checkpoints after its own extractions), so a container pairs the newest
-// state of the shard that just saved with the latest states of the rest;
-// on resume (RunOptions.Resume) the router replays the stream from the beginning and each
+// With a checkpointer, Run saves the whole fleet into one PGCK10 container:
+// the router's stream position, fault quarantines and clock as of that
+// position, plus one complete PGCK9 section per shard. Sections advance
+// independently (each shard checkpoints after its own extractions), so a
+// container pairs the newest state of the shard that just saved with the
+// latest states of the rest; on resume (RunOptions.Resume) the router
+// replays the stream from the beginning without re-validating it, skips
+// the batches its clock quarantined (the shards never saw them), and each
 // shard's own skip window drops exactly the sub-batches it already folded
 // in. Because the element→shard assignment ignores batch boundaries, the
 // replayed sub-batch sequence is identical, and the resumed run converges to
-// byte-identical Finalize output (TestShardedResume). Cuts inside the
-// replayed window publish no epoch: the shards are already past them.
+// byte-identical Finalize output (TestShardedResume).
 package core
 
 import (
@@ -51,14 +55,15 @@ func (c *chanSource) Next() *pg.Batch { return <-c.ch }
 
 // shardConfig derives shard i's pipeline configuration: telemetry events are
 // tagged with the shard index, the worker budget is split across shards so
-// N concurrent engines don't oversubscribe the host, and the epoch hook is
-// dropped — epochs are published for the whole fleet by the router.
+// N concurrent engines don't oversubscribe the host, and drift and the epoch
+// hook are dropped — the router's clock gates and publishes for the fleet.
 func shardConfig(cfg Config, i int) Config {
 	sc := cfg
 	sc.Shards = 0
+	sc.DriftPolicy = DriftOff
+	sc.DriftLog = nil
 	sc.OnEpoch = nil
 	sc.Telemetry = obs.ShardSink(cfg.Telemetry, i)
-	sc.driftShard = i
 	if w := cfg.Parallelism / cfg.Shards; w >= 1 {
 		sc.Parallelism = w
 	} else {
@@ -94,18 +99,19 @@ func MergeShardSchemas(shards []*schema.Schema, cfg Config) *schema.Schema {
 }
 
 // router drives a sharded run: it pulls the source through the shared
-// puller, feeds each shard its sub-batches, and publishes fleet epochs at
-// consistent cuts.
+// puller, gates each source batch through the run's epoch clock, feeds each
+// shard its sub-batches, and cuts fleet epochs.
 type router struct {
 	cfg   Config
 	pipes []*Pipeline
 	feeds []chan *pg.Batch
 	pl    *puller
+	clock *epochClock       // nil without a drift policy or OnEpoch
 	co    *shardCoordinator // nil without a checkpointer
 	instr obs.Instr
 
 	// routed[i] counts the sub-batches delivered to shard i since the stream
-	// began; batches counts the good source batches routed.
+	// began; batches counts the source batches routed.
 	routed  []int
 	batches int
 	// folded[i] is the stream position of shard i's last folded sub-batch;
@@ -115,40 +121,32 @@ type router struct {
 	cond   *sync.Cond
 	folded []int
 	errs   []error
-	// prevDef is the last fleet epoch's schema, the base of the next diff.
-	prevDef *schema.Def
 }
 
 // runSharded restores or builds the fleet, routes the whole stream and
 // merges the shard schemas into the Result.
 func runSharded(src pg.ErrSource, cfg Config, opts RunOptions) (*Result, error) {
 	start := time.Now()
+	instr := obs.NewInstr(cfg.Telemetry)
+	clock := newEpochClock(cfg, instr)
 	pipes := newShardPipelines(cfg)
 	shardSlots := make([]int, cfg.Shards)
 	var from resumeState
 	if opts.Resume != nil {
-		sections, slots, skipped, err := decodeShardContainer(opts.Resume, cfg)
+		sections, slots, skipped, err := decodeShardContainer(opts.Resume, cfg, clock)
 		if err != nil {
 			return nil, err
 		}
 		for i := range pipes {
-			p, s, shardSkips, err := ResumePipeline(bytes.NewReader(sections[i]), shardConfig(cfg, i))
-			if err != nil {
+			if pipes[i], shardSlots[i], _, err = ResumePipeline(bytes.NewReader(sections[i]), shardConfig(cfg, i)); err != nil {
 				return nil, fmt.Errorf("core: shard %d: %w", i, err)
 			}
-			// A shard's feed only ever delivers good batches, so its restored
-			// skip list holds exclusively drift quarantines: carry it forward
-			// so later shard checkpoints and the final Result keep reporting
-			// them.
-			p.driftSkipped = shardSkips
-			pipes[i] = p
-			shardSlots[i] = s
 		}
 		from = resumeState{slots: slots, skipped: skipped}
 	}
 
 	r := &router{
-		cfg: cfg, pipes: pipes, instr: obs.NewInstr(cfg.Telemetry),
+		cfg: cfg, pipes: pipes, clock: clock, instr: instr,
 		feeds:  make([]chan *pg.Batch, len(pipes)),
 		routed: make([]int, len(pipes)),
 		folded: append([]int(nil), shardSlots...),
@@ -163,6 +161,10 @@ func runSharded(src pg.ErrSource, cfg Config, opts RunOptions) (*Result, error) 
 			states:  make([][]byte, cfg.Shards),
 			slots:   from.slots,
 			skipped: append([]SkipReport(nil), from.skipped...),
+		}
+		var err error
+		if r.co.clock, err = encodeClock(clock); err != nil {
+			return nil, err
 		}
 		// Seed every section with its shard's quiescent state so the very
 		// first container is already complete and resumable.
@@ -244,10 +246,11 @@ func (r *router) await(cut bool) error {
 	}
 }
 
-// route pulls the source to its end, delivering each good batch's
-// non-empty sub-batches to the shard feeds and cutting a fleet epoch every
-// EpochInterval source batches. It stops at the first shard error — a
-// failed checkpoint save — and closes every feed on return.
+// route pulls the source to its end, gating each fresh source batch through
+// the clock, delivering each admitted batch's non-empty sub-batches to the
+// shard feeds and cutting a fleet epoch whenever the clock's window is full.
+// It stops at the first shard error — a failed checkpoint save — and closes
+// every feed on return.
 func (r *router) route() error {
 	defer func() {
 		for _, ch := range r.feeds {
@@ -255,6 +258,14 @@ func (r *router) route() error {
 		}
 	}()
 	for {
+		// A full window is cut before the next pull: right after the batch
+		// that filled it or, on resume, once the replay has caught up with a
+		// container saved between that batch and its cut.
+		if r.pl.slot >= r.pl.skipSlots && r.clock.due() {
+			if err := r.cut(); err != nil {
+				return err
+			}
+		}
 		if err := r.await(false); err != nil {
 			return err
 		}
@@ -262,32 +273,44 @@ func (r *router) route() error {
 		if err != nil || b == nil {
 			return err
 		}
-		// On resume every good batch is re-delivered (each shard drops its
-		// own already folded sub-batches); positions inside the skip window
-		// are already in the container.
-		fresh := pos > r.pl.skipSlots
-		if r.co != nil && fresh {
-			r.co.position(pos, r.pl.skipped)
-		}
-		for j, part := range pg.PartitionBatch(b, len(r.feeds)) {
-			if part.Len() > 0 {
-				r.routed[j]++
-				r.feeds[j] <- part
+		if pos <= r.pl.skipSlots {
+			// Replay: the checkpointed run already gated this batch. Each shard
+			// drops the sub-batches it already folded in.
+			if !r.clock.quarantinedAt(pos - 1) {
+				r.send(b)
 			}
+			continue
 		}
-		r.batches++
-		if r.cfg.OnEpoch != nil && fresh && r.batches%r.cfg.EpochInterval == 0 {
-			if err := r.cut(); err != nil {
+		admit := r.clock == nil || r.clock.gate(b, r.batches+r.clock.quarantined, pos-1, 0)
+		if r.co != nil {
+			clock, err := encodeClock(r.clock)
+			if err != nil {
 				return err
 			}
+			r.co.position(pos, r.pl.skipped, clock)
+		}
+		if admit {
+			r.send(b)
 		}
 	}
 }
 
-// cut publishes a fleet epoch at a consistent cut: once every shard has
-// folded in everything routed to it, it clones the shard schemas through
-// the checkpoint codec (the fold rebinds what it is handed, so it must never
-// see a live shard schema), folds the clones and finalizes.
+// send delivers one source batch's non-empty sub-batches to the shards.
+func (r *router) send(b *pg.Batch) {
+	for j, part := range pg.PartitionBatch(b, len(r.feeds)) {
+		if part.Len() > 0 {
+			r.routed[j]++
+			r.feeds[j] <- part
+		}
+	}
+	r.batches++
+}
+
+// cut takes a fleet epoch at a consistent cut: once every shard has folded
+// in everything routed to it, it clones the shard schemas through the
+// checkpoint codec (the fold rebinds what it is handed, so it must never see
+// a live shard schema), folds the clones, finalizes and hands the Def to the
+// clock.
 func (r *router) cut() error {
 	if err := r.await(true); err != nil {
 		return err
@@ -309,63 +332,20 @@ func (r *router) cut() error {
 		}
 		clones[i].SetEvidencePolicy(r.cfg.evidencePolicy())
 	}
-	r.publish(r.cfg.finalize(MergeShardSchemas(clones, r.cfg)), false, start)
+	def := r.cfg.finalize(MergeShardSchemas(clones, r.cfg))
+	r.clock.take(def, r.batches, r.batches+r.clock.quarantined-1, false, start)
 	return nil
 }
 
-// publish hands one fleet epoch to Config.OnEpoch. The epoch number is the
-// cut's index in the stream, so it is the same whether or not the run was
-// resumed.
-func (r *router) publish(def *schema.Def, final bool, start time.Time) {
-	var changes []schema.Change
-	if r.prevDef != nil {
-		changes = schema.Diff(r.prevDef, def)
-	}
-	r.prevDef = def
-	epoch := r.batches / r.cfg.EpochInterval
-	if final {
-		epoch++
-	}
-	r.instr.Add(obs.CtrEpochs, 1)
-	r.instr.Span(obs.Span{
-		Stage: obs.StageEpoch, Batch: r.batches - 1,
-		Start: start, Duration: time.Since(start),
-		Elements: len(changes),
-	})
-	r.cfg.OnEpoch(EpochSnapshot{
-		Epoch: epoch, Batches: r.batches, Seq: r.batches - 1, Final: final,
-		Def: def, Changes: changes,
-	})
-}
-
 // finish merges the shard schemas in index order, stamps each report with
-// its shard, finalizes the global schema, closes the last partial fleet
-// epoch and assembles the Result.
+// its shard, finalizes the global schema, closes the clock and assembles the
+// Result.
 func (r *router) finish(start time.Time) *Result {
 	cfg := r.cfg
-	skipped := r.pl.skipped
 	var reports []BatchReport
-	var drift *DriftSummary
 	merged := 0
 	schemas := make([]*schema.Schema, len(r.pipes))
 	for i, p := range r.pipes {
-		// Close each shard's final partial drift epoch before merging (shards
-		// never call their own Finalize; the global schema is finalized
-		// below) and fold its drift activity into the run-level summary.
-		// Shard-level skip slots are positions in the shard's own sub-batch
-		// stream, so the reason names the shard.
-		p.driftFinalEpoch()
-		if ds := p.driftSummary(); ds != nil {
-			if drift == nil {
-				drift = ds
-			} else {
-				drift.merge(ds)
-			}
-		}
-		for _, s := range p.driftSkipped {
-			s.Reason = fmt.Sprintf("shard %d: %s", i, s.Reason)
-			skipped = append(skipped, s)
-		}
 		for _, rep := range p.reports {
 			rep.Shard = i
 			reports = append(reports, rep)
@@ -390,19 +370,14 @@ func (r *router) finish(start time.Time) *Result {
 		Elements: len(def.Nodes) + len(def.Edges),
 	})
 	post := time.Since(fStart)
-	// The last partial window closes like the single pipeline's
-	// driftFinalEpoch: only after at least one cut, and only if batches
-	// followed it.
-	if cfg.OnEpoch != nil && r.batches >= cfg.EpochInterval && r.batches%cfg.EpochInterval != 0 {
-		r.publish(def, true, time.Now())
-	}
+	r.clock.close(def, r.batches)
 
 	return &Result{
 		Def:         def,
 		Schema:      global,
 		Reports:     reports,
-		Skipped:     skipped,
-		Drift:       drift,
+		Skipped:     r.clock.skips(r.pl.skipped),
+		Drift:       r.clock.summary(),
 		Discovery:   discovery,
 		PostProcess: post,
 		Telemetry:   telemetrySnapshot(cfg),
@@ -410,37 +385,39 @@ func (r *router) finish(start time.Time) *Result {
 }
 
 // shardCheckpointMagic versions the sharded checkpoint container: router
-// position + quarantine list + one complete PGCK7 section per shard (PGCK8
-// tracks the per-shard drift section of PGCK7, as PGCK6 tracked PGCK5). The
-// shard count is validated explicitly from the header (it is not part of
-// the configuration fingerprint), so a container written for N shards
-// resumes only under Shards = N.
-const shardCheckpointMagic = "PGCK8"
+// position + fault quarantine list + the router's epoch clock section + one
+// complete PGCK9 section per shard (each with the empty clock section).
+// PGCK10 put the run's one clock in the header, as PGCK8 tracked PGCK7's
+// per-shard drift section and PGCK6 tracked PGCK5. The shard count is
+// validated explicitly from the header (it is not part of the configuration
+// fingerprint), so a container written for N shards resumes only under
+// Shards = N.
+const shardCheckpointMagic = "PGCK10"
 
 // maxShards bounds the shard count accepted from an untrusted container.
 const maxShards = 1 << 16
 
-// encodeShardContainer writes one fleet container.
-func encodeShardContainer(w *bytes.Buffer, cfg Config, slots int, skipped []SkipReport, states [][]byte) error {
+// encodeShardContainer writes one fleet container; clock is the router's
+// encoded clock section (encodeClock).
+func encodeShardContainer(w *bytes.Buffer, cfg Config, slots int, skipped []SkipReport, clock []byte, states [][]byte) error {
 	bw := pg.NewWireWriter(w)
 	bw.Raw([]byte(shardCheckpointMagic))
 	bw.String(cfg.fingerprint())
 	bw.Uvarint(uint64(len(states)))
 	bw.Uvarint(uint64(slots))
-	bw.Uvarint(uint64(len(skipped)))
-	for _, s := range skipped {
-		bw.Varint(int64(s.Seq))
-		bw.String(s.Reason)
-	}
+	writeSkips(bw, skipped)
+	bw.String(string(clock))
 	for _, st := range states {
 		bw.String(string(st))
 	}
 	return bw.Flush()
 }
 
-// decodeShardContainer parses a fleet container, validating the fingerprint
-// and that it was written for exactly cfg.Shards shards.
-func decodeShardContainer(state []byte, cfg Config) (sections [][]byte, slots int, skipped []SkipReport, err error) {
+// decodeShardContainer parses a fleet container into its shard sections,
+// router position and fault quarantines, restoring the router's clock
+// section into clock (nil discards it). It validates the fingerprint and
+// that the container was written for exactly cfg.Shards shards.
+func decodeShardContainer(state []byte, cfg Config, clock *epochClock) (sections [][]byte, slots int, skipped []SkipReport, err error) {
 	br := pg.NewWireReader(bytes.NewReader(state))
 	if err := br.Expect(shardCheckpointMagic); err != nil {
 		return nil, 0, nil, fmt.Errorf("core: shard checkpoint: %w", err)
@@ -463,21 +440,15 @@ func decodeShardContainer(state []byte, cfg Config) (sections [][]byte, slots in
 	if err != nil {
 		return nil, 0, nil, fmt.Errorf("core: shard checkpoint slots: %w", err)
 	}
-	slots = int(s)
-	skipCount, err := br.Uvarint(maxSkipped)
-	if err != nil {
+	if skipped, err = readSkips(br); err != nil {
 		return nil, 0, nil, err
 	}
-	for i := uint64(0); i < skipCount; i++ {
-		seq, err := br.Varint()
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		reason, err := br.String()
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		skipped = append(skipped, SkipReport{Seq: int(seq), Reason: reason})
+	js, err := br.String()
+	if err != nil {
+		return nil, 0, nil, fmt.Errorf("core: shard checkpoint epoch clock: %w", err)
+	}
+	if err := decodeClock([]byte(js), clock); err != nil {
+		return nil, 0, nil, err
 	}
 	sections = make([][]byte, n)
 	for i := range sections {
@@ -487,15 +458,15 @@ func decodeShardContainer(state []byte, cfg Config) (sections [][]byte, slots in
 		}
 		sections[i] = []byte(sec)
 	}
-	return sections, slots, skipped, nil
+	return sections, int(s), skipped, nil
 }
 
-// shardCoordinator assembles PGCK8 containers: it holds every shard's latest
-// encoded PGCK7 state plus the router's current stream position, and rewrites
-// the container whenever any shard checkpoints. One mutex serializes shard
-// saves against router position updates, so a container's position is always
-// ≥ every sub-batch its sections have folded in, and its quarantine list is
-// the exact list as of that position.
+// shardCoordinator assembles PGCK10 containers: it holds every shard's latest
+// encoded PGCK9 state plus the router's current stream position, and
+// rewrites the container whenever any shard checkpoints. One mutex
+// serializes shard saves against router position updates, so a container's
+// position is always ≥ every sub-batch its sections have folded in, and its
+// quarantine list and clock are exactly as of that position.
 type shardCoordinator struct {
 	mu      sync.Mutex
 	ck      Checkpointer
@@ -503,14 +474,17 @@ type shardCoordinator struct {
 	states  [][]byte
 	slots   int
 	skipped []SkipReport
+	clock   []byte
 }
 
-// position records the router's stream progress (called before the slot's
-// sub-batches are delivered, so no shard state can get ahead of it).
-func (co *shardCoordinator) position(slots int, skipped []SkipReport) {
+// position records the router's stream progress — its fault quarantines and
+// encoded clock as of the batch at slots — before that batch's sub-batches
+// are delivered, so no shard state can get ahead of it.
+func (co *shardCoordinator) position(slots int, skipped []SkipReport, clock []byte) {
 	co.mu.Lock()
 	co.slots = slots
 	co.skipped = append(co.skipped[:0], skipped...)
+	co.clock = clock
 	co.mu.Unlock()
 }
 
@@ -520,7 +494,7 @@ func (co *shardCoordinator) save(shard int, state []byte) error {
 	defer co.mu.Unlock()
 	co.states[shard] = append([]byte(nil), state...)
 	var buf bytes.Buffer
-	if err := encodeShardContainer(&buf, co.cfg, co.slots, co.skipped, co.states); err != nil {
+	if err := encodeShardContainer(&buf, co.cfg, co.slots, co.skipped, co.clock, co.states); err != nil {
 		return fmt.Errorf("core: encode shard container: %w", err)
 	}
 	return co.ck.Save(buf.Bytes())

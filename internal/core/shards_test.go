@@ -404,14 +404,18 @@ func FuzzShardedCheckpoint(f *testing.F) {
 		}
 		states[i] = b.Bytes()
 	}
-	if err := encodeShardContainer(&buf, cfg, 3, []SkipReport{{Seq: 1, Reason: "x"}}, states); err != nil {
+	clock, err := encodeClock(nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := encodeShardContainer(&buf, cfg, 3, []SkipReport{{Seq: 1, Reason: "x"}}, clock, states); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
 	f.Add([]byte(shardCheckpointMagic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sections, _, _, err := decodeShardContainer(data, cfg)
+		sections, _, _, err := decodeShardContainer(data, cfg, nil)
 		if err != nil {
 			return
 		}

@@ -34,10 +34,12 @@ type Registry struct {
 	shards  map[int]*shardAgg
 }
 
-// shardAgg aggregates one shard's spans and histograms.
+// shardAgg aggregates one shard's spans and histograms, and holds its gauge
+// levels.
 type shardAgg struct {
 	stages [numStages]stageAgg
 	hists  [numHists]histAgg
+	gauges [numGauges]atomic.Uint64
 }
 
 type stageAgg struct {
@@ -118,6 +120,22 @@ func (r *Registry) ShardObserve(shard int, h Hist, value uint64) {
 	}
 	r.hists[h].observe(value)
 	r.shard(shard).hists[h].observe(value)
+}
+
+// ShardGauge implements ShardGaugeSink: the run-wide gauge becomes the sum
+// of every shard's latest level.
+func (r *Registry) ShardGauge(shard int, g Gauge, value uint64) {
+	if g >= numGauges {
+		return
+	}
+	r.shard(shard).gauges[g].Store(value)
+	r.shardMu.Lock()
+	var sum uint64
+	for _, a := range r.shards {
+		sum += a.gauges[g].Load()
+	}
+	r.gauges[g].Store(sum)
+	r.shardMu.Unlock()
 }
 
 // Add implements Sink.

@@ -20,6 +20,14 @@ type ShardObserver interface {
 	ShardObserve(shard int, h Hist, value uint64)
 }
 
+// ShardGaugeSink is optionally implemented by gauge sinks that keep a level
+// per shard: each shard sets its own latest value, and the run-wide gauge
+// reads the sum over shards (a fleet's evidence bytes are the sum of its
+// shards'). Sinks without it get the plain last-write-wins update.
+type ShardGaugeSink interface {
+	ShardGauge(shard int, g Gauge, value uint64)
+}
+
 // shardSink tags every span and histogram observation with a shard index.
 type shardSink struct {
 	inner Sink
@@ -49,11 +57,19 @@ func (ss shardSink) Span(s Span) {
 // Add implements Sink (counters are global).
 func (ss shardSink) Add(c Counter, delta uint64) { ss.inner.Add(c, delta) }
 
-// Gauge implements GaugeSink (gauges, like counters, stay global — each
-// shard's evidence bytes are part of one run-wide level).
+// Gauge implements GaugeSink: the shard's level goes to a ShardGaugeSink,
+// which sums it with the other shards' into the run-wide gauge.
 func (ss shardSink) Gauge(g Gauge, value uint64) {
-	if gs, ok := ss.inner.(GaugeSink); ok {
-		gs.Gauge(g, value)
+	shardGauge(ss.inner, ss.shard, g, value)
+}
+
+// shardGauge hands one shard's gauge level to sk.
+func shardGauge(sk Sink, shard int, g Gauge, value uint64) {
+	switch v := sk.(type) {
+	case ShardGaugeSink:
+		v.ShardGauge(shard, g, value)
+	case GaugeSink:
+		v.Gauge(g, value)
 	}
 }
 
@@ -86,5 +102,12 @@ func (m multi) ShardObserve(shard int, h Hist, value uint64) {
 		} else {
 			sk.Observe(h, value)
 		}
+	}
+}
+
+// ShardGauge implements ShardGaugeSink for Multi.
+func (m multi) ShardGauge(shard int, g Gauge, value uint64) {
+	for _, sk := range m {
+		shardGauge(sk, shard, g, value)
 	}
 }

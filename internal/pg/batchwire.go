@@ -7,9 +7,16 @@ package pg
 // repo benchmark replays its workload streams from this encoding, decoding
 // each batch inside the source's Next.
 
-// Codec bounds for untrusted batch headers: a batch larger than this is
-// rejected rather than pre-allocated.
-const maxBatchElements = 1 << 28
+// Codec bounds for untrusted batch headers: a count larger than
+// maxBatchElements is rejected, and no count preallocates more than
+// maxBatchPrealloc entries — past that the decoder grows by appending, so a
+// corrupt header cannot allocate gigabytes before the data runs out. The
+// cap is above every batch the benchmark decodes, which therefore allocate
+// exactly as before.
+const (
+	maxBatchElements = 1 << 28
+	maxBatchPrealloc = 1 << 16
+)
 
 // WriteBatch encodes one batch: node count, edge count, then every node
 // (ID, labels, sorted props) and every edge (ID, labels, endpoints,
@@ -52,12 +59,13 @@ func ReadBatch(r *WireReader) (*Batch, error) {
 	}
 	b := &Batch{}
 	if nodes > 0 {
-		b.Nodes = make([]NodeRecord, nodes)
+		b.Nodes = make([]NodeRecord, 0, min(nodes, maxBatchPrealloc))
 	}
 	if edges > 0 {
-		b.Edges = make([]EdgeRecord, edges)
+		b.Edges = make([]EdgeRecord, 0, min(edges, maxBatchPrealloc))
 	}
-	for i := range b.Nodes {
+	for i := uint64(0); i < nodes; i++ {
+		b.Nodes = append(b.Nodes, NodeRecord{})
 		n := &b.Nodes[i]
 		id, err := r.Varint()
 		if err != nil {
@@ -71,7 +79,8 @@ func ReadBatch(r *WireReader) (*Batch, error) {
 			return nil, err
 		}
 	}
-	for i := range b.Edges {
+	for i := uint64(0); i < edges; i++ {
+		b.Edges = append(b.Edges, EdgeRecord{})
 		e := &b.Edges[i]
 		id, err := r.Varint()
 		if err != nil {
@@ -118,11 +127,13 @@ func readWireLabels(r *WireReader) ([]string, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	labels := make([]string, n)
-	for i := range labels {
-		if labels[i], err = r.InternedString(); err != nil {
+	labels := make([]string, 0, min(n, maxBatchPrealloc))
+	for i := uint64(0); i < n; i++ {
+		l, err := r.InternedString()
+		if err != nil {
 			return nil, err
 		}
+		labels = append(labels, l)
 	}
 	return labels, nil
 }
@@ -147,7 +158,7 @@ func readWireProps(r *WireReader) (Properties, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	props := make(Properties, n)
+	props := make(Properties, min(n, maxBatchPrealloc))
 	for i := uint64(0); i < n; i++ {
 		k, err := r.InternedString()
 		if err != nil {

@@ -100,3 +100,25 @@ func FuzzReadCSV(f *testing.F) {
 		g.ComputeStats()
 	})
 }
+
+// FuzzReadBatch: arbitrary bytes must decode or fail cleanly, and a decoded
+// batch must survive a re-encode round trip unchanged.
+func FuzzReadBatch(f *testing.F) {
+	f.Add(encodeBatch(f, poolBatch(6)))
+	f.Add(encodeBatch(f, &Batch{}))
+	f.Add([]byte{0x80, 0x80, 0x40, 0x00}) // 2^20 nodes declared, none present
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := ReadBatch(NewWireReader(bytes.NewReader(data)))
+		if err != nil {
+			return
+		}
+		enc := encodeBatch(t, b)
+		again, err := ReadBatch(NewWireReader(bytes.NewReader(enc)))
+		if err != nil {
+			t.Fatalf("re-encoded batch does not decode: %v", err)
+		}
+		if !bytes.Equal(encodeBatch(t, again), enc) {
+			t.Fatal("batch changed across an encode/decode round trip")
+		}
+	})
+}

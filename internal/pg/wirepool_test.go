@@ -3,6 +3,7 @@ package pg
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -189,6 +190,26 @@ func BenchmarkReadBatchCold(bm *testing.B) {
 	for i := 0; i < bm.N; i++ {
 		if _, err := ReadBatch(NewWireReader(bytes.NewReader(enc))); err != nil {
 			bm.Fatal(err)
+		}
+	}
+}
+
+// TestReadBatchPreallocCapped: a header's counts are untrusted, so a
+// 4-byte input declaring 2^20 nodes must fail with EOF after preallocating
+// at most maxBatchPrealloc records, not the 2^20 it claims (~40 MB).
+func TestReadBatchPreallocCapped(t *testing.T) {
+	for _, header := range [][]byte{
+		{0x80, 0x80, 0x40, 0x00}, // 2^20 nodes
+		{0x00, 0x80, 0x80, 0x40}, // 2^20 edges
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := ReadBatch(NewWireReader(bytes.NewReader(header))); err == nil {
+			t.Fatalf("header %x without records decoded", header)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+			t.Errorf("header %x allocated %d bytes before failing, want at most 8 MiB", header, got)
 		}
 	}
 }

@@ -18,15 +18,17 @@ import (
 // assignment — and therefore the rest of the stream — deterministic across
 // a resume.
 
-// Codec bounds: untrusted counts are capped so corrupt checkpoints cannot
-// drive huge allocations.
+// Codec bounds: untrusted counts are capped, and no count preallocates more
+// than maxPrealloc entries (decoders grow past it by appending), so corrupt
+// checkpoints cannot drive huge allocations.
 const (
-	maxTypes   = 1 << 24
-	maxLabels  = 1 << 16
-	maxProps   = 1 << 24
-	maxMembers = 1 << 40
-	maxDegrees = 1 << 40
-	maxHashes  = distinctHashCap
+	maxTypes    = 1 << 24
+	maxLabels   = 1 << 16
+	maxProps    = 1 << 24
+	maxMembers  = 1 << 40
+	maxDegrees  = 1 << 40
+	maxHashes   = distinctHashCap
+	maxPrealloc = 1 << 12
 )
 
 // WriteSchema encodes the schema onto a wire stream. Errors surface at the
@@ -146,8 +148,8 @@ func readDegrees(r *pg.WireReader, tab *Symtab) (CounterTable, error) {
 	if n == 0 {
 		return deg, nil
 	}
-	deg.ids = make([]uint32, 0, n)
-	deg.counts = make([]uint32, 0, n)
+	deg.ids = make([]uint32, 0, min(n, maxPrealloc))
+	deg.counts = make([]uint32, 0, min(n, maxPrealloc))
 	last := int64(-1)
 	for i := uint64(0); i < n; i++ {
 		id, err := r.Uvarint(uint64(tab.Endpoints()))
@@ -259,13 +261,13 @@ func readType(r *pg.WireReader, tab *Symtab, wantKind ElementKind) (*Type, error
 		return nil, err
 	}
 	if memberCount > 0 {
-		t.Members = make([]pg.ID, memberCount)
-		for i := range t.Members {
+		t.Members = make([]pg.ID, 0, min(memberCount, maxPrealloc))
+		for i := uint64(0); i < memberCount; i++ {
 			id, err := r.Varint()
 			if err != nil {
 				return nil, err
 			}
-			t.Members[i] = pg.ID(id)
+			t.Members = append(t.Members, pg.ID(id))
 		}
 	}
 	return t, nil

@@ -10,13 +10,6 @@ import "sort"
 // tables are injective too: remapping an IDSet never collapses elements, so
 // the monotone-merge guarantees (Lemmas 1-2) survive the translation.
 
-// DebugSameTab restores the pre-sharding invariant check: when set,
-// Type.Merge panics on types from different intern tables instead of
-// remapping. Discovery inside one pipeline always merges same-tab types, so
-// enabling this in tests catches accidental cross-pipeline merges that
-// should have gone through MergeSchemas.
-var DebugSameTab = false
-
 // Remap translates interned IDs minted by one Symtab into another's.
 // The zero value (or a nil *Remap) is the identity.
 type Remap struct {

@@ -146,19 +146,6 @@ func TestTypeMergeCrossTab(t *testing.T) {
 	}
 }
 
-func TestDebugSameTabPanics(t *testing.T) {
-	DebugSameTab = true
-	defer func() { DebugSameTab = false }()
-	a := NewType(NewSymtab(), NodeKind)
-	b := NewType(NewSymtab(), NodeKind)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("cross-tab Merge with DebugSameTab did not panic")
-		}
-	}()
-	a.Merge(b)
-}
-
 func TestCounterTableMergeRemapped(t *testing.T) {
 	var c, other CounterTable
 	c.Add(0, 5)

@@ -428,16 +428,11 @@ func (t *Type) ObserveEdge(e *pg.EdgeRecord, trackMembers bool) {
 // When other was interned against a different Symtab (a partial schema from
 // another discovery shard), its IDs are translated into t's table first —
 // the same-table fast path is the common case and pays nothing for this.
-// Set DebugSameTab to restore the old panic and catch cross-table merges
-// that should have gone through MergeSchemas.
 func (t *Type) Merge(other *Type) {
 	if t.Kind != other.Kind {
 		panic(fmt.Sprintf("schema: merging %v type into %v type", other.Kind, t.Kind))
 	}
 	if t.tab != other.tab {
-		if DebugSameTab {
-			panic("schema: merging types from different intern tables")
-		}
 		t.MergeRemapped(other, NewRemap(other.tab, t.tab))
 		return
 	}

@@ -118,8 +118,8 @@ func ReadSymtab(r *pg.WireReader) (*Symtab, error) {
 		return nil, fmt.Errorf("symtab: string count: %w", err)
 	}
 	t := &Symtab{
-		strs:  make([]string, 0, n),
-		byStr: make(map[string]uint32, n),
+		strs:  make([]string, 0, min(n, maxPrealloc)),
+		byStr: make(map[string]uint32, min(n, maxPrealloc)),
 	}
 	for i := uint64(0); i < n; i++ {
 		s, err := r.String()
@@ -136,8 +136,8 @@ func ReadSymtab(r *pg.WireReader) (*Symtab, error) {
 	if err != nil {
 		return nil, fmt.Errorf("symtab: endpoint count: %w", err)
 	}
-	t.eps = make([]pg.ID, 0, m)
-	t.byEp = make(map[pg.ID]uint32, m)
+	t.eps = make([]pg.ID, 0, min(m, maxPrealloc))
+	t.byEp = make(map[pg.ID]uint32, min(m, maxPrealloc))
 	for i := uint64(0); i < m; i++ {
 		ep, err := r.Varint()
 		if err != nil {

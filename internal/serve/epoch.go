@@ -103,21 +103,22 @@ func (s *renderSlot) get(render func() *Rendered) (resp *Rendered, hit bool) {
 // read from any number of goroutines while the writer merges batches into
 // the next epoch underneath.
 type Epoch struct {
-	// ID is the 1-based publication sequence (0 is the boot placeholder
-	// served before the first interval completes).
+	// ID is core's epoch number (core.EpochSnapshot.Epoch): 1-based, and
+	// continuing across a resumed ingest. 0 is the boot placeholder served
+	// before the first epoch.
 	ID int
 	// Batches is how many batches had been extracted when the snapshot was
 	// taken; Seq is the stream sequence number of the closing batch.
 	Batches int
 	Seq     int
-	// Final marks the epoch published when ingestion completed.
+	// Final marks the last epoch of a completed ingest.
 	Final bool
 	// Published is the wall-clock publication instant.
 	Published time.Time
 	// Def is the finalized schema at this epoch.
 	Def *schema.Def
-	// Diff is the change report against the previously published epoch
-	// (empty for the baseline).
+	// Diff is the change report against the previous epoch (empty for the
+	// baseline).
 	Diff schema.DiffReport
 
 	// tiers caches the unfiltered response per detail tier; filtered caches

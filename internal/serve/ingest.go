@@ -23,11 +23,13 @@ type IngestOptions struct {
 
 // Ingest drains src through core.Run, publishing schema epochs as it goes,
 // and blocks until the stream ends (or StopIngest is called). Every engine
-// — single pipeline or sharded — publishes through the same
+// — single pipeline or sharded — hands its epochs to the same
 // core.Config.OnEpoch hook, synchronously at a consistent point of the
-// stream. The final Result's Def is published as the final epoch, so a
-// served detail=full response is then byte-identical to a batch Discover
-// run over the same input. Single ingest per server.
+// stream, and the server stores them as given. A successful run's last
+// epoch is final and carries the Result's Def, so a served detail=full
+// response is then byte-identical to a batch Discover run over the same
+// input. Epoch numbers are core's, so a resumed ingest goes on from the
+// checkpointed run's. Single ingest per server.
 func (s *Server) Ingest(src pg.ErrSource, opts IngestOptions) (*core.Result, error) {
 	cfg := opts.Config
 	cfg.Telemetry = obs.Multi(cfg.Telemetry, s.reg)
@@ -36,7 +38,7 @@ func (s *Server) Ingest(src pg.ErrSource, opts IngestOptions) (*core.Result, err
 		if chain != nil {
 			chain(snap)
 		}
-		s.publish(snap.Def, snap.Batches, snap.Seq, snap.Final)
+		s.publish(snap)
 	}
 	stop := NewStopSource(src)
 
@@ -52,28 +54,16 @@ func (s *Server) Ingest(src pg.ErrSource, opts IngestOptions) (*core.Result, err
 	res, err := core.Run(stop, cfg, opts.Run)
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err != nil {
 		s.ingest, s.ingestEr = "failed", err.Error()
-	} else {
-		s.ingest = "done"
-		for _, r := range res.Reports {
-			s.elements += uint64(r.Nodes + r.Edges)
-		}
+		return res, err
 	}
-	s.mu.Unlock()
-	if err == nil {
-		// The stream ended at the last published epoch's frontier — either
-		// the engine's final epoch or a window boundary, whose epoch this
-		// re-stamps as final — or, before any epoch, after every batch the
-		// source delivered.
-		batches := int(stop.delivered.Load())
-		seq := batches - 1
-		if e := s.Current(); e.ID > 0 {
-			batches, seq = e.Batches, e.Seq
-		}
-		s.publish(res.Def, batches, seq, true)
+	s.ingest = "done"
+	for _, r := range res.Reports {
+		s.elements += uint64(r.Nodes + r.Edges)
 	}
-	return res, err
+	return res, nil
 }
 
 // StopIngest asks the running ingest to stop at the next batch boundary:

@@ -279,6 +279,43 @@ func TestServeGracefulResume(t *testing.T) {
 	}
 }
 
+// TestServeResumedEpochIDsContinue: epoch IDs are core's epoch numbers,
+// which ride in the checkpoint, so a server resumed from a stopped ingest
+// goes on numbering where the stopped one left off instead of restarting
+// at 1, and its epochs are still those of an uninterrupted run.
+func TestServeResumedEpochIDsContinue(t *testing.T) {
+	batches := stream(12)
+	cfg := core.Config{EpochInterval: 2}
+	whole := NewServer(nil)
+	if _, err := whole.Ingest(src(batches), IngestOptions{Config: cfg}); err != nil {
+		t.Fatal(err)
+	}
+
+	ck := &memCheckpointer{}
+	s1 := NewServer(nil)
+	var pulled atomic.Int64
+	// Stop on the 6th pull: six batches fold in, ending on a window boundary.
+	gate := &gateSource{src: src(batches), after: 5, hit: func() { s1.StopIngest() }, pulled: &pulled}
+	if _, err := s1.Ingest(gate, IngestOptions{Config: cfg, Run: core.RunOptions{Checkpoint: ck}}); err != nil {
+		t.Fatal(err)
+	}
+	s2 := NewServer(nil)
+	if _, err := s2.Ingest(src(batches), IngestOptions{Config: cfg, Run: core.RunOptions{Checkpoint: ck, Resume: ck.state}}); err != nil {
+		t.Fatal(err)
+	}
+	first, second, want := s1.Epochs(), s2.Epochs(), whole.Epochs()
+	if len(first) != 3 || len(second) != 3 {
+		t.Fatalf("stopped and resumed servers published %d and %d epochs, want 3 and 3", len(first), len(second))
+	}
+	for i, e := range append(first, second...) {
+		w := want[i]
+		if e.ID != w.ID || e.Batches != w.Batches || e.Seq != w.Seq || len(e.Diff.Changes) != len(w.Diff.Changes) {
+			t.Errorf("epoch %d = {ID %d, Batches %d, Seq %d, %d changes}, uninterrupted {ID %d, Batches %d, Seq %d, %d changes}",
+				i, e.ID, e.Batches, e.Seq, len(e.Diff.Changes), w.ID, w.Batches, w.Seq, len(w.Diff.Changes))
+		}
+	}
+}
+
 // memCheckpointer keeps the latest checkpoint state in memory.
 type memCheckpointer struct {
 	mu    sync.Mutex
@@ -517,35 +554,41 @@ func TestServeConcurrentReadIngest(t *testing.T) {
 	}
 }
 
-// TestPublishMonotone pins the frontier guard: a stale async publish (lower
-// batch frontier) is dropped, an equal-frontier non-final republish is
-// dropped, and finality can only be stamped once.
-func TestPublishMonotone(t *testing.T) {
+// TestPublishStoresCoreEpochs: publish stores what core's clock hands it —
+// number, frontier, finality, Def and the change report of its Changes —
+// appends a new number, and lets the final re-send of the last number
+// replace it in place. A resumed run's numbering is kept as given.
+func TestPublishStoresCoreEpochs(t *testing.T) {
 	s := NewServer(nil)
 	d1 := core.Discover(pg.NewSliceSource(stream(4)...), core.Config{}).Def
 	d2 := core.Discover(pg.NewSliceSource(stream(8)...), core.Config{}).Def
+	changes := schema.Diff(d1, d2)
+	if len(changes) == 0 {
+		t.Fatal("test stream does not grow between 4 and 8 batches")
+	}
 
-	e1 := s.publish(d1, 8, 7, false)
-	if e1.ID != 1 {
-		t.Fatalf("first publish ID = %d", e1.ID)
+	e1 := s.publish(core.EpochSnapshot{Epoch: 1, Batches: 4, Seq: 3, Def: d1})
+	if e1.ID != 1 || e1.Batches != 4 || e1.Seq != 3 || e1.Final || len(e1.Diff.Changes) != 0 {
+		t.Fatalf("baseline epoch = {ID %d, Batches %d, Seq %d, Final %t, %d changes}",
+			e1.ID, e1.Batches, e1.Seq, e1.Final, len(e1.Diff.Changes))
 	}
-	if e := s.publish(d2, 4, 3, false); e.ID != 1 {
-		t.Fatal("stale frontier must be dropped")
+	e2 := s.publish(core.EpochSnapshot{Epoch: 2, Batches: 8, Seq: 7, Def: d2, Changes: changes})
+	if e2.ID != 2 || len(e2.Diff.Changes) != len(changes) || e2.Diff.Counts[changes[0].Kind.Slug()] == 0 {
+		t.Fatalf("epoch 2 = {ID %d, %d changes, counts %v}, want the report of %d changes",
+			e2.ID, len(e2.Diff.Changes), e2.Diff.Counts, len(changes))
 	}
-	if e := s.publish(d2, 8, 7, false); e.ID != 1 {
-		t.Fatal("equal-frontier non-final republish must be dropped")
+	final := s.publish(core.EpochSnapshot{Epoch: 2, Batches: 8, Seq: 7, Final: true, Def: d2, Changes: changes})
+	hist := s.Epochs()
+	if len(hist) != 2 || hist[1] != final || s.Current() != final || !final.Final {
+		t.Fatalf("final re-send must replace epoch 2 in place: history %d, final %t", len(hist), final.Final)
 	}
-	if e := s.publish(d2, 8, 7, true); e.ID != 1 || !e.Final {
-		t.Fatal("final publish over equal frontier must upgrade in place")
+	if len(final.Diff.Changes) != len(changes) {
+		t.Errorf("final re-send lost its changes: %d, want %d", len(final.Diff.Changes), len(changes))
 	}
-	if e := s.publish(d2, 8, 7, true); e.ID != 1 {
-		t.Fatal("double-final must be dropped")
-	}
-	if e := s.publish(d2, 12, 11, false); e.ID != 2 {
-		t.Fatal("a fresher frontier after finality must still land")
-	}
-	if got := len(s.Epochs()); got != 2 {
-		t.Fatalf("history length = %d, want 2", got)
+
+	resumed := NewServer(nil)
+	if e := resumed.publish(core.EpochSnapshot{Epoch: 5, Batches: 20, Seq: 19, Def: d2}); e.ID != 5 {
+		t.Errorf("resumed server renumbered epoch 5 as %d", e.ID)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pghive/internal/core"
 	"pghive/internal/obs"
 	"pghive/internal/schema"
 )
@@ -64,46 +65,23 @@ func (s *Server) Epochs() []*Epoch {
 	return append([]*Epoch(nil), s.epochs...)
 }
 
-// publish installs def as the next epoch. Monotone and idempotent: a
-// snapshot that does not advance the batch frontier is dropped, and a final
-// publish over an identical frontier only re-stamps finality (the stream
-// ended exactly on an epoch boundary). Returns the current epoch after the
-// call.
-func (s *Server) publish(def *schema.Def, batches, seq int, final bool) *Epoch {
+// publish stores one epoch core's clock handed over: its number, frontier,
+// finality, Def and changes, as given. The final re-send of an epoch (same
+// number) replaces the last one; any other epoch is appended. Returns the
+// stored epoch.
+func (s *Server) publish(snap core.EpochSnapshot) *Epoch {
+	e := &Epoch{
+		ID: snap.Epoch, Batches: snap.Batches, Seq: snap.Seq, Final: snap.Final,
+		Published: time.Now(), Def: snap.Def, Diff: schema.NewDiffReport(snap.Changes),
+		instr: s.instr,
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	prev := s.cur.Load()
-	if prev.ID > 0 && batches < prev.Batches {
-		return prev
+	if n := len(s.epochs); n > 0 && s.epochs[n-1].ID == e.ID {
+		s.epochs[n-1] = e
+	} else {
+		s.epochs = append(s.epochs, e)
 	}
-	if prev.ID > 0 && batches == prev.Batches && !final {
-		return prev
-	}
-	if prev.ID > 0 && batches == prev.Batches && final && prev.Final {
-		return prev
-	}
-	if prev.ID > 0 && batches == prev.Batches && final {
-		// Finality upgrade: the stream ended exactly on an epoch boundary, so
-		// the schema already published IS the final one — re-stamp it in
-		// place (fresh Epoch, same ID and diff) instead of appending a
-		// duplicate frontier to the history.
-		e := &Epoch{
-			ID: prev.ID, Batches: batches, Seq: seq, Final: true,
-			Published: prev.Published, Def: def, Diff: prev.Diff, instr: s.instr,
-		}
-		s.epochs[len(s.epochs)-1] = e
-		s.cur.Store(e)
-		return e
-	}
-	var diff schema.DiffReport
-	if prev.ID > 0 {
-		diff = schema.NewDiffReport(schema.Diff(prev.Def, def))
-	}
-	e := &Epoch{
-		ID: prev.ID + 1, Batches: batches, Seq: seq, Final: final,
-		Published: time.Now(), Def: def, Diff: diff, instr: s.instr,
-	}
-	s.epochs = append(s.epochs, e)
 	s.cur.Store(e)
 	s.instr.Gauge(obs.GaugeServeEpoch, uint64(e.ID))
 	return e

@@ -15,9 +15,6 @@ import (
 type StopSource struct {
 	src     pg.ErrSource
 	stopped atomic.Bool
-	// delivered counts the good batches handed to the engine — the source
-	// batches the published epoch frontiers count.
-	delivered atomic.Int64
 }
 
 // NewStopSource wraps src.
@@ -28,11 +25,7 @@ func (s *StopSource) Next() (*pg.Batch, error) {
 	if s.stopped.Load() {
 		return nil, nil
 	}
-	b, err := s.src.Next()
-	if b != nil && err == nil {
-		s.delivered.Add(1)
-	}
-	return b, err
+	return s.src.Next()
 }
 
 // Stop makes every subsequent Next report end-of-stream. Safe to call from

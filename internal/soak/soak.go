@@ -62,8 +62,10 @@ type Options struct {
 	// CheckEquivalence re-runs the scenario serially and compares the
 	// labeled projection against the sharded result (only meaningful with
 	// Config.Shards > 1). Incompatible with Config.DriftPolicy quarantine:
-	// per-shard epoch boundaries legitimately quarantine different batches
-	// than a serial run, so no equivalence level applies.
+	// the router quarantines whole source batches at the serial run's epoch
+	// boundaries, but it validates them against the fleet's merged epoch
+	// schemas, which are not the serial run's, so the two runs may withhold
+	// different batches and no equivalence level applies.
 	CheckEquivalence bool
 	// SkipResumeCheck disables the final uninterrupted reference run that
 	// proves kill/resume byte-identity (it doubles the work).
@@ -164,7 +166,7 @@ func Run(opts Options) (*Report, error) {
 		return nil, errors.New("soak: use Kills/KillEvery, not FaultProfile.FailAfter")
 	}
 	if opts.CheckEquivalence && opts.Config.DriftPolicy == core.DriftQuarantine {
-		return nil, errors.New("soak: shard equivalence is undefined under drift policy quarantine (per-shard epochs quarantine different batches)")
+		return nil, errors.New("soak: shard equivalence is undefined under drift policy quarantine (fleet epochs may quarantine different batches)")
 	}
 	if opts.Repeat < 1 {
 		opts.Repeat = 1

@@ -19,10 +19,12 @@ import (
 // The weighted (labelWeight-scaled) memo is derived state and is rebuilt on
 // restore rather than serialized.
 
-// Codec bounds for untrusted counts.
+// Codec bounds for untrusted counts; no count preallocates more than
+// maxPrealloc entries.
 const (
-	maxTokens = 1 << 24
-	maxDim    = 1 << 12
+	maxTokens   = 1 << 24
+	maxDim      = 1 << 12
+	maxPrealloc = 1 << 12
 )
 
 // WriteState encodes the session's cross-batch state onto a wire stream.
@@ -67,7 +69,7 @@ func (s *Session) ReadState(r *pg.WireReader) error {
 	if err != nil {
 		return fmt.Errorf("vectorize: sentence count: %w", err)
 	}
-	s.sentences = make(map[string][]string, tokenCount)
+	s.sentences = make(map[string][]string, min(tokenCount, maxPrealloc))
 	for i := uint64(0); i < tokenCount; i++ {
 		tok, err := r.String()
 		if err != nil {
@@ -77,11 +79,13 @@ func (s *Session) ReadState(r *pg.WireReader) error {
 		if err != nil {
 			return err
 		}
-		sentence := make([]string, wordCount)
-		for j := range sentence {
-			if sentence[j], err = r.String(); err != nil {
+		sentence := make([]string, 0, min(wordCount, maxPrealloc))
+		for j := uint64(0); j < wordCount; j++ {
+			word, err := r.String()
+			if err != nil {
 				return err
 			}
+			sentence = append(sentence, word)
 		}
 		s.sentences[tok] = sentence
 	}
