@@ -182,8 +182,8 @@ func (m *memCheckpointer) Save(state []byte) error {
 // an 8-batch stream: the FT drain loop itself (clean), seeded transient
 // faults absorbed by retry with backoff computed but not slept (fault10/50),
 // and per-batch checkpointing of the full pipeline state (checkpoint).
-// Every scenario must finalize the same schema as the plain engine; the
-// identity sweep lives in internal/bench (pghive-bench -exp faults).
+// Every scenario must finalize the same schema as the plain engine;
+// internal/core's TestDiscoverFTTransientIdentity checks that identity.
 func BenchmarkDiscoverFaults(b *testing.B) {
 	ds := benchDataset("LDBC", 2500)
 	batches := ds.Graph.SplitRandom(8, 1)

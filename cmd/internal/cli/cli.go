@@ -3,7 +3,7 @@
 // value, and Flags turns them into what core.Run takes: a core.Config that
 // starts from core.DefaultConfig(), the batch stream, and the checkpoint to
 // save to and resume from. The same flags therefore give the same schema
-// from every binary. pghive-bench shares the telemetry wiring.
+// from every binary.
 package cli
 
 import (

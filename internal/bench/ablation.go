@@ -56,21 +56,18 @@ func RunAblation(w io.Writer, s Settings) ([]AblationResult, error) {
 		for _, weight := range []float64{1, 2, 4} {
 			cfg := core.DefaultConfig()
 			cfg.Seed = s.Seed
-			cfg.Telemetry = s.Telemetry
 			cfg.LabelWeight = weight
 			record(w, "label-weight", fmt.Sprintf("%.0f", weight), p.Name, RunPGHive(ds, cfg))
 		}
 		for _, theta := range []float64{0.5, 0.7, 0.9, 0.99} {
 			cfg := core.DefaultConfig()
 			cfg.Seed = s.Seed
-			cfg.Telemetry = s.Telemetry
 			cfg.Theta = theta
 			record(w, "theta", fmt.Sprintf("%.2f", theta), p.Name, RunPGHive(ds, cfg))
 		}
 		for _, rows := range []int{0, 2, 4} {
 			cfg := core.DefaultConfig()
 			cfg.Seed = s.Seed
-			cfg.Telemetry = s.Telemetry
 			cfg.Method = core.MethodMinHash
 			cfg.MinHashRows = rows
 			setting := "full"
@@ -82,7 +79,6 @@ func RunAblation(w io.Writer, s Settings) ([]AblationResult, error) {
 		for _, semantic := range []bool{false, true} {
 			cfg := core.DefaultConfig()
 			cfg.Seed = s.Seed
-			cfg.Telemetry = s.Telemetry
 			cfg.SemanticLabels = semantic
 			setting := "distinct"
 			if semantic {
@@ -93,7 +89,6 @@ func RunAblation(w io.Writer, s Settings) ([]AblationResult, error) {
 		for _, m := range []core.Method{core.MethodELSH, core.MethodMinHash} {
 			cfg := core.DefaultConfig()
 			cfg.Seed = s.Seed
-			cfg.Telemetry = s.Telemetry
 			cfg.Method = m
 			record(w, "method", m.String(), p.Name, RunPGHive(ds, cfg))
 		}

@@ -9,6 +9,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -17,7 +18,6 @@ import (
 	"pghive/internal/core"
 	"pghive/internal/datagen"
 	"pghive/internal/eval"
-	"pghive/internal/obs"
 	"pghive/internal/pg"
 	"pghive/internal/schema"
 )
@@ -54,32 +54,9 @@ type Settings struct {
 	Scale int
 	// Seed drives dataset generation, noise and the methods.
 	Seed int64
-	// Datasets filters by profile name; empty means all eight.
+	// Datasets filters by profile name; empty means all eight. Experiment.Run
+	// and RunAll reject a name datagen.ProfileByName does not know.
 	Datasets []string
-	// PipelineDepth selects the execution engine depth for PG-HIVE runs.
-	// 0 or 1 keeps the harness serial (the default — per-batch and
-	// per-phase timings stay attributable to a single batch); >1 enables
-	// the overlapped engine.
-	PipelineDepth int
-	// Shards, when > 1, narrows the shards experiment's fleet-size sweep
-	// to {1, Shards} (cmd/pghive-bench -shards); 0 runs the full default
-	// sweep. Other experiments are unaffected.
-	Shards int
-	// Telemetry, when non-nil, is attached to every PG-HIVE run the
-	// harness performs (cmd/pghive-bench wires -telemetry/-metrics-addr/
-	// -trace-out into it). The sink observes, it never participates, so
-	// scores and schemas are unaffected; timings absorb the (sub-jitter)
-	// emit cost.
-	Telemetry obs.Sink
-}
-
-// engineDepth maps the setting onto core.Config.PipelineDepth: the harness
-// defaults to serial rather than core's overlapped default.
-func (s Settings) engineDepth() int {
-	if s.PipelineDepth > 1 {
-		return s.PipelineDepth
-	}
-	return 1
 }
 
 func (s Settings) withDefaults() Settings {
@@ -90,6 +67,21 @@ func (s Settings) withDefaults() Settings {
 		s.Seed = 1
 	}
 	return s
+}
+
+// checkDatasets rejects a Datasets name that is not a profile, so a typo
+// fails the run instead of silently selecting nothing.
+func (s Settings) checkDatasets() error {
+	for _, name := range s.Datasets {
+		if datagen.ProfileByName(name) == nil {
+			var names []string
+			for _, p := range datagen.Profiles() {
+				names = append(names, p.Name)
+			}
+			return fmt.Errorf("bench: unknown dataset %q (have: %s)", name, strings.Join(names, ", "))
+		}
+	}
+	return nil
 }
 
 // profiles returns the selected dataset profiles.
@@ -137,8 +129,9 @@ func RunMethod(ds *datagen.Dataset, m MethodID, s Settings) Outcome {
 		cfg := core.DefaultConfig()
 		cfg.TrackMembers = true
 		cfg.Seed = s.Seed
-		cfg.PipelineDepth = s.engineDepth()
-		cfg.Telemetry = s.Telemetry
+		// Serial, so per-batch and per-phase timings stay attributable to
+		// one batch.
+		cfg.PipelineDepth = 1
 		if m == MinHash {
 			cfg.Method = core.MethodMinHash
 		}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -229,7 +230,7 @@ func TestRunFig8BinsNormalized(t *testing.T) {
 }
 
 func TestExperimentRegistryComplete(t *testing.T) {
-	want := []string{"table1", "table2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "ablation", "metrics", "scaling", "shards", "faults", "scenarios", "memory", "drift", "serve"}
+	want := []string{"table1", "table2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "ablation", "metrics"}
 	got := ExperimentNames()
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("experiments = %v, want %v", got, want)
@@ -295,52 +296,26 @@ func TestRunAblationSmall(t *testing.T) {
 	}
 }
 
-func TestRunScalingSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scaling sweep is slow")
-	}
-	orig := ScalingSizes
-	ScalingSizes = []int{200, 400}
-	defer func() { ScalingSizes = orig }()
-	var buf bytes.Buffer
-	points, err := RunScaling(&buf, smallSettings("POLE"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 4 { // 1 dataset × 2 methods × 2 sizes
-		t.Fatalf("got %d points, want 4", len(points))
-	}
-	for _, p := range points {
-		if p.Elapsed <= 0 || p.PerElem <= 0 {
-			t.Errorf("point %+v has non-positive timing", p)
-		}
-	}
-}
-
 func TestRunAllTinyPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full harness is slow")
 	}
-	// Exercise RunAll end-to-end on one tiny dataset, with the scaling
-	// sweep shrunk: every experiment prints its table and writes its CSV.
-	orig := ScalingSizes
-	ScalingSizes = []int{150}
-	defer func() { ScalingSizes = orig }()
+	// Exercise RunAll end-to-end on one tiny dataset: every experiment
+	// prints its table and writes its CSV.
 	dir := t.TempDir()
 	var buf bytes.Buffer
 	if err := RunAll(&buf, dir, Settings{Scale: 150, Seed: 1, Datasets: []string{"POLE"}}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"Table 1", "Table 2", "Figure 3", "Figure 4", "Figure 5", "Figure 6", "Figure 7", "Figure 8", "Ablation", "Supplementary", "Scaling", "Faults", "Memory"} {
+	for _, want := range []string{"Table 1", "Table 2", "Figure 3", "Figure 4", "Figure 5", "Figure 6", "Figure 7", "Figure 8", "Ablation", "Supplementary"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("RunAll output missing %q", want)
 		}
 	}
 	checkCSVs(t, dir, "fig3_ranks.csv", "fig4_quality.csv", "fig5_runtime.csv",
 		"fig6_heatmap.csv", "fig7_incremental.csv", "fig8_sampling.csv",
-		"ablation.csv", "metrics.csv", "scaling.csv", "shards.csv", "faults.csv",
-		"scenarios.csv", "memory.csv", "drift.csv", "serve.csv")
+		"ablation.csv", "metrics.csv")
 }
 
 // checkCSVs asserts dir holds exactly the named CSVs, each with a header
@@ -373,9 +348,9 @@ func checkCSVs(t *testing.T, dir string, names ...string) {
 // TestWriteCSVs: a single experiment run with a CSV directory writes only
 // its own CSV, and an experiment without one writes nothing.
 func TestWriteCSVs(t *testing.T) {
-	s := Settings{Scale: 150, Seed: 1, Datasets: []string{"POLE"}, Shards: 2}
+	s := Settings{Scale: 150, Seed: 1, Datasets: []string{"POLE"}}
 	for _, e := range Experiments {
-		if e.Name != "table1" && e.Name != "shards" {
+		if e.Name != "table1" && e.Name != "metrics" {
 			continue
 		}
 		dir := t.TempDir()
@@ -390,6 +365,34 @@ func TestWriteCSVs(t *testing.T) {
 			checkCSVs(t, dir)
 		} else {
 			checkCSVs(t, dir, e.CSV)
+		}
+	}
+}
+
+// TestUnknownDatasetRejected: a Datasets name that is not a profile fails
+// Experiment.Run and RunAll before anything runs, naming the bad name and
+// the valid ones, instead of printing an empty table.
+func TestUnknownDatasetRejected(t *testing.T) {
+	s := Settings{Scale: 150, Seed: 1, Datasets: []string{"POLE", "pole"}}
+	for _, c := range []struct {
+		name string
+		run  func(io.Writer) error
+	}{
+		{"Run", func(w io.Writer) error { return Experiments[0].Run(w, "", s) }},
+		{"RunAll", func(w io.Writer) error { return RunAll(w, "", s) }},
+	} {
+		var buf bytes.Buffer
+		err := c.run(&buf)
+		if err == nil {
+			t.Fatalf("%s accepted unknown dataset \"pole\"", c.name)
+		}
+		for _, want := range []string{`"pole"`, "POLE", "LDBC", "IYP"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s error %q does not name %s", c.name, err, want)
+			}
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s printed %q before rejecting the dataset", c.name, buf.String())
 		}
 	}
 }

@@ -47,7 +47,6 @@ func RunFig6(w io.Writer, s Settings) ([]Fig6Grid, error) {
 		// Probe run: adaptive parameters and their scores.
 		probeCfg := core.DefaultConfig()
 		probeCfg.Seed = s.Seed
-		probeCfg.Telemetry = s.Telemetry
 		probe := RunPGHive(ds, probeCfg)
 		if len(probe.Reports) == 0 {
 			continue
@@ -70,7 +69,6 @@ func RunFig6(w io.Writer, s Settings) ([]Fig6Grid, error) {
 			for _, tables := range Fig6Tables {
 				cfg := core.DefaultConfig()
 				cfg.Seed = s.Seed
-				cfg.Telemetry = s.Telemetry
 				cfg.NodeParams = &lsh.Params{
 					Mu: nodeParams.Mu, BBase: nodeParams.BBase, Alpha: alpha,
 					Bucket: nodeParams.BBase * alpha, Tables: tables,

@@ -45,7 +45,6 @@ func RunFig7(w io.Writer, s Settings) ([]Fig7Series, error) {
 		for _, m := range []MethodID{ELSH, MinHash} {
 			cfg := core.DefaultConfig()
 			cfg.Seed = s.Seed
-			cfg.Telemetry = s.Telemetry
 			if m == MinHash {
 				cfg.Method = core.MethodMinHash
 			}

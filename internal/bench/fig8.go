@@ -41,7 +41,6 @@ func RunFig8(w io.Writer, s Settings) ([]Fig8Row, error) {
 		for _, m := range []MethodID{ELSH, MinHash} {
 			cfg := core.DefaultConfig()
 			cfg.Seed = s.Seed
-			cfg.Telemetry = s.Telemetry
 			if m == MinHash {
 				cfg.Method = core.MethodMinHash
 			}

@@ -99,64 +99,6 @@ var Experiments = []Experiment{
 			return []string{r.Dataset, r.Method.String(), strconv.FormatBool(r.OK),
 				f(r.F1), f(r.MacroF1), f(r.ARI), f(r.NMI)}
 		})},
-	{"scaling", "scaling.csv", perPoint(RunScaling,
-		[]string{"dataset", "method", "nodes", "edges", "elapsed_us", "per_element_ns", "node_f1"},
-		func(p ScalingPoint) []string {
-			return []string{p.Dataset, p.Method.String(), strconv.Itoa(p.Nodes), strconv.Itoa(p.Edges),
-				i64(p.Elapsed.Microseconds()), i64(p.PerElem.Nanoseconds()), f(p.NodeF1)}
-		})},
-	{"shards", "shards.csv", perPoint(RunShards,
-		[]string{"dataset", "method", "shards", "nodes", "edges", "elapsed_us", "speedup", "node_f1", "gomaxprocs", "num_cpu"},
-		func(p ShardPoint) []string {
-			return []string{p.Dataset, p.Method.String(), strconv.Itoa(p.Shards),
-				strconv.Itoa(p.Nodes), strconv.Itoa(p.Edges), i64(p.Elapsed.Microseconds()),
-				f(p.Speedup), f(p.NodeF1), strconv.Itoa(p.GoMaxProcs), strconv.Itoa(p.NumCPU)}
-		})},
-	{"faults", "faults.csv", perPoint(RunFaults,
-		[]string{"dataset", "method", "transient_rate", "retries", "backoff_us", "elapsed_us", "overhead", "identical"},
-		func(p FaultPoint) []string {
-			return []string{p.Dataset, p.Method.String(), f(p.TransientRate),
-				strconv.Itoa(p.Retries), i64(p.Backoff.Microseconds()), i64(p.Elapsed.Microseconds()),
-				f(p.Overhead), strconv.FormatBool(p.Identical)}
-		})},
-	{"scenarios", "scenarios.csv", perPoint(RunScenarios,
-		[]string{"scenario", "mode", "shards", "batches", "nodes", "edges",
-			"elapsed_us", "throughput_eps", "node_types", "edge_types",
-			"stream_hash", "deterministic", "equivalent", "equiv_level"},
-		func(p ScenarioPoint) []string {
-			return []string{p.Scenario, p.Mode, strconv.Itoa(p.Shards),
-				strconv.Itoa(p.Batches), strconv.Itoa(p.Nodes), strconv.Itoa(p.Edges),
-				i64(p.Elapsed.Microseconds()), f(p.Throughput),
-				strconv.Itoa(p.NodeTypes), strconv.Itoa(p.EdgeTypes), p.StreamHash,
-				strconv.FormatBool(p.Deterministic), strconv.FormatBool(p.Equivalent), p.EquivLevel}
-		})},
-	{"memory", "memory.csv", perPoint(RunMemory,
-		[]string{"dataset", "mode", "budget_bytes", "elements", "elapsed_us",
-			"retained_bytes", "evidence_bytes", "facts", "constraint_f1", "identical"},
-		func(p MemoryPoint) []string {
-			return []string{p.Dataset, p.Mode, i64(p.BudgetBytes), strconv.Itoa(p.Elements),
-				i64(p.Elapsed.Microseconds()), strconv.FormatUint(p.RetainedBytes, 10),
-				i64(p.EvidenceBytes), strconv.Itoa(p.Facts), f(p.ConstraintF1),
-				strconv.FormatBool(p.Identical)}
-		})},
-	{"drift", "drift.csv", perPoint(RunDrift,
-		[]string{"scenario", "policy", "elapsed_us", "overhead", "violations",
-			"drift_batches", "quarantined", "epochs", "epoch_changes", "identical"},
-		func(p DriftPoint) []string {
-			return []string{p.Scenario, p.Policy, i64(p.Elapsed.Microseconds()), f(p.Overhead),
-				strconv.FormatUint(p.Violations, 10), strconv.Itoa(p.DriftBatches),
-				strconv.Itoa(p.Quarantined), strconv.Itoa(p.Epochs),
-				strconv.Itoa(p.EpochChanges), strconv.FormatBool(p.Identical)}
-		})},
-	{"serve", "serve.csv", perPoint(RunServe,
-		[]string{"tier", "requests", "qps", "p50_us", "p99_us", "hit_ratio",
-			"ingest_elements", "ingest_elapsed_us", "ingest_eps", "epochs", "identical"},
-		func(p ServePoint) []string {
-			return []string{p.Tier, strconv.Itoa(p.Requests), f(p.QPS),
-				i64(p.P50.Microseconds()), i64(p.P99.Microseconds()), f(p.HitRatio),
-				strconv.Itoa(p.IngestElements), i64(p.IngestElapsed.Microseconds()),
-				f(p.IngestEPS), strconv.Itoa(p.Epochs), strconv.FormatBool(p.Identical)}
-		})},
 }
 
 // perPoint adapts an experiment that returns one CSV row per point.
@@ -181,8 +123,12 @@ func ExperimentNames() []string {
 }
 
 // Run runs the experiment, printing its table to w. When dir is non-empty
-// and the experiment has a CSV, it also writes the rows to dir/e.CSV.
+// and the experiment has a CSV, it also writes the rows to dir/e.CSV. It
+// fails before running on a Settings.Datasets name that is not a profile.
 func (e Experiment) Run(w io.Writer, dir string, s Settings) error {
+	if err := s.checkDatasets(); err != nil {
+		return err
+	}
 	header, rows, err := e.run(w, s)
 	if err != nil || dir == "" || e.CSV == "" {
 		return err
@@ -208,6 +154,9 @@ func (e Experiment) Run(w io.Writer, dir string, s Settings) error {
 
 // RunAll runs every experiment in table order (see Experiment.Run).
 func RunAll(w io.Writer, dir string, s Settings) error {
+	if err := s.checkDatasets(); err != nil {
+		return err
+	}
 	for _, e := range Experiments {
 		if err := e.Run(w, dir, s); err != nil {
 			return fmt.Errorf("bench: experiment %s: %w", e.Name, err)

@@ -13,6 +13,7 @@ import (
 	"pghive/internal/datagen"
 	"pghive/internal/obs"
 	"pghive/internal/pg"
+	"pghive/internal/serialize"
 	"pghive/internal/validate"
 )
 
@@ -490,6 +491,62 @@ func TestDriftShardedQuarantine(t *testing.T) {
 				if l == "Device" {
 					t.Errorf("shards=%d: quarantined label Device leaked into the merged schema", shards)
 				}
+			}
+		}
+	}
+}
+
+// TestDriftPolicyContract is the per-policy drift contract over the
+// built-in scenarios, steady as the zero-drift control, each discovered at
+// depth 1 and epoch interval 4 with the checker off and under every
+// policy. Evolve and alert observe without participating, so their schema
+// JSON is byte-identical to the checker-free run's. Steady reports no
+// violation under any policy. Both drift scenarios report violations under
+// every checking policy, and quarantine withholds batches on them.
+func TestDriftPolicyContract(t *testing.T) {
+	for _, name := range []string{"steady", "gradual-drift", "abrupt-drift"} {
+		var batches []*pg.Batch
+		src := datagen.ScenarioByName(name).Stream(1)
+		for b := src.Next(); b != nil; b = src.Next() {
+			batches = append(batches, b)
+		}
+		var offJSON []byte
+		for _, policy := range []DriftPolicy{DriftOff, DriftEvolve, DriftAlert, DriftQuarantine} {
+			cfg := DefaultConfig()
+			cfg.PipelineDepth = 1
+			cfg.DriftPolicy = policy
+			cfg.EpochInterval = 4
+			res := Discover(pg.NewSliceSource(batches...), cfg)
+			var got bytes.Buffer
+			if err := serialize.WriteJSON(&got, res.Def); err != nil {
+				t.Fatal(err)
+			}
+			var violations uint64
+			quarantined := 0
+			if res.Drift != nil {
+				violations, quarantined = res.Drift.Total(), res.Drift.Quarantined
+			}
+			t.Logf("%s/%s: %d violations, %d quarantined", name, policy, violations, quarantined)
+
+			switch policy {
+			case DriftOff:
+				offJSON = got.Bytes()
+			case DriftEvolve, DriftAlert:
+				if !bytes.Equal(got.Bytes(), offJSON) {
+					t.Errorf("%s/%s: schema differs from the checker-free run's", name, policy)
+				}
+			}
+			if name == "steady" {
+				if violations != 0 {
+					t.Errorf("%s/%s: %d violations on the zero-drift control", name, policy, violations)
+				}
+				continue
+			}
+			if policy != DriftOff && violations == 0 {
+				t.Errorf("%s/%s: no violations on a drift scenario", name, policy)
+			}
+			if policy == DriftQuarantine && quarantined == 0 {
+				t.Errorf("%s/%s: quarantine withheld no batch", name, policy)
 			}
 		}
 	}

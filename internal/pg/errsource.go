@@ -336,20 +336,13 @@ type RetrySource struct {
 	attempt  int // attempts spent on the current batch
 	batchIdx int // monotone counter for jitter decorrelation
 
-	retries      int           // total absorbed transient failures
-	totalSleep   time.Duration // total backoff slept
-	lastAttempts int           // delivery attempts the last Next outcome consumed
-	lastErr      error         // last transient error absorbed or escalated
+	lastAttempts int   // delivery attempts the last Next outcome consumed
+	lastErr      error // last transient error absorbed or escalated
 }
 
 // NewRetrySource wraps src with the given retry policy.
 func NewRetrySource(src ErrSource, p RetryPolicy) *RetrySource {
 	return &RetrySource{inner: src, policy: p.withDefaults()}
-}
-
-// Stats reports absorbed retries and cumulative backoff.
-func (r *RetrySource) Stats() (retries int, slept time.Duration) {
-	return r.retries, r.totalSleep
 }
 
 // Attempts reports how many delivery attempts the most recent Next outcome
@@ -400,11 +393,8 @@ func (r *RetrySource) Next() (*Batch, error) {
 			r.batchIdx++
 			return nil, &RetryExhaustedError{Attempts: attempts, Err: err}
 		}
-		r.retries++
 		r.instr.Add(obs.CtrRetries, 1)
-		d := r.backoff(r.attempt)
-		r.totalSleep += d
-		r.policy.Sleep(d)
+		r.policy.Sleep(r.backoff(r.attempt))
 	}
 }
 

@@ -183,6 +183,8 @@ func TestRetrySourceAbsorbsTransients(t *testing.T) {
 		Seed:        1,
 		Sleep:       func(d time.Duration) { slept = append(slept, d) },
 	})
+	reg := obs.NewRegistry()
+	retry.Instrument(reg)
 	batches, errs := drainErrSource(t, retry, 1000)
 	if len(errs) != 0 {
 		t.Fatalf("retry should absorb all transient faults, surfaced %v", errs)
@@ -190,9 +192,13 @@ func TestRetrySourceAbsorbsTransients(t *testing.T) {
 	if len(batches) != 10 {
 		t.Fatalf("delivered %d batches, want 10", len(batches))
 	}
-	retries, total := retry.Stats()
-	if retries == 0 || len(slept) != retries {
-		t.Errorf("stats: %d retries, %d sleeps recorded", retries, len(slept))
+	retries := reg.Snapshot().Counter(obs.CtrRetries)
+	if retries == 0 || uint64(len(slept)) != retries {
+		t.Errorf("%d retries counted, %d sleeps recorded", retries, len(slept))
+	}
+	var total time.Duration
+	for _, d := range slept {
+		total += d
 	}
 	if total <= 0 {
 		t.Error("cumulative backoff should be positive")

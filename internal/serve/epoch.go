@@ -41,9 +41,6 @@ const (
 	numTiers
 )
 
-// NumTiers is the number of detail tiers.
-const NumTiers = int(numTiers)
-
 var tierNames = [numTiers]string{"summary", "types", "patterns", "full"}
 
 // String returns the tier's query-parameter spelling.

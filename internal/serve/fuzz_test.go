@@ -20,7 +20,7 @@ func FuzzServeSchemaQuery(f *testing.F) {
 		f.Fatal(err)
 	}
 	e := s.Current()
-	bound := NumTiers * (len(e.Def.Nodes) + len(e.Def.Edges))
+	bound := int(numTiers) * (len(e.Def.Nodes) + len(e.Def.Edges))
 	h := s.Handler()
 	for _, seed := range [][2]string{
 		{"", ""}, {"summary", "Person"}, {"types", "WORKS_AT"}, {"patterns", "Org"},

@@ -665,7 +665,7 @@ func BenchmarkServeCacheHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	e := s.Current()
-	for t := TierSummary; t < Tier(NumTiers); t++ {
+	for t := TierSummary; t < numTiers; t++ {
 		if _, hit := e.Rendered(t); hit {
 			b.Fatal("warm-up render unexpectedly hit")
 		}
@@ -673,7 +673,7 @@ func BenchmarkServeCacheHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rd, hit := e.Rendered(Tier(i % NumTiers))
+		rd, hit := e.Rendered(Tier(i % int(numTiers)))
 		if !hit || rd == nil {
 			b.Fatal("cache miss on hot path")
 		}

@@ -20,9 +20,12 @@ import (
 //
 //   - depth-1 ≡ depth-4: the overlapped engine is byte-identical to serial
 //   - shards=1 ≡ serial: the sharded entry point degenerates exactly
-//   - shards=2: deterministic run to run, and equivalent to serial under
-//     the labeled projection (sharded runs are not byte-identical — see
-//     Config.Shards)
+//   - shards=2: deterministic run to run, and equivalent to serial at the
+//     scenario's equivalence level (sharded runs are not byte-identical —
+//     see Config.Shards)
+//
+// Both shard properties hold from the bare config and from DefaultConfig(),
+// each at depth 1; the others are checked from the bare config.
 //   - batch-order permutation: the type fingerprint is order-invariant for
 //     fully labeled streams; with unlabeled elements Algorithm 2 may route
 //     an unlabeled candidate into a labeled type (rule 2 of MergeTypes), so
@@ -103,13 +106,21 @@ func propUnion(fp map[string][]string, prefix string) []string {
 }
 
 func TestScenarioMetamorphic(t *testing.T) {
-	for _, name := range []string{"skew", "gradual-drift", "abrupt-drift", "supernodes", "near-theta", "noise-ramp"} {
+	for _, full := range datagen.Scenarios() {
+		name := full.Name
 		t.Run(name, func(t *testing.T) {
 			sc := shrunk(t, name)
 			batches := collectBatches(t, sc, 1)
 			base := core.Config{PipelineDepth: 1}
-
-			serial := core.Discover(pg.NewSliceSource(batches...), base)
+			defaults := core.DefaultConfig()
+			defaults.PipelineDepth = 1
+			bases := []core.Config{base, defaults}
+			baseNames := []string{"bare config", "DefaultConfig()"}
+			serials := make([]*core.Result, len(bases))
+			for i, cfg := range bases {
+				serials[i] = core.Discover(pg.NewSliceSource(batches...), cfg)
+			}
+			serial := serials[0]
 			serialJSON := schemaJSON(t, serial)
 
 			t.Run("depth", func(t *testing.T) {
@@ -122,24 +133,27 @@ func TestScenarioMetamorphic(t *testing.T) {
 			})
 
 			t.Run("shards-1", func(t *testing.T) {
-				cfg := base
-				cfg.Shards = 1
-				got := core.Discover(pg.NewSliceSource(batches...), cfg)
-				if !bytes.Equal(schemaJSON(t, got), serialJSON) {
-					t.Error("shards=1 schema differs from serial")
+				for i, cfg := range bases {
+					cfg.Shards = 1
+					got := core.Discover(pg.NewSliceSource(batches...), cfg)
+					if !bytes.Equal(schemaJSON(t, got), schemaJSON(t, serials[i])) {
+						t.Errorf("%s: shards=1 schema differs from serial", baseNames[i])
+					}
 				}
 			})
 
 			t.Run("shards-2", func(t *testing.T) {
-				cfg := base
-				cfg.Shards = 2
-				a := core.Discover(pg.NewSliceSource(batches...), cfg)
-				b := core.Discover(pg.NewSliceSource(batches...), cfg)
-				if !bytes.Equal(schemaJSON(t, a), schemaJSON(t, b)) {
-					t.Error("shards=2 not deterministic run to run")
-				}
-				if diff := EquivalenceDiff(serial.Def, a.Def, ScenarioEquivalenceLevel(sc, 1, 1)); diff != "" {
-					t.Errorf("shards=2 not equivalent to serial: %s", diff)
+				level := ScenarioEquivalenceLevel(sc, 1, 1)
+				for i, cfg := range bases {
+					cfg.Shards = 2
+					a := core.Discover(pg.NewSliceSource(batches...), cfg)
+					b := core.Discover(pg.NewSliceSource(batches...), cfg)
+					if !bytes.Equal(schemaJSON(t, a), schemaJSON(t, b)) {
+						t.Errorf("%s: shards=2 not deterministic run to run", baseNames[i])
+					}
+					if diff := EquivalenceDiff(serials[i].Def, a.Def, level); diff != "" {
+						t.Errorf("%s: shards=2 not equivalent to serial at level %s: %s", baseNames[i], level, diff)
+					}
 				}
 			})
 
