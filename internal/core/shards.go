@@ -16,10 +16,11 @@
 // no drift and take no epochs: each whole source batch passes the clock's
 // gate before it is partitioned (a quarantined batch is not routed), and
 // when the window is full the router waits until every shard has folded in
-// what it was routed, folds clones of the shard schemas with
-// MergeShardSchemas, finalizes and hands the Def to the clock — so fleet
-// epoch k is byte-identical to Discover over the stream's first
-// k·EpochInterval batches.
+// what it was routed, clones the shard schemas structurally and in
+// parallel (schema.Schema.Clone), folds the clones with MergeShardSchemas,
+// finalizes and hands the Def to the clock — so fleet epoch k is
+// byte-identical to Discover over the stream's first k·EpochInterval
+// batches.
 //
 // With a checkpointer, Run saves the whole fleet into one PGCK10 container:
 // the router's stream position, fault quarantines and clock as of that
@@ -307,31 +308,28 @@ func (r *router) send(b *pg.Batch) {
 }
 
 // cut takes a fleet epoch at a consistent cut: once every shard has folded
-// in everything routed to it, it clones the shard schemas through the
-// checkpoint codec (the fold rebinds what it is handed, so it must never see
-// a live shard schema), folds the clones, finalizes and hands the Def to the
-// clock.
+// in everything routed to it, it clones every shard schema, one goroutine
+// per shard (the shards are quiescent until the router routes again, and
+// the fold rebinds what it is handed, so it must never see a live shard
+// schema), waits for every clone, folds them, finalizes and hands the Def
+// to the clock.
 func (r *router) cut() error {
 	if err := r.await(true); err != nil {
 		return err
 	}
 	start := time.Now()
+	pol := r.cfg.evidencePolicy()
 	clones := make([]*schema.Schema, len(r.pipes))
+	var wg sync.WaitGroup
 	for i, p := range r.pipes {
-		var buf bytes.Buffer
-		w := pg.NewWireWriter(&buf)
-		err := schema.WriteSchema(w, p.schema)
-		if err == nil {
-			err = w.Flush()
-		}
-		if err == nil {
-			clones[i], err = schema.ReadSchema(pg.NewWireReader(&buf))
-		}
-		if err != nil {
-			return fmt.Errorf("core: fleet epoch: shard %d: %w", i, err)
-		}
-		clones[i].SetEvidencePolicy(r.cfg.evidencePolicy())
+		wg.Add(1)
+		go func(i int, s *schema.Schema) {
+			defer wg.Done()
+			clones[i] = s.Clone()
+			clones[i].SetEvidencePolicy(pol)
+		}(i, p.schema)
 	}
+	wg.Wait()
 	def := r.cfg.finalize(MergeShardSchemas(clones, r.cfg))
 	r.clock.take(def, r.batches, r.batches+r.clock.quarantined-1, false, start)
 	return nil

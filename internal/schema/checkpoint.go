@@ -104,17 +104,13 @@ func readIDSet(r *pg.WireReader, tab *Symtab) (IDSet, error) {
 // (id, count) pairs, 1 = sketched (self-describing sketch state). pol
 // parameterizes the lazy fold of pending sketched observations.
 func writeDegrees(w *pg.WireWriter, deg *CounterTable, pol *EvidencePolicy) {
+	deg.settle(pol)
 	if deg.sketched {
 		w.Byte(1)
-		deg.fold(pol)
-		if deg.sk == nil {
-			deg.sk = newDegreeSketch(pol)
-		}
 		deg.sk.write(w)
 		return
 	}
 	w.Byte(0)
-	deg.normalize()
 	w.Uvarint(uint64(len(deg.ids)))
 	deg.each(func(id, count uint32) {
 		w.Uvarint(uint64(id))
@@ -342,7 +338,11 @@ func (s *ValueStat) encode(w *pg.WireWriter) {
 		w.Bool(s.dup)
 		w.Bool(s.frontOver)
 		w.Uvarint(s.n)
-		writeHashSet(w, s.front)
+		if s.frontOver {
+			writeHashes(w, s.sample)
+		} else {
+			writeHashes(w, sortedHashes(s.front))
+		}
 		w.Bool(s.hll != nil)
 		if s.hll != nil {
 			s.hll.Write(w)
@@ -351,7 +351,7 @@ func (s *ValueStat) encode(w *pg.WireWriter) {
 		w.Byte(0)
 		w.Bool(s.dup)
 		w.Bool(s.overflow)
-		writeHashSet(w, s.hashes)
+		writeHashes(w, sortedHashes(s.hashes))
 	}
 
 	w.Bool(s.enumOver)
@@ -370,33 +370,45 @@ func (s *ValueStat) encode(w *pg.WireWriter) {
 	w.Float64(s.maxNum)
 }
 
-func writeHashSet(w *pg.WireWriter, set map[uint64]struct{}) {
-	hashes := make([]uint64, 0, len(set))
-	for h := range set {
-		hashes = append(hashes, h)
-	}
-	sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
+// writeHashes encodes ascending hashes as a count and uvarints.
+func writeHashes(w *pg.WireWriter, hashes []uint64) {
 	w.Uvarint(uint64(len(hashes)))
 	for _, h := range hashes {
 		w.Uvarint(h)
 	}
 }
 
-func readHashSet(r *pg.WireReader, into map[uint64]struct{}) error {
+// readHashes decodes what writeHashes wrote, rejecting hashes that are not
+// strictly ascending.
+func readHashes(r *pg.WireReader) ([]uint64, error) {
 	n, err := r.Uvarint(maxHashes)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	if n == 0 {
+		return nil, nil
+	}
+	hashes := make([]uint64, 0, min(n, maxPrealloc))
 	for i := uint64(0); i < n; i++ {
 		h, err := r.Uvarint(^uint64(0))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if into != nil {
-			into[h] = struct{}{}
+		if i > 0 && h <= hashes[i-1] {
+			return nil, fmt.Errorf("hash %d out of order", h)
 		}
+		hashes = append(hashes, h)
 	}
-	return nil
+	return hashes, nil
+}
+
+// hashSet builds the map form of decoded hashes.
+func hashSet(hashes []uint64) map[uint64]struct{} {
+	set := make(map[uint64]struct{}, len(hashes))
+	for _, h := range hashes {
+		set[h] = struct{}{}
+	}
+	return set
 }
 
 func decodeValueStat(r *pg.WireReader) (*ValueStat, error) {
@@ -414,11 +426,13 @@ func decodeValueStat(r *pg.WireReader) (*ValueStat, error) {
 		if s.overflow, err = r.Bool(); err != nil {
 			return nil, err
 		}
-		if s.dup || s.overflow {
-			s.hashes = nil
-		}
-		if err := readHashSet(r, s.hashes); err != nil {
+		hashes, err := readHashes(r)
+		if err != nil {
 			return nil, err
+		}
+		s.hashes = nil
+		if !s.dup && !s.overflow {
+			s.hashes = hashSet(hashes)
 		}
 	case 1:
 		s = &ValueStat{sketched: true, enum: map[string]struct{}{}}
@@ -431,18 +445,16 @@ func decodeValueStat(r *pg.WireReader) (*ValueStat, error) {
 		if s.n, err = r.Uvarint(^uint64(0)); err != nil {
 			return nil, err
 		}
-		if !s.dup {
-			s.front = map[uint64]struct{}{}
-		}
-		if err := readHashSet(r, s.front); err != nil {
+		hashes, err := readHashes(r)
+		if err != nil {
 			return nil, err
 		}
-		if s.frontOver {
-			for h := range s.front {
-				if h > s.frontMax {
-					s.frontMax = h
-				}
-			}
+		switch {
+		case s.dup:
+		case s.frontOver:
+			s.sample = hashes
+		default:
+			s.front = hashSet(hashes)
 		}
 		hasHLL, err := r.Bool()
 		if err != nil {
@@ -452,6 +464,9 @@ func decodeValueStat(r *pg.WireReader) (*ValueStat, error) {
 			if s.hll, err = sketch.ReadHLL(r); err != nil {
 				return nil, err
 			}
+		}
+		if s.frontOver && !s.dup && s.hll == nil {
+			return nil, fmt.Errorf("spilled value sketch without an HLL")
 		}
 	default:
 		return nil, fmt.Errorf("value stat mode byte %d invalid", mode)

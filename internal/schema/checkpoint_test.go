@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pghive/internal/pg"
+	"pghive/internal/sketch"
 )
 
 // checkpointSchema builds a schema with every field of the codec exercised:
@@ -124,5 +125,62 @@ func TestValueStatRoundTripPreservesDistinctness(t *testing.T) {
 	got.Observe(pg.Str("a"))
 	if got.AllDistinct() {
 		t.Error("restored stat failed to detect duplicate of pre-checkpoint value")
+	}
+}
+
+// TestValueStatDecodeRejectsUnsortedHashes: hash sets, windows and samples
+// are written strictly ascending, so a repeat or a descent means a corrupt
+// checkpoint and decoding must fail — as readIDSet does for IDs — rather
+// than restore a sample the merge would misread. So must a spilled sketch
+// that lacks its HLL.
+func TestValueStatDecodeRejectsUnsortedHashes(t *testing.T) {
+	encode := func(mode byte, spilled bool, hashes []uint64, hll bool) []byte {
+		var buf bytes.Buffer
+		w := pg.NewWireWriter(&buf)
+		w.Byte(mode)
+		w.Bool(false)   // dup
+		w.Bool(spilled) // exact mode: overflow
+		if mode == 1 {
+			w.Uvarint(uint64(len(hashes)))
+		}
+		writeHashes(w, hashes)
+		if mode == 1 {
+			w.Bool(hll)
+			if hll {
+				sketch.NewHLL(sketch.DefaultHLLPrecision).Write(w)
+			}
+		}
+		w.Bool(false) // enumOver
+		w.Uvarint(0)  // enum values
+		w.Varint(0)   // numCount
+		w.Float64(0)
+		w.Float64(0)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, tc := range []struct {
+		name    string
+		mode    byte
+		spilled bool
+		hashes  []uint64
+		hll     bool
+		ok      bool
+	}{
+		{"exact set", 0, false, []uint64{1, 2, 3}, false, true},
+		{"window", 1, false, []uint64{1, 2, 3}, false, true},
+		{"sample", 1, true, []uint64{1, 2, 3}, true, true},
+		{"exact set descends", 0, false, []uint64{1, 3, 2}, false, false},
+		{"exact set repeats", 0, false, []uint64{1, 1}, false, false},
+		{"window descends", 1, false, []uint64{2, 1}, false, false},
+		{"sample repeats", 1, true, []uint64{1, 3, 3}, true, false},
+		{"sample descends", 1, true, []uint64{5, 4}, true, false},
+		{"sample without HLL", 1, true, []uint64{1, 2}, false, false},
+	} {
+		_, err := decodeValueStat(pg.NewWireReader(bytes.NewReader(encode(tc.mode, tc.spilled, tc.hashes, tc.hll))))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: decode error %v, want ok=%t", tc.name, err, tc.ok)
+		}
 	}
 }

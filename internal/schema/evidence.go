@@ -343,6 +343,20 @@ func (c *CounterTable) fold(pol *EvidencePolicy) {
 	c.rawPending = nil
 }
 
+// settle brings the table into the state the codec writes: a sketched
+// table folds its pending observations into sketches (allocated from pol
+// if it has none yet), an exact one normalizes its pending increments.
+func (c *CounterTable) settle(pol *EvidencePolicy) {
+	if !c.sketched {
+		c.normalize()
+		return
+	}
+	c.fold(pol)
+	if c.sk == nil {
+		c.sk = newDegreeSketch(pol)
+	}
+}
+
 func (c *CounterTable) distinctSketched(pol *EvidencePolicy) int {
 	c.fold(pol)
 	if c.sk == nil {

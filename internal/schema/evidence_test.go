@@ -185,13 +185,17 @@ func TestSketchedMergeAdoptsExactSide(t *testing.T) {
 
 // FuzzSketchRoundTrip drives the checkpoint codec's sketched branches: a
 // schema with sketched degree and value evidence derived from the fuzz
-// input must encode → decode → re-encode byte-identically, and feeding the
-// raw input straight into ReadSchema must fail cleanly rather than panic or
-// over-allocate.
+// input must encode → decode → re-encode byte-identically, a Clone taken
+// before the encode must encode to the same bytes, and feeding the raw
+// input straight into ReadSchema must fail cleanly rather than panic or
+// over-allocate. The second policy's 4-hash window spills on any input of
+// five or more edges, so the bottom-k sample's codec is fuzzed too.
 func FuzzSketchRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4}, int64(1))
 	f.Add([]byte{0xff, 0x00, 0x7f}, int64(42))
 	f.Add([]byte{}, int64(-9))
+	smallFront := PolicyForBudget(64 << 20)
+	smallFront.DupFrontCap = 4
 	f.Fuzz(func(t *testing.T, raw []byte, seed int64) {
 		// Adversarial decode first: arbitrary bytes must never panic.
 		if s, err := ReadSchema(pg.NewWireReader(bytes.NewReader(raw))); err == nil && s == nil {
@@ -204,37 +208,27 @@ func FuzzSketchRoundTrip(f *testing.F) {
 		for i := range raw {
 			edges[i%n].Src = pg.ID(raw[i]) // fold input bytes into the key space
 		}
-		s := sketchedEdgeSchema(PolicyForBudget(64<<20), edges)
+		for _, pol := range []*EvidencePolicy{PolicyForBudget(64 << 20), smallFront} {
+			s := sketchedEdgeSchema(pol, edges)
+			clone := s.Clone()
+			first := encodeSchema(t, s)
+			decoded, err := ReadSchema(pg.NewWireReader(bytes.NewReader(first)))
+			if err != nil {
+				t.Fatalf("decode of a fresh checkpoint failed: %v", err)
+			}
+			if second := encodeSchema(t, decoded); !bytes.Equal(first, second) {
+				t.Fatalf("checkpoint not stable under decode/re-encode: %d vs %d bytes",
+					len(first), len(second))
+			}
+			if got := encodeSchema(t, clone); !bytes.Equal(first, got) {
+				t.Fatalf("clone encodes to %d bytes, the original to %d", len(got), len(first))
+			}
 
-		var first bytes.Buffer
-		w := pg.NewWireWriter(&first)
-		if err := WriteSchema(w, s); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		decoded, err := ReadSchema(pg.NewWireReader(bytes.NewReader(first.Bytes())))
-		if err != nil {
-			t.Fatalf("decode of a fresh checkpoint failed: %v", err)
-		}
-		var second bytes.Buffer
-		w2 := pg.NewWireWriter(&second)
-		if err := WriteSchema(w2, decoded); err != nil {
-			t.Fatal(err)
-		}
-		if err := w2.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Fatalf("checkpoint not stable under decode/re-encode: %d vs %d bytes",
-				first.Len(), second.Len())
-		}
-
-		// The decoded evidence answers like the original.
-		dt, ot := decoded.EdgeTypes[0], s.EdgeTypes[0]
-		if dt.OutDistinct() != ot.OutDistinct() || dt.MaxDegrees() != ot.MaxDegrees() {
-			t.Fatal("decoded sketch state answers differently from the original")
+			// The decoded evidence answers like the original.
+			dt, ot := decoded.EdgeTypes[0], s.EdgeTypes[0]
+			if dt.OutDistinct() != ot.OutDistinct() || dt.MaxDegrees() != ot.MaxDegrees() {
+				t.Fatal("decoded sketch state answers differently from the original")
+			}
 		}
 	})
 }

@@ -1,6 +1,8 @@
 package schema
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"pghive/internal/pg"
@@ -48,17 +50,17 @@ type ValueStat struct {
 	overflow bool
 
 	// Sketched mode state. Before the spill, front holds every value hash
-	// seen and duplicate detection is exact. After the spill it degrades
-	// into a bottom-k hash sample (the k smallest hashes seen, k =
-	// DupFrontCap): a hash below frontMax is checked against the sample, so
-	// a duplicated value is still caught whenever its hash lands in the
+	// seen and duplicate detection is exact. After the spill, sample holds
+	// a bottom-k hash sample in ascending order (the k smallest hashes
+	// seen, k = DupFrontCap): every hash is checked against it, so a
+	// duplicated value is still caught whenever its hash lands in the
 	// sample — a uniform ~k/distinct fraction of values, covering the whole
 	// stream rather than just its prefix. The HLL certificate alone cannot
 	// separate 100% distinct from 98% distinct; the sample can.
 	sketched  bool
-	front     map[uint64]struct{} // exact window, then bottom-k sample
-	frontMax  uint64              // max hash in front once frontOver
-	frontOver bool                // window spilled into the HLL
+	front     map[uint64]struct{} // exact window until the spill
+	sample    []uint64            // ascending bottom-k sample after it
+	frontOver bool                // window spilled into the HLL and sample
 	hll       *sketch.HLL         // allocated at spill time
 	n         uint64              // total observations
 
@@ -109,8 +111,7 @@ func (s *ValueStat) Observe(v pg.Value) {
 		s.observeHashSketched(h)
 	} else if !s.dup && !s.overflow {
 		if _, seen := s.hashes[h]; seen {
-			s.dup = true
-			s.hashes = nil
+			s.markDup()
 		} else if len(s.hashes) >= distinctHashCap {
 			s.overflow = true
 			s.hashes = nil
@@ -138,78 +139,77 @@ func (s *ValueStat) Observe(v pg.Value) {
 	}
 }
 
+// markDup records an observed duplicate and drops the uniqueness state it
+// settles: the hash set, window, sample and HLL.
+func (s *ValueStat) markDup() {
+	s.dup = true
+	s.hashes, s.front, s.sample, s.hll = nil, nil, nil, nil
+}
+
 // observeHashSketched advances the sketched-mode uniqueness state machine
 // by one value hash.
 func (s *ValueStat) observeHashSketched(h uint64) {
 	if s.dup {
 		return
 	}
-	if s.frontOver {
-		s.hll.Add(h)
-		s.sampleCheck(h)
-		return
-	}
-	if _, seen := s.front[h]; seen {
-		s.dup = true
-		s.front = nil
-		s.hll = nil
-		return
-	}
-	if len(s.front) >= s.pol.dupFrontCap() {
+	if !s.frontOver {
+		if _, seen := s.front[h]; seen {
+			s.markDup()
+			return
+		}
+		if len(s.front) < s.pol.dupFrontCap() {
+			s.front[h] = struct{}{}
+			return
+		}
 		s.spillFront()
-		s.hll.Add(h)
-		s.sampleCheck(h)
-		return
 	}
-	s.front[h] = struct{}{}
+	s.hll.Add(h)
+	s.sampleCheck(h)
 }
 
 // spillFront feeds the exact window into a freshly allocated HLL and keeps
-// the window itself as the initial bottom-k sample. Lazy allocation
-// matters: short-lived candidate accumulators rarely exceed the window, so
-// they never pay for an HLL.
+// its k smallest hashes, ascending, as the initial bottom-k sample. Lazy
+// allocation matters: short-lived candidate accumulators rarely exceed the
+// window, so they never pay for an HLL.
 func (s *ValueStat) spillFront() {
 	s.frontOver = true
 	if s.hll == nil {
 		s.hll = sketch.NewHLL(s.pol.hllPrecision())
 	}
-	s.frontMax = 0
-	for k := range s.front {
-		s.hll.Add(k)
-		if k > s.frontMax {
-			s.frontMax = k
-		}
+	s.sample = sortedHashes(s.front)
+	s.front = nil
+	for _, h := range s.sample {
+		s.hll.Add(h)
+	}
+	if k := s.pol.dupFrontCap(); len(s.sample) > k {
+		s.sample = s.sample[:k]
 	}
 }
 
 // sampleCheck runs one hash through the post-spill bottom-k sample: a hash
 // already in the sample is a duplicate value (64-bit hash equality is the
-// same evidence exact mode accepts); a smaller hash displaces the sample's
-// current maximum so the sample converges to the k smallest hashes of the
-// stream. Eviction rescans for the new max — insertions below frontMax
-// happen only ~k·ln(n/k) times over a stream, so the scan never shows up.
+// same evidence exact mode accepts); a hash below the sample's largest is
+// inserted in order and the largest drops off, so the sample stays the k
+// smallest hashes of the stream. Most hashes fail the first comparison;
+// the rest pay one binary search, and an insert (which moves at most k
+// words) happens only ~k·ln(n/k) times over a stream. An empty sample —
+// the overflow conversion's — fills from the hashes that follow it.
 func (s *ValueStat) sampleCheck(h uint64) {
-	if s.dup || s.front == nil {
+	k := s.pol.dupFrontCap()
+	if n := len(s.sample); n >= k && h > s.sample[n-1] {
 		return
 	}
-	if _, seen := s.front[h]; seen {
-		s.dup = true
-		s.front = nil
-		s.hll = nil
-		return
-	}
-	if h >= s.frontMax {
-		return
-	}
-	s.front[h] = struct{}{}
-	if len(s.front) > s.pol.dupFrontCap() {
-		delete(s.front, s.frontMax)
-		s.frontMax = 0
-		for k := range s.front {
-			if k > s.frontMax {
-				s.frontMax = k
-			}
-		}
+	i, found := slices.BinarySearch(s.sample, h)
+	switch {
+	case found:
+		s.markDup()
+	case i >= k:
+	case len(s.sample) < k:
+		s.sample = slices.Insert(s.sample, i, h)
+	default:
+		s.sample = s.sample[:k]
+		copy(s.sample[i+1:], s.sample[i:k-1])
+		s.sample[i] = h
 	}
 }
 
@@ -228,17 +228,10 @@ func (s *ValueStat) addEnum(rendered string) {
 	s.enumBytes += len(rendered)
 }
 
-// isEmpty reports whether the accumulator has seen nothing (mode adoption
-// in Merge is safe only then).
-func (s *ValueStat) isEmpty() bool {
-	return !s.dup && !s.overflow && !s.frontOver && s.n == 0 &&
-		len(s.hashes) == 0 && len(s.front) == 0 && len(s.enum) == 0 && s.numCount == 0 && !s.enumOver
-}
-
-// convertToSketched switches an exact accumulator into sketched mode,
-// replaying its hash set through the sketched state machine. like supplies
-// the policy when s has none (cross-mode merges only happen when one side
-// was built before the policy was known).
+// convertToSketched switches an exact accumulator into sketched mode: its
+// hash set, all distinct, becomes the exact window, spilled at once when it
+// outgrows it. like supplies the policy when s has none (cross-mode merges
+// only happen when one side was built before the policy was known).
 func (s *ValueStat) convertToSketched(like *ValueStat) {
 	if s.sketched {
 		return
@@ -249,24 +242,20 @@ func (s *ValueStat) convertToSketched(like *ValueStat) {
 	}
 	hashes := s.hashes
 	s.hashes = nil
-	s.front = map[uint64]struct{}{}
-	if s.overflow {
+	switch {
+	case s.overflow:
 		// The exact set was already dropped: certify statistically from
-		// here with an empty HLL (conservatively under-estimates, so
-		// AllDistinct stays false — same answer overflow gave).
+		// here with an empty HLL and sample (conservatively under-estimates,
+		// so AllDistinct stays false — same answer overflow gave).
 		s.overflow = false
 		s.frontOver = true
 		s.hll = sketch.NewHLL(s.pol.hllPrecision())
-		s.front = nil
-		return
-	}
-	if s.dup {
-		s.front = nil
-		return
-	}
-	s.n = uint64(len(hashes))
-	for h := range hashes {
-		s.observeHashSketched(h)
+	case !s.dup:
+		s.n = uint64(len(hashes))
+		s.front = hashes
+		if len(hashes) > s.pol.dupFrontCap() {
+			s.spillFront()
+		}
 	}
 }
 
@@ -289,34 +278,14 @@ func (s *ValueStat) Merge(other *ValueStat) {
 	if s.sketched {
 		s.n += other.n
 		if other.dup {
-			s.dup = true
-			s.front = nil
-			s.hll = nil
+			s.markDup()
 		}
 		if !s.dup {
-			if !other.frontOver {
-				for h := range other.front {
-					s.observeHashSketched(h)
-					if s.dup {
-						break
-					}
-				}
-			} else {
-				if !s.frontOver {
-					s.spillFront()
-				}
-				if other.hll != nil {
-					if err := s.hll.Merge(other.hll); err != nil {
-						panic("schema: value sketch merge: " + err.Error())
-					}
-				}
-				s.mergeSample(other)
-			}
+			s.mergeSketched(other)
 		}
 	} else {
 		if other.dup {
-			s.dup = true
-			s.hashes = nil
+			s.markDup()
 		}
 		if other.overflow {
 			s.overflow = true
@@ -325,8 +294,7 @@ func (s *ValueStat) Merge(other *ValueStat) {
 		if !s.dup && !s.overflow {
 			for h := range other.hashes {
 				if _, seen := s.hashes[h]; seen {
-					s.dup = true
-					s.hashes = nil
+					s.markDup()
 					break
 				}
 				if len(s.hashes) >= distinctHashCap {
@@ -363,42 +331,88 @@ func (s *ValueStat) Merge(other *ValueStat) {
 	}
 }
 
-// mergeSample folds other's bottom-k sample into s's. A hash present in
-// both samples means each side observed a value with that hash, so the
-// merged stream holds a duplicate — the cross-shard analogue of exact
-// mode's hash-intersection check. The union is then trimmed back to the
-// k smallest hashes.
-func (s *ValueStat) mergeSample(other *ValueStat) {
-	if s.dup || s.front == nil {
-		return
-	}
-	for h := range other.front {
-		if _, seen := s.front[h]; seen {
-			s.dup = true
-			s.front = nil
-			s.hll = nil
+// mergeSketched folds other's sketched uniqueness evidence into s's as one
+// set merge, whatever order either side's hashes come in. A hash on both
+// sides (window or sample) means each side observed a value with it, so
+// the merged stream holds a duplicate — the cross-batch and cross-shard
+// analogue of exact mode's hash-intersection check. Otherwise two windows
+// that fit in k together stay one exact window; past that, or once either
+// side has spilled, the HLL counts every hash and the sample becomes the k
+// smallest hashes of the union.
+func (s *ValueStat) mergeSketched(other *ValueStat) {
+	k := s.pol.dupFrontCap()
+	if !s.frontOver && !other.frontOver {
+		for h := range other.front {
+			if _, seen := s.front[h]; seen {
+				s.markDup()
+				return
+			}
+		}
+		if len(s.front)+len(other.front) <= k {
+			maps.Copy(s.front, other.front)
 			return
 		}
-		s.front[h] = struct{}{}
-		if h > s.frontMax {
-			s.frontMax = h
+	}
+	if !s.frontOver {
+		s.spillFront()
+	}
+	theirs := other.sample
+	if other.frontOver {
+		if other.hll != nil {
+			if err := s.hll.Merge(other.hll); err != nil {
+				panic("schema: value sketch merge: " + err.Error())
+			}
+		}
+	} else {
+		theirs = sortedHashes(other.front)
+		for _, h := range theirs {
+			s.hll.Add(h)
 		}
 	}
-	// Trim the union back to the k smallest in one sort — this runs per
-	// property per batch merge, so one-at-a-time eviction (O(k) rescan
-	// each) is too slow here.
-	if cap := s.pol.dupFrontCap(); len(s.front) > cap {
-		hashes := make([]uint64, 0, len(s.front))
-		for h := range s.front {
-			hashes = append(hashes, h)
-		}
-		sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
-		s.front = make(map[uint64]struct{}, cap)
-		for _, h := range hashes[:cap] {
-			s.front[h] = struct{}{}
-		}
-		s.frontMax = hashes[cap-1]
+	var dup bool
+	if s.sample, dup = mergeBottomK(s.sample, theirs, k); dup {
+		s.markDup()
 	}
+}
+
+// sortedHashes returns a hash set's members in ascending order.
+func sortedHashes(set map[uint64]struct{}) []uint64 {
+	hashes := make([]uint64, 0, len(set))
+	for h := range set {
+		hashes = append(hashes, h)
+	}
+	slices.Sort(hashes)
+	return hashes
+}
+
+// mergeBottomK returns the k smallest hashes of a ∪ b (both ascending) in
+// a's storage, or reports that a and b share a hash. It merges from the top
+// down, so every write lands above the next unread element of a; once b is
+// used up, the rest of a is already in place — a merge of a few hashes
+// into a full sample touches only the entries at or above them.
+func mergeBottomK(a, b []uint64, k int) ([]uint64, bool) {
+	n := min(len(a)+len(b), k)
+	i, j := len(a)-1, len(b)-1
+	if n > len(a) {
+		a = slices.Grow(a, n-len(a))[:n]
+	}
+	for w := i + j + 1; j >= 0; w-- {
+		var h uint64
+		switch {
+		case i >= 0 && a[i] == b[j]:
+			return nil, true
+		case i >= 0 && a[i] > b[j]:
+			h = a[i]
+			i--
+		default:
+			h = b[j]
+			j--
+		}
+		if w < n {
+			a[w] = h
+		}
+	}
+	return a[:n], false
 }
 
 // AllDistinct reports whether every observed value was distinct. Exact
@@ -462,10 +476,11 @@ func (s *ValueStat) NumRange() (min, max float64, ok bool) {
 }
 
 // MemBytes estimates the accumulator's retained size (map entries are
-// approximated at 16 bytes over the key payload).
+// approximated at 16 bytes over the key payload; sample entries are the
+// 8-byte hashes themselves).
 func (s *ValueStat) MemBytes() int64 {
 	b := int64(96) // struct
-	b += int64(len(s.hashes)+len(s.front)) * 24
+	b += int64(len(s.hashes)+len(s.front))*24 + int64(len(s.sample))*8
 	if s.hll != nil {
 		b += int64(s.hll.MemBytes())
 	}
