@@ -29,7 +29,10 @@ import (
 // post-extract(k) schema, giving the resumed run the exact state the
 // original run had when it began batch k+1.
 
-// checkpointMagic versions the checkpoint format. PGCK9 replaces the drift
+// checkpointMagic versions the checkpoint format. PGCK11 keys exact degree
+// rows by raw endpoint ID, written as ascending gaps, and drops the
+// symtab's endpoint section that only the interned key needed (it skips
+// PGCK10, the previous fleet container's magic). PGCK9 replaced the drift
 // section with the epoch clock's whole state — tallies, drift quarantines
 // and the last epoch included (see epoch.go) — and keeps only the fault
 // quarantines in the header skip list; PGCK7 appended the drift section
@@ -41,7 +44,7 @@ import (
 // so a resumed run reassigns the exact same IDs); PGCK2 added Load/Wall
 // timing columns to the per-batch reports. Older checkpoints are rejected
 // (resume from scratch rather than guess at an incompatible layout).
-const checkpointMagic = "PGCK9"
+const checkpointMagic = "PGCK11"
 
 // Codec bounds for untrusted counts; no count preallocates more than
 // maxPrealloc entries.

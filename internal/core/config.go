@@ -129,7 +129,7 @@ type Config struct {
 	// samples only its own elements, so abstract-type composition and
 	// SampleKinds can differ (see DESIGN.md §11). Not part of the checkpoint
 	// fingerprint — sharded checkpoints use their own container format
-	// (PGCK10) that records the shard count explicitly.
+	// (PGCK12) that records the shard count explicitly.
 	Shards int
 	// MemBudgetBytes caps the evidence layer's retained memory. 0 (the
 	// default) keeps today's exact accumulators: per-endpoint degree

@@ -17,8 +17,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
+	"path/filepath"
 	"time"
 
 	"pghive/internal/obs"
@@ -28,11 +31,11 @@ import (
 // RunOptions configures what a Run persists and what it continues from.
 type RunOptions struct {
 	// Checkpoint, when non-nil, receives the encoded run state after every
-	// extracted batch: a PGCK9 pipeline checkpoint, or a PGCK10 fleet
+	// extracted batch: a PGCK11 pipeline checkpoint, or a PGCK12 fleet
 	// container when Config.Shards > 1.
 	Checkpoint Checkpointer
-	// Resume, when non-nil, is a checkpoint the run continues from — PGCK9,
-	// or a PGCK10 fleet container when Config.Shards > 1, written under the
+	// Resume, when non-nil, is a checkpoint the run continues from — PGCK11,
+	// or a PGCK12 fleet container when Config.Shards > 1, written under the
 	// same configuration. The source must replay the same stream from its
 	// start: the slots the checkpointed run already folded in are skipped.
 	Resume []byte
@@ -59,30 +62,67 @@ type Checkpointer interface {
 	Save(state []byte) error
 }
 
-// FileCheckpointer atomically writes each checkpoint to one file
-// (tmp + rename), so a crash mid-save leaves the previous checkpoint intact.
+// FileCheckpointer durably writes each checkpoint to one file. Save writes
+// the state and a CRC-32C trailer to a temporary file, syncs it, renames it
+// over Path and syncs the directory, so a crash mid-save leaves the
+// previous checkpoint intact and a completed save survives power loss.
+// Load verifies and strips the trailer, so a file whose bytes changed after
+// the save is refused instead of resumed.
 type FileCheckpointer struct{ Path string }
+
+// checkpointCRC is the CRC-32C (Castagnoli) table of the file trailer.
+var checkpointCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // Save implements Checkpointer.
 func (f FileCheckpointer) Save(state []byte) error {
 	tmp := f.Path + ".tmp"
-	if err := os.WriteFile(tmp, state, 0o644); err != nil {
+	file, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, f.Path)
+	_, err = file.Write(state)
+	if err == nil {
+		_, err = file.Write(binary.LittleEndian.AppendUint32(nil, crc32.Checksum(state, checkpointCRC)))
+	}
+	if err == nil {
+		err = file.Sync()
+	}
+	if cerr := file.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, f.Path); err != nil {
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(f.Path))
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Load opens the checkpoint, reporting (nil, false, nil) when none exists
-// yet — the caller starts a fresh run.
+// yet — the caller starts a fresh run. A file whose trailer does not match
+// its contents is an error naming the file.
 func (f FileCheckpointer) Load() ([]byte, bool, error) {
-	state, err := os.ReadFile(f.Path)
+	data, err := os.ReadFile(f.Path)
 	if os.IsNotExist(err) {
 		return nil, false, nil
 	}
 	if err != nil {
 		return nil, false, err
 	}
-	return state, true, nil
+	n := len(data) - crc32.Size
+	if n < 0 || binary.LittleEndian.Uint32(data[n:]) != crc32.Checksum(data[:n], checkpointCRC) {
+		return nil, false, fmt.Errorf("core: checkpoint file %s: CRC-32C trailer mismatch (corrupt, truncated, or written without a trailer)", f.Path)
+	}
+	return data[:n], true, nil
 }
 
 // puller pulls good batches from a fallible source for the single

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -215,8 +218,8 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 // TestCrashResumeWithCorruption: crash/resume composes with quarantine —
 // the resumed run inherits the checkpointed skip list and the final
 // quarantine set matches an uninterrupted faulty run's. The same Run call
-// resumes both checkpoint formats: a PGCK7 pipeline checkpoint, and a PGCK8
-// fleet container under Shards 3.
+// resumes both checkpoint formats: a pipeline checkpoint, and a fleet
+// container under Shards 3.
 func TestCrashResumeWithCorruption(t *testing.T) {
 	batches := faultFreeBatches(t, 300, 8)
 	profile := pg.FaultProfile{CorruptRate: 0.3, Seed: 9}
@@ -318,6 +321,58 @@ func TestPipelineCheckpointRoundTrip(t *testing.T) {
 		restored.ProcessBatch(b)
 	}
 	defsEqual(t, "checkpoint-roundtrip", p.Finalize(), restored.Finalize())
+}
+
+// TestFileCheckpointerRejectsFlippedBytes: a saved checkpoint file loads
+// back as exactly the saved state, and flipping any one of its bytes —
+// payload or CRC-32C trailer — or cutting it short makes Load refuse the
+// file with an error that names it, rather than hand a corrupt state to
+// the decoder.
+func TestFileCheckpointerRejectsFlippedBytes(t *testing.T) {
+	cfg := DefaultConfig()
+	p := NewPipeline(cfg)
+	p.ProcessBatch(faultFreeBatches(t, 40, 2)[0])
+	var buf bytes.Buffer
+	if err := p.EncodeCheckpoint(&buf, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	state := buf.Bytes()
+
+	ck := FileCheckpointer{Path: filepath.Join(t.TempDir(), "run.ck")}
+	if err := ck.Save(state); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(ck.Path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("temporary file left behind: %v", err)
+	}
+	got, ok, err := ck.Load()
+	if err != nil || !ok || !bytes.Equal(got, state) {
+		t.Fatalf("Load = %d bytes, ok=%t, err=%v; want the %d saved bytes", len(got), ok, err, len(state))
+	}
+	if _, _, _, err := ResumePipeline(bytes.NewReader(got), cfg); err != nil {
+		t.Fatalf("loaded state does not resume: %v", err)
+	}
+
+	file, err := os.ReadFile(ck.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := func(what string, data []byte) {
+		t.Helper()
+		if err := os.WriteFile(ck.Path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ck.Load(); err == nil || !strings.Contains(err.Error(), ck.Path) {
+			t.Fatalf("%s: Load error %v, want a refusal naming %s", what, err, ck.Path)
+		}
+	}
+	for i := range file {
+		flipped := bytes.Clone(file)
+		flipped[i] ^= 0xff
+		refused(fmt.Sprintf("byte %d of %d flipped", i, len(file)), flipped)
+	}
+	refused("last byte cut", file[:len(file)-1])
+	refused("empty file", nil)
 }
 
 // statesCheckpointer keeps every state it was handed, in order.

@@ -7,7 +7,7 @@ import (
 )
 
 // DecodeCheckpointSchemas opens a checkpoint written by Run — a
-// single-pipeline PGCK9 stream or a sharded PGCK10 container — and
+// single-pipeline PGCK11 stream or a sharded PGCK12 container — and
 // returns every pipeline's accumulated schema (one per shard, in shard
 // order). cfg must match the configuration the checkpoint was written
 // under, exactly as a resume would require; the fingerprint gate rejects

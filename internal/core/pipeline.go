@@ -444,22 +444,15 @@ func (p *Pipeline) clusterMinHashFactored(spec kindSpec, enc *vectorize.Encoding
 	return lsh.GroupByHashSized(hashes, p.bucketHint(spec.isEdge))
 }
 
-// internBatch pre-interns every label, property key and endpoint ID the
-// batch's candidate builders will touch. extract is serialized in batch
-// order, so interning here is single-threaded — ID assignment is
-// deterministic in stream order — and the parallel candidate observers
-// below only perform read-only symtab lookups (Intern hits on every call),
-// making the shared table race-free without locking.
+// internBatch pre-interns every label and property key the batch's
+// candidate builders will touch (endpoint IDs are not interned: degree
+// evidence keys them raw). extract is serialized in batch order, so
+// interning here is single-threaded — ID assignment is deterministic in
+// stream order — and the parallel candidate observers below only perform
+// read-only symtab lookups (Intern hits on every call), making the shared
+// table race-free without locking.
 func (p *Pipeline) internBatch(b *pg.Batch) {
 	tab := p.schema.Tab
-	// Under a sketched degree policy endpoint IDs are folded straight into
-	// the sketches keyed by their raw global values, so the symtab endpoint
-	// table — the dominant retained allocation on endpoint-heavy streams —
-	// is never populated.
-	internEps := true
-	if pol := tab.Evidence(); pol != nil && pol.SketchDegrees {
-		internEps = false
-	}
 	for i := range b.Nodes {
 		n := &b.Nodes[i]
 		for _, l := range n.Labels {
@@ -482,10 +475,6 @@ func (p *Pipeline) internBatch(b *pg.Batch) {
 		}
 		for k := range e.Props {
 			tab.Intern(k)
-		}
-		if internEps {
-			tab.InternEp(e.Src)
-			tab.InternEp(e.Dst)
 		}
 	}
 }

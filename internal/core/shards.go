@@ -22,9 +22,9 @@
 // byte-identical to Discover over the stream's first k·EpochInterval
 // batches.
 //
-// With a checkpointer, Run saves the whole fleet into one PGCK10 container:
+// With a checkpointer, Run saves the whole fleet into one PGCK12 container:
 // the router's stream position, fault quarantines and clock as of that
-// position, plus one complete PGCK9 section per shard. Sections advance
+// position, plus one complete PGCK11 section per shard. Sections advance
 // independently (each shard checkpoints after its own extractions), so a
 // container pairs the newest state of the shard that just saved with the
 // latest states of the rest; on resume (RunOptions.Resume) the router
@@ -384,13 +384,13 @@ func (r *router) finish(start time.Time) *Result {
 
 // shardCheckpointMagic versions the sharded checkpoint container: router
 // position + fault quarantine list + the router's epoch clock section + one
-// complete PGCK9 section per shard (each with the empty clock section).
-// PGCK10 put the run's one clock in the header, as PGCK8 tracked PGCK7's
-// per-shard drift section and PGCK6 tracked PGCK5. The shard count is
-// validated explicitly from the header (it is not part of the configuration
-// fingerprint), so a container written for N shards resumes only under
-// Shards = N.
-const shardCheckpointMagic = "PGCK10"
+// complete PGCK11 section per shard (each with the empty clock section).
+// PGCK12 tracks PGCK11's raw-keyed degree rows, as PGCK10 put the run's
+// one clock in the header, PGCK8 tracked PGCK7's per-shard drift section
+// and PGCK6 tracked PGCK5. The shard count is validated explicitly from the
+// header (it is not part of the configuration fingerprint), so a container
+// written for N shards resumes only under Shards = N.
+const shardCheckpointMagic = "PGCK12"
 
 // maxShards bounds the shard count accepted from an untrusted container.
 const maxShards = 1 << 16
@@ -459,8 +459,8 @@ func decodeShardContainer(state []byte, cfg Config, clock *epochClock) (sections
 	return sections, int(s), skipped, nil
 }
 
-// shardCoordinator assembles PGCK10 containers: it holds every shard's latest
-// encoded PGCK9 state plus the router's current stream position, and
+// shardCoordinator assembles PGCK12 containers: it holds every shard's latest
+// encoded PGCK11 state plus the router's current stream position, and
 // rewrites the container whenever any shard checkpoints. One mutex
 // serializes shard saves against router position updates, so a container's
 // position is always ≥ every sub-batch its sections have folded in, and its

@@ -2,6 +2,7 @@ package schema
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"pghive/internal/pg"
@@ -100,25 +101,33 @@ func readIDSet(r *pg.WireReader, tab *Symtab) (IDSet, error) {
 	return s, nil
 }
 
-// writeDegrees encodes a degree table behind a mode byte: 0 = exact
-// (id, count) pairs, 1 = sketched (self-describing sketch state). pol
-// parameterizes the lazy fold of pending sketched observations.
+// writeDegrees encodes a degree table behind a mode byte: 0 = exact rows,
+// 1 = sketched (self-describing sketch state). Exact rows go in ascending
+// raw-key order, each key as the uvarint gap from the previous one (the
+// first from 0, so every later gap is at least 1) followed by its count.
+// pol resolves the table's pending keys.
 func writeDegrees(w *pg.WireWriter, deg *CounterTable, pol *EvidencePolicy) {
 	deg.settle(pol)
-	if deg.sketched {
+	if deg.sk != nil {
 		w.Byte(1)
 		deg.sk.write(w)
 		return
 	}
 	w.Byte(0)
 	w.Uvarint(uint64(len(deg.ids)))
-	deg.each(func(id, count uint32) {
-		w.Uvarint(uint64(id))
-		w.Uvarint(uint64(count))
-	})
+	prev := uint64(0)
+	for i, key := range deg.ids {
+		w.Uvarint(key - prev)
+		w.Uvarint(uint64(deg.counts[i]))
+		prev = key
+	}
 }
 
-func readDegrees(r *pg.WireReader, tab *Symtab) (CounterTable, error) {
+// readDegrees decodes what writeDegrees wrote. It rejects exact rows whose
+// keys do not strictly ascend (a zero gap after the first row, or a gap
+// that overflows uint64) and counts outside [1, 2^32−1]: a zero count
+// would add a distinct endpoint that was never observed.
+func readDegrees(r *pg.WireReader) (CounterTable, error) {
 	var deg CounterTable
 	mode, err := r.Byte()
 	if err != nil {
@@ -130,7 +139,6 @@ func readDegrees(r *pg.WireReader, tab *Symtab) (CounterTable, error) {
 		if err != nil {
 			return deg, err
 		}
-		deg.sketched = true
 		deg.sk = sk
 		return deg, nil
 	case 0:
@@ -144,23 +152,29 @@ func readDegrees(r *pg.WireReader, tab *Symtab) (CounterTable, error) {
 	if n == 0 {
 		return deg, nil
 	}
-	deg.ids = make([]uint32, 0, min(n, maxPrealloc))
+	deg.ids = make([]uint64, 0, min(n, maxPrealloc))
 	deg.counts = make([]uint32, 0, min(n, maxPrealloc))
-	last := int64(-1)
+	key := uint64(0)
 	for i := uint64(0); i < n; i++ {
-		id, err := r.Uvarint(uint64(tab.Endpoints()))
+		gap, err := r.Uvarint(^uint64(0))
 		if err != nil {
 			return deg, err
 		}
-		if int64(id) <= last || id >= uint64(tab.Endpoints()) {
-			return deg, fmt.Errorf("endpoint %d out of order or range", id)
+		if i > 0 && gap == 0 {
+			return deg, fmt.Errorf("endpoint row %d repeats key %d", i, key)
 		}
-		last = int64(id)
-		c, err := r.Uvarint(^uint64(0))
+		if gap > ^uint64(0)-key {
+			return deg, fmt.Errorf("endpoint row %d: gap %d overflows key %d", i, gap, key)
+		}
+		key += gap
+		c, err := r.Uvarint(math.MaxUint32)
 		if err != nil {
 			return deg, err
 		}
-		deg.ids = append(deg.ids, uint32(id))
+		if c == 0 {
+			return deg, fmt.Errorf("endpoint %d has count 0", key)
+		}
+		deg.ids = append(deg.ids, key)
 		deg.counts = append(deg.counts, uint32(c))
 	}
 	return deg, nil
@@ -244,10 +258,10 @@ func readType(r *pg.WireReader, tab *Symtab, wantKind ElementKind) (*Type, error
 		if t.dstLabels, err = readIDSet(r, tab); err != nil {
 			return nil, fmt.Errorf("dst labels: %w", err)
 		}
-		if t.outDeg, err = readDegrees(r, tab); err != nil {
+		if t.outDeg, err = readDegrees(r); err != nil {
 			return nil, fmt.Errorf("out degrees: %w", err)
 		}
-		if t.inDeg, err = readDegrees(r, tab); err != nil {
+		if t.inDeg, err = readDegrees(r); err != nil {
 			return nil, fmt.Errorf("in degrees: %w", err)
 		}
 	}

@@ -2,6 +2,7 @@ package schema
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
@@ -179,6 +180,85 @@ func TestValueStatDecodeRejectsUnsortedHashes(t *testing.T) {
 		{"sample without HLL", 1, true, []uint64{1, 2}, false, false},
 	} {
 		_, err := decodeValueStat(pg.NewWireReader(bytes.NewReader(encode(tc.mode, tc.spilled, tc.hashes, tc.hll))))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: decode error %v, want ok=%t", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// TestDegreeRowsRoundTrip: exact degree rows are keyed by the raw endpoint
+// ID, so negative IDs, 0 and IDs past 2^32 all round-trip through the gap
+// encoding, re-encode to the same bytes and answer the same degree facts.
+func TestDegreeRowsRoundTrip(t *testing.T) {
+	s := NewSchema()
+	knows := s.NewType(EdgeKind)
+	knows.AddLabel("KNOWS")
+	eps := []pg.ID{-7, 0, 1, 1 << 40, math.MaxInt64}
+	for i, ep := range eps {
+		knows.AddOutDeg(ep, i+1)
+		knows.AddInDeg(ep, len(eps)-i)
+	}
+	knows.AddOutDeg(math.MaxInt64, 2)
+	s.Add(knows)
+
+	enc := encodeSchema(t, s)
+	decoded, err := ReadSchema(pg.NewWireReader(bytes.NewReader(enc)))
+	if err != nil {
+		t.Fatalf("ReadSchema: %v", err)
+	}
+	if re := encodeSchema(t, decoded); !bytes.Equal(enc, re) {
+		t.Fatalf("re-encoding the decoded rows differs: %d vs %d bytes", len(enc), len(re))
+	}
+	got := decoded.EdgeTypes[0]
+	if want := (pg.DegreePair{MaxOut: 7, MaxIn: 5}); knows.MaxDegrees() != want || got.MaxDegrees() != want {
+		t.Errorf("MaxDegrees: original %+v, decoded %+v, want %+v", knows.MaxDegrees(), got.MaxDegrees(), want)
+	}
+	if knows.OutDistinct() != 5 || got.OutDistinct() != 5 || knows.InDistinct() != 5 || got.InDistinct() != 5 {
+		t.Errorf("distinct endpoints: original %d/%d, decoded %d/%d, want 5/5",
+			knows.OutDistinct(), knows.InDistinct(), got.OutDistinct(), got.InDistinct())
+	}
+	want := []uint64{0, 1, 1 << 40, math.MaxInt64, uint64(math.MaxUint64) - 6}
+	if !reflect.DeepEqual(got.outDeg.ids, want) {
+		t.Errorf("decoded out-degree keys = %v, want %v", got.outDeg.ids, want)
+	}
+}
+
+// TestDegreeRowsDecodeRejects: a forged exact degree row must be an error,
+// never a panic or a silently wrong count — a count of 0 would add a
+// distinct endpoint, a count past 2^32−1 would wrap, and a zero or
+// overflowing gap would break the ascending-key invariant.
+func TestDegreeRowsDecodeRejects(t *testing.T) {
+	rows := func(n uint64, fields ...uint64) []byte {
+		var buf bytes.Buffer
+		w := pg.NewWireWriter(&buf)
+		w.Byte(0) // exact mode
+		w.Uvarint(n)
+		for _, f := range fields {
+			w.Uvarint(f)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		ok   bool
+	}{
+		{"two rows", rows(2, 5, 1, 2, 3), true},
+		{"first key 0", rows(1, 0, 1), true},
+		{"largest key and count", rows(1, math.MaxUint64, math.MaxUint32), true},
+		{"count 0", rows(1, 5, 0), false},
+		{"count 2^32", rows(1, 5, 1<<32), false},
+		{"count 2^32+1", rows(1, 5, 1<<32+1), false},
+		{"zero gap after first row", rows(2, 5, 1, 0, 1), false},
+		{"gap overflows uint64", rows(2, math.MaxUint64-1, 1, 2, 1), false},
+		{"truncated row", rows(2, 5, 1, 2), false},
+		{"row count past bound", rows(maxDegrees + 1), false},
+		{"bad mode byte", []byte{2}, false},
+	} {
+		_, err := readDegrees(pg.NewWireReader(bytes.NewReader(tc.data)))
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: decode error %v, want ok=%t", tc.name, err, tc.ok)
 		}

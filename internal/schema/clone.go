@@ -27,8 +27,6 @@ func (t *Symtab) clone() *Symtab {
 	return &Symtab{
 		strs:  slices.Clone(t.strs),
 		byStr: maps.Clone(t.byStr),
-		eps:   slices.Clone(t.eps),
-		byEp:  maps.Clone(t.byEp),
 	}
 }
 
@@ -76,8 +74,8 @@ func (s *ValueStat) clone() *ValueStat {
 // clone settles the table under pol and copies its settled state.
 func (c *CounterTable) clone(pol *EvidencePolicy) CounterTable {
 	c.settle(pol)
-	if c.sketched {
-		return CounterTable{sketched: true, sk: c.sk.clone()}
+	if c.sk != nil {
+		return CounterTable{sk: c.sk.clone()}
 	}
 	return CounterTable{ids: slices.Clone(c.ids), counts: slices.Clone(c.counts)}
 }

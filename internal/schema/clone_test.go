@@ -62,7 +62,7 @@ func TestSchemaCloneMatchesCodec(t *testing.T) {
 			if !vs.Prop("flag").Values.dup || !vs.Prop("blob").Values.enumOver {
 				t.Fatal("sketched: flag not duplicate-marked or blob enum not dropped")
 			}
-			if len(vs.outDeg.rawPending) == 0 {
+			if len(vs.outDeg.pending) == 0 {
 				t.Fatal("sketched: no pending degree observations")
 			}
 		} else if len(s.EdgeTypes[0].outDeg.pending) == 0 || !s.NodeTypes[1].Prop("blob").Values.enumOver {

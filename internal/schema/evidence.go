@@ -17,10 +17,10 @@ import (
 // mode and sketch parameters; it hangs off the Symtab (every Type reads it
 // through t.tab) and is set by the pipeline from Config.MemBudgetBytes.
 //
-// Degree sketches are keyed by the raw global endpoint pg.ID, not the
-// symtab-local interned index: sketch contents cannot be enumerated, so a
-// cross-shard remap is impossible — with global keys none is needed, and
-// shards merge by merging sketch state directly.
+// Degree evidence is keyed by the raw global endpoint pg.ID in both modes:
+// sketch contents cannot be enumerated, so a cross-shard remap would be
+// impossible — with global keys none is needed, and shards merge by merging
+// sketch state (or exact rows) directly.
 
 // EvidencePolicy selects the evidence mode and sketch parameters for one
 // pipeline. A nil policy means exact evidence (today's behavior).
@@ -316,76 +316,59 @@ func readDegreeSketch(r *pg.WireReader) (*degreeSketch, error) {
 	return &degreeSketch{hll: hll, cms: cms, top: top, total: total}, nil
 }
 
-// ObserveKey records one incidence of a raw global endpoint ID in sketched
-// mode. Observations accumulate in a flat pending buffer (candidate types
-// are short-lived; allocating three sketches per candidate would dominate
-// the hot path) and fold into sketches lazily at merge/query/encode time.
-func (c *CounterTable) ObserveKey(key uint64) {
-	c.sketched = true
-	c.rawPending = append(c.rawPending, key)
-}
-
 // Sketched reports whether the table holds sketched evidence.
-func (c *CounterTable) Sketched() bool { return c.sketched }
+func (c *CounterTable) Sketched() bool { return c.sk != nil }
 
-// fold drains the raw pending buffer into the sketches, allocating them
-// from pol on first use.
-func (c *CounterTable) fold(pol *EvidencePolicy) {
-	if len(c.rawPending) == 0 {
-		return
-	}
-	if c.sk == nil {
-		c.sk = newDegreeSketch(pol)
-	}
-	for _, k := range c.rawPending {
-		c.sk.observe(k)
-	}
-	c.rawPending = nil
+// sketches reports whether the table's pending keys resolve into a degree
+// sketch under pol: always once it holds one, and otherwise only while it
+// holds no exact rows and pol sketches degrees. A table observed under a
+// sketching policy therefore sketches from its first read on, and an exact
+// table keeps its mode until a merge with a sketched one converts it.
+func (c *CounterTable) sketches(pol *EvidencePolicy) bool {
+	return c.sk != nil || (len(c.ids) == 0 && len(c.pending) > 0 && pol != nil && pol.SketchDegrees)
 }
 
 // settle brings the table into the state the codec writes: a sketched
-// table folds its pending observations into sketches (allocated from pol
-// if it has none yet), an exact one normalizes its pending increments.
+// table folds its pending keys into its sketch (allocated from pol if it
+// has none yet), an exact one normalizes them into rows. Pending keys stay
+// buffered until then — candidate types are short-lived, and allocating
+// three sketches per candidate would dominate the hot path.
 func (c *CounterTable) settle(pol *EvidencePolicy) {
-	if !c.sketched {
+	if !c.sketches(pol) {
 		c.normalize()
 		return
 	}
-	c.fold(pol)
 	if c.sk == nil {
 		c.sk = newDegreeSketch(pol)
 	}
-}
-
-func (c *CounterTable) distinctSketched(pol *EvidencePolicy) int {
-	c.fold(pol)
-	if c.sk == nil {
-		return 0
+	for _, k := range c.pending {
+		c.sk.observe(k)
 	}
-	return int(c.sk.distinct())
+	c.pending = nil
 }
 
-func (c *CounterTable) maxSketched(pol *EvidencePolicy) int {
-	c.fold(pol)
-	if c.sk == nil {
-		return 0
-	}
-	return c.sk.max()
-}
-
-// mergeEvidence folds other into c in whichever mode the two tables carry.
-// Both exact: the ordinary sorted merge (translating other's endpoint
-// indexes through eps when remapping across symtabs). Any side sketched:
-// everything funnels into c's sketches — exact entries are converted
-// through tab (interned index → raw pg.ID), sketch state merges directly
-// (raw keys need no remap), and pending buffers replay. tab must be c's
-// own table; eps translates other's exact indexes into it.
-func (c *CounterTable) mergeEvidence(other *CounterTable, eps []uint32, tab *Symtab, pol *EvidencePolicy) {
-	if !c.sketched && !other.sketched {
-		c.MergeRemapped(other, eps)
+// mergeEvidence folds other into c in whichever mode the two tables carry
+// under pol. Both exact: the ordinary sorted merge. Either sketched:
+// everything funnels into c's sketch in a fixed order, because count-min
+// conservative update and space-saving depend on the order of updates —
+// c's exact rows (an exact table aggregates its pending keys first) and
+// pending keys, then other's rows, sketch state and pending keys. Exact
+// rows replay in ascending raw-key order. No production run converts a
+// non-empty exact table — under a sketching policy every observation is
+// sketched — so that order never reaches a production sketch, and sketched
+// schemas do not depend on how exact rows are keyed.
+func (c *CounterTable) mergeEvidence(other *CounterTable, pol *EvidencePolicy) {
+	cSketched, otherSketched := c.sketches(pol), other.sketches(pol)
+	if !cSketched && !otherSketched {
+		c.Merge(other)
 		return
 	}
-	c.sketched = true
+	if !cSketched {
+		c.normalize()
+	}
+	if !otherSketched {
+		other.normalize()
+	}
 	if c.sk == nil {
 		if other.sk != nil {
 			c.sk = newDegreeSketchLike(other.sk)
@@ -393,38 +376,29 @@ func (c *CounterTable) mergeEvidence(other *CounterTable, eps []uint32, tab *Sym
 			c.sk = newDegreeSketch(pol)
 		}
 	}
-	// Own residual exact entries and pending raw keys first.
-	c.normalize()
-	for i, id := range c.ids {
-		c.sk.addN(uint64(tab.Ep(id)), c.counts[i])
+	for i, k := range c.ids {
+		c.sk.addN(k, c.counts[i])
 	}
-	c.ids, c.counts = nil, nil
-	for _, k := range c.rawPending {
+	for _, k := range c.pending {
 		c.sk.observe(k)
 	}
-	c.rawPending = nil
-	// Then other's evidence.
-	other.normalize()
-	for i, id := range other.ids {
-		tid := id
-		if eps != nil {
-			tid = eps[id]
-		}
-		c.sk.addN(uint64(tab.Ep(tid)), other.counts[i])
+	c.ids, c.counts, c.pending = nil, nil, nil
+	for i, k := range other.ids {
+		c.sk.addN(k, other.counts[i])
 	}
 	if other.sk != nil {
 		if err := c.sk.merge(other.sk); err != nil {
 			panic(fmt.Sprintf("schema: degree sketch merge: %v", err))
 		}
 	}
-	for _, k := range other.rawPending {
+	for _, k := range other.pending {
 		c.sk.observe(k)
 	}
 }
 
 // memBytes estimates the table's retained size.
 func (c *CounterTable) memBytes() int64 {
-	b := int64(len(c.ids)+len(c.counts)+len(c.pending))*4 + int64(len(c.rawPending))*8
+	b := int64(len(c.ids)+len(c.pending))*8 + int64(len(c.counts))*4
 	if c.sk != nil {
 		b += c.sk.memBytes()
 	}
@@ -441,7 +415,6 @@ func (s *Schema) EvidenceBytes() int64 {
 	for _, str := range s.Tab.strs {
 		b += int64(len(str)) + 48 // string + map entry overhead
 	}
-	b += int64(len(s.Tab.eps)) * 24 // eps slice + byEp map entry
 	for _, types := range [][]*Type{s.NodeTypes, s.EdgeTypes} {
 		for _, t := range types {
 			b += t.evidenceBytes()

@@ -183,13 +183,15 @@ func TestSketchedMergeAdoptsExactSide(t *testing.T) {
 	}
 }
 
-// FuzzSketchRoundTrip drives the checkpoint codec's sketched branches: a
-// schema with sketched degree and value evidence derived from the fuzz
-// input must encode → decode → re-encode byte-identically, a Clone taken
-// before the encode must encode to the same bytes, and feeding the raw
-// input straight into ReadSchema must fail cleanly rather than panic or
-// over-allocate. The second policy's 4-hash window spills on any input of
-// five or more edges, so the bottom-k sample's codec is fuzzed too.
+// FuzzSketchRoundTrip drives the checkpoint codec's evidence branches: a
+// schema with exact or sketched degree and value evidence derived from the
+// fuzz input must encode → decode → re-encode byte-identically, a Clone
+// taken before the encode must encode to the same bytes, and feeding the
+// raw input straight into ReadSchema must fail cleanly rather than panic or
+// over-allocate. The third policy's 4-hash window spills on any input of
+// five or more edges, so the bottom-k sample's codec is fuzzed too; the
+// seed reaches the endpoint IDs, so exact degree rows see negative keys and
+// keys above 2^32.
 func FuzzSketchRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4}, int64(1))
 	f.Add([]byte{0xff, 0x00, 0x7f}, int64(42))
@@ -208,7 +210,9 @@ func FuzzSketchRoundTrip(f *testing.F) {
 		for i := range raw {
 			edges[i%n].Src = pg.ID(raw[i]) // fold input bytes into the key space
 		}
-		for _, pol := range []*EvidencePolicy{PolicyForBudget(64 << 20), smallFront} {
+		edges[0].Dst = pg.ID(seed)
+		edges[n-1].Src = pg.ID(seed) * -(1 << 33)
+		for _, pol := range []*EvidencePolicy{nil, PolicyForBudget(64 << 20), smallFront} {
 			s := sketchedEdgeSchema(pol, edges)
 			clone := s.Clone()
 			first := encodeSchema(t, s)

@@ -103,25 +103,25 @@ func abstractTypes(s *Schema, kind ElementKind) []*Type {
 	return out
 }
 
-// MergeSchemas folds src into dst: src's interned IDs are remapped into
-// dst's symtab (one dense lookup table per namespace, built by interning
-// src's symbols in assignment order so the combined table is deterministic
-// for a fixed merge order), then src's types are re-run through the
-// Algorithm 2 merge — labeled types unify by label set, unlabeled types get
-// a fresh chance to attach to labeled types across the shard boundary via
-// the Jaccard test, and leftovers stay abstract. Degree evidence
-// (CounterTable) and property statistics union exactly.
+// MergeSchemas folds src into dst: src's interned string IDs are remapped
+// into dst's symtab (one dense lookup table, built by interning src's
+// strings in assignment order so the combined table is deterministic for a
+// fixed merge order), then src's types are re-run through the Algorithm 2
+// merge — labeled types unify by label set, unlabeled types get a fresh
+// chance to attach to labeled types across the shard boundary via the
+// Jaccard test, and leftovers stay abstract. Degree evidence (CounterTable,
+// keyed by raw endpoint IDs) and property statistics union exactly.
 //
 // src is consumed: its types are rebound to dst's symtab (some are aliased
 // into dst directly), so it must not be read or merged again.
 func MergeSchemas(dst, src *Schema, theta float64) {
 	if dst.Tab != src.Tab {
-		rm := NewRemap(src.Tab, dst.Tab)
+		table := NewRemap(src.Tab, dst.Tab)
 		for _, t := range src.NodeTypes {
-			t.RebindRemapped(dst.Tab, rm)
+			t.RebindRemapped(dst.Tab, table)
 		}
 		for _, t := range src.EdgeTypes {
-			t.RebindRemapped(dst.Tab, rm)
+			t.RebindRemapped(dst.Tab, table)
 		}
 	}
 	MergeTypes(dst, NodeKind, src.NodeTypes, theta)

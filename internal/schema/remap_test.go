@@ -15,39 +15,27 @@ func TestNewRemapRoundTrip(t *testing.T) {
 	// mint them — the remap must follow symbols, not ID arithmetic.
 	dst.Intern("c")
 	dst.Intern("a")
-	dst.InternEp(pg.ID(30))
 	for _, s := range []string{"a", "b", "c", "d"} {
 		src.Intern(s)
 	}
-	for _, ep := range []pg.ID{10, 20, 30} {
-		src.InternEp(ep)
-	}
 
-	rm := NewRemap(src, dst)
-	for id := uint32(0); int(id) < src.Strings(); id++ {
-		if got, want := dst.Str(rm.Str(id)), src.Str(id); got != want {
-			t.Errorf("string %d: remapped to %q, want %q", id, got, want)
-		}
+	table := NewRemap(src, dst)
+	if len(table) != src.Strings() {
+		t.Fatalf("table has %d entries, want one per source string (%d)", len(table), src.Strings())
 	}
-	for ix := uint32(0); int(ix) < src.Endpoints(); ix++ {
-		if got, want := dst.Ep(rm.Ep(ix)), src.Ep(ix); got != want {
-			t.Errorf("endpoint %d: remapped to %v, want %v", ix, got, want)
+	for id := uint32(0); int(id) < src.Strings(); id++ {
+		if got, want := dst.Str(table[id]), src.Str(id); got != want {
+			t.Errorf("string %d: remapped to %q, want %q", id, got, want)
 		}
 	}
 
 	// Injectivity: no two source IDs may collapse onto one destination ID.
 	seen := map[uint32]uint32{}
-	for id, to := range rm.StrTable() {
+	for id, to := range table {
 		if prev, dup := seen[to]; dup {
 			t.Fatalf("string IDs %d and %d both remap to %d", prev, id, to)
 		}
 		seen[to] = uint32(id)
-	}
-
-	// A nil Remap is the identity.
-	var nilRM *Remap
-	if nilRM.Str(7) != 7 || nilRM.Ep(3) != 3 {
-		t.Error("nil Remap is not the identity")
 	}
 }
 
@@ -59,9 +47,9 @@ func TestNewRemapDeterministic(t *testing.T) {
 	dstA, dstB := NewSymtab(), NewSymtab()
 	dstA.Intern("seed")
 	dstB.Intern("seed")
-	rmA, rmB := NewRemap(src, dstA), NewRemap(src, dstB)
-	for id := range rmA.StrTable() {
-		if rmA.Str(uint32(id)) != rmB.Str(uint32(id)) {
+	tableA, tableB := NewRemap(src, dstA), NewRemap(src, dstB)
+	for id := range tableA {
+		if tableA[id] != tableB[id] {
 			t.Fatalf("remap into equal destinations diverged at string %d", id)
 		}
 	}
@@ -114,7 +102,6 @@ func TestTypeMergeCrossTab(t *testing.T) {
 	tabA, tabB := NewSymtab(), NewSymtab()
 	tabB.Intern("pad0")
 	tabB.Intern("pad1")
-	tabB.InternEp(pg.ID(999))
 	a, b := build(tabA), build(tabB)
 	p := NewPropStat()
 	p.Observe(pg.Str("x"))
@@ -143,33 +130,6 @@ func TestTypeMergeCrossTab(t *testing.T) {
 	}
 	if a.OutDistinct() != 1 || a.InDistinct() != 1 {
 		t.Errorf("distinct endpoints = %d/%d, want 1/1", a.OutDistinct(), a.InDistinct())
-	}
-}
-
-func TestCounterTableMergeRemapped(t *testing.T) {
-	var c, other CounterTable
-	c.Add(0, 5)
-	other.Add(0, 1) // remaps to 2
-	other.Add(1, 7) // remaps to 0: must fold into c's existing count
-	other.Inc(1)    // pending increments must be normalized through the table too
-	eps := []uint32{2, 0}
-
-	c.MergeRemapped(&other, eps)
-
-	got := map[uint32]uint32{}
-	c.each(func(id, count uint32) { got[id] = count })
-	want := map[uint32]uint32{0: 13, 2: 1}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("merged counts = %v, want %v", got, want)
-	}
-
-	// nil eps degrades to the plain same-tab Merge.
-	var c2, other2 CounterTable
-	c2.Add(3, 1)
-	other2.Add(3, 2)
-	c2.MergeRemapped(&other2, nil)
-	if c2.Max() != 3 {
-		t.Fatalf("nil-eps merge: Max = %d, want 3", c2.Max())
 	}
 }
 

@@ -195,9 +195,8 @@ type Type struct {
 	// observed on source and target endpoints (the representative's R).
 	srcLabels IDSet
 	dstLabels IDSet
-	// outDeg and inDeg count, per interned endpoint, how many edges of
-	// this type leave/enter it — the evidence for cardinality inference
-	// (§4.4).
+	// outDeg and inDeg count, per raw endpoint ID, how many edges of this
+	// type leave/enter it — the evidence for cardinality inference (§4.4).
 	outDeg CounterTable
 	inDeg  CounterTable
 }
@@ -343,29 +342,19 @@ func (t *Type) MergeKeys() []uint64 {
 
 // AddOutDeg records n out-incidences for the endpoint (test/codec
 // construction helper).
-func (t *Type) AddOutDeg(ep pg.ID, n int) { t.outDeg.Add(t.tab.InternEp(ep), uint32(n)) }
+func (t *Type) AddOutDeg(ep pg.ID, n int) { t.outDeg.Add(uint64(ep), uint32(n)) }
 
 // AddInDeg records n in-incidences for the endpoint.
-func (t *Type) AddInDeg(ep pg.ID, n int) { t.inDeg.Add(t.tab.InternEp(ep), uint32(n)) }
+func (t *Type) AddInDeg(ep pg.ID, n int) { t.inDeg.Add(uint64(ep), uint32(n)) }
 
 // OutDistinct returns how many distinct source endpoints the type's edges
 // were observed on (the out-participation evidence). In sketched mode it
 // is an HLL estimate.
-func (t *Type) OutDistinct() int {
-	if t.outDeg.sketched {
-		return t.outDeg.distinctSketched(t.tab.Evidence())
-	}
-	return t.outDeg.Distinct()
-}
+func (t *Type) OutDistinct() int { return t.outDeg.distinct(t.tab.Evidence()) }
 
 // InDistinct returns how many distinct target endpoints the type's edges
 // were observed on.
-func (t *Type) InDistinct() int {
-	if t.inDeg.sketched {
-		return t.inDeg.distinctSketched(t.tab.Evidence())
-	}
-	return t.inDeg.Distinct()
-}
+func (t *Type) InDistinct() int { return t.inDeg.distinct(t.tab.Evidence()) }
 
 // ObserveNode folds one node record into the type.
 func (t *Type) ObserveNode(n *pg.NodeRecord, trackMembers bool) {
@@ -404,16 +393,8 @@ func (t *Type) ObserveEdge(e *pg.EdgeRecord, trackMembers bool) {
 	for k, v := range e.Props {
 		t.props.getOrCreatePol(t.tab.Intern(k), pol).Observe(v)
 	}
-	if pol != nil && pol.SketchDegrees {
-		// Sketched degrees are keyed by the raw global endpoint ID —
-		// skipping InternEp keeps the symtab's endpoint table (the
-		// dominant retained structure on edge-heavy streams) empty.
-		t.outDeg.ObserveKey(uint64(e.Src))
-		t.inDeg.ObserveKey(uint64(e.Dst))
-	} else {
-		t.outDeg.Inc(t.tab.InternEp(e.Src))
-		t.inDeg.Inc(t.tab.InternEp(e.Dst))
-	}
+	t.outDeg.Inc(uint64(e.Src))
+	t.inDeg.Inc(uint64(e.Dst))
 	if trackMembers {
 		t.Members = append(t.Members, e.ID)
 	}
@@ -426,28 +407,36 @@ func (t *Type) ObserveEdge(e *pg.EdgeRecord, trackMembers bool) {
 // Schema's label index valid (see Schema.Add).
 //
 // When other was interned against a different Symtab (a partial schema from
-// another discovery shard), its IDs are translated into t's table first —
-// the same-table fast path is the common case and pays nothing for this.
+// another discovery shard), its string IDs are translated into t's table
+// first — the same-table case is the common one and translates nothing.
+// Degree evidence needs no translation: it is keyed by raw endpoint IDs.
+// Evidence accumulators are merged by value, so other stays structurally
+// intact but must not be merged anywhere else afterwards.
 func (t *Type) Merge(other *Type) {
 	if t.Kind != other.Kind {
 		panic(fmt.Sprintf("schema: merging %v type into %v type", other.Kind, t.Kind))
 	}
+	labels, srcLabels, dstLabels := other.labels, other.srcLabels, other.dstLabels
+	var strs []uint32
 	if t.tab != other.tab {
-		t.MergeRemapped(other, NewRemap(other.tab, t.tab))
-		return
+		strs = NewRemap(other.tab, t.tab)
+		labels, srcLabels, dstLabels = RemapIDs(labels, strs), RemapIDs(srcLabels, strs), RemapIDs(dstLabels, strs)
 	}
-	t.labels.Union(other.labels)
+	t.labels.Union(labels)
 	pol := t.tab.Evidence()
 	for i := 0; i < other.props.Len(); i++ {
 		id, p := other.props.At(i)
+		if strs != nil {
+			id = strs[id]
+		}
 		t.props.getOrCreatePol(id, pol).Merge(p)
 	}
 	t.Instances += other.Instances
 	if t.Kind == EdgeKind {
-		t.srcLabels.Union(other.srcLabels)
-		t.dstLabels.Union(other.dstLabels)
-		t.outDeg.mergeEvidence(&other.outDeg, nil, t.tab, pol)
-		t.inDeg.mergeEvidence(&other.inDeg, nil, t.tab, pol)
+		t.srcLabels.Union(srcLabels)
+		t.dstLabels.Union(dstLabels)
+		t.outDeg.mergeEvidence(&other.outDeg, pol)
+		t.inDeg.mergeEvidence(&other.inDeg, pol)
 	}
 	t.Members = append(t.Members, other.Members...)
 	// A merge with a labeled type rescues an abstract one.
@@ -460,18 +449,7 @@ func (t *Type) Merge(other *Type) {
 // type (a sketch-estimated upper bound in sketched mode).
 func (t *Type) MaxDegrees() pg.DegreePair {
 	pol := t.tab.Evidence()
-	out, in := 0, 0
-	if t.outDeg.sketched {
-		out = t.outDeg.maxSketched(pol)
-	} else {
-		out = t.outDeg.Max()
-	}
-	if t.inDeg.sketched {
-		in = t.inDeg.maxSketched(pol)
-	} else {
-		in = t.inDeg.Max()
-	}
-	return pg.DegreePair{MaxOut: out, MaxIn: in}
+	return pg.DegreePair{MaxOut: t.outDeg.max(pol), MaxIn: t.inDeg.max(pol)}
 }
 
 // Schema is the evolving schema graph S_G: the node and edge types

@@ -2,28 +2,28 @@ package schema
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"pghive/internal/pg"
 )
 
-// Symbol interning: every label, property key and endpoint ID the pipeline
-// observes is mapped once to a dense uint32, and the schema hot path
-// (candidate building, type extraction, cardinality evidence) operates on
-// sorted ID slices and flat tables instead of string-keyed maps. IDs are
-// assigned in first-observation order, so they are deterministic for a
-// given batch stream and survive checkpoint/resume exactly; serializers
-// resolve them back to strings, keeping the rendered schema byte-identical
-// to the string-set representation.
+// Symbol interning: every label and property key the pipeline observes is
+// mapped once to a dense uint32, and the schema hot path (candidate
+// building, type extraction) operates on sorted ID slices and flat tables
+// instead of string-keyed maps. IDs are assigned in first-observation
+// order, so they are deterministic for a given batch stream and survive
+// checkpoint/resume exactly; serializers resolve them back to strings,
+// keeping the rendered schema byte-identical to the string-set
+// representation. Endpoint IDs are not interned: degree evidence keys its
+// rows by the raw pg.ID (see CounterTable).
 
-// Symtab is a pipeline-lifetime intern table: strings (labels and property
-// keys share one namespace) and endpoint IDs each map to dense uint32
-// indexes. The zero value is not usable; call NewSymtab.
+// Symtab is a pipeline-lifetime intern table: labels and property keys
+// share one namespace of dense uint32 IDs. The zero value is not usable;
+// call NewSymtab.
 type Symtab struct {
 	strs  []string
 	byStr map[string]uint32
-	eps   []pg.ID
-	byEp  map[pg.ID]uint32
 
 	// pol is the evidence policy every type bound to this table reads
 	// (nil = exact evidence). It rides on the symtab because types carry a
@@ -40,7 +40,7 @@ func (t *Symtab) Evidence() *EvidencePolicy { return t.pol }
 
 // NewSymtab returns an empty intern table.
 func NewSymtab() *Symtab {
-	return &Symtab{byStr: map[string]uint32{}, byEp: map[pg.ID]uint32{}}
+	return &Symtab{byStr: map[string]uint32{}}
 }
 
 // Intern returns the dense ID for s, assigning the next free one on first
@@ -65,37 +65,12 @@ func (t *Symtab) Lookup(s string) (uint32, bool) {
 // Str resolves an ID back to its string.
 func (t *Symtab) Str(id uint32) string { return t.strs[id] }
 
-// InternEp returns the dense index for an endpoint node ID.
-func (t *Symtab) InternEp(id pg.ID) uint32 {
-	if ix, ok := t.byEp[id]; ok {
-		return ix
-	}
-	ix := uint32(len(t.eps))
-	t.eps = append(t.eps, id)
-	t.byEp[id] = ix
-	return ix
-}
-
-// LookupEp returns the index for an endpoint ID without interning.
-func (t *Symtab) LookupEp(id pg.ID) (uint32, bool) {
-	ix, ok := t.byEp[id]
-	return ix, ok
-}
-
-// Ep resolves an endpoint index back to the node ID.
-func (t *Symtab) Ep(ix uint32) pg.ID { return t.eps[ix] }
-
 // Strings returns the number of interned strings.
 func (t *Symtab) Strings() int { return len(t.strs) }
 
-// Endpoints returns the number of interned endpoint IDs.
-func (t *Symtab) Endpoints() int { return len(t.eps) }
-
-// Codec bounds for the symtab checkpoint section.
-const (
-	maxSymtabStrings   = 1 << 28
-	maxSymtabEndpoints = 1 << 31
-)
+// maxSymtabStrings bounds the string count of the symtab checkpoint
+// section.
+const maxSymtabStrings = 1 << 28
 
 // WriteSymtab encodes the intern table onto a wire stream (slice order is
 // the ID assignment, so the encoding is deterministic and the decode
@@ -104,10 +79,6 @@ func WriteSymtab(w *pg.WireWriter, t *Symtab) {
 	w.Uvarint(uint64(len(t.strs)))
 	for _, s := range t.strs {
 		w.String(s)
-	}
-	w.Uvarint(uint64(len(t.eps)))
-	for _, ep := range t.eps {
-		w.Varint(int64(ep))
 	}
 }
 
@@ -131,23 +102,6 @@ func ReadSymtab(r *pg.WireReader) (*Symtab, error) {
 		}
 		t.byStr[s] = uint32(len(t.strs))
 		t.strs = append(t.strs, s)
-	}
-	m, err := r.Uvarint(maxSymtabEndpoints)
-	if err != nil {
-		return nil, fmt.Errorf("symtab: endpoint count: %w", err)
-	}
-	t.eps = make([]pg.ID, 0, min(m, maxPrealloc))
-	t.byEp = make(map[pg.ID]uint32, min(m, maxPrealloc))
-	for i := uint64(0); i < m; i++ {
-		ep, err := r.Varint()
-		if err != nil {
-			return nil, fmt.Errorf("symtab: endpoint %d: %w", i, err)
-		}
-		if _, dup := t.byEp[pg.ID(ep)]; dup {
-			return nil, fmt.Errorf("symtab: duplicate endpoint %d", ep)
-		}
-		t.byEp[pg.ID(ep)] = uint32(len(t.eps))
-		t.eps = append(t.eps, pg.ID(ep))
 	}
 	return t, nil
 }
@@ -380,35 +334,33 @@ func (pt *PropTable) put(id uint32, p *PropStat) {
 }
 
 // CounterTable counts per-endpoint edge incidences (the cardinality
-// evidence of §4.4) keyed by interned endpoint index: 8 bytes per distinct
-// endpoint instead of a string-keyed map entry. Increments append to a
-// pending buffer; reads normalize it into the sorted base with one sort +
-// merge, so candidate building never pays per-increment insertion.
-// In sketched mode (EvidencePolicy.SketchDegrees) the table holds no
-// exact entries: observations are keyed by the raw global endpoint pg.ID,
-// buffered in rawPending, and folded lazily into a degreeSketch — see
-// evidence.go. Raw keys make sketches shard-mergeable without a remap.
+// evidence of §4.4) keyed by the raw endpoint pg.ID as a uint64, in both
+// evidence modes. Increments append to one pending buffer, and a read
+// resolves it under the evidence policy: an exact table normalizes it into
+// sorted (key, count) rows with one sort + merge, so candidate building
+// never pays per-increment insertion; a sketched table
+// (EvidencePolicy.SketchDegrees) folds it into a degreeSketch — see
+// evidence.go. Raw keys are global, so tables from different shards merge
+// in either mode without a translation.
 type CounterTable struct {
-	ids     []uint32 // sorted unique endpoint indexes
+	ids     []uint64 // sorted unique endpoint keys (exact mode)
 	counts  []uint32 // parallel to ids
-	pending []uint32 // unaggregated increments (one entry per Inc)
+	pending []uint64 // unresolved endpoint keys (one entry per Inc)
 
-	sketched   bool
-	rawPending []uint64 // unfolded raw endpoint IDs (one entry per ObserveKey)
-	sk         *degreeSketch
+	sk *degreeSketch // non-nil once the table is sketched
 }
 
-// Inc records one incidence for the endpoint index.
-func (c *CounterTable) Inc(id uint32) { c.pending = append(c.pending, id) }
+// Inc records one incidence for the endpoint key.
+func (c *CounterTable) Inc(key uint64) { c.pending = append(c.pending, key) }
 
-// normalize folds the pending increments into the sorted base.
+// normalize folds the pending increments into the sorted exact rows.
 func (c *CounterTable) normalize() {
 	if len(c.pending) == 0 {
 		return
 	}
 	p := c.pending
-	sort.Slice(p, func(i, j int) bool { return p[i] < p[j] })
-	ids := make([]uint32, 0, len(c.ids)+len(p))
+	slices.Sort(p)
+	ids := make([]uint64, 0, len(c.ids)+len(p))
 	counts := make([]uint32, 0, len(c.ids)+len(p))
 	i, j := 0, 0
 	for i < len(c.ids) || j < len(p) {
@@ -434,14 +386,14 @@ func (c *CounterTable) normalize() {
 	c.ids, c.counts, c.pending = ids, counts, nil
 }
 
-// Merge folds other's counts into c.
+// Merge folds other's exact counts into c.
 func (c *CounterTable) Merge(other *CounterTable) {
 	c.normalize()
 	other.normalize()
 	if len(other.ids) == 0 {
 		return
 	}
-	ids := make([]uint32, 0, len(c.ids)+len(other.ids))
+	ids := make([]uint64, 0, len(c.ids)+len(other.ids))
 	counts := make([]uint32, 0, len(c.ids)+len(other.ids))
 	i, j := 0, 0
 	for i < len(c.ids) || j < len(other.ids) {
@@ -464,23 +416,38 @@ func (c *CounterTable) Merge(other *CounterTable) {
 	c.ids, c.counts = ids, counts
 }
 
-// Add records n incidences for the endpoint index (test/codec helper).
-func (c *CounterTable) Add(id uint32, n uint32) {
+// Add records n incidences for the endpoint key (test/codec helper).
+func (c *CounterTable) Add(key uint64, n uint32) {
 	for ; n > 0; n-- {
-		c.Inc(id)
+		c.Inc(key)
 	}
 }
 
 // Distinct returns the number of endpoints with a nonzero count — the
-// participation evidence cardinality inference reads.
-func (c *CounterTable) Distinct() int {
-	c.normalize()
+// participation evidence cardinality inference reads — resolving pending
+// keys as exact ones unless the table is already sketched.
+func (c *CounterTable) Distinct() int { return c.distinct(nil) }
+
+// Max returns the largest per-endpoint count, resolving like Distinct.
+func (c *CounterTable) Max() int { return c.max(nil) }
+
+// distinct is Distinct with pending keys resolved under pol; a sketched
+// table answers with its HLL estimate.
+func (c *CounterTable) distinct(pol *EvidencePolicy) int {
+	c.settle(pol)
+	if c.sk != nil {
+		return int(c.sk.distinct())
+	}
 	return len(c.ids)
 }
 
-// Max returns the largest per-endpoint count.
-func (c *CounterTable) Max() int {
-	c.normalize()
+// max is Max with pending keys resolved under pol; a sketched table
+// answers with its estimated upper bound.
+func (c *CounterTable) max(pol *EvidencePolicy) int {
+	c.settle(pol)
+	if c.sk != nil {
+		return c.sk.max()
+	}
 	m := uint32(0)
 	for _, n := range c.counts {
 		if n > m {
@@ -488,13 +455,4 @@ func (c *CounterTable) Max() int {
 		}
 	}
 	return int(m)
-}
-
-// each calls f for every (endpoint index, count) pair in ascending index
-// order.
-func (c *CounterTable) each(f func(id, count uint32)) {
-	c.normalize()
-	for i, id := range c.ids {
-		f(id, c.counts[i])
-	}
 }

@@ -33,24 +33,6 @@ func TestSymtabInternAssignsDenseIDs(t *testing.T) {
 	}
 }
 
-func TestSymtabInternEp(t *testing.T) {
-	tab := NewSymtab()
-	a := tab.InternEp(pg.ID(42))
-	b := tab.InternEp(pg.ID(-7))
-	if a != 0 || b != 1 {
-		t.Errorf("endpoint indexes = %d,%d, want 0,1", a, b)
-	}
-	if tab.InternEp(pg.ID(42)) != a {
-		t.Error("re-interning an endpoint must return the same index")
-	}
-	if tab.Ep(b) != pg.ID(-7) {
-		t.Error("Ep does not invert InternEp")
-	}
-	if tab.Endpoints() != 2 {
-		t.Errorf("Endpoints = %d, want 2", tab.Endpoints())
-	}
-}
-
 func encodeSymtab(t testing.TB, tab *Symtab) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -67,9 +49,6 @@ func TestSymtabRoundTripPreservesIDs(t *testing.T) {
 	for _, s := range []string{"Person", "name", "", "a&b", "KNOWS"} {
 		tab.Intern(s)
 	}
-	for _, ep := range []pg.ID{9, 1, -3, 1 << 40} {
-		tab.InternEp(ep)
-	}
 	enc := encodeSymtab(t, tab)
 	got, err := ReadSymtab(pg.NewWireReader(bytes.NewReader(enc)))
 	if err != nil {
@@ -80,12 +59,6 @@ func TestSymtabRoundTripPreservesIDs(t *testing.T) {
 		want, _ := tab.Lookup(s)
 		if id, ok := got.Lookup(s); !ok || id != want {
 			t.Errorf("Lookup(%q) = %d,%t, want %d", s, id, ok, want)
-		}
-	}
-	for _, ep := range []pg.ID{9, 1, -3, 1 << 40} {
-		want, _ := tab.LookupEp(ep)
-		if ix, ok := got.LookupEp(ep); !ok || ix != want {
-			t.Errorf("LookupEp(%d) = %d,%t, want %d", ep, ix, ok, want)
 		}
 	}
 	if re := encodeSymtab(t, got); !bytes.Equal(enc, re) {
@@ -115,8 +88,6 @@ func FuzzReadSymtab(f *testing.F) {
 	tab := NewSymtab()
 	tab.Intern("Person")
 	tab.Intern("name")
-	tab.InternEp(pg.ID(7))
-	tab.InternEp(pg.ID(-1))
 	var seed bytes.Buffer
 	w := pg.NewWireWriter(&seed)
 	WriteSymtab(w, tab)
@@ -141,9 +112,8 @@ func FuzzReadSymtab(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded table failed to round-trip: %v", err)
 		}
-		if again.Strings() != got.Strings() || again.Endpoints() != got.Endpoints() {
-			t.Fatalf("round trip changed sizes: (%d,%d) vs (%d,%d)",
-				got.Strings(), got.Endpoints(), again.Strings(), again.Endpoints())
+		if again.Strings() != got.Strings() {
+			t.Fatalf("round trip changed sizes: %d vs %d", got.Strings(), again.Strings())
 		}
 	})
 }
