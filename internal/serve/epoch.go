@@ -14,6 +14,10 @@
 // as pre-encoded bytes until the next epoch swap implicitly invalidates the
 // whole cache by replacing the pointer. A cache hit costs one atomic load
 // and zero allocations (BenchmarkServeCacheHit, asserted in CI).
+//
+// Memory is O(schema), not O(epochs): the history behind /epochs keeps one
+// EpochInfo row per epoch, and only the current Epoch holds a Def and a
+// render cache (TestServeRetainedHeapFlatInEpochs).
 package serve
 
 import (
@@ -96,10 +100,10 @@ func (s *renderSlot) get(render func() *Rendered) (resp *Rendered, hit bool) {
 	return s.r.Load(), false
 }
 
-// Epoch is one published schema snapshot: immutable, safe to retain and to
-// read from any number of goroutines while the writer merges batches into
-// the next epoch underneath.
-type Epoch struct {
+// EpochInfo is one row of the publication history: what /epochs reports
+// about an epoch, and all the server keeps of it once a newer epoch is
+// published. A plain value; its Diff is never mutated after publication.
+type EpochInfo struct {
 	// ID is core's epoch number (core.EpochSnapshot.Epoch): 1-based, and
 	// continuing across a resumed ingest. 0 is the boot placeholder served
 	// before the first epoch.
@@ -112,11 +116,20 @@ type Epoch struct {
 	Final bool
 	// Published is the wall-clock publication instant.
 	Published time.Time
-	// Def is the finalized schema at this epoch.
-	Def *schema.Def
 	// Diff is the change report against the previous epoch (empty for the
 	// baseline).
 	Diff schema.DiffReport
+}
+
+// Epoch is one published schema snapshot: its history row, the finalized
+// Def and the render cache. Immutable, safe to retain and to read from any
+// number of goroutines while the writer merges batches into the next epoch
+// underneath. The server references only the current one; a superseded
+// epoch lives, cache and all, exactly as long as some reader still holds it.
+type Epoch struct {
+	EpochInfo
+	// Def is the finalized schema at this epoch.
+	Def *schema.Def
 
 	// tiers caches the unfiltered response per detail tier; filtered caches
 	// (tier, type-filter) responses under string keys, for filters naming a

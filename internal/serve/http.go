@@ -79,11 +79,11 @@ type epochEntry struct {
 }
 
 func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
-	hist := s.Epochs()
+	hist, current := s.history()
 	out := struct {
 		Current int          `json:"current_epoch"`
 		Epochs  []epochEntry `json:"epochs"`
-	}{Current: s.cur.Load().ID, Epochs: []epochEntry{}}
+	}{Current: current, Epochs: []epochEntry{}}
 	for _, e := range hist {
 		out.Epochs = append(out.Epochs, epochEntry{
 			Epoch: e.ID, Batches: e.Batches, Seq: e.Seq, Final: e.Final,

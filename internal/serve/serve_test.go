@@ -7,9 +7,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pghive/internal/core"
 	"pghive/internal/pg"
@@ -127,24 +129,39 @@ func TestServeEpochProgression(t *testing.T) {
 // TestServeShardedPublishes runs a sharded ingest: the router publishes one
 // fleet epoch every EpochInterval source batches, each byte-identical to
 // Discover over the batches before its cut, and the last one — the
-// stream ends on a cut — is re-stamped final with the run's schema.
+// stream ends on a cut — is re-stamped final with the run's schema. The
+// history keeps rows only, so each epoch is captured as a reader would
+// hold it: the current one, seen from a chained OnEpoch hook just before
+// the next publish replaces it, and the final one after the ingest.
 func TestServeShardedPublishes(t *testing.T) {
 	batches := stream(16)
 	cfg := core.Config{Shards: 2, EpochInterval: 4}
 
 	s := NewServer(nil)
+	var held []*Epoch
+	cfg.OnEpoch = func(snap core.EpochSnapshot) {
+		// Skip the boot placeholder, and the current epoch when the final
+		// re-send of its number is about to replace it.
+		if e := s.Current(); e.ID != 0 && e.ID != snap.Epoch {
+			held = append(held, e)
+		}
+	}
 	if _, err := s.Ingest(src(batches), IngestOptions{Config: cfg}); err != nil {
 		t.Fatal(err)
 	}
+	held = append(held, s.Current())
 	hist := s.Epochs()
-	if len(hist) != 4 {
-		t.Fatalf("epochs = %d, want 4 (frontiers 4, 8, 12, 16)", len(hist))
+	if len(hist) != 4 || len(held) != 4 {
+		t.Fatalf("epochs = %d rows, %d held, want 4 (frontiers 4, 8, 12, 16)", len(hist), len(held))
 	}
-	for i, e := range hist {
+	for i, e := range held {
 		k := 4 * (i + 1)
 		if e.ID != i+1 || e.Batches != k || e.Seq != k-1 || e.Final != (i == 3) {
 			t.Errorf("epoch %d = {ID %d, Batches %d, Seq %d, Final %t}, want {%d, %d, %d, %t}",
 				i, e.ID, e.Batches, e.Seq, e.Final, i+1, k, k-1, i == 3)
+		}
+		if !reflect.DeepEqual(hist[i], e.EpochInfo) {
+			t.Errorf("history row %d differs from the row of the epoch readers held", i)
 		}
 		want := shardedJSON(t, batches[:k], cfg)
 		if resp, _ := e.Rendered(TierFull); !bytes.Equal(resp.Body, want) {
@@ -554,6 +571,58 @@ func TestServeConcurrentReadIngest(t *testing.T) {
 	}
 }
 
+// TestServeEpochsBodyConsistent: /epochs reads the history rows and the
+// current epoch's ID under one hold of the writer lock, so every body is one
+// snapshot: current_epoch is the last row's epoch (0 before the first), and
+// row epochs strictly increase. A reader polls it while a paced ingest
+// publishes an epoch per batch.
+func TestServeEpochsBodyConsistent(t *testing.T) {
+	const batches = 40
+	s := NewServer(nil)
+	h := s.Handler()
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Ingest(NewPaceSource(src(stream(batches)), time.Millisecond),
+			IngestOptions{Config: core.Config{EpochInterval: 1}})
+		done <- err
+	}()
+	last := 0
+	for polls, ingesting := 0, true; ingesting; polls++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("Ingest: %v", err)
+			}
+			ingesting = false
+		default:
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/epochs", nil))
+		var body struct {
+			Current int `json:"current_epoch"`
+			Epochs  []struct {
+				Epoch int `json:"epoch"`
+			} `json:"epochs"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("poll %d: %v", polls, err)
+		}
+		last = 0
+		for _, row := range body.Epochs {
+			if row.Epoch <= last {
+				t.Fatalf("poll %d: row epoch %d after %d", polls, row.Epoch, last)
+			}
+			last = row.Epoch
+		}
+		if body.Current != last {
+			t.Fatalf("poll %d: current_epoch %d, last row's epoch %d", polls, body.Current, last)
+		}
+	}
+	if last != batches {
+		t.Errorf("after ingest /epochs ends at epoch %d, want %d", last, batches)
+	}
+}
+
 // TestPublishStoresCoreEpochs: publish stores what core's clock hands it —
 // number, frontier, finality, Def and the change report of its Changes —
 // appends a new number, and lets the final re-send of the last number
@@ -579,8 +648,11 @@ func TestPublishStoresCoreEpochs(t *testing.T) {
 	}
 	final := s.publish(core.EpochSnapshot{Epoch: 2, Batches: 8, Seq: 7, Final: true, Def: d2, Changes: changes})
 	hist := s.Epochs()
-	if len(hist) != 2 || hist[1] != final || s.Current() != final || !final.Final {
+	if len(hist) != 2 || !reflect.DeepEqual(hist[1], final.EpochInfo) || s.Current() != final || !final.Final {
 		t.Fatalf("final re-send must replace epoch 2 in place: history %d, final %t", len(hist), final.Final)
+	}
+	if e2.Final || e2.Def != d2 {
+		t.Errorf("final re-send mutated the superseded epoch 2: Final %t", e2.Final)
 	}
 	if len(final.Diff.Changes) != len(changes) {
 		t.Errorf("final re-send lost its changes: %d, want %d", len(final.Diff.Changes), len(changes))
