@@ -64,7 +64,7 @@ func mainErr() error {
 	flag.StringVar(&f.DriftPolicy, "drift-policy", "off", "streaming conformance checking: off, evolve, alert, quarantine")
 	flag.IntVar(&f.EpochInterval, "epoch-interval", 0, "publish a schema epoch every N batches (0 = default)")
 	flag.StringVar(&f.DriftLog, "drift-log", "", "append drift records to this JSONL file (needs a -drift-policy)")
-	flag.IntVar(&f.Retry, "retry", 0, "retry transient source faults up to this many attempts per batch")
+	flag.IntVar(&f.Retry, "retry", 0, "retry each transient source fault with exponential backoff, up to this many attempts per batch, then stop the run (0 = no backoff: the fault is re-pulled at once, and the run stops after 100 in a row on one batch)")
 	flag.StringVar(&f.Checkpoint, "checkpoint", "", "checkpoint file: save engine state per batch; resume from it when it already exists")
 	var (
 		addr     = flag.String("addr", "127.0.0.1:0", "HTTP listen address (port 0 picks a free port; the bound address is printed)")

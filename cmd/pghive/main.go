@@ -41,7 +41,7 @@ func main() {
 	flag.Int64Var(&f.Seed, "seed", 1, "random seed")
 	flag.IntVar(&f.Depth, "pipeline-depth", 0, "execution engine depth: 1 = serial, >1 = overlapped batches (0 = default)")
 	flag.IntVar(&f.Shards, "shards", 0, "partition the stream across N concurrent discovery pipelines and merge their schemas (0/1 = single pipeline, byte-identical to serial)")
-	flag.IntVar(&f.Retry, "retry", 0, "retry transient source faults up to this many attempts per batch (0 = fail fast)")
+	flag.IntVar(&f.Retry, "retry", 0, "retry each transient source fault with exponential backoff, up to this many attempts per batch, then stop the run (0 = no backoff: the fault is re-pulled at once, and the run stops after 100 in a row on one batch)")
 	flag.StringVar(&f.Checkpoint, "checkpoint", "", "checkpoint file: save pipeline state after every batch; resume from it when it already exists")
 	flag.Float64Var(&f.FaultRate, "fault-rate", 0, "inject seeded transient faults at this per-attempt probability (exercises -retry)")
 	flag.IntVar(&f.MemBudgetMB, "mem-budget", 0, "memory budget in MB: bound evidence memory with sketched counters sized to the budget (0 = exact, unbounded)")

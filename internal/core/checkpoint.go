@@ -2,9 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"io"
 	"sort"
+	"strings"
 	"time"
 
 	"pghive/internal/lsh"
@@ -12,10 +13,15 @@ import (
 	"pghive/internal/schema"
 )
 
-// Checkpoint codec: a complete serialization of an in-flight discovery run —
-// the evolving schema with its evidence, the data-type sampler counters, the
-// embedding session, the label aligner, the per-batch reports and the stream
-// position. A pipeline restored from a checkpoint continues the run exactly
+// Checkpoint codec: a complete serialization of an in-flight discovery run,
+// in one format for both run shapes. A header the run owns comes first —
+// the configuration fingerprint, the section count, the stream position,
+// the fault quarantines and the epoch clock — then one length-prefixed
+// section per pipeline: its own stream position, batch reports, schema
+// (symtab first) with its evidence, data-type sampler counters, and label
+// aligner and embedding session. A single pipeline writes one section; a
+// fleet writes one per shard (shards.go). One function, restore, decodes it
+// for every caller. A run restored from a checkpoint continues exactly
 // where the writer left off: feeding it the remaining batches yields a
 // Finalize output byte-identical to an uninterrupted run (the crash/resume
 // tests enforce this).
@@ -29,26 +35,16 @@ import (
 // post-extract(k) schema, giving the resumed run the exact state the
 // original run had when it began batch k+1.
 
-// checkpointMagic versions the checkpoint format. PGCK11 keys exact degree
-// rows by raw endpoint ID, written as ascending gaps, and drops the
-// symtab's endpoint section that only the interned key needed (it skips
-// PGCK10, the previous fleet container's magic). PGCK9 replaced the drift
-// section with the epoch clock's whole state — tallies, drift quarantines
-// and the last epoch included (see epoch.go) — and keeps only the fault
-// quarantines in the header skip list; PGCK7 appended the drift section
-// (epoch counter, window position, epoch baseline Def); PGCK5 added the
-// self-describing evidence mode bytes — degree counters and value stats may
-// serialize either as exact tables or as sketches (HLL + count-min + top-k,
-// see schema/checkpoint.go) — and extended the fingerprint with the memory
-// budget; PGCK3 introduced the symbol intern table (symtab serializes first
-// so a resumed run reassigns the exact same IDs); PGCK2 added Load/Wall
-// timing columns to the per-batch reports. Older checkpoints are rejected
-// (resume from scratch rather than guess at an incompatible layout).
-const checkpointMagic = "PGCK11"
+// checkpointMagic versions the checkpoint format, the one both run shapes
+// write. Bump it whenever the layout changes: a checkpoint under any other
+// magic — PGCK1 through PGCK12, whose layouts DESIGN.md §7 traces — is
+// refused rather than misparsed.
+const checkpointMagic = "PGCK13"
 
 // Codec bounds for untrusted counts; no count preallocates more than
 // maxPrealloc entries.
 const (
+	maxSections = 1 << 16
 	maxSkipped  = 1 << 24
 	maxReports  = 1 << 24
 	maxSamples  = 1 << 24
@@ -178,110 +174,142 @@ func (p *Pipeline) restoreSnapshot(r *pg.WireReader) error {
 	return p.session.ReadState(r)
 }
 
-// encodeCheckpoint writes the full checkpoint. snap is the preprocess-frontier
-// snapshot to embed (from stateSnapshot); slots is the stream position
-// consumed so far (delivered + quarantined batches); skipped lists the fault
-// quarantines (the drift quarantines ride in the clock section).
-func (p *Pipeline) encodeCheckpoint(w io.Writer, slots int, skipped []SkipReport, snap []byte) error {
-	bw := pg.NewWireWriter(w)
-	bw.Raw([]byte(checkpointMagic))
-	bw.String(p.cfg.fingerprint())
-	bw.Uvarint(uint64(slots))
-
-	writeSkips(bw, skipped)
-
-	bw.Uvarint(uint64(len(p.reports)))
+// section encodes the pipeline's checkpoint section at stream position
+// slots, with snap (from stateSnapshot) as its preprocess-frontier state.
+func (p *Pipeline) section(slots int, snap []byte) ([]byte, error) {
+	var buf bytes.Buffer
+	w := pg.NewWireWriter(&buf)
+	w.Uvarint(uint64(slots))
+	w.Uvarint(uint64(len(p.reports)))
 	for _, r := range p.reports {
-		writeReport(bw, r)
+		writeReport(w, r)
 	}
-
-	if err := schema.WriteSchema(bw, p.schema); err != nil {
-		return err
+	if err := schema.WriteSchema(w, p.schema); err != nil {
+		return nil, err
 	}
-	p.sampler.writeState(bw)
-	bw.Raw(snap)
-	clock, err := encodeClock(p.clock)
-	if err != nil {
-		return err
+	p.sampler.writeState(w)
+	w.Raw(snap)
+	if err := w.Flush(); err != nil {
+		return nil, err
 	}
-	bw.String(string(clock))
-	return bw.Flush()
+	return buf.Bytes(), nil
 }
 
-// EncodeCheckpoint serializes the pipeline's current state. The pipeline
-// must be quiescent (no run in flight): the live session and aligner are
-// snapshotted directly.
-func (p *Pipeline) EncodeCheckpoint(w io.Writer, slots int, skipped []SkipReport) error {
-	snap, err := p.stateSnapshot()
+// readSection restores a section into p, a fresh pipeline, and returns the
+// section's stream position.
+func (p *Pipeline) readSection(r *pg.WireReader) (int, error) {
+	slots, err := r.Uvarint(1 << 40)
 	if err != nil {
-		return err
+		return 0, fmt.Errorf("slots: %w", err)
 	}
-	return p.encodeCheckpoint(w, slots, skipped, snap)
-}
-
-// ResumePipeline reconstructs a pipeline from a checkpoint. The provided
-// config must match the writer's (fingerprint-checked): resuming under a
-// different configuration would process the remaining batches differently
-// and break the byte-identity guarantee. It returns the restored pipeline,
-// the stream position to skip to, and the batches the fault puller
-// quarantined before the checkpoint.
-func ResumePipeline(r io.Reader, cfg Config) (*Pipeline, int, []SkipReport, error) {
-	p := NewPipeline(cfg)
-	br := pg.NewWireReader(r)
-	if err := br.Expect(checkpointMagic); err != nil {
-		return nil, 0, nil, fmt.Errorf("core: checkpoint: %w", err)
-	}
-	fp, err := br.String()
+	n, err := r.Uvarint(maxReports)
 	if err != nil {
-		return nil, 0, nil, fmt.Errorf("core: checkpoint fingerprint: %w", err)
+		return 0, fmt.Errorf("report count: %w", err)
 	}
-	if want := p.cfg.fingerprint(); fp != want {
-		return nil, 0, nil, fmt.Errorf("core: checkpoint was written under a different configuration:\n  checkpoint: %s\n  current:    %s", fp, want)
-	}
-	slots, err := br.Uvarint(1 << 40)
-	if err != nil {
-		return nil, 0, nil, fmt.Errorf("core: checkpoint slots: %w", err)
-	}
-
-	skipped, err := readSkips(br)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-
-	reportCount, err := br.Uvarint(maxReports)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	p.reports = make([]BatchReport, 0, min(reportCount, maxPrealloc))
-	for i := uint64(0); i < reportCount; i++ {
-		rep, err := readReport(br)
+	p.reports = make([]BatchReport, 0, min(n, maxPrealloc))
+	for i := uint64(0); i < n; i++ {
+		rep, err := readReport(r)
 		if err != nil {
-			return nil, 0, nil, fmt.Errorf("core: checkpoint report %d: %w", i, err)
+			return 0, fmt.Errorf("report %d: %w", i, err)
 		}
 		p.reports = append(p.reports, rep)
 	}
-
-	if p.schema, err = schema.ReadSchema(br); err != nil {
-		return nil, 0, nil, fmt.Errorf("core: checkpoint schema: %w", err)
+	if p.schema, err = schema.ReadSchema(r); err != nil {
+		return 0, fmt.Errorf("schema: %w", err)
 	}
 	// The evidence policy is configuration, not state: re-derive it so the
 	// decoded accumulators (whose sketch parameters are self-describing)
 	// keep observing under the same caps the writer used.
 	p.schema.SetEvidencePolicy(p.cfg.evidencePolicy())
-	if err := p.sampler.readState(br); err != nil {
-		return nil, 0, nil, fmt.Errorf("core: checkpoint sampler: %w", err)
+	if err := p.sampler.readState(r); err != nil {
+		return 0, fmt.Errorf("sampler: %w", err)
 	}
-	if err := p.restoreSnapshot(br); err != nil {
-		return nil, 0, nil, fmt.Errorf("core: checkpoint state: %w", err)
+	if err := p.restoreSnapshot(r); err != nil {
+		return 0, fmt.Errorf("state: %w", err)
 	}
-	clock, err := br.String()
+	return int(slots), nil
+}
+
+// writeCheckpoint encodes one checkpoint — the header (fingerprint fp,
+// stream position slots, fault quarantines skipped and encoded clock), then
+// every section, length-prefixed — and hands it to ck.
+func writeCheckpoint(ck Checkpointer, fp string, slots int, skipped []SkipReport, clock []byte, sections [][]byte) error {
+	size := len(checkpointMagic) + len(fp) + len(clock) + 64
+	for _, sec := range sections {
+		size += len(sec) + binary.MaxVarintLen64
+	}
+	var buf bytes.Buffer
+	buf.Grow(size)
+	w := pg.NewWireWriter(&buf)
+	w.Raw([]byte(checkpointMagic))
+	w.String(fp)
+	w.Uvarint(uint64(len(sections)))
+	w.Uvarint(uint64(slots))
+	writeSkips(w, skipped)
+	w.Uvarint(uint64(len(clock)))
+	w.Raw(clock)
+	for _, sec := range sections {
+		w.Uvarint(uint64(len(sec)))
+		w.Raw(sec)
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	return ck.Save(buf.Bytes())
+}
+
+// restore decodes a checkpoint written by Run under cfg: it checks the
+// magic, the fingerprint and that there is one section per pipeline of
+// pipes — fresh pipelines, max(cfg.Shards, 1) of them — restores each
+// section into its pipeline and the header's epoch clock into clock (nil
+// only validates it). It returns the run's stream position and fault
+// quarantines, and each section's own stream position.
+func restore(state []byte, cfg Config, pipes []*Pipeline, clock *epochClock) (resumeState, []int, error) {
+	var from resumeState
+	r := pg.NewWireReader(bytes.NewReader(state))
+	if err := r.Expect(checkpointMagic); err != nil {
+		return from, nil, fmt.Errorf("core: checkpoint: %w", err)
+	}
+	fp, err := r.String()
 	if err != nil {
-		return nil, 0, nil, fmt.Errorf("core: checkpoint epoch clock: %w", err)
+		return from, nil, fmt.Errorf("core: checkpoint fingerprint: %w", err)
 	}
-	if err := decodeClock([]byte(clock), p.clock); err != nil {
-		return nil, 0, nil, err
+	if want := cfg.fingerprint(); fp != want {
+		return from, nil, fmt.Errorf("core: checkpoint was written under a different configuration:\n  checkpoint: %s\n  current:    %s", fp, want)
 	}
-	return p, int(slots), skipped, nil
+	n, err := r.Uvarint(maxSections)
+	if err != nil {
+		return from, nil, fmt.Errorf("core: checkpoint section count: %w", err)
+	}
+	if int(n) != len(pipes) {
+		return from, nil, fmt.Errorf("core: checkpoint was written with pipeline count %d, resuming with %d (Shards = %d)", n, len(pipes), cfg.Shards)
+	}
+	slots, err := r.Uvarint(1 << 40)
+	if err != nil {
+		return from, nil, fmt.Errorf("core: checkpoint slots: %w", err)
+	}
+	from.slots = int(slots)
+	if from.skipped, err = readSkips(r); err != nil {
+		return from, nil, fmt.Errorf("core: checkpoint skip list: %w", err)
+	}
+	js, err := r.String()
+	if err != nil {
+		return from, nil, fmt.Errorf("core: checkpoint epoch clock: %w", err)
+	}
+	if err := decodeClock([]byte(js), clock); err != nil {
+		return from, nil, err
+	}
+	sectionSlots := make([]int, n)
+	for i, p := range pipes {
+		sec, err := r.String()
+		if err == nil {
+			sectionSlots[i], err = p.readSection(pg.NewWireReader(strings.NewReader(sec)))
+		}
+		if err != nil {
+			return from, nil, fmt.Errorf("core: checkpoint section %d: %w", i, err)
+		}
+	}
+	return from, sectionSlots, nil
 }
 
 func writeSkips(w *pg.WireWriter, skipped []SkipReport) {

@@ -128,8 +128,8 @@ type Config struct {
 	// but not byte-identical to the serial run: each shard clusters and
 	// samples only its own elements, so abstract-type composition and
 	// SampleKinds can differ (see DESIGN.md §11). Not part of the checkpoint
-	// fingerprint — sharded checkpoints use their own container format
-	// (PGCK12) that records the shard count explicitly.
+	// fingerprint — a checkpoint holds one section per pipeline, and its
+	// section count must equal max(Shards, 1) to resume.
 	Shards int
 	// MemBudgetBytes caps the evidence layer's retained memory. 0 (the
 	// default) keeps today's exact accumulators: per-endpoint degree

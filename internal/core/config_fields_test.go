@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"io"
 	"reflect"
 	"strings"
@@ -26,9 +25,9 @@ const (
 	// quarantineOnly fields change the schema only under DriftQuarantine,
 	// which decides which batches merge; they fingerprint only there.
 	quarantineOnly
-	// fleetContainer fields are recorded by the sharded checkpoint
-	// container itself rather than by the fingerprint.
-	fleetContainer
+	// sectionCount fields are recorded by the checkpoint's section count,
+	// one per pipeline, rather than by the fingerprint.
+	sectionCount
 )
 
 // configFields classifies every Config field and gives each a change away
@@ -63,7 +62,7 @@ var configFields = map[string]struct {
 	"PipelineDepth":   {executionOnly, func(c *Config) { c.PipelineDepth = 8 }},
 	"DriftPolicy":     {quarantineOnly, func(c *Config) { c.DriftPolicy = DriftAlert }},
 	"EpochInterval":   {quarantineOnly, func(c *Config) { c.EpochInterval = 3 }},
-	"Shards":          {fleetContainer, func(c *Config) { c.Shards = 4 }},
+	"Shards":          {sectionCount, func(c *Config) { c.Shards = 4 }},
 }
 
 // TestConfigFieldsClassified declares, once, which Config fields the
@@ -128,15 +127,11 @@ func TestResumeRejectsAlignSimilarityChange(t *testing.T) {
 		{"default-to-custom", def, custom, true},
 		{"custom-to-custom", custom, custom, false},
 	} {
-		p := NewPipeline(tc.writer)
-		if _, err := p.drainFT(pg.AsErrSource(pg.NewSliceSource(batches...)), nil, resumeState{}); err != nil {
+		ck := &statesCheckpointer{}
+		if _, err := Run(pg.AsErrSource(pg.NewSliceSource(batches...)), tc.writer, RunOptions{Checkpoint: ck}); err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := p.EncodeCheckpoint(&buf, len(batches), nil); err != nil {
-			t.Fatal(err)
-		}
-		_, _, _, err := ResumePipeline(bytes.NewReader(buf.Bytes()), tc.reader)
+		_, err := DecodeCheckpointSchemas(ck.states[len(ck.states)-1], tc.reader)
 		if tc.wantErr && (err == nil || !strings.Contains(err.Error(), "different configuration")) {
 			t.Errorf("%s: resume err = %v, want a fingerprint mismatch", tc.name, err)
 		}

@@ -410,7 +410,7 @@ func TestDriftOneClockPerRun(t *testing.T) {
 	fleet.Shards = 3
 	fleet.DriftPolicy = DriftQuarantine
 	fleet.OnEpoch = func(EpochSnapshot) {}
-	for i, p := range newShardPipelines(fleet.withDefaults()) {
+	for i, p := range newPipelines(fleet.withDefaults()) {
 		if p.clock != nil {
 			t.Errorf("shard %d pipeline holds an epoch clock", i)
 		}

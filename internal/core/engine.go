@@ -22,7 +22,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"time"
@@ -42,25 +41,32 @@ type pulled struct {
 	load    time.Duration
 }
 
+// saver receives a pipeline's encoded checkpoint section, which it takes
+// over, after the batch at stream position pos, with the fault quarantines
+// as of that batch's pull: the single pipeline's writes the whole
+// checkpoint (drainFT), a shard's hands the section to the fleet's
+// coordinator (shards.go).
+type saver func(section []byte, pos int, skipped []SkipReport) error
+
 // drain is the engine's one loop: it pulls good batches through pl, runs
-// them through the four stages and, with ck set, checkpoints after every
+// them through the four stages and, with save set, checkpoints after every
 // extraction. progress, when set, hears the position of every folded batch,
 // and the error that stops the loop as soon as it happens — before the
 // stages wind down, which waits for the pull in progress. drain returns the
 // first permanent source error or failed save.
-func (p *Pipeline) drain(pl *puller, ck Checkpointer, progress func(pos int, err error)) error {
+func (p *Pipeline) drain(pl *puller, save saver, progress func(pos int, err error)) error {
 	base := p.nextSeq()
 	if p.cfg.PipelineDepth <= 1 {
 		for seq := base; ; seq++ {
-			in, err := pl.pull(ck != nil)
+			in, err := pl.pull(save != nil)
 			if err != nil || in.b == nil {
 				return err
 			}
-			st, err := p.prep(in, seq, ck != nil)
+			st, err := p.prep(in, seq, save != nil)
 			if err != nil {
 				return err
 			}
-			if err := p.fold(p.cluster(st), ck, progress); err != nil {
+			if err := p.fold(p.cluster(st), save, progress); err != nil {
 				return err
 			}
 		}
@@ -94,7 +100,7 @@ func (p *Pipeline) drain(pl *puller, ck Checkpointer, progress func(pos int, err
 	go func() {
 		defer close(loaded)
 		for !halted() {
-			in, err := pl.pull(ck != nil)
+			in, err := pl.pull(save != nil)
 			if err != nil || in.b == nil {
 				srcErr = err
 				return
@@ -124,7 +130,7 @@ func (p *Pipeline) drain(pl *puller, ck Checkpointer, progress func(pos int, err
 				continue
 			}
 			in.t0, in.load = t0, time.Since(t0)
-			st, err := p.prep(in, seq, ck != nil)
+			st, err := p.prep(in, seq, save != nil)
 			if err != nil {
 				prepErr = err
 				halt(err)
@@ -170,7 +176,7 @@ func (p *Pipeline) drain(pl *puller, ck Checkpointer, progress func(pos int, err
 			}
 			delete(pending, next)
 			next++
-			if saveErr = p.fold(cur, ck, progress); saveErr != nil {
+			if saveErr = p.fold(cur, save, progress); saveErr != nil {
 				halt(saveErr)
 				break
 			}
@@ -237,12 +243,10 @@ func (p *Pipeline) cluster(st staged) computed {
 
 // fold is the extract stage for one clustered batch: the clock's gate and
 // the Algorithm 2 merge, then — when checkpointing — the batch's checkpoint.
-func (p *Pipeline) fold(c computed, ck Checkpointer, progress func(pos int, err error)) error {
+func (p *Pipeline) fold(c computed, save saver, progress func(pos int, err error)) error {
 	p.extractChecked(c, c.pos-1)
-	if ck != nil {
-		// The fault skips keep their pull-time frontier; the clock section
-		// carries this batch's own drift quarantine.
-		if err := p.save(ck, c.snap, c.pos, c.skipped); err != nil {
+	if save != nil {
+		if err := p.save(save, c); err != nil {
 			return err
 		}
 	}
@@ -252,20 +256,22 @@ func (p *Pipeline) fold(c computed, ck Checkpointer, progress func(pos int, err 
 	return nil
 }
 
-// save encodes and persists one checkpoint.
-func (p *Pipeline) save(ck Checkpointer, snap []byte, pos int, skipped []SkipReport) error {
+// save encodes the pipeline's section after batch c — this pipeline's
+// post-extract schema paired with the batch's preprocess-time snapshot —
+// and hands it to put with the batch's position and pull-time fault skips.
+func (p *Pipeline) save(put saver, c computed) error {
 	start := time.Now()
-	var buf bytes.Buffer
-	if err := p.encodeCheckpoint(&buf, pos, skipped, snap); err != nil {
+	section, err := p.section(c.pos, c.snap)
+	if err != nil {
 		return fmt.Errorf("core: encode checkpoint: %w", err)
 	}
-	if err := ck.Save(buf.Bytes()); err != nil {
+	if err := put(section, c.pos, c.skipped); err != nil {
 		return fmt.Errorf("core: save checkpoint: %w", err)
 	}
 	p.instr.Span(obs.Span{
 		Stage: obs.StageCheckpoint, Batch: len(p.reports) - 1,
 		Start: start, Duration: time.Since(start),
-		Elements: buf.Len(),
+		Elements: len(section),
 	})
 	return nil
 }

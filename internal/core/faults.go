@@ -31,13 +31,13 @@ import (
 // RunOptions configures what a Run persists and what it continues from.
 type RunOptions struct {
 	// Checkpoint, when non-nil, receives the encoded run state after every
-	// extracted batch: a PGCK11 pipeline checkpoint, or a PGCK12 fleet
-	// container when Config.Shards > 1.
+	// extracted batch: one checkpoint with a section per pipeline — one
+	// section, or one per shard when Config.Shards > 1 (checkpoint.go).
 	Checkpoint Checkpointer
-	// Resume, when non-nil, is a checkpoint the run continues from — PGCK11,
-	// or a PGCK12 fleet container when Config.Shards > 1, written under the
-	// same configuration. The source must replay the same stream from its
-	// start: the slots the checkpointed run already folded in are skipped.
+	// Resume, when non-nil, is a checkpoint the run continues from, written
+	// under the same configuration and shard count. The source must replay
+	// the same stream from its start: the slots the checkpointed run
+	// already folded in are skipped.
 	Resume []byte
 }
 
@@ -56,8 +56,8 @@ const DefaultMaxTransient = 100
 
 // Checkpointer persists encoded checkpoints. Save is called from the extract
 // stage, strictly in batch order (for a sharded run, once per shard
-// extraction, with the whole fleet container). An error from Save stops the
-// run: nothing is pulled after it and the error is returned.
+// extraction, with the whole fleet's checkpoint). An error from Save stops
+// the run: nothing is pulled after it and the error is returned.
 type Checkpointer interface {
 	Save(state []byte) error
 }
@@ -202,8 +202,8 @@ func (pl *puller) pull(stamp bool) (pulled, error) {
 	}
 }
 
-// metered counts the checkpoints and bytes actually handed to ck — for a
-// sharded run, the fleet containers, not the shard sections inside them.
+// metered counts the checkpoints and bytes actually handed to ck — whole
+// checkpoints, not the sections inside them.
 type metered struct {
 	ck    Checkpointer
 	instr obs.Instr
@@ -229,12 +229,25 @@ func (m metered) Save(state []byte) error {
 
 // drainFT processes every batch from a fallible source past from's resume
 // window, quarantining poisoned batches and, with ck set, checkpointing
-// after each extraction. It returns the quarantine list — fault and drift
-// quarantines, from's included — and the first permanent source error or
-// failed save. Every PipelineDepth produces identical schemas and identical
-// checkpoint sequences.
+// after each extraction: the pipeline's one section under a header holding
+// the batch's position, its pull-time fault skips and the clock, which
+// carries the batch's own drift quarantine. It returns
+// the quarantine list — fault and drift quarantines, from's included — and
+// the first permanent source error or failed save. Every PipelineDepth
+// produces identical schemas and identical checkpoint sequences.
 func (p *Pipeline) drainFT(src pg.ErrSource, ck Checkpointer, from resumeState) ([]SkipReport, error) {
 	pl := newPuller(src, from, p.instr)
-	err := p.drain(pl, meter(ck, p.instr), nil)
+	var save saver
+	if ck != nil {
+		ck, fp := meter(ck, p.instr), p.cfg.fingerprint()
+		save = func(section []byte, pos int, skipped []SkipReport) error {
+			clock, err := encodeClock(p.clock)
+			if err != nil {
+				return err
+			}
+			return writeCheckpoint(ck, fp, pos, skipped, clock, [][]byte{section})
+		}
+	}
+	err := p.drain(pl, save, nil)
 	return p.clock.skips(pl.skipped), err
 }

@@ -218,17 +218,13 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 // TestCrashResumeWithCorruption: crash/resume composes with quarantine —
 // the resumed run inherits the checkpointed skip list and the final
 // quarantine set matches an uninterrupted faulty run's. The same Run call
-// resumes both checkpoint formats: a pipeline checkpoint, and a fleet
-// container under Shards 3.
+// resumes both run shapes: a single pipeline, and a fleet under Shards 3.
 func TestCrashResumeWithCorruption(t *testing.T) {
 	batches := faultFreeBatches(t, 300, 8)
 	profile := pg.FaultProfile{CorruptRate: 0.3, Seed: 9}
-	for _, tc := range []struct {
-		shards int
-		magic  string
-	}{{0, checkpointMagic}, {3, shardCheckpointMagic}} {
+	for _, shards := range []int{0, 3} {
 		cfg := DefaultConfig()
-		cfg.Shards = tc.shards
+		cfg.Shards = shards
 		uninterrupted, err := Run(pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)), profile), cfg, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -240,27 +236,24 @@ func TestCrashResumeWithCorruption(t *testing.T) {
 		crashProfile.FailAfter = 3 // dies after 3 pulled batches (delivered or quarantined)
 		crash := pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)), crashProfile)
 		if _, err := Run(crash, cfg, RunOptions{Checkpoint: ck}); !errors.Is(err, pg.ErrPermanentFault) {
-			t.Fatalf("shards=%d: want permanent fault, got %v", tc.shards, err)
+			t.Fatalf("shards=%d: want permanent fault, got %v", shards, err)
 		}
 
 		state, ok, err := ck.Load()
 		if err != nil || !ok {
-			t.Fatalf("shards=%d: no checkpoint after crash: ok=%t err=%v", tc.shards, ok, err)
-		}
-		if !bytes.HasPrefix(state, []byte(tc.magic)) {
-			t.Fatalf("shards=%d: checkpoint starts %q, want %s", tc.shards, state[:5], tc.magic)
+			t.Fatalf("shards=%d: no checkpoint after crash: ok=%t err=%v", shards, ok, err)
 		}
 		replay := pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)), profile)
 		res, err := Run(replay, cfg, RunOptions{Checkpoint: ck, Resume: state})
 		if err != nil {
-			t.Fatalf("shards=%d: resume: %v", tc.shards, err)
+			t.Fatalf("shards=%d: resume: %v", shards, err)
 		}
 		gotJSON, _ := renderDef(t, res.Def)
 		if !bytes.Equal(wantJSON, gotJSON) {
-			t.Errorf("shards=%d: resumed faulty run diverges from uninterrupted faulty run\nwant %s\ngot  %s", tc.shards, wantJSON, gotJSON)
+			t.Errorf("shards=%d: resumed faulty run diverges from uninterrupted faulty run\nwant %s\ngot  %s", shards, wantJSON, gotJSON)
 		}
 		if len(res.Skipped) != len(uninterrupted.Skipped) {
-			t.Errorf("shards=%d: resumed run skipped %d batches, uninterrupted %d", tc.shards, len(res.Skipped), len(uninterrupted.Skipped))
+			t.Errorf("shards=%d: resumed run skipped %d batches, uninterrupted %d", shards, len(res.Skipped), len(uninterrupted.Skipped))
 		}
 	}
 }
@@ -270,31 +263,29 @@ func TestCrashResumeWithCorruption(t *testing.T) {
 func TestResumeRejectsConfigMismatch(t *testing.T) {
 	batches := faultFreeBatches(t, 100, 3)
 	cfg := DefaultConfig()
-	p := NewPipeline(cfg)
-	if _, err := p.drainFT(pg.AsErrSource(pg.NewSliceSource(batches...)), nil, resumeState{}); err != nil {
+	ck := &statesCheckpointer{}
+	if _, err := Run(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, RunOptions{Checkpoint: ck}); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := p.EncodeCheckpoint(&buf, len(batches), nil); err != nil {
-		t.Fatal(err)
-	}
+	state := ck.states[len(ck.states)-1]
 
 	other := cfg
 	other.Theta = 0.5
-	if _, _, _, err := ResumePipeline(bytes.NewReader(buf.Bytes()), other); err == nil {
+	if _, err := DecodeCheckpointSchemas(state, other); err == nil {
 		t.Error("resume under a different Theta succeeded, want fingerprint error")
 	}
 	// Execution-only knobs may differ.
 	deeper := cfg
 	deeper.PipelineDepth = 8
-	if _, _, _, err := ResumePipeline(bytes.NewReader(buf.Bytes()), deeper); err != nil {
+	if _, err := DecodeCheckpointSchemas(state, deeper); err != nil {
 		t.Errorf("resume under different PipelineDepth failed: %v", err)
 	}
 }
 
-// TestPipelineCheckpointRoundTrip: encode a quiescent mid-run pipeline,
-// restore it, and both must produce identical output on the remaining
-// batches — the unit-level core of the crash/resume property.
+// TestPipelineCheckpointRoundTrip: checkpoint a pipeline mid-run, restore
+// the last checkpoint into a fresh one, and both must produce identical
+// output on the remaining batches — the unit-level core of the
+// crash/resume property.
 func TestPipelineCheckpointRoundTrip(t *testing.T) {
 	batches := faultFreeBatches(t, 300, 6)
 	cfg := DefaultConfig()
@@ -302,19 +293,17 @@ func TestPipelineCheckpointRoundTrip(t *testing.T) {
 	cfg.AlignLabels = true
 
 	p := NewPipeline(cfg)
-	for _, b := range batches[:3] {
-		p.ProcessBatch(b)
-	}
-	var buf bytes.Buffer
-	if err := p.EncodeCheckpoint(&buf, 3, nil); err != nil {
+	ck := &statesCheckpointer{}
+	if _, err := p.drainFT(pg.AsErrSource(pg.NewSliceSource(batches[:3]...)), ck, resumeState{}); err != nil {
 		t.Fatal(err)
 	}
-	restored, slots, skipped, err := ResumePipeline(bytes.NewReader(buf.Bytes()), cfg)
+	restored := NewPipeline(cfg)
+	from, _, err := restore(ck.states[len(ck.states)-1], restored.cfg, []*Pipeline{restored}, restored.clock)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if slots != 3 || len(skipped) != 0 {
-		t.Fatalf("slots=%d skipped=%d, want 3, 0", slots, len(skipped))
+	if from.slots != 3 || len(from.skipped) != 0 {
+		t.Fatalf("slots=%d skipped=%d, want 3, 0", from.slots, len(from.skipped))
 	}
 	for _, b := range batches[3:] {
 		p.ProcessBatch(b)
@@ -330,13 +319,11 @@ func TestPipelineCheckpointRoundTrip(t *testing.T) {
 // the decoder.
 func TestFileCheckpointerRejectsFlippedBytes(t *testing.T) {
 	cfg := DefaultConfig()
-	p := NewPipeline(cfg)
-	p.ProcessBatch(faultFreeBatches(t, 40, 2)[0])
-	var buf bytes.Buffer
-	if err := p.EncodeCheckpoint(&buf, 1, nil); err != nil {
+	saved := &statesCheckpointer{}
+	if _, err := Run(pg.AsErrSource(pg.NewSliceSource(faultFreeBatches(t, 40, 2)[0])), cfg, RunOptions{Checkpoint: saved}); err != nil {
 		t.Fatal(err)
 	}
-	state := buf.Bytes()
+	state := saved.states[0]
 
 	ck := FileCheckpointer{Path: filepath.Join(t.TempDir(), "run.ck")}
 	if err := ck.Save(state); err != nil {
@@ -349,7 +336,7 @@ func TestFileCheckpointerRejectsFlippedBytes(t *testing.T) {
 	if err != nil || !ok || !bytes.Equal(got, state) {
 		t.Fatalf("Load = %d bytes, ok=%t, err=%v; want the %d saved bytes", len(got), ok, err, len(state))
 	}
-	if _, _, _, err := ResumePipeline(bytes.NewReader(got), cfg); err != nil {
+	if _, err := DecodeCheckpointSchemas(got, cfg); err != nil {
 		t.Fatalf("loaded state does not resume: %v", err)
 	}
 
@@ -375,6 +362,30 @@ func TestFileCheckpointerRejectsFlippedBytes(t *testing.T) {
 	refused("empty file", nil)
 }
 
+// TestResumeRejectsRetiredMagics: a checkpoint under any retired magic,
+// PGCK1 through PGCK12, is refused through Run with an error naming the
+// checkpoint — at one and at two shards, even with a valid body behind
+// the magic — rather than misparsed under today's layout.
+func TestResumeRejectsRetiredMagics(t *testing.T) {
+	batches := faultFreeBatches(t, 100, 2)
+	for _, shards := range []int{1, 2} {
+		cfg := DefaultConfig()
+		cfg.Shards = shards
+		ck := &statesCheckpointer{}
+		if _, err := Run(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, RunOptions{Checkpoint: ck}); err != nil {
+			t.Fatal(err)
+		}
+		body := ck.states[len(ck.states)-1][len(checkpointMagic):]
+		for v := 1; v <= 12; v++ {
+			stale := append([]byte(fmt.Sprintf("PGCK%d", v)), body...)
+			_, err := Run(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, RunOptions{Resume: stale})
+			if err == nil || !strings.Contains(err.Error(), "checkpoint") {
+				t.Errorf("shards=%d: resuming a PGCK%d checkpoint: err = %v, want a refusal naming the checkpoint", shards, v, err)
+			}
+		}
+	}
+}
+
 // statesCheckpointer keeps every state it was handed, in order.
 type statesCheckpointer struct{ states [][]byte }
 
@@ -383,55 +394,83 @@ func (s *statesCheckpointer) Save(state []byte) error {
 	return nil
 }
 
-// FuzzResumePipeline: arbitrary checkpoint bytes must be rejected cleanly or
-// restore a pipeline that finalizes and checkpoints again. The seed is a
-// real mid-run checkpoint with types, sketched evidence and an epoch clock
-// holding a drift epoch Def, quarantines and tallies.
+// FuzzResumePipeline: arbitrary checkpoint bytes must be rejected cleanly
+// or be a checkpoint of one run shape, single pipeline or two shards, that
+// decodes, resumes through Run and — for a single pipeline — checkpoints
+// again into a state that resumes. The seeds are real mid-run checkpoints
+// of both shapes, with types, sketched evidence and an epoch clock holding
+// a drift epoch Def, quarantines and tallies.
 func FuzzResumePipeline(f *testing.F) {
 	cfg := DefaultConfig()
 	cfg.MemBudgetBytes = 1 << 20
 	cfg.DriftPolicy = DriftQuarantine
 	cfg.EpochInterval = 2
-	ck := &statesCheckpointer{}
-	if _, err := Run(pg.AsErrSource(pg.NewSliceSource(driftStream(4, 3)...)), cfg, RunOptions{Checkpoint: ck}); err != nil {
-		f.Fatal(err)
+	// A stable batch after the drifted ones makes the fleet save again, so
+	// its checkpoint records the router's quarantines too.
+	stream := driftStream(4, 3)
+	stream = append(stream, stream[0])
+	for _, shards := range []int{1, 2} {
+		cfg.Shards = shards
+		ck := &statesCheckpointer{}
+		if _, err := Run(pg.AsErrSource(pg.NewSliceSource(stream...)), cfg, RunOptions{Checkpoint: ck}); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(ck.states[len(ck.states)-2])
 	}
-	f.Add(ck.states[len(ck.states)-2])
 	f.Add([]byte(checkpointMagic))
+	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, slots, _, err := ResumePipeline(bytes.NewReader(data), cfg)
-		if err != nil {
-			return
-		}
-		p.Finalize()
-		var buf bytes.Buffer
-		if err := p.EncodeCheckpoint(&buf, slots, nil); err != nil {
-			t.Fatalf("restored pipeline does not checkpoint: %v", err)
-		}
-		if _, _, _, err := ResumePipeline(&buf, cfg); err != nil {
-			t.Fatalf("re-encoded checkpoint does not resume: %v", err)
+		for _, shards := range []int{1, 2} {
+			cfg := cfg
+			cfg.Shards = shards
+			if _, err := DecodeCheckpointSchemas(data, cfg); err != nil {
+				continue
+			}
+			if _, err := Run(pg.AsErrSource(pg.NewSliceSource()), cfg, RunOptions{Resume: data}); err != nil {
+				t.Fatalf("shards=%d: decoded checkpoint does not resume: %v", shards, err)
+			}
+			if shards > 1 {
+				continue
+			}
+			p := NewPipeline(cfg)
+			from, _, err := restore(data, cfg.withDefaults(), []*Pipeline{p}, p.clock)
+			if err != nil {
+				t.Fatalf("decoded checkpoint does not restore: %v", err)
+			}
+			ck := &statesCheckpointer{}
+			if _, err := p.drainFT(pg.AsErrSource(pg.NewSliceSource(stream[0])), ck, resumeState{skipped: from.skipped}); err != nil || len(ck.states) != 1 {
+				t.Fatalf("restored pipeline does not checkpoint: %d states, err %v", len(ck.states), err)
+			}
+			if _, err := Run(pg.AsErrSource(pg.NewSliceSource()), cfg, RunOptions{Resume: ck.states[0]}); err != nil {
+				t.Fatalf("re-encoded checkpoint does not resume: %v", err)
+			}
 		}
 	})
 }
 
 // TestResumePreallocCapped: the counts in a checkpoint are untrusted, so a
-// header claiming 2^24 batch reports must fail at end of input after
+// section claiming 2^24 batch reports must fail at end of input after
 // preallocating at most maxPrealloc of them, not the ~2.8 GB it claims.
 func TestResumePreallocCapped(t *testing.T) {
 	cfg := DefaultConfig()
-	var buf bytes.Buffer
-	w := pg.NewWireWriter(&buf)
-	w.Raw([]byte(checkpointMagic))
-	w.String(cfg.withDefaults().fingerprint())
+	var sec bytes.Buffer
+	w := pg.NewWireWriter(&sec)
 	w.Uvarint(0)          // slots
-	writeSkips(w, nil)    // fault quarantines
 	w.Uvarint(maxReports) // report count, and no reports follow
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	clock, err := encodeClock(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := &statesCheckpointer{}
+	if err := writeCheckpoint(ck, cfg.withDefaults().fingerprint(), 0, nil, clock, [][]byte{sec.Bytes()}); err != nil {
+		t.Fatal(err)
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, _, _, err := ResumePipeline(&buf, cfg); err == nil {
+	if _, err := DecodeCheckpointSchemas(ck.states[0], cfg); err == nil {
 		t.Fatal("checkpoint without its reports resumed")
 	}
 	runtime.ReadMemStats(&after)

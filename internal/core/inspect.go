@@ -1,16 +1,11 @@
 package core
 
-import (
-	"bytes"
+import "pghive/internal/schema"
 
-	"pghive/internal/schema"
-)
-
-// DecodeCheckpointSchemas opens a checkpoint written by Run — a
-// single-pipeline PGCK11 stream or a sharded PGCK12 container — and
-// returns every pipeline's accumulated schema (one per shard, in shard
-// order). cfg must match the configuration the checkpoint was written
-// under, exactly as a resume would require; the fingerprint gate rejects
+// DecodeCheckpointSchemas opens a checkpoint written by Run and returns
+// every pipeline's accumulated schema: one, or one per shard in shard order.
+// cfg must match the configuration and shard count the checkpoint was
+// written under, exactly as a resume would require; restore rejects
 // anything else.
 //
 // This is the soak harness's window into a running discovery: decoding the
@@ -19,24 +14,13 @@ import (
 // pipeline that wrote it.
 func DecodeCheckpointSchemas(state []byte, cfg Config) ([]*schema.Schema, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Shards > 1 && bytes.HasPrefix(state, []byte(shardCheckpointMagic)) {
-		sections, _, _, err := decodeShardContainer(state, cfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]*schema.Schema, len(sections))
-		for i := range sections {
-			p, _, _, err := ResumePipeline(bytes.NewReader(sections[i]), shardConfig(cfg, i))
-			if err != nil {
-				return nil, err
-			}
-			out[i] = p.Schema()
-		}
-		return out, nil
-	}
-	p, _, _, err := ResumePipeline(bytes.NewReader(state), cfg)
-	if err != nil {
+	pipes := newPipelines(cfg)
+	if _, _, err := restore(state, cfg, pipes, nil); err != nil {
 		return nil, err
 	}
-	return []*schema.Schema{p.Schema()}, nil
+	out := make([]*schema.Schema, len(pipes))
+	for i, p := range pipes {
+		out[i] = p.schema
+	}
+	return out, nil
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -117,11 +116,11 @@ type monotonicityRecorder struct {
 }
 
 func (r *monotonicityRecorder) Save(state []byte) error {
-	p, _, _, err := ResumePipeline(bytes.NewReader(state), r.cfg)
+	schemas, err := DecodeCheckpointSchemas(state, r.cfg)
 	if err != nil {
 		return fmt.Errorf("decode checkpoint %d: %w", len(r.snaps), err)
 	}
-	r.snaps = append(r.snaps, fingerprint(p.Schema()))
+	r.snaps = append(r.snaps, fingerprint(schemas[0]))
 	return nil
 }
 

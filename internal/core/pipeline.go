@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"sync/atomic"
 	"time"
 
@@ -586,7 +585,7 @@ func Run(src pg.ErrSource, cfg Config, opts RunOptions) (*Result, error) {
 	var from resumeState
 	if opts.Resume != nil {
 		var err error
-		if p, from.slots, from.skipped, err = ResumePipeline(bytes.NewReader(opts.Resume), cfg); err != nil {
+		if from, _, err = restore(opts.Resume, cfg, []*Pipeline{p}, p.clock); err != nil {
 			return nil, err
 		}
 	}

@@ -22,22 +22,22 @@
 // byte-identical to Discover over the stream's first k·EpochInterval
 // batches.
 //
-// With a checkpointer, Run saves the whole fleet into one PGCK12 container:
-// the router's stream position, fault quarantines and clock as of that
-// position, plus one complete PGCK11 section per shard. Sections advance
-// independently (each shard checkpoints after its own extractions), so a
-// container pairs the newest state of the shard that just saved with the
-// latest states of the rest; on resume (RunOptions.Resume) the router
-// replays the stream from the beginning without re-validating it, skips
-// the batches its clock quarantined (the shards never saw them), and each
-// shard's own skip window drops exactly the sub-batches it already folded
-// in. Because the element→shard assignment ignores batch boundaries, the
-// replayed sub-batch sequence is identical, and the resumed run converges to
-// byte-identical Finalize output (TestShardedResume).
+// With a checkpointer, Run saves the whole fleet into one checkpoint
+// (checkpoint.go) with a section per shard: the header holds the router's
+// stream position, fault quarantines and clock as of that position.
+// Sections advance independently (each shard checkpoints after its own
+// extractions), so a checkpoint pairs the newest section of the shard that
+// just saved with the latest sections of the rest; on resume
+// (RunOptions.Resume) the router replays the stream from the beginning
+// without re-validating it, skips the batches its clock quarantined (the
+// shards never saw them), and each shard's own skip window drops exactly
+// the sub-batches it already folded in. Because the element→shard
+// assignment ignores batch boundaries, the replayed sub-batch sequence is
+// identical, and the resumed run converges to byte-identical Finalize
+// output (TestShardedResume).
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"time"
@@ -73,8 +73,12 @@ func shardConfig(cfg Config, i int) Config {
 	return sc
 }
 
-// newShardPipelines builds one fresh pipeline per shard.
-func newShardPipelines(cfg Config) []*Pipeline {
+// newPipelines builds a run's fresh pipelines: one per shard, or the single
+// pipeline when cfg.Shards ≤ 1.
+func newPipelines(cfg Config) []*Pipeline {
+	if cfg.Shards <= 1 {
+		return []*Pipeline{NewPipeline(cfg)}
+	}
 	pipes := make([]*Pipeline, cfg.Shards)
 	for i := range pipes {
 		pipes[i] = NewPipeline(shardConfig(cfg, i))
@@ -130,20 +134,14 @@ func runSharded(src pg.ErrSource, cfg Config, opts RunOptions) (*Result, error) 
 	start := time.Now()
 	instr := obs.NewInstr(cfg.Telemetry)
 	clock := newEpochClock(cfg, instr)
-	pipes := newShardPipelines(cfg)
+	pipes := newPipelines(cfg)
 	shardSlots := make([]int, cfg.Shards)
 	var from resumeState
 	if opts.Resume != nil {
-		sections, slots, skipped, err := decodeShardContainer(opts.Resume, cfg, clock)
-		if err != nil {
+		var err error
+		if from, shardSlots, err = restore(opts.Resume, cfg, pipes, clock); err != nil {
 			return nil, err
 		}
-		for i := range pipes {
-			if pipes[i], shardSlots[i], _, err = ResumePipeline(bytes.NewReader(sections[i]), shardConfig(cfg, i)); err != nil {
-				return nil, fmt.Errorf("core: shard %d: %w", i, err)
-			}
-		}
-		from = resumeState{slots: slots, skipped: skipped}
 	}
 
 	r := &router{
@@ -157,24 +155,26 @@ func runSharded(src pg.ErrSource, cfg Config, opts RunOptions) (*Result, error) 
 	r.pl = newPuller(src, from, r.instr)
 	if opts.Checkpoint != nil {
 		r.co = &shardCoordinator{
-			ck:      meter(opts.Checkpoint, r.instr),
-			cfg:     cfg,
-			states:  make([][]byte, cfg.Shards),
-			slots:   from.slots,
-			skipped: append([]SkipReport(nil), from.skipped...),
+			ck:       meter(opts.Checkpoint, r.instr),
+			fp:       cfg.fingerprint(),
+			sections: make([][]byte, cfg.Shards),
+			slots:    from.slots,
+			skipped:  append([]SkipReport(nil), from.skipped...),
 		}
 		var err error
 		if r.co.clock, err = encodeClock(clock); err != nil {
 			return nil, err
 		}
 		// Seed every section with its shard's quiescent state so the very
-		// first container is already complete and resumable.
+		// first checkpoint is already complete and resumable.
 		for i, p := range pipes {
-			var buf bytes.Buffer
-			if err := p.EncodeCheckpoint(&buf, shardSlots[i], nil); err != nil {
+			snap, err := p.stateSnapshot()
+			if err == nil {
+				r.co.sections[i], err = p.section(shardSlots[i], snap)
+			}
+			if err != nil {
 				return nil, fmt.Errorf("core: shard %d: %w", i, err)
 			}
-			r.co.states[i] = buf.Bytes()
 		}
 	}
 
@@ -206,9 +206,9 @@ func runSharded(src pg.ErrSource, cfg Config, opts RunOptions) (*Result, error) 
 func (r *router) shard(i, skipSlots int) {
 	p := r.pipes[i]
 	pl := newPuller(pg.AsErrSource(&chanSource{ch: r.feeds[i]}), resumeState{slots: skipSlots}, p.instr)
-	var ck Checkpointer
+	var save saver
 	if r.co != nil {
-		ck = shardSaver{co: r.co, shard: i}
+		save = func(section []byte, _ int, _ []SkipReport) error { return r.co.save(i, section) }
 	}
 	progress := func(pos int, err error) {
 		r.mu.Lock()
@@ -220,7 +220,7 @@ func (r *router) shard(i, skipSlots int) {
 		r.mu.Unlock()
 		r.cond.Broadcast()
 	}
-	if err := p.drain(pl, ck, progress); err != nil {
+	if err := p.drain(pl, save, progress); err != nil {
 		progress(0, err)
 	}
 	for range r.feeds[i] { // unblock the router if this shard stopped early
@@ -261,7 +261,7 @@ func (r *router) route() error {
 	for {
 		// A full window is cut before the next pull: right after the batch
 		// that filled it or, on resume, once the replay has caught up with a
-		// container saved between that batch and its cut.
+		// checkpoint saved between that batch and its cut.
 		if r.pl.slot >= r.pl.skipSlots && r.clock.due() {
 			if err := r.cut(); err != nil {
 				return err
@@ -382,97 +382,20 @@ func (r *router) finish(start time.Time) *Result {
 	}
 }
 
-// shardCheckpointMagic versions the sharded checkpoint container: router
-// position + fault quarantine list + the router's epoch clock section + one
-// complete PGCK11 section per shard (each with the empty clock section).
-// PGCK12 tracks PGCK11's raw-keyed degree rows, as PGCK10 put the run's
-// one clock in the header, PGCK8 tracked PGCK7's per-shard drift section
-// and PGCK6 tracked PGCK5. The shard count is validated explicitly from the
-// header (it is not part of the configuration fingerprint), so a container
-// written for N shards resumes only under Shards = N.
-const shardCheckpointMagic = "PGCK12"
-
-// maxShards bounds the shard count accepted from an untrusted container.
-const maxShards = 1 << 16
-
-// encodeShardContainer writes one fleet container; clock is the router's
-// encoded clock section (encodeClock).
-func encodeShardContainer(w *bytes.Buffer, cfg Config, slots int, skipped []SkipReport, clock []byte, states [][]byte) error {
-	bw := pg.NewWireWriter(w)
-	bw.Raw([]byte(shardCheckpointMagic))
-	bw.String(cfg.fingerprint())
-	bw.Uvarint(uint64(len(states)))
-	bw.Uvarint(uint64(slots))
-	writeSkips(bw, skipped)
-	bw.String(string(clock))
-	for _, st := range states {
-		bw.String(string(st))
-	}
-	return bw.Flush()
-}
-
-// decodeShardContainer parses a fleet container into its shard sections,
-// router position and fault quarantines, restoring the router's clock
-// section into clock (nil discards it). It validates the fingerprint and
-// that the container was written for exactly cfg.Shards shards.
-func decodeShardContainer(state []byte, cfg Config, clock *epochClock) (sections [][]byte, slots int, skipped []SkipReport, err error) {
-	br := pg.NewWireReader(bytes.NewReader(state))
-	if err := br.Expect(shardCheckpointMagic); err != nil {
-		return nil, 0, nil, fmt.Errorf("core: shard checkpoint: %w", err)
-	}
-	fp, err := br.String()
-	if err != nil {
-		return nil, 0, nil, fmt.Errorf("core: shard checkpoint fingerprint: %w", err)
-	}
-	if want := cfg.fingerprint(); fp != want {
-		return nil, 0, nil, fmt.Errorf("core: shard checkpoint was written under a different configuration:\n  checkpoint: %s\n  current:    %s", fp, want)
-	}
-	n, err := br.Uvarint(maxShards)
-	if err != nil {
-		return nil, 0, nil, fmt.Errorf("core: shard checkpoint shard count: %w", err)
-	}
-	if int(n) != cfg.Shards {
-		return nil, 0, nil, fmt.Errorf("core: shard checkpoint was written for %d shards, resuming with %d", n, cfg.Shards)
-	}
-	s, err := br.Uvarint(1 << 40)
-	if err != nil {
-		return nil, 0, nil, fmt.Errorf("core: shard checkpoint slots: %w", err)
-	}
-	if skipped, err = readSkips(br); err != nil {
-		return nil, 0, nil, err
-	}
-	js, err := br.String()
-	if err != nil {
-		return nil, 0, nil, fmt.Errorf("core: shard checkpoint epoch clock: %w", err)
-	}
-	if err := decodeClock([]byte(js), clock); err != nil {
-		return nil, 0, nil, err
-	}
-	sections = make([][]byte, n)
-	for i := range sections {
-		sec, err := br.String()
-		if err != nil {
-			return nil, 0, nil, fmt.Errorf("core: shard checkpoint section %d: %w", i, err)
-		}
-		sections[i] = []byte(sec)
-	}
-	return sections, int(s), skipped, nil
-}
-
-// shardCoordinator assembles PGCK12 containers: it holds every shard's latest
-// encoded PGCK11 state plus the router's current stream position, and
-// rewrites the container whenever any shard checkpoints. One mutex
-// serializes shard saves against router position updates, so a container's
-// position is always ≥ every sub-batch its sections have folded in, and its
-// quarantine list and clock are exactly as of that position.
+// shardCoordinator assembles a fleet's checkpoints: it holds every shard's
+// latest section plus the router's current stream position, and rewrites
+// the checkpoint whenever any shard saves. One mutex serializes shard saves
+// against router position updates, so a checkpoint's position is always ≥
+// every sub-batch its sections have folded in, and its quarantine list and
+// clock are exactly as of that position.
 type shardCoordinator struct {
-	mu      sync.Mutex
-	ck      Checkpointer
-	cfg     Config
-	states  [][]byte
-	slots   int
-	skipped []SkipReport
-	clock   []byte
+	mu       sync.Mutex
+	ck       Checkpointer
+	fp       string
+	sections [][]byte
+	slots    int
+	skipped  []SkipReport
+	clock    []byte
 }
 
 // position records the router's stream progress — its fault quarantines and
@@ -486,23 +409,11 @@ func (co *shardCoordinator) position(slots int, skipped []SkipReport, clock []by
 	co.mu.Unlock()
 }
 
-// save installs shard's newest state and persists the container.
-func (co *shardCoordinator) save(shard int, state []byte) error {
+// save installs shard's newest section, which it takes over, and persists
+// the checkpoint.
+func (co *shardCoordinator) save(shard int, section []byte) error {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	co.states[shard] = append([]byte(nil), state...)
-	var buf bytes.Buffer
-	if err := encodeShardContainer(&buf, co.cfg, co.slots, co.skipped, co.clock, co.states); err != nil {
-		return fmt.Errorf("core: encode shard container: %w", err)
-	}
-	return co.ck.Save(buf.Bytes())
+	co.sections[shard] = section
+	return writeCheckpoint(co.ck, co.fp, co.slots, co.skipped, co.clock, co.sections)
 }
-
-// shardSaver is shard i's Checkpointer view of the coordinator.
-type shardSaver struct {
-	co    *shardCoordinator
-	shard int
-}
-
-// Save implements Checkpointer.
-func (s shardSaver) Save(state []byte) error { return s.co.save(s.shard, state) }

@@ -232,11 +232,16 @@ func TestCheckpointRoundtripsTimings(t *testing.T) {
 		},
 		{Batch: 1, Nodes: 7, Load: 123 * time.Microsecond, Wall: 456 * time.Microsecond},
 	}
-	var buf bytes.Buffer
-	if err := p.EncodeCheckpoint(&buf, 2, nil); err != nil {
+	snap, err := p.stateSnapshot()
+	if err != nil {
 		t.Fatal(err)
 	}
-	restored, slots, _, err := ResumePipeline(&buf, cfg)
+	sec, err := p.section(2, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := NewPipeline(cfg)
+	slots, err := restored.readSection(pg.NewWireReader(bytes.NewReader(sec)))
 	if err != nil {
 		t.Fatal(err)
 	}

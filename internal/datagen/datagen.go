@@ -16,6 +16,7 @@ package datagen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -204,20 +205,36 @@ func weightsOf(n int, w func(i int) float64) []float64 {
 }
 
 // apportion splits total into len(weights) integer parts proportional to
-// weights, each at least 1 (when total allows).
+// weights, each at least 1 (when total allows). Weights whose shares are
+// not all finite — they sum to zero, or the sum or a share overflows — are
+// rescaled by the largest, and split evenly if that still leaves no finite
+// share, so the parts are never negative and always sum to total.
 func apportion(total int, weights []float64) []int {
 	n := len(weights)
 	if n == 0 {
 		return nil
 	}
-	sum := 0.0
-	for _, w := range weights {
-		sum += w
+	parts, ok := shares(total, weights)
+	if !ok {
+		top := 0.0
+		for _, w := range weights {
+			top = math.Max(top, math.Abs(w))
+		}
+		scaled := make([]float64, n)
+		for i, w := range weights {
+			scaled[i] = w / top
+		}
+		if parts, ok = shares(total, scaled); !ok {
+			for i := range scaled {
+				scaled[i] = 1
+			}
+			parts, _ = shares(total, scaled)
+		}
 	}
 	out := make([]int, n)
 	assigned := 0
-	for i, w := range weights {
-		out[i] = int(float64(total) * w / sum)
+	for i, x := range parts {
+		out[i] = int(x)
 		if out[i] == 0 && total >= n {
 			out[i] = 1
 		}
@@ -238,6 +255,22 @@ func apportion(total int, weights []float64) []int {
 		i++
 	}
 	return out
+}
+
+// shares returns total·w/sum for every weight, and whether all are finite.
+func shares(total int, weights []float64) ([]float64, bool) {
+	sum := 0.0
+	for _, w := range weights {
+		sum += w
+	}
+	out := make([]float64, len(weights))
+	for i, w := range weights {
+		out[i] = float64(total) * w / sum
+		if math.IsNaN(out[i]) || math.IsInf(out[i], 0) {
+			return out, false
+		}
+	}
+	return out, true
 }
 
 // randDraws is the slice of math/rand's API the generators draw from,

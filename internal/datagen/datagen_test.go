@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"pghive/internal/pg"
 )
@@ -189,6 +190,9 @@ func TestGenerateMultiplePatternsPerType(t *testing.T) {
 	}
 }
 
+// TestApportion: every split is non-negative and sums to total, also for
+// weights that sum to zero or whose product with total overflows — cases
+// that once spun for ~2^63 iterations, so each runs against a deadline.
 func TestApportion(t *testing.T) {
 	tests := []struct {
 		total   int
@@ -199,9 +203,20 @@ func TestApportion(t *testing.T) {
 		{3, []float64{1, 1, 1, 1, 1}}, // fewer than groups
 		{0, []float64{2, 3}},
 		{1000, []float64{0.5, 99.5}},
+		{5, []float64{0}},           // zero sum
+		{5000, []float64{1e308, 1}}, // total·w overflows
+		{3, []float64{0, 0}},        // zero sum, several groups
 	}
 	for _, tc := range tests {
-		out := apportion(tc.total, tc.weights)
+		done := make(chan []int, 1)
+		go func() { done <- apportion(tc.total, tc.weights) }()
+		var out []int
+		select {
+		case out = <-done:
+		case <-time.After(5 * time.Second):
+			t.Errorf("apportion(%d,%v) did not return within 5s", tc.total, tc.weights)
+			continue
+		}
 		sum := 0
 		for _, c := range out {
 			if c < 0 {

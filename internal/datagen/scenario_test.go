@@ -2,8 +2,10 @@ package datagen
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
+	"time"
 
 	"pghive/internal/pg"
 )
@@ -250,6 +252,43 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 		if h1 != h2 {
 			t.Errorf("%s: round-tripped scenario streams differently", sc.Name)
 		}
+	}
+}
+
+// TestScenarioHugeWeightStreams: a scenario file is untrusted input, and
+// Validate bounds no weight, so a node type weighted 1e308 — whose product
+// with the batch size overflows — must still stream to its end, with every
+// batch at its node count.
+func TestScenarioHugeWeightStreams(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteScenarioJSON(&buf, ScenarioByName("steady")); err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["profile"].(map[string]any)["nodeTypes"].([]any)[0].(map[string]any)["weight"] = 1e308
+	evil, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := ReadScenarioJSON(bytes.NewReader(evil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan int, 1)
+	go func() {
+		_, _, nodes, _ := HashStream(sc.Stream(1))
+		done <- nodes
+	}()
+	select {
+	case nodes := <-done:
+		if want := sc.TotalBatches() * sc.BatchNodes; nodes != want {
+			t.Errorf("streamed %d nodes, want %d", nodes, want)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("a scenario with a 1e308 weight did not stream within 20s")
 	}
 }
 

@@ -185,8 +185,8 @@ type (
 	RetrySource = pg.RetrySource
 	// RetryExhaustedError reports a slot that kept failing transiently.
 	RetryExhaustedError = pg.RetryExhaustedError
-	// RunOptions sets where Run checkpoints and what it resumes from (a
-	// checkpoint, or a fleet container when Config.Shards > 1).
+	// RunOptions sets where Run checkpoints and what it resumes from (one
+	// checkpoint format, with a section per shard when Config.Shards > 1).
 	RunOptions = core.RunOptions
 	// SkipReport records one quarantined batch.
 	SkipReport = core.SkipReport
