@@ -183,7 +183,7 @@ func (m *memCheckpointer) Save(state []byte) error {
 // faults absorbed by retry with backoff computed but not slept (fault10/50),
 // and per-batch checkpointing of the full pipeline state (checkpoint).
 // Every scenario must finalize the same schema as the plain engine;
-// internal/core's TestDiscoverFTTransientIdentity checks that identity.
+// internal/core's TestConfigMatrix checks that identity.
 func BenchmarkDiscoverFaults(b *testing.B) {
 	ds := benchDataset("LDBC", 2500)
 	batches := ds.Graph.SplitRandom(8, 1)

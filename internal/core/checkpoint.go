@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"time"
@@ -62,36 +63,39 @@ type SkipReport struct {
 	Reason string
 }
 
-// fingerprint renders every configuration field that affects discovery
-// output. A checkpoint written under one fingerprint cannot be resumed under
-// another: the replayed batches would be processed differently and the
-// byte-identity guarantee would silently break. Which Config fields it
-// covers, and why the others are left out, is declared once in
-// TestConfigFieldsClassified (config_fields_test.go), which fails when a
-// field is added without a class.
+// fingerprint renders, after the layout tag v4, every Config field whose
+// `checkpoint` tag says it can change discovery output — quarantine-only
+// fields under DriftQuarantine only — as name=value in declaration order.
+// A checkpoint cannot be resumed under another fingerprint: the replayed
+// batches would be processed differently and the byte-identity guarantee
+// would silently break. A func renders only whether it is set, since func
+// values cannot be compared; a nil pointer renders as auto. A field without
+// a known class renders as fingerprinted (and fails
+// TestConfigFieldsClassified).
 func (c Config) fingerprint() string {
-	fp := fmt.Sprintf("v3 m=%d th=%g emb=%+v lw=%g sem=%t al=%t at=%g as=%t np=%s ep=%s mhr=%d sdt=%t part=%t sf=%g smin=%d tm=%t mb=%d seed=%d",
-		c.Method, c.Theta, c.Embedding, c.LabelWeight, c.SemanticLabels,
-		c.AlignLabels, c.AlignThreshold, c.AlignSimilarity != nil,
-		paramsFingerprint(c.NodeParams), paramsFingerprint(c.EdgeParams),
-		c.MinHashRows, c.SampleDatatypes, c.Participation, c.SampleFraction,
-		c.SampleMin, c.TrackMembers, c.MemBudgetBytes, c.Seed)
-	// Only the quarantine policy decides which batches merge, so only it —
-	// together with the epoch cadence that times its validation targets —
-	// changes the discovered schema. Off, evolve and alert are
-	// execution-only and share the unsuffixed fingerprint, so their
-	// checkpoints cross-resume freely.
-	if c.DriftPolicy == DriftQuarantine {
-		fp += fmt.Sprintf(" dp=quarantine ei=%d", c.EpochInterval)
+	var b strings.Builder
+	b.WriteString("v4")
+	v := reflect.ValueOf(c)
+	for i := 0; i < v.NumField(); i++ {
+		f, fv := v.Type().Field(i), v.Field(i)
+		switch classOf(f) {
+		case executionOnly, sectionCount:
+			continue
+		case quarantineOnly:
+			if c.DriftPolicy != DriftQuarantine {
+				continue
+			}
+		}
+		switch {
+		case fv.Kind() == reflect.Func:
+			fmt.Fprintf(&b, " %s=%t", f.Name, !fv.IsNil())
+		case fv.Kind() == reflect.Pointer && fv.IsNil():
+			fmt.Fprintf(&b, " %s=auto", f.Name)
+		default:
+			fmt.Fprintf(&b, " %s=%+v", f.Name, reflect.Indirect(fv))
+		}
 	}
-	return fp
-}
-
-func paramsFingerprint(p *lsh.Params) string {
-	if p == nil {
-		return "auto"
-	}
-	return fmt.Sprintf("%+v", *p)
+	return b.String()
 }
 
 // stateSnapshot encodes the preprocess-frontier state (aligner + embedding

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"reflect"
 	"runtime"
 	"sync"
 
@@ -42,32 +43,47 @@ func (m Method) String() string {
 	}
 }
 
+// fieldClass is a Config field's checkpoint class, declared once in the
+// field's `checkpoint` tag: fingerprint renders from it, and the tests of the
+// classes and of the execution-only contract read the same tags.
+type fieldClass string
+
+const (
+	fingerprinted  fieldClass = "fingerprinted"   // can change the schema: resume is refused under another value
+	executionOnly  fieldClass = "execution-only"  // never changes the schema: checkpoints resume across values
+	quarantineOnly fieldClass = "quarantine-only" // changes the schema only under DriftQuarantine
+	sectionCount   fieldClass = "section-count"   // recorded by the checkpoint's section count, one per pipeline
+)
+
+func classOf(f reflect.StructField) fieldClass { return fieldClass(f.Tag.Get("checkpoint")) }
+
 // Config controls a discovery run. The zero value plus DefaultConfig's
 // fields reproduce the paper's configuration: adaptive LSH parameters,
-// θ = 0.9, 10 %/≥1000 data-type sampling.
+// θ = 0.9, 10 %/≥1000 data-type sampling. Each field's `checkpoint` tag
+// declares its checkpoint class (fieldClass).
 type Config struct {
 	// Method is the clustering family.
-	Method Method
+	Method Method `checkpoint:"fingerprinted"`
 	// Theta is the Jaccard merge threshold θ of Algorithm 2.
-	Theta float64
+	Theta float64 `checkpoint:"fingerprinted"`
 	// Embedding configures the per-batch Word2Vec label model.
-	Embedding embed.Config
+	Embedding embed.Config `checkpoint:"fingerprinted"`
 	// LabelWeight scales the embedding block relative to the binary
 	// property indicators (0 means the vectorizer default).
-	LabelWeight float64
+	LabelWeight float64 `checkpoint:"fingerprinted"`
 	// SemanticLabels trains the label embedding on multi-label
 	// co-occurrence so overlapping label sets attract (off by default;
 	// see vectorize.Config.SemanticLabels).
-	SemanticLabels bool
+	SemanticLabels bool `checkpoint:"fingerprinted"`
 	// AlignLabels enables label alignment for integration scenarios (the
 	// paper's future-work item (c)): label variants such as Organization /
 	// Organisation are canonicalized before clustering, so sources with
 	// inconsistent label conventions land in shared types. Uses
 	// AlignThreshold over AlignSimilarity.
-	AlignLabels bool
+	AlignLabels bool `checkpoint:"fingerprinted"`
 	// AlignThreshold is the similarity threshold for label alignment
 	// (0 means 0.8).
-	AlignThreshold float64
+	AlignThreshold float64 `checkpoint:"fingerprinted"`
 	// AlignSimilarity overrides the label similarity function (nil means
 	// normalized edit distance over folded labels; an embedding- or
 	// LLM-backed scorer can drop in). The checkpoint fingerprint records
@@ -75,45 +91,42 @@ type Config struct {
 	// compared: resuming a checkpoint written under one custom scorer with
 	// a different custom scorer is outside the fingerprint's reach, so the
 	// two must match by caller contract.
-	AlignSimilarity align.Similarity
+	AlignSimilarity align.Similarity `checkpoint:"fingerprinted"`
 	// NodeParams and EdgeParams override the adaptive LSH parameters when
 	// non-nil (the paper's manual mode; Figure 6 sweeps these).
-	NodeParams *lsh.Params
-	EdgeParams *lsh.Params
+	NodeParams *lsh.Params `checkpoint:"fingerprinted"`
+	EdgeParams *lsh.Params `checkpoint:"fingerprinted"`
 	// MinHashRows, when > 0, switches MinHash clustering to banded mode
 	// with that many rows per band; 0 groups by the full signature.
-	MinHashRows int
+	MinHashRows int `checkpoint:"fingerprinted"`
 	// SampleDatatypes makes Finalize use the sample-based data-type
 	// inference (the paper's optional flag, §4.4).
-	SampleDatatypes bool
+	SampleDatatypes bool `checkpoint:"fingerprinted"`
 	// Participation enables edge lower-bound analysis in Finalize: the
 	// cardinality lower bound upgrades from 0 to 1 when every source-type
 	// instance carries such an edge (the paper's §4.4 future-work step).
-	Participation bool
+	Participation bool `checkpoint:"fingerprinted"`
 	// SampleFraction and SampleMin control the data-type sample: every
 	// property's first SampleMin observations are always sampled, then a
 	// SampleFraction share of the rest (paper: 10 %, at least 1000).
-	SampleFraction float64
-	SampleMin      int
+	SampleFraction float64 `checkpoint:"fingerprinted"`
+	SampleMin      int     `checkpoint:"fingerprinted"`
 	// TrackMembers records per-type member element IDs (needed by the
 	// evaluation harness to compute F1*; costs memory).
-	TrackMembers bool
+	TrackMembers bool `checkpoint:"fingerprinted"`
 	// Parallelism bounds the worker goroutines of the cluster stage
 	// (signature hashing, node and edge clustering side by side) and of
 	// candidate building (evidence observation and the data-type sample);
-	// 0 means GOMAXPROCS. Execution-only: the discovered schema — the
-	// data-type sample included — is the same at every value, so it is
-	// excluded from the checkpoint fingerprint.
-	Parallelism int
+	// 0 means GOMAXPROCS. The discovered schema, the data-type sample
+	// included, is the same at every value.
+	Parallelism int `checkpoint:"execution-only"`
 	// Telemetry receives execution events during the run: per-stage spans,
 	// counters (batches, elements, clusters, retries, cache hits, checkpoint
 	// bytes) and LSH bucket-occupancy histograms. nil disables
 	// instrumentation — the no-op path costs zero allocations and is pinned
 	// by a benchmark. The sink must be safe for concurrent use: the
-	// overlapped engine emits from several goroutines. Execution-only: like
-	// Parallelism and PipelineDepth it never affects the discovered schema
-	// and is excluded from the checkpoint fingerprint.
-	Telemetry obs.Sink
+	// overlapped engine emits from several goroutines.
+	Telemetry obs.Sink `checkpoint:"execution-only"`
 	// Shards partitions the element stream across that many independent
 	// discovery pipelines — each with its own schema, sampler and embedding
 	// session — whose partial schemas are merged when the stream ends, and at
@@ -130,7 +143,7 @@ type Config struct {
 	// SampleKinds can differ (see DESIGN.md §11). Not part of the checkpoint
 	// fingerprint — a checkpoint holds one section per pipeline, and its
 	// section count must equal max(Shards, 1) to resume.
-	Shards int
+	Shards int `checkpoint:"section-count"`
 	// MemBudgetBytes caps the evidence layer's retained memory. 0 (the
 	// default) keeps today's exact accumulators: per-endpoint degree
 	// counters and per-property value hash sets, whose memory grows with
@@ -141,28 +154,27 @@ type Config struct {
 	// stream size. Sketched evidence changes what the constraints see —
 	// uniqueness and max-degree become statistical estimates — so the
 	// budget is part of the checkpoint fingerprint.
-	MemBudgetBytes int64
+	MemBudgetBytes int64 `checkpoint:"fingerprinted"`
 	// DriftPolicy enables streaming conformance checking: the run's epoch
 	// clock validates every batch against the schema of the current epoch
 	// before its candidates merge, and classified violations flow out as
 	// obs drift counters and drift-log records (see drift.go, epoch.go).
 	// DriftOff (the zero value) disables validation entirely. Evolve and
-	// alert are execution-only — the discovered schema is byte-identical to
-	// a validator-free run — so they are excluded from the checkpoint
-	// fingerprint; quarantine withholds violating batches from the merge and
-	// therefore fingerprints (together with EpochInterval).
-	DriftPolicy DriftPolicy
+	// alert leave the schema byte-identical to a validator-free run; only
+	// quarantine, which withholds violating batches from the merge, can
+	// change it.
+	DriftPolicy DriftPolicy `checkpoint:"quarantine-only"`
 	// EpochInterval is the epoch window length: every that many batches
 	// through the clock's gate (merged or quarantined), the run's epoch clock
 	// snapshots the finalized schema, diffs it against the previous epoch
 	// and installs it as the new validation target. A sharded run counts
 	// source batches at the router, so its epochs fall where the unsharded
 	// run's do. 0 means DefaultEpochInterval.
-	EpochInterval int
+	EpochInterval int `checkpoint:"quarantine-only"`
 	// DriftLog, when non-nil, receives JSONL drift records from the run's
 	// epoch clock: classified violation batches (under alert and quarantine
 	// only; evolve counts without logging) and epoch diffs. Execution-only.
-	DriftLog *DriftLog
+	DriftLog *DriftLog `checkpoint:"execution-only"`
 	// OnEpoch, when non-nil, receives an EpochSnapshot at every epoch
 	// boundary — the resident schema service's publication hook. Setting it
 	// activates the epoch clock even under DriftPolicy off (snapshot + diff
@@ -174,10 +186,9 @@ type Config struct {
 	// shard router at a consistent cut where every shard has folded what it
 	// was routed, so a fleet epoch is byte-identical to Discover over the
 	// batches before the cut — and must return quickly; the snapshot Def is
-	// immutable and safe to retain. Execution-only: it observes the schema
-	// but never feeds back, so — like Telemetry — it is excluded from the
-	// checkpoint fingerprint.
-	OnEpoch func(EpochSnapshot)
+	// immutable and safe to retain. It observes the schema but never feeds
+	// back.
+	OnEpoch func(EpochSnapshot) `checkpoint:"execution-only"`
 	// PipelineDepth controls the staged batch execution engine every entry
 	// point runs (engine.go). Values > 1 allow that many batches in flight at
 	// once: a load goroutine keeps the next batch pulled while the current
@@ -188,9 +199,11 @@ type Config struct {
 	// schema is byte-identical to a serial run with the same seed (the
 	// monotone guarantee S_i ⊑ S_{i+1} is scheduling-independent).
 	// 1 runs the same stages inline; 0 means DefaultPipelineDepth.
-	PipelineDepth int
-	// Seed drives all randomness.
-	Seed int64
+	PipelineDepth int `checkpoint:"execution-only"`
+	// Seed drives the LSH hash families, adaptive parameter sampling and the
+	// data-type sample. It seeds the Word2Vec label model only when
+	// Embedding.Dim is 0, so under DefaultConfig Embedding.Seed (1) does.
+	Seed int64 `checkpoint:"fingerprinted"`
 }
 
 // DefaultPipelineDepth is the batch-overlap depth used when

@@ -12,80 +12,68 @@ import (
 	"pghive/internal/pg"
 )
 
-// fieldClass is a Config field's checkpoint-fingerprint status.
-type fieldClass uint8
-
-const (
-	// fingerprinted fields can change the discovered schema, so a
-	// checkpoint refuses to resume under a different value.
-	fingerprinted fieldClass = iota
-	// executionOnly fields change how a run executes or what it reports,
-	// never the schema; checkpoints resume across any value.
-	executionOnly
-	// quarantineOnly fields change the schema only under DriftQuarantine,
-	// which decides which batches merge; they fingerprint only there.
-	quarantineOnly
-	// sectionCount fields are recorded by the checkpoint's section count,
-	// one per pipeline, rather than by the fingerprint.
-	sectionCount
-)
-
-// configFields classifies every Config field and gives each a change away
-// from DefaultConfig(). A new field without an entry fails
-// TestConfigFieldsClassified, so its fingerprint status is always decided.
-var configFields = map[string]struct {
-	class fieldClass
-	set   func(*Config)
-}{
-	"Method":          {fingerprinted, func(c *Config) { c.Method = MethodMinHash }},
-	"Theta":           {fingerprinted, func(c *Config) { c.Theta = 0.7 }},
-	"Embedding":       {fingerprinted, func(c *Config) { c.Embedding.Dim = 7 }},
-	"LabelWeight":     {fingerprinted, func(c *Config) { c.LabelWeight = 2 }},
-	"SemanticLabels":  {fingerprinted, func(c *Config) { c.SemanticLabels = true }},
-	"AlignLabels":     {fingerprinted, func(c *Config) { c.AlignLabels = true }},
-	"AlignThreshold":  {fingerprinted, func(c *Config) { c.AlignThreshold = 0.6 }},
-	"AlignSimilarity": {fingerprinted, func(c *Config) { c.AlignSimilarity = align.DefaultSimilarity }},
-	"NodeParams":      {fingerprinted, func(c *Config) { c.NodeParams = &lsh.Params{Bucket: 1, Tables: 4} }},
-	"EdgeParams":      {fingerprinted, func(c *Config) { c.EdgeParams = &lsh.Params{Bucket: 1, Tables: 4} }},
-	"MinHashRows":     {fingerprinted, func(c *Config) { c.MinHashRows = 4 }},
-	"SampleDatatypes": {fingerprinted, func(c *Config) { c.SampleDatatypes = true }},
-	"Participation":   {fingerprinted, func(c *Config) { c.Participation = true }},
-	"SampleFraction":  {fingerprinted, func(c *Config) { c.SampleFraction = 0.5 }},
-	"SampleMin":       {fingerprinted, func(c *Config) { c.SampleMin = 10 }},
-	"TrackMembers":    {fingerprinted, func(c *Config) { c.TrackMembers = true }},
-	"MemBudgetBytes":  {fingerprinted, func(c *Config) { c.MemBudgetBytes = 64 << 20 }},
-	"Seed":            {fingerprinted, func(c *Config) { c.Seed = 99 }},
-	"Parallelism":     {executionOnly, func(c *Config) { c.Parallelism = 3 }},
-	"Telemetry":       {executionOnly, func(c *Config) { c.Telemetry = obs.NewRegistry() }},
-	"DriftLog":        {executionOnly, func(c *Config) { c.DriftLog = NewDriftLog(io.Discard) }},
-	"OnEpoch":         {executionOnly, func(c *Config) { c.OnEpoch = func(EpochSnapshot) {} }},
-	"PipelineDepth":   {executionOnly, func(c *Config) { c.PipelineDepth = 8 }},
-	"DriftPolicy":     {quarantineOnly, func(c *Config) { c.DriftPolicy = DriftAlert }},
-	"EpochInterval":   {quarantineOnly, func(c *Config) { c.EpochInterval = 3 }},
-	"Shards":          {sectionCount, func(c *Config) { c.Shards = 4 }},
+// configSetters gives every Config field a change away from
+// DefaultConfig(); the field's class is its `checkpoint` tag (config.go).
+// TestConfigMatrix applies the execution-only and quarantine-only setters to
+// its rows, so each also changes the rows' values: Parallelism goes from 1
+// to 8, and PipelineDepth d to d+1 (8 to 1).
+var configSetters = map[string]func(*Config){
+	"Method":          func(c *Config) { c.Method = MethodMinHash },
+	"Theta":           func(c *Config) { c.Theta = 0.7 },
+	"Embedding":       func(c *Config) { c.Embedding.Dim = 7 },
+	"LabelWeight":     func(c *Config) { c.LabelWeight = 2 },
+	"SemanticLabels":  func(c *Config) { c.SemanticLabels = true },
+	"AlignLabels":     func(c *Config) { c.AlignLabels = true },
+	"AlignThreshold":  func(c *Config) { c.AlignThreshold = 0.6 },
+	"AlignSimilarity": func(c *Config) { c.AlignSimilarity = align.DefaultSimilarity },
+	"NodeParams":      func(c *Config) { c.NodeParams = &lsh.Params{Bucket: 1, Tables: 4} },
+	"EdgeParams":      func(c *Config) { c.EdgeParams = &lsh.Params{Bucket: 1, Tables: 4} },
+	"MinHashRows":     func(c *Config) { c.MinHashRows = 4 },
+	"SampleDatatypes": func(c *Config) { c.SampleDatatypes = true },
+	"Participation":   func(c *Config) { c.Participation = true },
+	"SampleFraction":  func(c *Config) { c.SampleFraction = 0.5 },
+	"SampleMin":       func(c *Config) { c.SampleMin = 10 },
+	"TrackMembers":    func(c *Config) { c.TrackMembers = true },
+	"MemBudgetBytes":  func(c *Config) { c.MemBudgetBytes = 64 << 20 },
+	"Seed":            func(c *Config) { c.Seed = 99 },
+	"Parallelism":     func(c *Config) { c.Parallelism = 8 },
+	"Telemetry":       func(c *Config) { c.Telemetry = obs.Multi(obs.NewRegistry(), obs.NewTraceWriter(io.Discard)) },
+	"DriftLog":        func(c *Config) { c.DriftLog = NewDriftLog(io.Discard) },
+	"OnEpoch":         func(c *Config) { c.OnEpoch = func(EpochSnapshot) {} },
+	"PipelineDepth":   func(c *Config) { c.PipelineDepth = 1 + c.PipelineDepth%8 },
+	"DriftPolicy":     func(c *Config) { c.DriftPolicy = DriftEvolve },
+	"EpochInterval":   func(c *Config) { c.EpochInterval = 3 },
+	"Shards":          func(c *Config) { c.Shards = 4 },
 }
 
-// TestConfigFieldsClassified declares, once, which Config fields the
-// checkpoint fingerprint covers. The table must name exactly the struct's
-// fields, and changing each field away from DefaultConfig() must change
-// fingerprint() exactly when the field is fingerprinted — quarantine-only
-// fields change it under DriftQuarantine and nowhere else.
+// TestConfigFieldsClassified: every Config field declares a checkpoint
+// class and has a setter in configSetters, and changing each field away
+// from DefaultConfig() changes fingerprint() exactly when the field is
+// fingerprinted — quarantine-only fields change it under DriftQuarantine
+// and nowhere else.
 func TestConfigFieldsClassified(t *testing.T) {
 	typ := reflect.TypeOf(Config{})
 	for i := 0; i < typ.NumField(); i++ {
-		if _, ok := configFields[typ.Field(i).Name]; !ok {
-			t.Errorf("Config.%s has no fingerprint class in configFields", typ.Field(i).Name)
+		f := typ.Field(i)
+		switch classOf(f) {
+		case fingerprinted, executionOnly, quarantineOnly, sectionCount:
+		default:
+			t.Errorf("Config.%s declares no checkpoint class (tag %q)", f.Name, f.Tag)
+		}
+		if configSetters[f.Name] == nil {
+			t.Errorf("Config.%s has no setter in configSetters", f.Name)
 		}
 	}
-	for name, f := range configFields {
-		if _, ok := typ.FieldByName(name); !ok {
-			t.Errorf("configFields names %s, which is not a Config field", name)
+	for name, set := range configSetters {
+		f, ok := typ.FieldByName(name)
+		if !ok {
+			t.Errorf("configSetters names %s, which is not a Config field", name)
 			continue
 		}
 		check := func(base Config, wantChange bool, where string) {
 			t.Helper()
 			c := base
-			f.set(&c)
+			set(&c)
 			before := reflect.ValueOf(base).FieldByName(name)
 			after := reflect.ValueOf(c).FieldByName(name)
 			if after.Kind() == reflect.Func && before.IsNil() == after.IsNil() ||
@@ -97,8 +85,8 @@ func TestConfigFieldsClassified(t *testing.T) {
 			}
 		}
 		base := DefaultConfig()
-		check(base, f.class == fingerprinted, "default")
-		if f.class == quarantineOnly {
+		check(base, classOf(f) == fingerprinted, "default")
+		if classOf(f) == quarantineOnly {
 			q := base
 			q.DriftPolicy = DriftQuarantine
 			check(q, true, "quarantine")

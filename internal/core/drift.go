@@ -12,8 +12,9 @@
 //
 //   - DriftEvolve merges it exactly as an unvalidated run would — the
 //     discovered schema is byte-identical to a validator-free run (pinned
-//     by TestDriftEvolveByteIdentical), because validation reads the batch
-//     and the epoch Def but never touches schema, sampler or session.
+//     by TestConfigMatrix, which reruns every unquarantined row under
+//     evolve), because validation reads the batch and the epoch Def but
+//     never touches schema, sampler or session.
 //   - DriftAlert merges too, but records the classified violations to the
 //     drift log.
 //   - DriftQuarantine withholds the batch from the merge and routes it
@@ -88,8 +89,9 @@ func ParseDriftPolicy(s string) (DriftPolicy, error) {
 	}
 }
 
-// DefaultEpochInterval is the epoch window length (in extracted batches)
-// used when Config.EpochInterval is 0.
+// DefaultEpochInterval is the epoch window length used when
+// Config.EpochInterval is 0. It counts every batch through the epoch
+// clock's gate, quarantined ones included, not only extracted batches.
 const DefaultEpochInterval = 8
 
 // driftMaxDetails caps the violation details retained per batch for the

@@ -97,39 +97,6 @@ func TestParseDriftPolicy(t *testing.T) {
 	}
 }
 
-// TestDriftEvolveByteIdentical is the acceptance criterion for the evolve
-// policy: validation observes but never participates, so the discovered
-// schema is byte-identical to a validator-free run — at serial and
-// overlapped depths, unsharded and sharded.
-func TestDriftEvolveByteIdentical(t *testing.T) {
-	batches := driftStream(4, 4)
-	for _, depth := range []int{1, 4} {
-		for _, shards := range []int{1, 2} {
-			base := DefaultConfig()
-			base.PipelineDepth = depth
-			base.Shards = shards
-			want := Discover(pg.NewSliceSource(batches...), base)
-			wantJSON, wantDDL := renderDef(t, want.Def)
-
-			cfg := base
-			cfg.DriftPolicy = DriftEvolve
-			cfg.EpochInterval = 3
-			got := Discover(pg.NewSliceSource(batches...), cfg)
-			gotJSON, gotDDL := renderDef(t, got.Def)
-			if !bytes.Equal(wantJSON, gotJSON) || !bytes.Equal(wantDDL, gotDDL) {
-				t.Errorf("depth=%d shards=%d: evolve schema diverges from validator-free run\nwant %s\ngot  %s",
-					depth, shards, wantJSON, gotJSON)
-			}
-			if len(got.Skipped) != 0 {
-				t.Errorf("depth=%d shards=%d: evolve quarantined %d batches", depth, shards, len(got.Skipped))
-			}
-			if got.Drift == nil || got.Drift.Total() == 0 {
-				t.Errorf("depth=%d shards=%d: evolve run saw no drift on a drifting stream: %+v", depth, shards, got.Drift)
-			}
-		}
-	}
-}
-
 // TestDriftCountersClassified: a drifting stream fires every witnessable
 // drift class — on the obs registry, in the drift log, and in the summary —
 // and the epoch diff against the pre-drift baseline is nonempty.

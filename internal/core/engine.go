@@ -269,7 +269,7 @@ func (p *Pipeline) save(put saver, c computed) error {
 		return fmt.Errorf("core: save checkpoint: %w", err)
 	}
 	p.instr.Span(obs.Span{
-		Stage: obs.StageCheckpoint, Batch: len(p.reports) - 1,
+		Stage: obs.StageCheckpoint, Batch: c.seq, Slot: p.slot(c.seq),
 		Start: start, Duration: time.Since(start),
 		Elements: len(section),
 	})

@@ -67,37 +67,6 @@ func defsEqual(t *testing.T, label string, want, got *schema.Def) {
 	t.Errorf("%s: schemas differ\nserial:    %s\npipelined: %s", label, wj, gj)
 }
 
-// TestOverlappedMatchesSerial is the engine's core guarantee: because only
-// extraction mutates order-dependent state and it stays serialized in batch
-// order, a pipelined run produces a byte-identical finalized schema to a
-// serial run with the same seed — for both LSH methods and any depth.
-func TestOverlappedMatchesSerial(t *testing.T) {
-	g := engineGraph(t, 400)
-	for _, m := range []Method{MethodELSH, MethodMinHash} {
-		serialCfg := DefaultConfig()
-		serialCfg.Method = m
-		serialCfg.PipelineDepth = 1
-		serial := discoverSplit(g, serialCfg, 6, 11)
-		for _, depth := range []int{2, 4, 8} {
-			cfg := serialCfg
-			cfg.PipelineDepth = depth
-			piped := discoverSplit(g, cfg, 6, 11)
-			defsEqual(t, m.String(), serial.Def, piped.Def)
-			if len(piped.Reports) != len(serial.Reports) {
-				t.Errorf("%v depth=%d: %d reports, want %d", m, depth, len(piped.Reports), len(serial.Reports))
-			}
-			for i, r := range piped.Reports {
-				if r.Batch != i {
-					t.Errorf("%v depth=%d: report %d out of order (Batch=%d)", m, depth, i, r.Batch)
-				}
-				if r.NodeClusters != serial.Reports[i].NodeClusters || r.EdgeClusters != serial.Reports[i].EdgeClusters {
-					t.Errorf("%v depth=%d batch %d: cluster counts diverge from serial", m, depth, i)
-				}
-			}
-		}
-	}
-}
-
 // TestOverlappedMatchesSerialAligned repeats the equality check with label
 // alignment enabled: the aligner mutates across batches, so this guards the
 // engine's claim that preprocess stays serialized in batch order.
@@ -119,23 +88,6 @@ func TestOverlappedMatchesSerialAligned(t *testing.T) {
 	defsEqual(t, "aligned", serial.Def, piped.Def)
 	if len(piped.Def.Nodes) != 1 {
 		t.Errorf("alignment under the engine found %d types, want 1", len(piped.Def.Nodes))
-	}
-}
-
-// TestDiscoverParallelismDeterminism asserts Discover output is identical
-// for Parallelism=1 vs Parallelism=8 on a seeded multi-batch graph: worker
-// count must never leak into the schema.
-func TestDiscoverParallelismDeterminism(t *testing.T) {
-	g := engineGraph(t, 300)
-	for _, m := range []Method{MethodELSH, MethodMinHash} {
-		one := DefaultConfig()
-		one.Method = m
-		one.Parallelism = 1
-		eight := one
-		eight.Parallelism = 8
-		a := discoverSplit(g, one, 5, 3)
-		b := discoverSplit(g, eight, 5, 3)
-		defsEqual(t, m.String()+" parallelism", a.Def, b.Def)
 	}
 }
 

@@ -41,65 +41,6 @@ func faultFreeBatches(t testing.TB, nodes, batches int) []*pg.Batch {
 // noSleep strips real latency out of retry backoff in tests.
 func noSleep(time.Duration) {}
 
-// TestDiscoverFTMatchesDiscover: over a fault-free source, Run is just
-// Discover — identical finalized output, no quarantine.
-func TestDiscoverFTMatchesDiscover(t *testing.T) {
-	batches := faultFreeBatches(t, 300, 5)
-	for _, depth := range []int{1, 4} {
-		cfg := DefaultConfig()
-		cfg.PipelineDepth = depth
-		want := Discover(pg.NewSliceSource(batches...), cfg)
-		got, err := Run(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, RunOptions{})
-		if err != nil {
-			t.Fatalf("depth=%d: %v", depth, err)
-		}
-		if len(got.Skipped) != 0 {
-			t.Errorf("depth=%d: fault-free run quarantined %d batches", depth, len(got.Skipped))
-		}
-		defsEqual(t, "ft-vs-plain", want.Def, got.Def)
-	}
-}
-
-// TestDiscoverFTTransientIdentity is the acceptance criterion for graceful
-// degradation: with well over 10% of pulls failing transiently, discovery
-// completes and the finalized schema is byte-identical to the fault-free
-// run — at serial and overlapped depths, for both LSH methods, with and
-// without a retry/backoff layer in between.
-func TestDiscoverFTTransientIdentity(t *testing.T) {
-	batches := faultFreeBatches(t, 300, 6)
-	for _, m := range []Method{MethodELSH, MethodMinHash} {
-		cfg := DefaultConfig()
-		cfg.Method = m
-		wantJSON, wantDDL := renderDef(t, Discover(pg.NewSliceSource(batches...), cfg).Def)
-		for _, depth := range []int{1, 2, 4} {
-			for _, withRetry := range []bool{false, true} {
-				cfg := cfg
-				cfg.PipelineDepth = depth
-				var src pg.ErrSource = pg.NewFaultSource(
-					pg.AsErrSource(pg.NewSliceSource(batches...)),
-					pg.FaultProfile{TransientRate: 0.3, Seed: 77})
-				if withRetry {
-					src = pg.NewRetrySource(src, pg.RetryPolicy{Sleep: noSleep})
-				}
-				res, err := Run(src, cfg, RunOptions{})
-				if err != nil {
-					t.Fatalf("%v depth=%d retry=%t: %v", m, depth, withRetry, err)
-				}
-				if len(res.Skipped) != 0 {
-					t.Errorf("%v depth=%d: transient faults must not quarantine batches, skipped %d", m, depth, len(res.Skipped))
-				}
-				gotJSON, gotDDL := renderDef(t, res.Def)
-				if !bytes.Equal(wantJSON, gotJSON) {
-					t.Errorf("%v depth=%d retry=%t: JSON diverges from fault-free run\nwant %s\ngot  %s", m, depth, withRetry, wantJSON, gotJSON)
-				}
-				if !bytes.Equal(wantDDL, gotDDL) {
-					t.Errorf("%v depth=%d retry=%t: DDL diverges from fault-free run", m, depth, withRetry)
-				}
-			}
-		}
-	}
-}
-
 // TestDiscoverFTQuarantinesCorrupt: poisoned batches are skipped — the run
 // completes, every batch is either extracted or quarantined with a reason,
 // and the quarantine list is identical at every pipeline depth.
@@ -157,63 +98,6 @@ func TestDrainFTTransientBudget(t *testing.T) {
 type errSourceFunc func() (*pg.Batch, error)
 
 func (f errSourceFunc) Next() (*pg.Batch, error) { return f() }
-
-// TestCrashResumeByteIdentical is the tentpole guarantee: kill a
-// checkpointing run after k extracted batches, resume from the checkpoint
-// file, and the finalized DDL and JSON are byte-identical to an
-// uninterrupted run — for a crash before any batch, mid-stream, and after
-// the last batch, at serial and overlapped depths.
-func TestCrashResumeByteIdentical(t *testing.T) {
-	batches := faultFreeBatches(t, 300, 6)
-	cfgBase := DefaultConfig()
-	wantJSON, wantDDL := renderDef(t, Discover(pg.NewSliceSource(batches...), cfgBase).Def)
-
-	for _, depth := range []int{1, 4} {
-		for _, kill := range []int{0, 3, len(batches)} {
-			cfg := cfgBase
-			cfg.PipelineDepth = depth
-			ck := FileCheckpointer{Path: filepath.Join(t.TempDir(), "run.ck")}
-
-			// Phase 1: the run dies after `kill` delivered batches
-			// (FailAfter=0 means no fault, so a crash-at-once source
-			// stands in for kill=0).
-			var crash pg.ErrSource = pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)),
-				pg.FaultProfile{FailAfter: kill, Seed: 1})
-			if kill == 0 {
-				crash = errSourceFunc(func() (*pg.Batch, error) { return nil, pg.ErrPermanentFault })
-			}
-			if _, err := Run(crash, cfg, RunOptions{Checkpoint: ck}); !errors.Is(err, pg.ErrPermanentFault) {
-				t.Fatalf("depth=%d kill=%d: want permanent fault, got %v", depth, kill, err)
-			}
-
-			// Phase 2: resume from the last checkpoint over a healthy
-			// replay of the same stream.
-			state, ok, err := ck.Load()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ok != (kill > 0) {
-				t.Fatalf("depth=%d kill=%d: checkpoint exists=%t", depth, kill, ok)
-			}
-			replay := pg.AsErrSource(pg.NewSliceSource(batches...))
-			res, err := Run(replay, cfg, RunOptions{Checkpoint: ck, Resume: state})
-			if err != nil {
-				t.Fatalf("depth=%d kill=%d: resume: %v", depth, kill, err)
-			}
-
-			gotJSON, gotDDL := renderDef(t, res.Def)
-			if !bytes.Equal(wantJSON, gotJSON) {
-				t.Errorf("depth=%d kill=%d: resumed JSON diverges\nwant %s\ngot  %s", depth, kill, wantJSON, gotJSON)
-			}
-			if !bytes.Equal(wantDDL, gotDDL) {
-				t.Errorf("depth=%d kill=%d: resumed DDL diverges\nwant:\n%s\ngot:\n%s", depth, kill, wantDDL, gotDDL)
-			}
-			if len(res.Reports) != len(batches) {
-				t.Errorf("depth=%d kill=%d: %d reports after resume, want %d", depth, kill, len(res.Reports), len(batches))
-			}
-		}
-	}
-}
 
 // TestCrashResumeWithCorruption: crash/resume composes with quarantine —
 // the resumed run inherits the checkpointed skip list and the final

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -241,20 +242,6 @@ func TestShardedFleetEpochsSaveFailure(t *testing.T) {
 	}
 }
 
-// recordingCheckpointer totals what it was handed.
-type recordingCheckpointer struct {
-	mu           sync.Mutex
-	saves, bytes int
-}
-
-func (r *recordingCheckpointer) Save(state []byte) error {
-	r.mu.Lock()
-	r.saves++
-	r.bytes += len(state)
-	r.mu.Unlock()
-	return nil
-}
-
 // TestShardedCheckpointBytesCounted: the checkpoint counters report what
 // the Checkpointer actually received — for a fleet, the containers, not the
 // shard sections inside them.
@@ -265,31 +252,22 @@ func TestShardedCheckpointBytesCounted(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Shards = shards
 		cfg.Telemetry = reg
-		ck := &recordingCheckpointer{}
+		ck := &statesCheckpointer{}
 		if _, err := Run(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, RunOptions{Checkpoint: ck}); err != nil {
 			t.Fatal(err)
 		}
-		snap := reg.Snapshot()
-		if got := snap.Counter(obs.CtrCheckpointBytes); got != uint64(ck.bytes) {
-			t.Errorf("shards=%d: checkpoint bytes counted %d, checkpointer received %d", shards, got, ck.bytes)
+		bytes := 0
+		for _, state := range ck.states {
+			bytes += len(state)
 		}
-		if got := snap.Counter(obs.CtrCheckpoints); got != uint64(ck.saves) {
-			t.Errorf("shards=%d: checkpoints counted %d, checkpointer received %d", shards, got, ck.saves)
+		snap := reg.Snapshot()
+		if got := snap.Counter(obs.CtrCheckpointBytes); got != uint64(bytes) {
+			t.Errorf("shards=%d: checkpoint bytes counted %d, checkpointer received %d", shards, got, bytes)
+		}
+		if got := snap.Counter(obs.CtrCheckpoints); got != uint64(len(ck.states)) {
+			t.Errorf("shards=%d: checkpoints counted %d, checkpointer received %d", shards, got, len(ck.states))
 		}
 	}
-}
-
-// lastCheckpointer keeps the latest state it was handed.
-type lastCheckpointer struct {
-	mu    sync.Mutex
-	state []byte
-}
-
-func (l *lastCheckpointer) Save(state []byte) error {
-	l.mu.Lock()
-	l.state = append(l.state[:0], state...)
-	l.mu.Unlock()
-	return nil
 }
 
 // TestShardedEvidenceGauge: under sharding the evidence_bytes gauge reports
@@ -303,11 +281,11 @@ func TestShardedEvidenceGauge(t *testing.T) {
 		cfg.Shards = 3
 		cfg.MemBudgetBytes = budget
 		cfg.Telemetry = reg
-		ck := &lastCheckpointer{}
+		ck := &statesCheckpointer{}
 		if _, err := Run(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, RunOptions{Checkpoint: ck}); err != nil {
 			t.Fatal(err)
 		}
-		schemas, err := DecodeCheckpointSchemas(ck.state, cfg)
+		schemas, err := DecodeCheckpointSchemas(ck.states[len(ck.states)-1], cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,5 +300,48 @@ func TestShardedEvidenceGauge(t *testing.T) {
 		if got := snap.Gauge(obs.GaugeMemBudgetBytes); got != uint64(budget) {
 			t.Errorf("budget=%d: mem_budget_bytes gauge %d", budget, got)
 		}
+	}
+}
+
+// TestFleetCheckpointKeepsTrailingQuarantines: no shard saves for a batch
+// the router's clock withholds, so the router writes that checkpoint itself,
+// and a fleet's last checkpoint ends where the single pipeline's does: past
+// all 7 batches of driftStream(4, 3), with the same epoch and its 3 drift
+// quarantines. Resuming from it gives the uninterrupted result. A failed
+// write of such a checkpoint stops the run.
+func TestFleetCheckpointKeepsTrailingQuarantines(t *testing.T) {
+	stream := driftStream(4, 3)
+	var single string
+	for _, shards := range []int{0, 2} {
+		cfg := DefaultConfig()
+		cfg.Shards, cfg.DriftPolicy, cfg.EpochInterval = shards, DriftQuarantine, 2
+		ck := &statesCheckpointer{}
+		want, err := Run(pg.AsErrSource(pg.NewSliceSource(stream...)), cfg, RunOptions{Checkpoint: ck})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last, c := ck.states[len(ck.states)-1], cfg.withDefaults()
+		clock := newEpochClock(c, obs.NewInstr(nil))
+		from, _, err := restore(last, c, newPipelines(c), clock)
+		got := fmt.Sprintf("slot %d, epoch %d, quarantines %v", from.slots, clock.epoch, clock.skipped)
+		if single == "" {
+			single = got
+		}
+		if err != nil || from.slots != 7 || len(clock.skipped) != 3 || got != single {
+			t.Errorf("shards=%d: last checkpoint restores %s (err %v); want slot 7 and 3 quarantines, as the single pipeline's %s", shards, got, err, single)
+		}
+		res, err := Run(pg.AsErrSource(pg.NewSliceSource(stream...)), cfg, RunOptions{Resume: last})
+		if err != nil || !bytes.Equal(defJSON(t, res), defJSON(t, want)) || !reflect.DeepEqual(res.Skipped, want.Skipped) || *res.Drift != *want.Drift {
+			t.Errorf("shards=%d: resumed from the last checkpoint: %v", shards, err)
+		}
+	}
+
+	// Both shards save batch 0 before the cut that takes epoch 1; the clock
+	// then withholds batch 1, whose checkpoint is save 3.
+	cfg := DefaultConfig()
+	cfg.Shards, cfg.DriftPolicy, cfg.EpochInterval = 2, DriftQuarantine, 1
+	src := &countingSource{src: pg.AsErrSource(pg.NewSliceSource(driftStream(1, 1)...))}
+	if _, err := Run(src, cfg, RunOptions{Checkpoint: &failingCheckpointer{failAt: 3, src: src}}); !errors.Is(err, errSaveFailed) {
+		t.Errorf("a failed write for a withheld batch: err %v, want the save error", err)
 	}
 }

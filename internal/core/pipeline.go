@@ -263,7 +263,7 @@ func (p *Pipeline) extract(c computed) BatchReport {
 		p.instr.Add(obs.CtrNodeClusters, uint64(c.report.NodeClusters))
 		p.instr.Add(obs.CtrEdgeClusters, uint64(c.report.EdgeClusters))
 		p.instr.Span(obs.Span{
-			Stage: obs.StageExtract, Batch: c.report.Batch, Slot: p.slot(c.seq),
+			Stage: obs.StageExtract, Batch: c.seq, Slot: p.slot(c.seq),
 			Start: start, Duration: c.report.Extract,
 			Elements: c.report.Nodes + c.report.Edges,
 		})

@@ -34,7 +34,7 @@
 // the sub-batches it already folded in. Because the element→shard
 // assignment ignores batch boundaries, the replayed sub-batch sequence is
 // identical, and the resumed run converges to byte-identical Finalize
-// output (TestShardedResume).
+// output (TestConfigMatrix).
 package core
 
 import (
@@ -285,10 +285,12 @@ func (r *router) route() error {
 		admit := r.clock == nil || r.clock.gate(b, r.batches+r.clock.quarantined, pos-1, 0)
 		if r.co != nil {
 			clock, err := encodeClock(r.clock)
-			if err != nil {
-				return err
+			if err == nil { // no shard saves for a withheld batch: persist it here
+				err = r.co.position(pos, r.pl.skipped, clock, !admit)
 			}
-			r.co.position(pos, r.pl.skipped, clock)
+			if err != nil {
+				return fmt.Errorf("core: checkpoint: %w", err)
+			}
 		}
 		if admit {
 			r.send(b)
@@ -384,7 +386,8 @@ func (r *router) finish(start time.Time) *Result {
 
 // shardCoordinator assembles a fleet's checkpoints: it holds every shard's
 // latest section plus the router's current stream position, and rewrites
-// the checkpoint whenever any shard saves. One mutex serializes shard saves
+// the checkpoint whenever any shard saves and whenever the router moves past
+// a batch its clock withheld. One mutex serializes shard saves
 // against router position updates, so a checkpoint's position is always ≥
 // every sub-batch its sections have folded in, and its quarantine list and
 // clock are exactly as of that position.
@@ -400,13 +403,18 @@ type shardCoordinator struct {
 
 // position records the router's stream progress — its fault quarantines and
 // encoded clock as of the batch at slots — before that batch's sub-batches
-// are delivered, so no shard state can get ahead of it.
-func (co *shardCoordinator) position(slots int, skipped []SkipReport, clock []byte) {
+// are delivered, so no shard state can get ahead of it. With persist set it
+// also writes the checkpoint, with every shard's latest section.
+func (co *shardCoordinator) position(slots int, skipped []SkipReport, clock []byte, persist bool) error {
 	co.mu.Lock()
+	defer co.mu.Unlock()
 	co.slots = slots
 	co.skipped = append(co.skipped[:0], skipped...)
 	co.clock = clock
-	co.mu.Unlock()
+	if !persist {
+		return nil
+	}
+	return writeCheckpoint(co.ck, co.fp, co.slots, co.skipped, co.clock, co.sections)
 }
 
 // save installs shard's newest section, which it takes over, and persists

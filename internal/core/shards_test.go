@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sort"
-	"strings"
 	"testing"
 
 	"pghive/internal/pg"
@@ -64,30 +62,6 @@ func shardDatasets(t testing.TB) map[string]*pg.Graph {
 	}
 }
 
-// TestShardedOneShardByteIdentical: Shards ≤ 1 must be exactly Discover —
-// the merge path is bypassed and the output bytes match, for both LSH
-// methods. This is the CI gate that keeps the sharded entry point a strict
-// superset of the serial one.
-func TestShardedOneShardByteIdentical(t *testing.T) {
-	batches := faultFreeBatches(t, 300, 5)
-	for _, m := range []Method{MethodELSH, MethodMinHash} {
-		cfg := DefaultConfig()
-		cfg.Method = m
-		wantJSON, wantDDL := renderDef(t, Discover(pg.NewSliceSource(batches...), cfg).Def)
-		for _, shards := range []int{0, 1} {
-			cfg := cfg
-			cfg.Shards = shards
-			gotJSON, gotDDL := renderDef(t, Discover(pg.NewSliceSource(batches...), cfg).Def)
-			if !bytes.Equal(wantJSON, gotJSON) {
-				t.Errorf("%v shards=%d: JSON diverges from serial\nwant %s\ngot  %s", m, shards, wantJSON, gotJSON)
-			}
-			if !bytes.Equal(wantDDL, gotDDL) {
-				t.Errorf("%v shards=%d: DDL diverges from serial", m, shards)
-			}
-		}
-	}
-}
-
 // TestDiscoverHonoursShards: Discover runs the sharded fleet when
 // Config.Shards > 1 — its bytes are the sharded run's, on an input whose
 // sharded and serial schemas differ.
@@ -114,59 +88,12 @@ func TestDiscoverHonoursShards(t *testing.T) {
 	}
 }
 
-// labeledProjection canonicalizes a finalized schema's labeled types for
-// cross-run comparison: label set → instance count and per-property
-// (data type, mandatory) pairs. Abstract types are summarized only by their
-// total instance count — the clustering partition (and therefore the
-// composition of unlabeled clusters) legitimately differs between a serial
-// and a sharded run.
-func labeledProjection(def *schema.Def) map[string]string {
-	proj := map[string]string{}
-	abstract := 0
-	add := func(kind, name string, labels []string, isAbstract bool, instances int, props []schema.PropertyDef) {
-		if isAbstract {
-			abstract += instances
-			return
-		}
-		var b strings.Builder
-		fmt.Fprintf(&b, "inst=%d", instances)
-		sorted := append([]schema.PropertyDef(nil), props...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-		for _, p := range sorted {
-			fmt.Fprintf(&b, " %s:%v/mand=%t", p.Key, p.DataType, p.Mandatory)
-		}
-		key := append([]string(nil), labels...)
-		sort.Strings(key)
-		proj[kind+":"+strings.Join(key, "|")] = b.String()
-	}
-	for _, n := range def.Nodes {
-		add("node", n.Name, n.Labels, n.Abstract, n.Instances, n.Properties)
-	}
-	for _, e := range def.Edges {
-		add("edge", e.Name, e.Labels, e.Abstract, e.Instances, e.Properties)
-	}
-	proj["abstract-instances"] = fmt.Sprintf("%d", abstract)
-	return proj
-}
-
-// totalInstances sums instance counts over every type of the finalized
-// schema — exactly-once delivery means a sharded run observes each element
-// exactly as often as the serial run does.
-func totalInstances(def *schema.Def) (nodes, edges int) {
-	for _, n := range def.Nodes {
-		nodes += n.Instances
-	}
-	for _, e := range def.Edges {
-		edges += e.Instances
-	}
-	return
-}
-
 // TestShardedEquivalence is the merge-equivalence suite: on three datasets,
 // for both LSH methods and N ∈ {1, 2, 4} shards, the sharded run's labeled
 // types match the serial run's (same label sets, same instance counts, same
-// property data types and constraints) and the total evidence mass is
-// conserved. N = 1 is byte-identical (TestShardedOneShardByteIdentical);
+// property data types and constraints: schema.EquivExact) and the total
+// evidence mass per kind is conserved (schema.EquivLabeled). N = 1 is
+// byte-identical (TestConfigMatrix);
 // N > 1 is allowed to differ only in abstract-type composition, which the
 // projection deliberately collapses (see DESIGN.md §11 for why).
 func TestShardedEquivalence(t *testing.T) {
@@ -176,28 +103,13 @@ func TestShardedEquivalence(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Method = m
 			serial := Discover(pg.NewSliceSource(batches...), cfg)
-			wantProj := labeledProjection(serial.Def)
-			wantNodes, wantEdges := totalInstances(serial.Def)
 			for _, shards := range []int{1, 2, 4} {
 				cfg := cfg
 				cfg.Shards = shards
 				res := Discover(pg.NewSliceSource(batches...), cfg)
-				gotNodes, gotEdges := totalInstances(res.Def)
-				if gotNodes != wantNodes || gotEdges != wantEdges {
-					t.Errorf("%s/%v shards=%d: instance mass not conserved: nodes %d→%d edges %d→%d",
-						name, m, shards, wantNodes, gotNodes, wantEdges, gotEdges)
-				}
-				gotProj := labeledProjection(res.Def)
-				for key, want := range wantProj {
-					if got, ok := gotProj[key]; !ok {
-						t.Errorf("%s/%v shards=%d: labeled type %s missing from sharded run", name, m, shards, key)
-					} else if got != want {
-						t.Errorf("%s/%v shards=%d: %s diverges\nserial:  %s\nsharded: %s", name, m, shards, key, want, got)
-					}
-				}
-				for key := range gotProj {
-					if _, ok := wantProj[key]; !ok {
-						t.Errorf("%s/%v shards=%d: sharded run invented labeled type %s", name, m, shards, key)
+				for _, level := range []schema.EquivalenceLevel{schema.EquivExact, schema.EquivLabeled} {
+					if diff := schema.EquivalenceDiff(serial.Def, res.Def, level); diff != "" {
+						t.Errorf("%s/%v shards=%d: diverges from serial at level %v: %s", name, m, shards, level, diff)
 					}
 				}
 			}
@@ -234,36 +146,6 @@ func TestShardedDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardedFTMatchesSharded: over a fault-free source a sharded Run is
-// just Discover — identical output, no quarantine — and a transient-fault
-// storm changes nothing.
-func TestShardedFTMatchesSharded(t *testing.T) {
-	batches := faultFreeBatches(t, 300, 6)
-	cfg := DefaultConfig()
-	cfg.Shards = 3
-	wantJSON, wantDDL := renderDef(t, Discover(pg.NewSliceSource(batches...), cfg).Def)
-	for _, transient := range []float64{0, 0.3} {
-		var src pg.ErrSource = pg.AsErrSource(pg.NewSliceSource(batches...))
-		if transient > 0 {
-			src = pg.NewFaultSource(src, pg.FaultProfile{TransientRate: transient, Seed: 77})
-		}
-		res, err := Run(src, cfg, RunOptions{})
-		if err != nil {
-			t.Fatalf("transient=%g: %v", transient, err)
-		}
-		if len(res.Skipped) != 0 {
-			t.Errorf("transient=%g: quarantined %d batches", transient, len(res.Skipped))
-		}
-		gotJSON, gotDDL := renderDef(t, res.Def)
-		if !bytes.Equal(wantJSON, gotJSON) {
-			t.Errorf("transient=%g: FT JSON diverges\nwant %s\ngot  %s", transient, wantJSON, gotJSON)
-		}
-		if !bytes.Equal(wantDDL, gotDDL) {
-			t.Errorf("transient=%g: FT DDL diverges", transient)
-		}
-	}
-}
-
 // TestShardedQuarantine: the router quarantines poisoned batches exactly
 // like the single-pipeline puller — the quarantine list depends only on the
 // fault profile, not on the shard count.
@@ -293,41 +175,6 @@ func TestShardedQuarantine(t *testing.T) {
 			if res.Skipped[j] != want[j] {
 				t.Errorf("shards=%d: skip %d = %+v, want %+v", shards, j, res.Skipped[j], want[j])
 			}
-		}
-	}
-}
-
-// TestShardedResume is kill-anywhere recovery for the fleet: a sharded run
-// crashes at several stream positions, the checkpoint's sections restore
-// all shards and its header the router position, and the resumed run
-// finishes byte-identical to an uninterrupted sharded run.
-func TestShardedResume(t *testing.T) {
-	batches := faultFreeBatches(t, 300, 6)
-	cfg := DefaultConfig()
-	cfg.Shards = 3
-	wantJSON, wantDDL := renderDef(t, Discover(pg.NewSliceSource(batches...), cfg).Def)
-
-	for _, failAfter := range []int{1, 3, 5} {
-		ck := FileCheckpointer{Path: filepath.Join(t.TempDir(), "fleet.ck")}
-		crash := pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)),
-			pg.FaultProfile{FailAfter: failAfter, Seed: 1})
-		if _, err := Run(crash, cfg, RunOptions{Checkpoint: ck}); !errors.Is(err, pg.ErrPermanentFault) {
-			t.Fatalf("failAfter=%d: want permanent fault, got %v", failAfter, err)
-		}
-		state, ok, err := ck.Load()
-		if err != nil || !ok {
-			t.Fatalf("failAfter=%d: no container after crash: ok=%t err=%v", failAfter, ok, err)
-		}
-		res, err := Run(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, RunOptions{Checkpoint: ck, Resume: state})
-		if err != nil {
-			t.Fatalf("failAfter=%d: resume: %v", failAfter, err)
-		}
-		gotJSON, gotDDL := renderDef(t, res.Def)
-		if !bytes.Equal(wantJSON, gotJSON) {
-			t.Errorf("failAfter=%d: resumed JSON diverges\nwant %s\ngot  %s", failAfter, wantJSON, gotJSON)
-		}
-		if !bytes.Equal(wantDDL, gotDDL) {
-			t.Errorf("failAfter=%d: resumed DDL diverges", failAfter)
 		}
 	}
 }

@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,30 +19,24 @@ import (
 	"pghive/internal/pg"
 )
 
-// TestTelemetrySchemaUnchanged: attaching a sink must not change the
-// discovered schema — telemetry observes, it never participates. Checked
-// for both engine paths and with a full Registry+TraceWriter fan-out.
+// TestTelemetrySchemaUnchanged: a Registry+TraceWriter fan-out sees every
+// batch, element, candidate and stage of the run, on both engine paths, and
+// writes a valid Chrome trace. That the sink leaves the schema unchanged is
+// TestConfigMatrix's execution-only check.
 func TestTelemetrySchemaUnchanged(t *testing.T) {
 	g := engineGraph(t, 300)
 	for _, depth := range []int{1, 4} {
-		base := DefaultConfig()
-		base.PipelineDepth = depth
-		plain := discoverSplit(g, base, 5, 7)
-		if plain.Telemetry != nil {
-			t.Fatalf("depth=%d: Result.Telemetry must be nil without a registry", depth)
-		}
-
 		reg := obs.NewRegistry()
 		var traceBuf bytes.Buffer
 		tw := obs.NewTraceWriter(&traceBuf)
-		cfg := base
+		cfg := DefaultConfig()
+		cfg.PipelineDepth = depth
 		cfg.Telemetry = obs.Multi(reg, tw)
 		observed := discoverSplit(g, cfg, 5, 7)
 		if err := tw.Close(); err != nil {
 			t.Fatalf("depth=%d: trace close: %v", depth, err)
 		}
 
-		defsEqual(t, "telemetry on vs off", plain.Def, observed.Def)
 		if observed.Telemetry == nil {
 			t.Fatalf("depth=%d: Result.Telemetry missing despite registry sink", depth)
 		}
@@ -196,13 +192,16 @@ func TestTelemetryConcurrentScrape(t *testing.T) {
 
 // TestReportsRecordWallWithoutSink: per-batch wall-clock and throughput are
 // recorded even with telemetry disabled — the free half of the
-// observability contract.
+// observability contract — and Result.Telemetry stays nil.
 func TestReportsRecordWallWithoutSink(t *testing.T) {
 	g := engineGraph(t, 200)
 	for _, depth := range []int{1, 4} {
 		cfg := DefaultConfig()
 		cfg.PipelineDepth = depth
 		res := discoverSplit(g, cfg, 4, 13)
+		if res.Telemetry != nil {
+			t.Errorf("depth=%d: Result.Telemetry must be nil without a registry", depth)
+		}
 		for i, r := range res.Reports {
 			if r.Wall <= 0 {
 				t.Errorf("depth=%d batch %d: Wall not recorded", depth, i)
@@ -265,7 +264,7 @@ func TestFTTelemetryCounters(t *testing.T) {
 	fault := pg.NewFaultSource(pg.AsErrSource(pg.NewSliceSource(batches...)),
 		pg.FaultProfile{TransientRate: 0.3, CorruptRate: 0.2, Seed: 5})
 	fault.SetSleep(func(time.Duration) {})
-	res, err := Run(fault, cfg, RunOptions{Checkpoint: discardCheckpointer{}})
+	res, err := Run(fault, cfg, RunOptions{Checkpoint: &statesCheckpointer{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,8 +290,55 @@ func TestFTTelemetryCounters(t *testing.T) {
 	}
 }
 
-// discardCheckpointer accepts and drops checkpoints (the counters only need
-// Save to be called).
-type discardCheckpointer struct{}
+// spanRecorder keeps every span it is handed.
+type spanRecorder struct {
+	mu    sync.Mutex
+	spans []obs.Span
+}
 
-func (discardCheckpointer) Save([]byte) error { return nil }
+func (r *spanRecorder) Span(s obs.Span) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.spans = append(r.spans, s)
+}
+func (*spanRecorder) Add(obs.Counter, uint64)  {}
+func (*spanRecorder) Observe(obs.Hist, uint64) {}
+
+// TestSpansCarryBatchSequence: under quarantine, at depths 1 and 4, every
+// span of a batch carries its sequence number — one load, preprocess,
+// cluster and checkpoint span each, and an extract span covering the
+// batch's elements unless the batch was withheld — and every checkpoint
+// span the batch's depth slot.
+func TestSpansCarryBatchSequence(t *testing.T) {
+	stream := append(driftStream(4, 3), driftStream(1, 0)...)
+	for _, depth := range []int{1, 4} {
+		rec := &spanRecorder{}
+		cfg := DefaultConfig()
+		cfg.PipelineDepth, cfg.DriftPolicy, cfg.EpochInterval, cfg.Telemetry = depth, DriftQuarantine, 2, rec
+		res, err := Run(pg.AsErrSource(pg.NewSliceSource(stream...)), cfg, RunOptions{Checkpoint: &statesCheckpointer{}})
+		if err != nil || len(res.Skipped) != 3 {
+			t.Fatalf("depth=%d: skipped %v, err %v; want the 3 drifted batches", depth, res.Skipped, err)
+		}
+		want := map[string]int{}
+		for seq, b := range stream {
+			for _, st := range []obs.Stage{obs.StageLoad, obs.StagePreprocess, obs.StageCluster, obs.StageCheckpoint} {
+				want[fmt.Sprintf("%v batch %d slot %d", st, seq, seq%depth)]++
+			}
+			if !slices.ContainsFunc(res.Skipped, func(s SkipReport) bool { return s.Seq == seq }) {
+				want[fmt.Sprintf("%v batch %d elements %d", obs.StageExtract, seq, b.Len())]++
+			}
+		}
+		got := map[string]int{}
+		for _, s := range rec.spans {
+			switch s.Stage {
+			case obs.StageLoad, obs.StagePreprocess, obs.StageCluster, obs.StageCheckpoint:
+				got[fmt.Sprintf("%v batch %d slot %d", s.Stage, s.Batch, s.Slot)]++
+			case obs.StageExtract:
+				got[fmt.Sprintf("%v batch %d elements %d", s.Stage, s.Batch, s.Elements)]++
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("depth=%d: spans\n%v\nwant\n%v", depth, got, want)
+		}
+	}
+}

@@ -1,128 +1,24 @@
 package soak
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
 	"pghive/internal/datagen"
 	"pghive/internal/schema"
 )
-
-// EquivalenceLevel grades how strong a sharded-vs-serial equivalence claim
-// a workload supports. Sharding re-partitions each batch's elements across
-// pipelines, which changes LSH cluster composition; what survives that
-// depends on the stream's adversarial structure.
-type EquivalenceLevel int
-
-const (
-	// EquivExact: the full labeled projection is identical — label sets,
-	// instance counts, per-property data types and mandatory flags. Holds
-	// when every element is labeled and clusters are label-pure (elements
-	// with different label sets have dissimilar properties).
-	EquivExact EquivalenceLevel = iota
-	// EquivLabeled: the labeled type key set, the per-kind property-key
-	// unions, and the per-kind instance totals agree. The right claim when
-	// the stream has unlabeled elements: Algorithm 2 may absorb an
-	// unlabeled candidate into a labeled type (rule 2 of MergeTypes), and
-	// which type absorbs it is arrival-order-dependent.
-	EquivLabeled
-	// EquivCoverage: per-kind individual-label coverage, property-key
-	// unions, and instance totals agree. The right claim under label
-	// mixing (supernode rerouting, property/label noise): similar elements
-	// with different labels land in one cluster, so the candidate label
-	// SETS are partition-dependent — but every label carried by a labeled
-	// element still surfaces in some labeled type, every property key in
-	// some type, and every element is counted exactly once.
-	EquivCoverage
-)
-
-// String names the level for reports and CSVs.
-func (l EquivalenceLevel) String() string {
-	switch l {
-	case EquivExact:
-		return "exact"
-	case EquivLabeled:
-		return "labeled"
-	default:
-		return "coverage"
-	}
-}
-
-// EquivalenceDiff compares a sharded schema against its serial reference
-// at the given level and describes the differences, or returns "" when
-// equivalent.
-func EquivalenceDiff(want, got *schema.Def, level EquivalenceLevel) string {
-	if level == EquivExact {
-		return projectionDiff(schema.LabeledProjection(want), schema.LabeledProjection(got))
-	}
-	return projectionDiff(weakProjection(want, level), weakProjection(got, level))
-}
-
-// weakProjection canonicalizes the partition-invariant part of a schema at
-// the EquivLabeled or EquivCoverage level.
-func weakProjection(def *schema.Def, level EquivalenceLevel) map[string]string {
-	proj := map[string]string{}
-	totals := map[string]int{}
-	props := map[string]map[string]struct{}{"node": {}, "edge": {}}
-	labels := map[string]map[string]struct{}{"node": {}, "edge": {}}
-	fold := func(kind string, typeLabels []string, abstract bool, instances int, typeProps []schema.PropertyDef) {
-		totals[kind] += instances
-		for _, p := range typeProps {
-			props[kind][p.Key] = struct{}{}
-		}
-		if abstract {
-			return
-		}
-		if level == EquivCoverage {
-			for _, l := range typeLabels {
-				labels[kind][l] = struct{}{}
-			}
-			return
-		}
-		key := append([]string(nil), typeLabels...)
-		sort.Strings(key)
-		proj[kind+":"+strings.Join(key, "|")] = "labeled"
-	}
-	for _, n := range def.Nodes {
-		fold("node", n.Labels, n.Abstract, n.Instances, n.Properties)
-	}
-	for _, e := range def.Edges {
-		fold("edge", e.Labels, e.Abstract, e.Instances, e.Properties)
-	}
-	for _, kind := range []string{"node", "edge"} {
-		proj["instances:"+kind] = fmt.Sprintf("%d", totals[kind])
-		proj["props:"+kind] = strings.Join(sortedKeys(props[kind]), " ")
-		if level == EquivCoverage {
-			proj["labels:"+kind] = strings.Join(sortedKeys(labels[kind]), " ")
-		}
-	}
-	return proj
-}
-
-func sortedKeys(set map[string]struct{}) []string {
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
 
 // ScenarioEquivalenceLevel grades the equivalence claim a scenario's stream
 // supports: label-mixing features (supernode rerouting, property or label
 // noise) drop to coverage; unlabeled elements drop to labeled; otherwise
 // the claim is exact.
-func ScenarioEquivalenceLevel(sc *datagen.Scenario, seed int64, repeat int) EquivalenceLevel {
+func ScenarioEquivalenceLevel(sc *datagen.Scenario, seed int64, repeat int) schema.EquivalenceLevel {
 	for _, ph := range sc.Phases {
 		if ph.Supernodes.Count > 0 || ph.LabelNoise > 0 || ph.EdgeLabelNoise > 0 || ph.PropNoise > 0 {
-			return EquivCoverage
+			return schema.EquivCoverage
 		}
 	}
 	if !StreamFullyLabeled(sc, seed, repeat) {
-		return EquivLabeled
+		return schema.EquivLabeled
 	}
-	return EquivExact
+	return schema.EquivExact
 }
 
 // StreamFullyLabeled reports whether every element the scenario emits
@@ -166,37 +62,4 @@ func unionSorted(a, b []string) []string {
 	}
 	out = append(out, a[i:]...)
 	return append(out, b[j:]...)
-}
-
-// projectionDiff compares two labeled projections and describes the first
-// few differences, or returns "" when they agree.
-func projectionDiff(want, got map[string]string) string {
-	var diffs []string
-	keys := make([]string, 0, len(want))
-	for k := range want {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		g, ok := got[k]
-		switch {
-		case !ok:
-			diffs = append(diffs, fmt.Sprintf("missing %q", k))
-		case g != want[k]:
-			diffs = append(diffs, fmt.Sprintf("%q: %q vs %q", k, want[k], g))
-		}
-	}
-	for k := range got {
-		if _, ok := want[k]; !ok {
-			diffs = append(diffs, fmt.Sprintf("unexpected %q", k))
-		}
-	}
-	if len(diffs) == 0 {
-		return ""
-	}
-	sort.Strings(diffs)
-	if len(diffs) > 5 {
-		diffs = append(diffs[:5], fmt.Sprintf("... and %d more", len(diffs)-5))
-	}
-	return strings.Join(diffs, "; ")
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
-	"sort"
-	"strings"
 	"testing"
 
 	"pghive/internal/core"
@@ -29,7 +27,7 @@ import (
 //   - batch-order permutation: the type fingerprint is order-invariant for
 //     fully labeled streams; with unlabeled elements Algorithm 2 may route
 //     an unlabeled candidate into a labeled type (rule 2 of MergeTypes), so
-//     only the labeled key set and the per-kind property unions are pinned
+//     only the labeled equivalence level (schema.EquivLabeled) is pinned
 //   - monotone growth: the accumulated schema only gains types/properties
 //     batch over batch
 
@@ -53,56 +51,6 @@ func schemaJSON(t *testing.T, res *core.Result) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// fullyLabeled reports whether every element of every batch carries at
-// least one label — the precondition for exact permutation invariance.
-func fullyLabeled(batches []*pg.Batch) bool {
-	for _, b := range batches {
-		for _, n := range b.Nodes {
-			if len(n.Labels) == 0 {
-				return false
-			}
-		}
-		for _, e := range b.Edges {
-			if len(e.Labels) == 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// labeledKeys extracts the sorted non-abstract type keys of a fingerprint.
-func labeledKeys(fp map[string][]string) []string {
-	var keys []string
-	for k := range fp {
-		if k != "n:" && k != "e:" {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// propUnion folds every property key under one kind prefix into a sorted
-// union.
-func propUnion(fp map[string][]string, prefix string) []string {
-	set := map[string]struct{}{}
-	for k, props := range fp {
-		if !strings.HasPrefix(k, prefix) {
-			continue
-		}
-		for _, p := range props {
-			set[p] = struct{}{}
-		}
-	}
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 func TestScenarioMetamorphic(t *testing.T) {
@@ -151,7 +99,7 @@ func TestScenarioMetamorphic(t *testing.T) {
 					if !bytes.Equal(schemaJSON(t, a), schemaJSON(t, b)) {
 						t.Errorf("%s: shards=2 not deterministic run to run", baseNames[i])
 					}
-					if diff := EquivalenceDiff(serials[i].Def, a.Def, level); diff != "" {
+					if diff := schema.EquivalenceDiff(serials[i].Def, a.Def, level); diff != "" {
 						t.Errorf("%s: shards=2 not equivalent to serial at level %s: %s", baseNames[i], level, diff)
 					}
 				}
@@ -165,23 +113,16 @@ func TestScenarioMetamorphic(t *testing.T) {
 				got := core.Discover(pg.NewSliceSource(perm...), base)
 				a := schema.TypeFingerprint(serial.Schema)
 				b := schema.TypeFingerprint(got.Schema)
-				if fullyLabeled(batches) {
+				if StreamFullyLabeled(sc, 1, 1) {
 					if !reflect.DeepEqual(a, b) {
 						t.Error("type fingerprint changed under batch-order permutation")
 					}
 					return
 				}
 				// Unlabeled candidates may be absorbed by different types
-				// depending on arrival order; the labeled key set and the
-				// per-kind property unions must still agree.
-				if !reflect.DeepEqual(labeledKeys(a), labeledKeys(b)) {
-					t.Errorf("labeled type keys changed under permutation:\n%v\nvs\n%v",
-						labeledKeys(a), labeledKeys(b))
-				}
-				for _, prefix := range []string{"n:", "e:"} {
-					if !reflect.DeepEqual(propUnion(a, prefix), propUnion(b, prefix)) {
-						t.Errorf("%s property union changed under permutation", prefix)
-					}
+				// depending on arrival order; the labeled level still holds.
+				if diff := schema.EquivalenceDiff(serial.Def, got.Def, schema.EquivLabeled); diff != "" {
+					t.Errorf("not equivalent under permutation at level labeled: %s", diff)
 				}
 			})
 

@@ -299,7 +299,7 @@ func Run(opts Options) (*Report, error) {
 			return nil, fmt.Errorf("soak: serial reference run: %w", err)
 		}
 		level := ScenarioEquivalenceLevel(opts.Scenario, opts.Seed, opts.Repeat)
-		if diff := EquivalenceDiff(ref.Def, result.Def, level); diff != "" {
+		if diff := schema.EquivalenceDiff(ref.Def, result.Def, level); diff != "" {
 			rep.violate(instr, -1, "shard-equivalence", diff)
 		}
 	}

@@ -271,17 +271,6 @@ func TestKillSource(t *testing.T) {
 	}
 }
 
-func TestProjectionDiff(t *testing.T) {
-	a := map[string]string{"node:A": "inst=3", "abstract-instances": "0"}
-	if d := projectionDiff(a, map[string]string{"node:A": "inst=3", "abstract-instances": "0"}); d != "" {
-		t.Errorf("equal projections diffed: %s", d)
-	}
-	d := projectionDiff(a, map[string]string{"node:A": "inst=4", "abstract-instances": "0", "node:B": "inst=1"})
-	if !strings.Contains(d, "node:A") || !strings.Contains(d, "unexpected") {
-		t.Errorf("diff missing detail: %s", d)
-	}
-}
-
 func TestUnionSorted(t *testing.T) {
 	got := unionSorted([]string{"a", "c", "e"}, []string{"b", "c", "f"})
 	want := "a b c e f"

@@ -233,8 +233,9 @@ const (
 	DriftQuarantine = core.DriftQuarantine
 )
 
-// DefaultEpochInterval is the epoch window length (in batches) used when
-// Config.EpochInterval is 0.
+// DefaultEpochInterval is the epoch window length used when
+// Config.EpochInterval is 0. It counts every batch through the epoch
+// clock's gate, quarantined ones included, not only extracted batches.
 const DefaultEpochInterval = core.DefaultEpochInterval
 
 // ParseDriftPolicy parses a -drift-policy flag value ("" or "off", "evolve",
