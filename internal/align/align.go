@@ -153,31 +153,6 @@ func (a *Aligner) CanonicalSet(labels []string) []string {
 	return out
 }
 
-// State exposes the aligner's mutable state for checkpointing: the class
-// representatives in registration order and a copy of the label →
-// representative map. Together with the similarity function and threshold
-// (which come from configuration, not state) they fully determine future
-// alignment decisions.
-func (a *Aligner) State() (order []string, canonical map[string]string) {
-	order = append([]string(nil), a.order...)
-	canonical = make(map[string]string, len(a.canonical))
-	for l, rep := range a.canonical {
-		canonical[l] = rep
-	}
-	return order, canonical
-}
-
-// Restore replaces the aligner's state with a snapshot taken by State.
-// Registration order matters: Canonical scans representatives in order, so
-// a restored aligner keeps making the decisions the snapshotted one would.
-func (a *Aligner) Restore(order []string, canonical map[string]string) {
-	a.order = append([]string(nil), order...)
-	a.canonical = make(map[string]string, len(canonical))
-	for l, rep := range canonical {
-		a.canonical[l] = rep
-	}
-}
-
 // Classes returns the registered alignment classes: representative →
 // members (including itself), for reporting.
 func (a *Aligner) Classes() map[string][]string {

@@ -14,33 +14,28 @@ import (
 	"pghive/internal/schema"
 )
 
-// Checkpoint codec: a complete serialization of an in-flight discovery run,
+// Checkpoint codec: what extract produced in an in-flight discovery run,
 // in one format for both run shapes. A header the run owns comes first —
 // the configuration fingerprint, the section count, the stream position,
 // the fault quarantines and the epoch clock — then one length-prefixed
 // section per pipeline: its own stream position, batch reports, schema
-// (symtab first) with its evidence, data-type sampler counters, and label
-// aligner and embedding session. A single pipeline writes one section; a
-// fleet writes one per shard (shards.go). One function, restore, decodes it
-// for every caller. A run restored from a checkpoint continues exactly
-// where the writer left off: feeding it the remaining batches yields a
-// Finalize output byte-identical to an uninterrupted run (the crash/resume
-// tests enforce this).
+// (symtab first) with its evidence, and data-type sampler counters. A
+// single pipeline writes one section; a fleet writes one per shard
+// (shards.go). One function, restore, decodes it for every caller.
 //
-// Consistency under the overlapped engine: the extract frontier (schema,
-// sampler, reports) always lags the preprocess frontier (session, aligner),
-// so a checkpoint taken after extract(k) must NOT serialize the live session
-// — it may already have trained on batches k+1, k+2, and in the adaptive-dim
-// case even retrained every vector. The engine therefore snapshots the
-// session/aligner state at preprocess(k) time and pairs it with the
-// post-extract(k) schema, giving the resumed run the exact state the
-// original run had when it began batch k+1.
+// The preprocess state — the label aligner and the embedding session — is
+// not in it. It is a function of the good batches preprocessed so far, in
+// stream order, so a resumed pipeline rebuilds it by preprocessing again
+// the batches of its resume window, the stream slots its section already
+// folded in (Pipeline.replay). Fed the rest of the stream, the restored run
+// then finalizes byte-identically to an uninterrupted run (the crash/resume
+// tests enforce this).
 
 // checkpointMagic versions the checkpoint format, the one both run shapes
 // write. Bump it whenever the layout changes: a checkpoint under any other
-// magic — PGCK1 through PGCK12, whose layouts DESIGN.md §7 traces — is
+// magic — PGCK1 through PGCK13, whose layouts DESIGN.md §7 traces — is
 // refused rather than misparsed.
-const checkpointMagic = "PGCK13"
+const checkpointMagic = "PGCK14"
 
 // Codec bounds for untrusted counts; no count preallocates more than
 // maxPrealloc entries.
@@ -98,89 +93,9 @@ func (c Config) fingerprint() string {
 	return b.String()
 }
 
-// stateSnapshot encodes the preprocess-frontier state (aligner + embedding
-// session) into a self-delimiting byte string. Under the overlapped engine it
-// is captured immediately after preprocess(seq) so a checkpoint emitted at
-// extract(seq) pairs a consistent pair of frontiers.
-func (p *Pipeline) stateSnapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	w := pg.NewWireWriter(&buf)
-	if p.aligner == nil {
-		w.Bool(false)
-	} else {
-		w.Bool(true)
-		order, canonical := p.aligner.State()
-		w.Uvarint(uint64(len(order)))
-		for _, rep := range order {
-			w.String(rep)
-		}
-		labels := make([]string, 0, len(canonical))
-		for l := range canonical {
-			labels = append(labels, l)
-		}
-		sort.Strings(labels)
-		w.Uvarint(uint64(len(labels)))
-		for _, l := range labels {
-			w.String(l)
-			w.String(canonical[l])
-		}
-	}
-	if err := p.session.WriteState(w); err != nil {
-		return nil, err
-	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// restoreSnapshot decodes a stateSnapshot into the pipeline's aligner and
-// session.
-func (p *Pipeline) restoreSnapshot(r *pg.WireReader) error {
-	hasAligner, err := r.Bool()
-	if err != nil {
-		return fmt.Errorf("aligner flag: %w", err)
-	}
-	if hasAligner {
-		if p.aligner == nil {
-			return fmt.Errorf("checkpoint carries aligner state but AlignLabels is off")
-		}
-		n, err := r.Uvarint(maxSamples)
-		if err != nil {
-			return err
-		}
-		order := make([]string, 0, min(n, maxPrealloc))
-		for i := uint64(0); i < n; i++ {
-			rep, err := r.String()
-			if err != nil {
-				return err
-			}
-			order = append(order, rep)
-		}
-		m, err := r.Uvarint(maxSamples)
-		if err != nil {
-			return err
-		}
-		canonical := make(map[string]string, min(m, maxPrealloc))
-		for i := uint64(0); i < m; i++ {
-			l, err := r.String()
-			if err != nil {
-				return err
-			}
-			if canonical[l], err = r.String(); err != nil {
-				return err
-			}
-		}
-		p.aligner.Restore(order, canonical)
-	} else if p.aligner != nil {
-		return fmt.Errorf("AlignLabels is on but checkpoint has no aligner state")
-	}
-	return p.session.ReadState(r)
-}
-
 // section encodes the pipeline's checkpoint section at stream position
-// slots, with snap (from stateSnapshot) as its preprocess-frontier state.
-func (p *Pipeline) section(slots int, snap []byte) ([]byte, error) {
+// slots.
+func (p *Pipeline) section(slots int) ([]byte, error) {
 	var buf bytes.Buffer
 	w := pg.NewWireWriter(&buf)
 	w.Uvarint(uint64(slots))
@@ -192,7 +107,6 @@ func (p *Pipeline) section(slots int, snap []byte) ([]byte, error) {
 		return nil, err
 	}
 	p.sampler.writeState(w)
-	w.Raw(snap)
 	if err := w.Flush(); err != nil {
 		return nil, err
 	}
@@ -227,9 +141,6 @@ func (p *Pipeline) readSection(r *pg.WireReader) (int, error) {
 	p.schema.SetEvidencePolicy(p.cfg.evidencePolicy())
 	if err := p.sampler.readState(r); err != nil {
 		return 0, fmt.Errorf("sampler: %w", err)
-	}
-	if err := p.restoreSnapshot(r); err != nil {
-		return 0, fmt.Errorf("state: %w", err)
 	}
 	return int(slots), nil
 }

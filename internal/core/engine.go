@@ -9,7 +9,9 @@
 // Load runs the fault-absorbing puller (faults.go) ahead of the rest and
 // stamps each good batch with its stream position. Preprocess (align +
 // vectorize) is serialized in batch order because the label aligner and
-// the cross-batch embedding cache are order-dependent. Clustering — the
+// the cross-batch embedding cache are order-dependent; on resume it also
+// replays the resume window — the batches the checkpoint already folded in
+// are preprocessed again and go no further. Clustering — the
 // dominant cost — is pure, so depth−1 workers cluster several batches at
 // once. Extraction merges candidates into the shared schema and sampler; it
 // stays serialized in batch order, which preserves S_i ⊑ S_{i+1} and makes
@@ -31,11 +33,13 @@ import (
 )
 
 // pulled is one good batch as the load stage hands it on: its stream
-// position, the quarantine list as of its pull (only when checkpointing),
-// and when the wait for it began and how long it took.
+// position, whether it lies in the resume window (replay), the quarantine
+// list as of its pull (only when checkpointing a fresh batch), and when the
+// wait for it began and how long it took.
 type pulled struct {
 	b       *pg.Batch
 	pos     int
+	replay  bool
 	skipped []SkipReport
 	t0      time.Time
 	load    time.Duration
@@ -48,27 +52,29 @@ type pulled struct {
 // coordinator (shards.go).
 type saver func(section []byte, pos int, skipped []SkipReport) error
 
-// drain is the engine's one loop: it pulls good batches through pl, runs
-// them through the four stages and, with save set, checkpoints after every
-// extraction. progress, when set, hears the position of every folded batch,
-// and the error that stops the loop as soon as it happens — before the
-// stages wind down, which waits for the pull in progress. drain returns the
-// first permanent source error or failed save.
+// drain is the engine's one loop: it pulls good batches through pl, replays
+// those of the resume window, runs the rest through the four stages and,
+// with save set, checkpoints after every extraction. progress, when set,
+// hears the position of every folded batch, and the error that stops the
+// loop as soon as it happens — before the stages wind down, which waits for
+// the pull in progress. drain returns the first permanent source error or
+// failed save.
 func (p *Pipeline) drain(pl *puller, save saver, progress func(pos int, err error)) error {
 	base := p.nextSeq()
 	if p.cfg.PipelineDepth <= 1 {
-		for seq := base; ; seq++ {
+		for seq := base; ; {
 			in, err := pl.pull(save != nil)
 			if err != nil || in.b == nil {
 				return err
 			}
-			st, err := p.prep(in, seq, save != nil)
-			if err != nil {
+			if in.replay {
+				p.replay(in.b)
+				continue
+			}
+			if err := p.fold(p.cluster(p.prep(in, seq)), save, progress); err != nil {
 				return err
 			}
-			if err := p.fold(p.cluster(st), save, progress); err != nil {
-				return err
-			}
+			seq++
 		}
 	}
 
@@ -113,31 +119,26 @@ func (p *Pipeline) drain(pl *puller, save saver, progress func(pos int, err erro
 		}
 	}()
 
-	// Preprocess: in batch order; Load is the wait for the next batch. After
-	// a halt it only drains the load stage.
+	// Preprocess: in batch order, replaying the resume window; Load is the
+	// wait for the next batch. After a halt it only drains the load stage.
 	prepped := make(chan staged, depth)
-	var prepErr error
 	go func() {
 		defer close(prepped)
 		seq := base
 		for {
 			t0 := time.Now()
 			in, ok := <-loaded
-			if !ok {
+			switch {
+			case !ok:
 				return
+			case halted():
+			case in.replay:
+				p.replay(in.b)
+			default:
+				in.t0, in.load = t0, time.Since(t0)
+				prepped <- p.prep(in, seq)
+				seq++
 			}
-			if halted() {
-				continue
-			}
-			in.t0, in.load = t0, time.Since(t0)
-			st, err := p.prep(in, seq, save != nil)
-			if err != nil {
-				prepErr = err
-				halt(err)
-				continue
-			}
-			seq++
-			prepped <- st
 		}
 	}()
 
@@ -182,30 +183,20 @@ func (p *Pipeline) drain(pl *puller, save saver, progress func(pos int, err erro
 			}
 		}
 	}
-	switch {
-	case srcErr != nil:
+	if srcErr != nil {
 		return srcErr
-	case prepErr != nil:
-		return prepErr
 	}
 	return saveErr
 }
 
-// prep is the preprocess stage for one pulled batch: its load span, align +
-// vectorize, and — when checkpointing — the preprocess-frontier snapshot its
-// checkpoint pairs with the post-extract schema (see checkpoint.go).
-func (p *Pipeline) prep(in pulled, seq int, snapshot bool) (staged, error) {
+// prep is the preprocess stage for one pulled batch: its load span and
+// align + vectorize.
+func (p *Pipeline) prep(in pulled, seq int) staged {
 	p.loadSpan(seq, in.b, in.t0, in.load)
 	st := p.preprocess(in.b, seq)
 	st.report.Load = in.load
 	st.pos, st.skipped = in.pos, in.skipped
-	if snapshot {
-		var err error
-		if st.snap, err = p.stateSnapshot(); err != nil {
-			return st, fmt.Errorf("core: state snapshot: %w", err)
-		}
-	}
-	return st, nil
+	return st
 }
 
 // cluster is the cluster stage for one staged batch. Node and edge
@@ -256,12 +247,11 @@ func (p *Pipeline) fold(c computed, save saver, progress func(pos int, err error
 	return nil
 }
 
-// save encodes the pipeline's section after batch c — this pipeline's
-// post-extract schema paired with the batch's preprocess-time snapshot —
-// and hands it to put with the batch's position and pull-time fault skips.
+// save encodes the pipeline's section after batch c and hands it to put
+// with the batch's position and pull-time fault skips.
 func (p *Pipeline) save(put saver, c computed) error {
 	start := time.Now()
-	section, err := p.section(c.pos, c.snap)
+	section, err := p.section(c.pos)
 	if err != nil {
 		return fmt.Errorf("core: encode checkpoint: %w", err)
 	}

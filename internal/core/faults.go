@@ -10,10 +10,10 @@
 //     checkpoint resumes it; so does a failed checkpoint save, at every
 //     pipeline depth and shard count,
 //
-// and per-batch checkpointing serializes the full pipeline state after every
+// and per-batch checkpointing serializes what extract produced after every
 // extracted batch, so a killed run converges to byte-identical Finalize
-// output when resumed (see checkpoint.go for the frontier-consistency
-// argument).
+// output when resumed (see checkpoint.go for why replaying the resume
+// window rebuilds the rest).
 package core
 
 import (
@@ -36,8 +36,10 @@ type RunOptions struct {
 	Checkpoint Checkpointer
 	// Resume, when non-nil, is a checkpoint the run continues from, written
 	// under the same configuration and shard count. The source must replay
-	// the same stream from its start: the slots the checkpointed run
-	// already folded in are skipped.
+	// the same stream from its start: the good batches of the slots the
+	// checkpointed run already folded in — its resume window — are
+	// preprocessed again to rebuild the label aligner and embedding
+	// session, and are not clustered or merged.
 	Resume []byte
 }
 
@@ -130,8 +132,8 @@ func (f FileCheckpointer) Load() ([]byte, bool, error) {
 // faults in place (up to DefaultMaxTransient), quarantines poisoned batches
 // (recorded only past the resume skip window: the checkpointed run recorded
 // the rest) and returns each good batch with its stream position — also
-// inside the skip window, which the single pipeline drops (pull) and the
-// router re-delivers. It is not safe for concurrent use.
+// inside the skip window, where the pipeline replays it (pull) and the
+// router re-delivers it. It is not safe for concurrent use.
 type puller struct {
 	src       pg.ErrSource
 	instr     obs.Instr
@@ -181,25 +183,22 @@ func (pl *puller) next() (*pg.Batch, int, error) {
 	}
 }
 
-// pull is the single pipeline's load step: the next good batch past the
-// resume skip window, stamped with its position and — with stamp set — a
-// copy of the quarantine list as of its pull. A nil batch is end of stream.
+// pull is a pipeline's load step: the next good batch, stamped with its
+// position and marked replay inside the resume skip window (the
+// checkpointed run already folded it in); past the window, with stamp set,
+// it carries a copy of the quarantine list as of its pull. A nil batch is
+// end of stream.
 func (pl *puller) pull(stamp bool) (pulled, error) {
 	t0 := time.Now()
-	for {
-		b, pos, err := pl.next()
-		if err != nil || b == nil {
-			return pulled{}, err
-		}
-		if pos <= pl.skipSlots {
-			continue // already folded in by the checkpointed run
-		}
-		in := pulled{b: b, pos: pos, t0: t0, load: time.Since(t0)}
-		if stamp {
-			in.skipped = append([]SkipReport(nil), pl.skipped...)
-		}
-		return in, nil
+	b, pos, err := pl.next()
+	if err != nil || b == nil {
+		return pulled{}, err
 	}
+	in := pulled{b: b, pos: pos, replay: pos <= pl.skipSlots, t0: t0, load: time.Since(t0)}
+	if stamp && !in.replay {
+		in.skipped = append([]SkipReport(nil), pl.skipped...)
+	}
+	return in, nil
 }
 
 // metered counts the checkpoints and bytes actually handed to ck — whole

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -166,34 +167,42 @@ func TestResumeRejectsConfigMismatch(t *testing.T) {
 	}
 }
 
-// TestPipelineCheckpointRoundTrip: checkpoint a pipeline mid-run, restore
-// the last checkpoint into a fresh one, and both must produce identical
-// output on the remaining batches — the unit-level core of the
-// crash/resume property.
+// TestPipelineCheckpointRoundTrip: with label alignment on, a run resumed
+// through Run over the whole stream from any checkpoint of an
+// uninterrupted run gives its bytes and reports, at depth 1 and 4. The
+// stream's label variants arrive on both sides of every checkpoint and its
+// vocabulary outgrows the first embedding dimension, so the resumed run
+// must rebuild the aligner and the embedding session from its resume
+// window: the checkpoint holds neither.
 func TestPipelineCheckpointRoundTrip(t *testing.T) {
-	batches := faultFreeBatches(t, 300, 6)
-	cfg := DefaultConfig()
-	cfg.PipelineDepth = 1
-	cfg.AlignLabels = true
-
-	p := NewPipeline(cfg)
-	ck := &statesCheckpointer{}
-	if _, err := p.drainFT(pg.AsErrSource(pg.NewSliceSource(batches[:3]...)), ck, resumeState{}); err != nil {
-		t.Fatal(err)
+	batches := vocabStream(true)
+	for _, depth := range []int{1, 4} {
+		cfg := DefaultConfig()
+		cfg.PipelineDepth = depth
+		cfg.AlignLabels = true
+		ck := &statesCheckpointer{}
+		full, err := Run(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, RunOptions{Checkpoint: ck})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(nodeTypeNames(full.Def)); n != 40 || len(ck.states) != len(batches) {
+			t.Fatalf("depth=%d: %d node types and %d checkpoints, want 40 (every variant aligned) and %d", depth, n, len(ck.states), len(batches))
+		}
+		wantJSON, wantDDL := renderDef(t, full.Def)
+		for i, state := range ck.states {
+			res, err := Run(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, RunOptions{Resume: state})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotJSON, gotDDL := renderDef(t, res.Def)
+			if !bytes.Equal(gotJSON, wantJSON) || !bytes.Equal(gotDDL, wantDDL) {
+				t.Errorf("depth=%d: resumed after batch %d: schema diverges\nwant %s\ngot  %s", depth, i+1, wantJSON, gotJSON)
+			}
+			if got, want := untimed(res.Reports), untimed(full.Reports); !reflect.DeepEqual(got, want) {
+				t.Errorf("depth=%d: resumed after batch %d: reports diverge\nwant %+v\ngot  %+v", depth, i+1, want, got)
+			}
+		}
 	}
-	restored := NewPipeline(cfg)
-	from, _, err := restore(ck.states[len(ck.states)-1], restored.cfg, []*Pipeline{restored}, restored.clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if from.slots != 3 || len(from.skipped) != 0 {
-		t.Fatalf("slots=%d skipped=%d, want 3, 0", from.slots, len(from.skipped))
-	}
-	for _, b := range batches[3:] {
-		p.ProcessBatch(b)
-		restored.ProcessBatch(b)
-	}
-	defsEqual(t, "checkpoint-roundtrip", p.Finalize(), restored.Finalize())
 }
 
 // TestFileCheckpointerRejectsFlippedBytes: a saved checkpoint file loads
@@ -247,7 +256,7 @@ func TestFileCheckpointerRejectsFlippedBytes(t *testing.T) {
 }
 
 // TestResumeRejectsRetiredMagics: a checkpoint under any retired magic,
-// PGCK1 through PGCK12, is refused through Run with an error naming the
+// PGCK1 through PGCK13, is refused through Run with an error naming the
 // checkpoint — at one and at two shards, even with a valid body behind
 // the magic — rather than misparsed under today's layout.
 func TestResumeRejectsRetiredMagics(t *testing.T) {
@@ -260,7 +269,7 @@ func TestResumeRejectsRetiredMagics(t *testing.T) {
 			t.Fatal(err)
 		}
 		body := ck.states[len(ck.states)-1][len(checkpointMagic):]
-		for v := 1; v <= 12; v++ {
+		for v := 1; v <= 13; v++ {
 			stale := append([]byte(fmt.Sprintf("PGCK%d", v)), body...)
 			_, err := Run(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, RunOptions{Resume: stale})
 			if err == nil || !strings.Contains(err.Error(), "checkpoint") {

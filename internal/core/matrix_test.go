@@ -57,7 +57,8 @@ var raceEnabled bool
 // matrixInput is a stream and the sharded-vs-serial equivalence level it
 // supports by soak.ScenarioEquivalenceLevel's rule: label mixing grades
 // coverage, unlabeled elements labeled. The drift stream's Person|Org nodes
-// carry Org's properties, so its clusters are not label-pure either.
+// carry Org's properties, so its clusters are not label-pure either; the
+// vocab stream is graded labeled like the engine stream.
 type matrixInput struct {
 	batches []*pg.Batch
 	level   schema.EquivalenceLevel
@@ -80,9 +81,63 @@ func matrixInputs(t testing.TB) map[string]matrixInput {
 	return map[string]matrixInput{
 		"engine":     {faultFreeBatches(t, 300, 6), schema.EquivLabeled},
 		"drift":      {driftStream(4, 4), schema.EquivLabeled},
+		"vocab":      {vocabStream(false), schema.EquivLabeled},
 		"near-theta": {scenario("near-theta"), schema.EquivCoverage},
 		"supernodes": {scenario("supernodes"), schema.EquivCoverage},
 	}
+}
+
+// vocabStream is eight batches whose label-set vocabulary grows by five
+// node labels a batch, to 40 (plus the edge label LINKS), so the adaptive
+// embedding dimension grows from 16 to 32 at the fifth batch: a resumed run
+// reproduces the embedding session only by replaying its resume window.
+// Each label's four nodes carry its own two properties and link to the
+// next node with a LINKS edge. With variants set, every batch from the
+// second on also carries a lower-case and a plural variant of earlier
+// labels, with their properties, which AlignLabels folds into them; so a
+// run killed at any batch sees variants on both sides of the kill.
+func vocabStream(variants bool) []*pg.Batch {
+	rng := rand.New(rand.NewSource(29))
+	var words []string // random, so no two align
+	word := func() string {
+		w := []byte{byte('A' + rng.Intn(26))}
+		for len(w) < 8 {
+			w = append(w, byte('a'+rng.Intn(26)))
+		}
+		words = append(words, string(w))
+		return string(w)
+	}
+	var batches []*pg.Batch
+	id := pg.ID(1)
+	for i := 0; i < 8; i++ {
+		type member struct{ label, props string }
+		var members []member
+		for j := 0; j < 5; j++ {
+			w := word()
+			members = append(members, member{w, w})
+		}
+		if variants && i > 0 {
+			old := words[rng.Intn(len(words)-5)]
+			members = append(members, member{strings.ToLower(old), old}, member{old + "s", old})
+		}
+		b := &pg.Batch{}
+		for _, m := range members {
+			for k := 0; k < 4; k++ {
+				b.Nodes = append(b.Nodes, pg.NodeRecord{ID: id, Labels: []string{m.label},
+					Props: pg.Properties{m.props + "_a": pg.Int(int64(k)), m.props + "_b": pg.Str("v")}})
+				id++
+			}
+		}
+		for j := 1; j < len(b.Nodes); j++ {
+			src, dst := &b.Nodes[j-1], &b.Nodes[j]
+			b.Edges = append(b.Edges, pg.EdgeRecord{ID: id, Labels: []string{"LINKS"},
+				Src: src.ID, Dst: dst.ID, SrcLabels: src.Labels, DstLabels: dst.Labels,
+				Props: pg.Properties{"w": pg.Int(int64(j))}})
+			id++
+		}
+		batches = append(batches, b)
+	}
+	return batches
 }
 
 // matrixSources is the source dimension. Transient faults are retried in
@@ -153,6 +208,9 @@ func pinnedRows() []matrixRow {
 		add("engine", MethodELSH, depth, 0, "clean", 6)
 		for _, shards := range []int{0, 2} {
 			add("drift", MethodELSH, depth, shards, "clean", noKill)
+			// Killed before and after the embedding dimension grows.
+			add("vocab", MethodELSH, depth, shards, "clean", 3)
+			add("vocab", MethodELSH, depth, shards, "clean", 6)
 		}
 	}
 	add("engine", MethodELSH, 4, 3, "transient", noKill)
@@ -233,7 +291,7 @@ func (m *matrix) source(r matrixRow, kill int) pg.ErrSource {
 // that outcome; each shard's reports must come in batch order.
 func (m *matrix) agree(t *testing.T, key, name string, res *Result) *outcome {
 	t.Helper()
-	o := &outcome{name: name, def: res.Def, skipped: res.Skipped}
+	o := &outcome{name: name, def: res.Def, reports: untimed(res.Reports), skipped: res.Skipped}
 	o.json, o.ddl = renderDef(t, res.Def)
 	next := map[int]int{}
 	for _, rep := range res.Reports {
@@ -241,8 +299,6 @@ func (m *matrix) agree(t *testing.T, key, name string, res *Result) *outcome {
 			t.Errorf("%s: shard %d report %d carries batch %d", name, rep.Shard, next[rep.Shard], rep.Batch)
 		}
 		next[rep.Shard]++
-		rep.Load, rep.Preprocess, rep.Cluster, rep.Extract, rep.Wall = 0, 0, 0, 0, 0
-		o.reports = append(o.reports, rep)
 	}
 	want, ok := m.seen[key]
 	switch {
@@ -254,6 +310,16 @@ func (m *matrix) agree(t *testing.T, key, name string, res *Result) *outcome {
 		t.Errorf("%s: reports or quarantines diverge from %s\nwant %+v %v\ngot  %+v %v", name, want.name, want.reports, want.skipped, o.reports, o.skipped)
 	}
 	return o
+}
+
+// untimed returns a copy of reports with their timings zeroed (nil for
+// none, whatever the run returned).
+func untimed(reports []BatchReport) (out []BatchReport) {
+	for _, rep := range reports {
+		rep.Load, rep.Preprocess, rep.Cluster, rep.Extract, rep.Wall = 0, 0, 0, 0, 0
+		out = append(out, rep)
+	}
+	return out
 }
 
 // reference is the outcome of r's key: the first recorded, or that of an

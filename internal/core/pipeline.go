@@ -73,7 +73,7 @@ type Pipeline struct {
 	clusterEst [2]atomic.Int64
 	instr      obs.Instr
 	// lastSess is the session-stats frontier already emitted to the sink;
-	// preprocess emits per-batch deltas against it (preprocess is
+	// preprocess and replay emit per-batch deltas against it (both are
 	// serialized, so no locking is needed).
 	lastSess vectorize.SessionStats
 	// clock is the run's epoch clock (epoch.go): nil when Config asks for
@@ -143,9 +143,8 @@ func (p *Pipeline) Config() Config { return p.cfg }
 // staged is a batch after the preprocess stage: aligned, vectorized, and
 // ready to cluster. seq is the absolute batch index within the run (the
 // Batch the report will carry once extracted in order); pos is its stream
-// position. skipped and snap are its checkpoint material, set only when
-// checkpointing: the quarantine list as of its pull and the
-// preprocess-frontier snapshot.
+// position. skipped, set only when checkpointing, is the quarantine list
+// as of its pull, which its checkpoint records.
 type staged struct {
 	seq     int
 	pos     int
@@ -154,7 +153,6 @@ type staged struct {
 	start   time.Time // preprocess begin; anchors the report's Wall
 	report  BatchReport
 	skipped []SkipReport
-	snap    []byte
 }
 
 // computed is a batch after the cluster stage, awaiting ordered extraction.
@@ -216,11 +214,7 @@ func (p *Pipeline) preprocess(b *pg.Batch, seq int) staged {
 	st.vz = p.session.Vectorize(st.b)
 	st.report.Preprocess = time.Since(start)
 	if p.instr.Enabled() {
-		ss := p.session.Stats()
-		p.instr.Add(obs.CtrEmbedTokensReused, ss.TokensReused-p.lastSess.TokensReused)
-		p.instr.Add(obs.CtrEmbedTokensTrained, ss.TokensTrained-p.lastSess.TokensTrained)
-		p.instr.Add(obs.CtrEmbedRetrains, ss.Retrains-p.lastSess.Retrains)
-		p.lastSess = ss
+		p.countSession()
 		p.instr.Span(obs.Span{
 			Stage: obs.StagePreprocess, Batch: seq, Slot: p.slot(seq),
 			Start: start, Duration: st.report.Preprocess,
@@ -228,6 +222,28 @@ func (p *Pipeline) preprocess(b *pg.Batch, seq int) staged {
 		})
 	}
 	return st
+}
+
+// replay preprocesses a batch of the resume window and discards the
+// result: it rebuilds the aligner and embedding session, which a checkpoint
+// does not hold, exactly as the checkpointed run left them (checkpoint.go).
+// The batch gets no sequence number, span or report; the tokens it trains
+// are counted.
+func (p *Pipeline) replay(b *pg.Batch) {
+	p.session.Vectorize(p.alignBatch(b))
+	if p.instr.Enabled() {
+		p.countSession()
+	}
+}
+
+// countSession adds the embedding session's counters since the last call
+// to the telemetry sink.
+func (p *Pipeline) countSession() {
+	ss := p.session.Stats()
+	p.instr.Add(obs.CtrEmbedTokensReused, ss.TokensReused-p.lastSess.TokensReused)
+	p.instr.Add(obs.CtrEmbedTokensTrained, ss.TokensTrained-p.lastSess.TokensTrained)
+	p.instr.Add(obs.CtrEmbedRetrains, ss.Retrains-p.lastSess.Retrains)
+	p.lastSess = ss
 }
 
 // extract builds cluster representatives and merges them into the schema
@@ -570,8 +586,8 @@ func telemetrySnapshot(cfg Config) *obs.Snapshot {
 // merges their schemas (shards.go); otherwise one pipeline drains it, and
 // every PipelineDepth gives the same bytes. opts.Checkpoint saves the run
 // state after every extracted batch; opts.Resume continues from such a
-// state over a replay of the stream and finalizes byte-identically to an
-// uninterrupted run. A permanent source failure or a failed save stops the
+// state over a replay of the stream, preprocessing its resume window again,
+// and finalizes byte-identically to an uninterrupted run. A permanent source failure or a failed save stops the
 // run with its error; progress up to it lives in the last checkpoint.
 func Run(src pg.ErrSource, cfg Config, opts RunOptions) (*Result, error) {
 	cfg = cfg.withDefaults()

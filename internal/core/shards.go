@@ -30,11 +30,12 @@
 // just saved with the latest sections of the rest; on resume
 // (RunOptions.Resume) the router replays the stream from the beginning
 // without re-validating it, skips the batches its clock quarantined (the
-// shards never saw them), and each shard's own skip window drops exactly
-// the sub-batches it already folded in. Because the element→shard
-// assignment ignores batch boundaries, the replayed sub-batch sequence is
-// identical, and the resumed run converges to byte-identical Finalize
-// output (TestConfigMatrix).
+// shards never saw them), and each shard's own skip window marks exactly
+// the sub-batches it already folded in, which the shard only preprocesses
+// again to rebuild its aligner and embedding session. Because the
+// element→shard assignment ignores batch boundaries, the replayed sub-batch
+// sequence is identical, and the resumed run converges to byte-identical
+// Finalize output (TestConfigMatrix).
 package core
 
 import (
@@ -168,11 +169,7 @@ func runSharded(src pg.ErrSource, cfg Config, opts RunOptions) (*Result, error) 
 		// Seed every section with its shard's quiescent state so the very
 		// first checkpoint is already complete and resumable.
 		for i, p := range pipes {
-			snap, err := p.stateSnapshot()
-			if err == nil {
-				r.co.sections[i], err = p.section(shardSlots[i], snap)
-			}
-			if err != nil {
+			if r.co.sections[i], err = p.section(shardSlots[i]); err != nil {
 				return nil, fmt.Errorf("core: shard %d: %w", i, err)
 			}
 		}
@@ -200,7 +197,7 @@ func runSharded(src pg.ErrSource, cfg Config, opts RunOptions) (*Result, error) 
 
 // shard runs shard i's engine loop over its feed. The feed only ever
 // delivers good batches (the router absorbs upstream faults), so the shard's
-// puller just counts sub-batch positions and honors its resume skip window.
+// puller just counts sub-batch positions and marks its resume window.
 // The loop reports each folded position, and the error that stops it, to
 // the router as they happen.
 func (r *router) shard(i, skipSlots int) {

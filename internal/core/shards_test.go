@@ -239,11 +239,8 @@ func FuzzShardedCheckpoint(f *testing.F) {
 	pipes := newPipelines(cfg)
 	sections := make([][]byte, len(pipes))
 	for i, p := range pipes {
-		snap, err := p.stateSnapshot()
-		if err != nil {
-			f.Fatal(err)
-		}
-		if sections[i], err = p.section(0, snap); err != nil {
+		var err error
+		if sections[i], err = p.section(0); err != nil {
 			f.Fatal(err)
 		}
 	}

@@ -231,11 +231,7 @@ func TestCheckpointRoundtripsTimings(t *testing.T) {
 		},
 		{Batch: 1, Nodes: 7, Load: 123 * time.Microsecond, Wall: 456 * time.Microsecond},
 	}
-	snap, err := p.stateSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sec, err := p.section(2, snap)
+	sec, err := p.section(2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,13 +71,6 @@ type Model struct {
 	tokens []string
 }
 
-// NewModel returns an empty model of the given dimensionality. Tokens are
-// added with Set. The vectorize session uses this to grow a combined
-// embedding table across batches instead of retraining from scratch.
-func NewModel(dim int) *Model {
-	return &Model{dim: dim, vocab: map[string]int{}}
-}
-
 // Set inserts or replaces a token's embedding. The vector is stored by
 // reference (the caller must not mutate it afterwards) and must match the
 // model's dimensionality. Not safe for use concurrently with Vector.

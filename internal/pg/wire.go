@@ -17,9 +17,11 @@ import (
 
 // WireWriter writes wire-format primitives to a buffered stream. Write
 // errors are sticky and surface at Flush (the bufio contract), so encoders
-// can emit unconditionally and check once.
+// can emit unconditionally and check once. Fixed-size primitives are staged
+// in a scratch array the writer owns, so writing one allocates nothing.
 type WireWriter struct {
-	bw *bufio.Writer
+	bw      *bufio.Writer
+	scratch [binary.MaxVarintLen64]byte
 }
 
 // NewWireWriter wraps w for wire-format output.
@@ -32,16 +34,14 @@ func NewWireWriter(w io.Writer) *WireWriter {
 
 // Uvarint writes an unsigned varint.
 func (w *WireWriter) Uvarint(x uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], x)
-	w.bw.Write(buf[:n]) //nolint:errcheck // surfaces at Flush
+	n := binary.PutUvarint(w.scratch[:], x)
+	w.bw.Write(w.scratch[:n]) //nolint:errcheck // surfaces at Flush
 }
 
 // Varint writes a signed varint.
 func (w *WireWriter) Varint(x int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], x)
-	w.bw.Write(buf[:n]) //nolint:errcheck
+	n := binary.PutVarint(w.scratch[:], x)
+	w.bw.Write(w.scratch[:n]) //nolint:errcheck
 }
 
 // Byte writes one byte.
@@ -60,9 +60,8 @@ func (w *WireWriter) Bool(v bool) {
 
 // Float64 writes a little-endian IEEE-754 double.
 func (w *WireWriter) Float64(f float64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-	w.bw.Write(buf[:]) //nolint:errcheck
+	binary.LittleEndian.PutUint64(w.scratch[:8], math.Float64bits(f))
+	w.bw.Write(w.scratch[:8]) //nolint:errcheck
 }
 
 // String writes a length-prefixed string.

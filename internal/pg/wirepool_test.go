@@ -2,7 +2,10 @@ package pg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -156,6 +159,43 @@ func TestReadBatchAllocBound(t *testing.T) {
 	if perElem := allocs / float64(elements); perElem > 5.5 {
 		t.Fatalf("ReadBatch allocs/element = %.2f (total %.0f for %d elements) — interning regressed",
 			perElem, allocs, elements)
+	}
+}
+
+// TestWireWriterPrimitivesAllocFree: writing a varint, a double or a
+// property value stages its bytes in the writer's own scratch array, so it
+// allocates nothing, and the bytes are still encoding/binary's.
+func TestWireWriterPrimitivesAllocFree(t *testing.T) {
+	w := NewWireWriter(io.Discard)
+	for _, c := range []struct {
+		name  string
+		write func()
+	}{
+		{"Uvarint", func() { w.Uvarint(1 << 62) }},
+		{"Varint", func() { w.Varint(-1 << 62) }},
+		{"Float64", func() { w.Float64(3.25) }},
+		{"Value/int", func() { w.Value(Int(-300)) }},        //nolint:errcheck // a valid kind
+		{"Value/float", func() { w.Value(Float(0.5)) }},     //nolint:errcheck
+		{"Value/string", func() { w.Value(Str("Person")) }}, //nolint:errcheck
+	} {
+		if allocs := testing.AllocsPerRun(100, c.write); allocs != 0 {
+			t.Errorf("%s: %.1f allocs per call, want 0", c.name, allocs)
+		}
+	}
+
+	var buf bytes.Buffer
+	w = NewWireWriter(&buf)
+	w.Uvarint(1 << 62)
+	w.Varint(-1 << 62)
+	w.Float64(3.25)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := binary.AppendUvarint(nil, 1<<62)
+	want = binary.AppendVarint(want, -1<<62)
+	want = binary.LittleEndian.AppendUint64(want, math.Float64bits(3.25))
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("encoded % x, want % x", buf.Bytes(), want)
 	}
 }
 

@@ -73,6 +73,14 @@ func DefaultConfig() Config {
 // it returns are immutable snapshots and may be used concurrently with later
 // Vectorize calls — this is what lets the overlapped execution engine
 // cluster batch i while batch i+1 is being vectorized.
+//
+// The session's state is a function of the batches vectorized so far and
+// their order: the new tokens of a batch are sorted and trained by the
+// single-threaded, seeded embed.Train, and a retrain at a new dimension
+// trains the whole corpus the same way. So a fresh session fed the same
+// batches in the same order holds bit-identical vectors; a resumed
+// discovery run relies on this to rebuild its session, which checkpoints
+// do not hold.
 type Session struct {
 	labelWeight float64
 	semantic    bool
@@ -87,8 +95,8 @@ type Session struct {
 	// never mutated after insertion; invalidation replaces the whole map.
 	weighted map[string][]float64
 	// stats counts cache behaviour across the session's lifetime. Telemetry
-	// only — never persisted in checkpoints (a resumed run restarts at
-	// zero) and never consulted by the pipeline.
+	// only — never consulted by the pipeline (a resumed run counts again
+	// the tokens it retrains while replaying).
 	stats SessionStats
 }
 
