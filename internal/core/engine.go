@@ -220,7 +220,7 @@ func (p *Pipeline) cluster(st staged) computed {
 		c.nodeClusters, c.report.NodeParams = p.clusterKind(ns)
 		c.edgeClusters, c.report.EdgeParams = p.clusterKind(es)
 	}
-	c.vz = nil // extraction reads the batch, not its vectors
+	c.vz = nil // extraction reads the batch and its shapes, not its vectors
 	c.report.Cluster = time.Since(start)
 	c.report.NodeClusters = len(c.nodeClusters)
 	c.report.EdgeClusters = len(c.edgeClusters)

@@ -14,11 +14,12 @@ import (
 // only path. Every element vector of the kind is materialized by
 // vectorize's reference renderer (NodeVectors/EdgeVectors), ELSH parameters
 // adapt over those vectors as a dense vector set (each vector its own
-// prefix, no suffix — lsh's adaptation tests hold that case to the dense µ
-// loop), ELSH hashes each vector through lsh.ELSH.SignatureHash, and
-// MinHash hashes each element's token set (vectorize's NodeSets/EdgeSets)
-// or bands them through lsh.MinHash.ClusterBanded. Seeds repeat
-// clusterKindInner's per-kind offsets.
+// record and prefix, no suffix — lsh's adaptation tests hold that case to
+// the dense µ loop), ELSH hashes each vector through
+// lsh.ELSH.SignatureHash, and MinHash hashes each element's token set
+// (vectorize's NodeSets/EdgeSets) or bands them through
+// lsh.MinHash.ClusterBanded. Seeds repeat clusterKindInner's per-kind
+// offsets.
 func denseClusterKind(cfg Config, spec kindSpec, vectors [][]float64, sets [][]uint64) ([]lsh.Cluster, lsh.Params) {
 	n := spec.n
 	if n == 0 {
@@ -34,7 +35,11 @@ func denseClusterKind(cfg Config, spec kindSpec, vectors [][]float64, sets [][]u
 	if manual != nil {
 		params = *manual
 	} else {
-		params = lsh.AdaptParams(vectors, 0, n, func(i int) (int, []int32) { return i, nil },
+		own := make([]int32, n)
+		for i := range own {
+			own[i] = int32(i)
+		}
+		params = lsh.AdaptParams(vectors, 0, own, func(r int) (int, []int32) { return r, nil },
 			spec.labelTokens, spec.isEdge, cfg.Seed+adaptSeed)
 	}
 	hashes := make([]uint64, n)

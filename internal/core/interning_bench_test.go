@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -36,6 +38,45 @@ func BenchmarkCandidatesInterned(b *testing.B) {
 		s := benchSchema(p)
 		schema.MergeTypes(s, schema.NodeKind, nodeCands, p.cfg.Theta)
 		schema.MergeTypes(s, schema.EdgeKind, edgeCands, p.cfg.Theta)
+	}
+}
+
+// BenchmarkPreprocessCluster measures the preprocess and cluster stages on
+// one batch in the steady state (the embedding session already holds the
+// batch's label tokens), serially: engineGraph's few, heavily repeated
+// element shapes, and a batch of 20,000 nodes that each carry a random
+// subset of 16 keys, so that almost every node has its own shape (the shape
+// index's worst case). CI bounds the first sub-benchmark's allocs/op.
+func BenchmarkPreprocessCluster(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	distinct := &pg.Batch{}
+	for i := 0; i < 20000; i++ {
+		props := pg.Properties{}
+		for k := 0; k < 16; k++ {
+			if rng.Intn(2) == 0 {
+				props[fmt.Sprintf("key%02d", k)] = pg.Int(int64(i))
+			}
+		}
+		distinct.Nodes = append(distinct.Nodes, pg.NodeRecord{ID: pg.ID(i), Labels: []string{"Node"}, Props: props})
+	}
+	for _, c := range []struct {
+		name  string
+		batch *pg.Batch
+	}{
+		{"engine", engineGraph(b, 4000).Snapshot()},
+		{"distinct-shapes", distinct},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.Parallelism = 1
+			p := NewPipeline(cfg)
+			p.cluster(p.preprocess(c.batch, 0))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.cluster(p.preprocess(c.batch, i+1))
+			}
+		})
 	}
 }
 

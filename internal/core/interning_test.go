@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -35,6 +36,95 @@ func TestAmpersandLabelsStayDistinct(t *testing.T) {
 		}
 		if single.Prop("x") == nil {
 			t.Errorf("%v: {a&b} type lost its own property", m)
+		}
+	}
+}
+
+// TestSymtabIDsDeterministic: symbol IDs are assigned in stream order — per
+// element shape, labels in list order, then the sorted keys — so identical
+// runs checkpoint identical symbol tables, as a single pipeline and as a
+// 2-shard fleet. The stream's first element introduces ten keys at once,
+// which interning in map iteration order would number differently from run
+// to run.
+func TestSymtabIDsDeterministic(t *testing.T) {
+	labels := []string{"Person", "Org", "Post"}
+	var batches []*pg.Batch
+	for b := 0; b < 4; b++ {
+		batch := &pg.Batch{}
+		for i := 0; i < 40; i++ {
+			n := b*40 + i
+			props := pg.Properties{}
+			for k := 0; k < 10; k++ {
+				if n == 0 || (n+k)%3 != 0 {
+					props[fmt.Sprintf("key%d", k)] = pg.Int(int64(n))
+				}
+			}
+			batch.Nodes = append(batch.Nodes, pg.NodeRecord{ID: pg.ID(n), Labels: []string{labels[n%3]}, Props: props})
+			if n > 0 {
+				batch.Edges = append(batch.Edges, pg.EdgeRecord{
+					ID: pg.ID(n), Labels: []string{"LINKS"}, Src: pg.ID(n - 1), Dst: pg.ID(n),
+					SrcLabels: []string{labels[(n-1)%3]}, DstLabels: []string{labels[n%3]},
+					Props: pg.Properties{"since": pg.Int(1), "weight": pg.Int(2), "via": pg.Str("x"), fmt.Sprintf("tag%d", n%4): pg.Int(3)},
+				})
+			}
+		}
+		batches = append(batches, batch)
+	}
+	// A fleet's checkpoint pairs the saving shard's newest section with the
+	// latest sections of the rest, so which checkpoint carries a shard's
+	// k-th section, and whether one carries a shard's section before its
+	// first save, depends on scheduling: compare, per section, the sequence
+	// of non-empty symbol tables it takes on.
+	symtabs := func(t *testing.T, cfg Config) [][][]byte {
+		ck := &statesCheckpointer{}
+		if _, err := Run(pg.AsErrSource(pg.NewSliceSource(batches...)), cfg, RunOptions{Checkpoint: ck}); err != nil {
+			t.Fatal(err)
+		}
+		var seqs [][][]byte
+		for c, state := range ck.states {
+			schemas, err := DecodeCheckpointSchemas(state, cfg)
+			if err != nil {
+				t.Fatalf("checkpoint %d: %v", c, err)
+			}
+			if seqs == nil {
+				seqs = make([][][]byte, len(schemas))
+			}
+			for i, s := range schemas {
+				if s.Tab.Strings() == 0 {
+					continue
+				}
+				var buf bytes.Buffer
+				w := pg.NewWireWriter(&buf)
+				schema.WriteSymtab(w, s.Tab)
+				if err := w.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if n := len(seqs[i]); n == 0 || !bytes.Equal(seqs[i][n-1], buf.Bytes()) {
+					seqs[i] = append(seqs[i], buf.Bytes())
+				}
+			}
+		}
+		return seqs
+	}
+	for _, shards := range []int{0, 2} {
+		cfg := DefaultConfig()
+		cfg.Shards = shards
+		first := symtabs(t, cfg)
+		for run := 1; run < 10; run++ {
+			got := symtabs(t, cfg)
+			if len(got) != len(first) {
+				t.Fatalf("shards=%d run %d: %d checkpoint sections, run 0 had %d", shards, run, len(got), len(first))
+			}
+			for i := range got {
+				if len(got[i]) != len(first[i]) {
+					t.Fatalf("shards=%d run %d: section %d took %d symbol tables, run 0's %d", shards, run, i, len(got[i]), len(first[i]))
+				}
+				for k := range got[i] {
+					if !bytes.Equal(got[i][k], first[i][k]) {
+						t.Fatalf("shards=%d run %d: section %d's symbol table %d differs from run 0's", shards, run, i, k)
+					}
+				}
+			}
 		}
 	}
 }

@@ -143,13 +143,16 @@ func (p *Pipeline) Config() Config { return p.cfg }
 // staged is a batch after the preprocess stage: aligned, vectorized, and
 // ready to cluster. seq is the absolute batch index within the run (the
 // Batch the report will carry once extracted in order); pos is its stream
-// position. skipped, set only when checkpointing, is the quarantine list
-// as of its pull, which its checkpoint records.
+// position. shapes is the batch's shape index, which vz carries too: the
+// cluster stage drops vz, and extract interns from shapes. skipped, set
+// only when checkpointing, is the quarantine list as of its pull, which its
+// checkpoint records.
 type staged struct {
 	seq     int
 	pos     int
 	b       *pg.Batch
 	vz      *vectorize.Vectorizer
+	shapes  *pg.ShapeIndex
 	start   time.Time // preprocess begin; anchors the report's Wall
 	report  BatchReport
 	skipped []SkipReport
@@ -212,6 +215,7 @@ func (p *Pipeline) preprocess(b *pg.Batch, seq int) staged {
 	st.start = start
 	st.b = p.alignBatch(b)
 	st.vz = p.session.Vectorize(st.b)
+	st.shapes = st.vz.Shapes()
 	st.report.Preprocess = time.Since(start)
 	if p.instr.Enabled() {
 		p.countSession()
@@ -252,7 +256,7 @@ func (p *Pipeline) countSession() {
 func (p *Pipeline) extract(c computed) BatchReport {
 	c.report.Batch = len(p.reports)
 	start := time.Now()
-	p.internBatch(c.b)
+	p.internShapes(c.shapes)
 	nodeCands := p.nodeCandidates(c.b, c.nodeClusters)
 	edgeCands := p.edgeCandidates(c.b, c.edgeClusters)
 	typesBefore := 0
@@ -324,7 +328,7 @@ func nodeSpec(b *pg.Batch, vz *vectorize.Vectorizer) kindSpec {
 	return kindSpec{
 		n:           len(b.Nodes),
 		labelTokens: vz.LabelTokens(),
-		enc:         func() *vectorize.Encoding { return vz.NodeEncoding(b) },
+		enc:         vz.NodeEncoding,
 	}
 }
 
@@ -333,7 +337,7 @@ func edgeSpec(b *pg.Batch, vz *vectorize.Vectorizer) kindSpec {
 		n:           len(b.Edges),
 		isEdge:      true,
 		labelTokens: vz.LabelTokens(),
-		enc:         func() *vectorize.Encoding { return vz.EdgeEncoding(b) },
+		enc:         vz.EdgeEncoding,
 	}
 }
 
@@ -388,15 +392,19 @@ func (p *Pipeline) clusterKindInner(spec kindSpec) ([]lsh.Cluster, lsh.Params) {
 		mhSeed, adaptSeed, famSeed = 201, 12, 202
 	}
 	// One factored encoding feeds adaptation and both kernels; no element
-	// is ever rendered as a dense vector.
+	// is ever rendered as a dense vector, and every signature is computed
+	// once per record (one per element shape) and scattered to the
+	// elements through RecordOf.
 	enc := spec.enc()
 	if params == nil {
-		adapted := lsh.AdaptParams(enc.Prefixes, enc.Dim-enc.PrefixDim, n, func(i int) (int, []int32) {
-			r := enc.Records[i]
-			return r.TokenID, r.Props
+		adapted := lsh.AdaptParams(enc.Prefixes, enc.Dim-enc.PrefixDim, enc.RecordOf, func(r int) (int, []int32) {
+			rec := enc.Records[r]
+			return rec.TokenID, rec.Props
 		}, spec.labelTokens, spec.isEdge, p.cfg.Seed+adaptSeed)
 		params = &adapted
 	}
+	p.instr.Add(obs.CtrRecordSigsComputed, uint64(len(enc.Records)))
+	p.instr.Add(obs.CtrRecordSigHits, uint64(n-len(enc.Records)))
 	if p.cfg.Method == MethodMinHash {
 		mh := lsh.NewMinHash(params.Tables, p.cfg.Seed+mhSeed)
 		return p.clusterMinHashFactored(spec, enc, mh), *params
@@ -407,97 +415,87 @@ func (p *Pipeline) clusterKindInner(spec kindSpec) ([]lsh.Cluster, lsh.Params) {
 	// label prefix; every further element sharing that prefix is a hit.
 	p.instr.Add(obs.CtrPrefixDotsComputed, uint64(len(enc.Prefixes)))
 	p.instr.Add(obs.CtrPrefixDotHits, uint64(n-len(enc.Prefixes)))
-	hashes := make([]uint64, n)
-	parmapChunks(n, p.cfg.Parallelism, func(lo, hi int) {
+	sigs := make([]uint64, len(enc.Records))
+	parmapChunks(len(sigs), p.cfg.Parallelism, func(lo, hi int) {
 		h := fk.Hasher()
-		for i := lo; i < hi; i++ {
-			r := enc.Records[i]
-			hashes[i] = h.SignatureHash(r.TokenID, r.Props)
+		for r := lo; r < hi; r++ {
+			sigs[r] = h.SignatureHash(enc.Records[r].TokenID, enc.Records[r].Props)
 		}
 	})
-	return lsh.GroupByHashSized(hashes, p.bucketHint(spec.isEdge)), *params
+	return lsh.GroupByHashSized(scatter(sigs, enc.RecordOf), p.bucketHint(spec.isEdge)), *params
 }
 
-// clusterMinHashFactored is the factored MinHash path: elements sharing a
-// record (prefix tokens + property-index set — the common case, most
-// elements share a type) are deduplicated and each distinct record's
-// signature is computed once. Exact-key dedup keeps the per-element hashes
-// bit-identical to hashing every element's token set (the dense reference
-// of TestFactoredMatchesDense).
+// scatter expands per-record values to the elements: element i gets
+// perRecord[recordOf[i]].
+func scatter[T any](perRecord []T, recordOf []int32) []T {
+	out := make([]T, len(recordOf))
+	for i, r := range recordOf {
+		out[i] = perRecord[r]
+	}
+	return out
+}
+
+// clusterMinHashFactored is the factored MinHash path: each record's
+// signature is computed once from its token set (prefix tokens plus
+// property-key tokens) and scattered to the elements, so the per-element
+// hashes are bit-identical to hashing every element's token set (the dense
+// reference of TestFactoredMatchesDense).
 func (p *Pipeline) clusterMinHashFactored(spec kindSpec, enc *vectorize.Encoding, mh *lsh.MinHash) []lsh.Cluster {
-	recID, reps := enc.DistinctRecords()
-	// One signature per distinct record; every duplicate record is a hit.
-	p.instr.Add(obs.CtrRecordSigsComputed, uint64(len(reps)))
-	p.instr.Add(obs.CtrRecordSigHits, uint64(spec.n-len(reps)))
 	if p.cfg.MinHashRows > 0 {
-		distinct := make([][]uint64, len(reps))
-		parmapChunks(len(reps), p.cfg.Parallelism, func(lo, hi int) {
+		sigs := make([][]uint64, len(enc.Records))
+		parmapChunks(len(sigs), p.cfg.Parallelism, func(lo, hi int) {
 			var set []uint64
-			for j := lo; j < hi; j++ {
-				set = enc.AppendSet(set[:0], reps[j])
-				distinct[j] = mh.Signature(set)
+			for r := lo; r < hi; r++ {
+				set = enc.AppendSet(set[:0], r)
+				sigs[r] = mh.Signature(set)
 			}
 		})
-		sigs := make([][]uint64, spec.n)
-		for i, id := range recID {
-			sigs[i] = distinct[id]
-		}
-		return mh.ClusterBandedSignatures(sigs, p.cfg.MinHashRows)
+		return mh.ClusterBandedSignatures(scatter(sigs, enc.RecordOf), p.cfg.MinHashRows)
 	}
-	distinct := make([]uint64, len(reps))
-	parmapChunks(len(reps), p.cfg.Parallelism, func(lo, hi int) {
+	sigs := make([]uint64, len(enc.Records))
+	parmapChunks(len(sigs), p.cfg.Parallelism, func(lo, hi int) {
 		var set []uint64
-		for j := lo; j < hi; j++ {
-			set = enc.AppendSet(set[:0], reps[j])
-			distinct[j] = mh.SignatureHash(set)
+		for r := lo; r < hi; r++ {
+			set = enc.AppendSet(set[:0], r)
+			sigs[r] = mh.SignatureHash(set)
 		}
 	})
-	hashes := make([]uint64, spec.n)
-	for i, id := range recID {
-		hashes[i] = distinct[id]
-	}
-	return lsh.GroupByHashSized(hashes, p.bucketHint(spec.isEdge))
+	return lsh.GroupByHashSized(scatter(sigs, enc.RecordOf), p.bucketHint(spec.isEdge))
 }
 
-// internBatch pre-interns every label and property key the batch's
+// internShapes pre-interns every label and property key the batch's
 // candidate builders will touch (endpoint IDs are not interned: degree
-// evidence keys them raw). extract is serialized in batch order, so
-// interning here is single-threaded — ID assignment is deterministic in
-// stream order — and the parallel candidate observers below only perform
-// read-only symtab lookups (Intern hits on every call), making the shared
-// table race-free without locking.
-func (p *Pipeline) internBatch(b *pg.Batch) {
+// evidence keys them raw), once per shape: node shapes, then edge shapes,
+// each in first-appearance order, with its labels in list order (an edge's
+// label, source and target lists in turn) and then its sorted keys. extract
+// is serialized in batch order, so interning here is single-threaded — ID
+// assignment is deterministic in stream order — and the parallel candidate
+// observers below only perform read-only symtab lookups (Intern hits on
+// every call), making the shared table race-free without locking.
+func (p *Pipeline) internShapes(shapes *pg.ShapeIndex) {
 	tab := p.schema.Tab
-	for i := range b.Nodes {
-		n := &b.Nodes[i]
-		for _, l := range n.Labels {
-			tab.Intern(l)
-		}
-		for k := range n.Props {
-			tab.Intern(k)
+	intern := func(list []string) {
+		for _, s := range list {
+			tab.Intern(s)
 		}
 	}
-	for i := range b.Edges {
-		e := &b.Edges[i]
-		for _, l := range e.Labels {
-			tab.Intern(l)
-		}
-		for _, l := range e.SrcLabels {
-			tab.Intern(l)
-		}
-		for _, l := range e.DstLabels {
-			tab.Intern(l)
-		}
-		for k := range e.Props {
-			tab.Intern(k)
-		}
+	for i := range shapes.Nodes {
+		intern(shapes.Nodes[i].Labels)
+		intern(shapes.Nodes[i].Keys)
+	}
+	for i := range shapes.Edges {
+		e := &shapes.Edges[i]
+		intern(e.Labels)
+		intern(e.SrcLabels)
+		intern(e.DstLabels)
+		intern(e.Keys)
 	}
 }
 
 // nodeCandidates turns node clusters into candidate types (cluster
 // representatives, §4.2): labels and property keys are unioned over the
 // members, and per-property evidence is accumulated. The batch must have
-// been pre-interned (internBatch), so the parallel observers only read the
+// been pre-interned (internShapes), so the parallel observers only read the
 // symtab. The data-type sample is drawn afterwards, in the serial run's
 // ordinal order (sampler.sampleCandidates).
 func (p *Pipeline) nodeCandidates(b *pg.Batch, clusters []lsh.Cluster) []*schema.Type {

@@ -412,7 +412,7 @@ func TestSampleCandidatesMatchesSerialDecider(t *testing.T) {
 		for i := len(b.Nodes) - 1; i >= 0; i-- {
 			clusters[(i*7+batch)%5].Members = append(clusters[(i*7+batch)%5].Members, i)
 		}
-		p.internBatch(b)
+		p.internShapes(pg.IndexShapes(b))
 		got := p.nodeCandidates(b, clusters)
 		for ci, c := range clusters {
 			want := map[string]map[pg.Kind]int{}

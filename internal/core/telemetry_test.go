@@ -104,29 +104,32 @@ func TestTelemetrySchemaUnchanged(t *testing.T) {
 	}
 }
 
-// TestTelemetryMinHashRecordSigCounters: the factored MinHash kernel
-// reports its distinct-record memoization.
+// TestTelemetryMinHashRecordSigCounters: both factored kernels, MinHash and
+// ELSH, report their per-record signatures: one computed per record (per
+// element shape), every further element a hit.
 func TestTelemetryMinHashRecordSigCounters(t *testing.T) {
 	g := engineGraph(t, 200)
-	reg := obs.NewRegistry()
-	cfg := DefaultConfig()
-	cfg.Method = MethodMinHash
-	cfg.Telemetry = reg
-	res := discoverSplit(g, cfg, 3, 5)
-	snap := res.Telemetry
-	if snap == nil {
-		t.Fatal("no telemetry snapshot")
-	}
-	computed, hits := snap.Counter(obs.CtrRecordSigsComputed), snap.Counter(obs.CtrRecordSigHits)
-	if computed == 0 || hits == 0 {
-		t.Fatalf("record-signature cache counters = %d computed / %d hits, want both > 0", computed, hits)
-	}
-	var elements uint64
-	for _, r := range res.Reports {
-		elements += uint64(r.Nodes + r.Edges)
-	}
-	if computed+hits != elements {
-		t.Errorf("computed+hits = %d, want one per element (%d)", computed+hits, elements)
+	for _, m := range []Method{MethodMinHash, MethodELSH} {
+		reg := obs.NewRegistry()
+		cfg := DefaultConfig()
+		cfg.Method = m
+		cfg.Telemetry = reg
+		res := discoverSplit(g, cfg, 3, 5)
+		snap := res.Telemetry
+		if snap == nil {
+			t.Fatalf("%v: no telemetry snapshot", m)
+		}
+		computed, hits := snap.Counter(obs.CtrRecordSigsComputed), snap.Counter(obs.CtrRecordSigHits)
+		if computed == 0 || hits == 0 {
+			t.Fatalf("%v: record-signature counters = %d computed / %d hits, want both > 0", m, computed, hits)
+		}
+		var elements uint64
+		for _, r := range res.Reports {
+			elements += uint64(r.Nodes + r.Edges)
+		}
+		if computed+hits != elements {
+			t.Errorf("%v: computed+hits = %d, want one per element (%d)", m, computed+hits, elements)
+		}
 	}
 }
 

@@ -58,23 +58,26 @@ func SampleIndexes(population int, seed int64) []int {
 }
 
 // AdaptParams implements the paper's adaptive parameterization (§4.2) over
-// a batch of population hybrid vectors held in factored form, the layout
-// FactoredELSH hashes: element(i) returns vector i's prefix id and the
-// ascending positions set in its 0/1 suffix, so the vector is
-// prefixes[prefixID] followed by suffixWidth suffix entries. A dense vector
-// set is the special case where every vector is its own prefix and the
-// suffix is empty. The adaptation sample is SampleIndexes(population, seed);
-// element is called only for sampled indexes. labelCount is the number of
-// distinct label-set tokens L, and isEdge selects the edge variant of the T
-// formula (floor 3 and cap 20 instead of 5 and 25).
+// a batch of hybrid vectors held in factored form, the layout FactoredELSH
+// hashes: element i has record recordOf[i], and record(r) returns record
+// r's prefix id and the ascending positions set in its 0/1 suffix, so an
+// element's vector is prefixes[prefixID] followed by suffixWidth suffix
+// entries. The population is len(recordOf). A dense vector set is the
+// special case where every vector is its own record and its own prefix and
+// the suffix is empty. The adaptation sample is SampleIndexes(population,
+// seed); record is called once per record present in the sample.
+// labelCount is the number of distinct label-set tokens L, and isEdge
+// selects the edge variant of the T formula (floor 3 and cap 20 instead of
+// 5 and 25).
 //
 //	µ     = average Euclidean distance over sampled pairs,
 //	b_base = 1.2·µ,  b = b_base·α,
 //	T = b_base · max(floor, α·min(cap, log10 N)), clamped to [15, 35].
-func AdaptParams(prefixes [][]float64, suffixWidth, population int,
-	element func(i int) (prefixID int, suffix []int32),
+func AdaptParams(prefixes [][]float64, suffixWidth int, recordOf []int32,
+	record func(r int) (prefixID int, suffix []int32),
 	labelCount int, isEdge bool, seed int64) Params {
-	mu := newFactoredSample(prefixes, suffixWidth, SampleIndexes(population, seed), element).distanceScale(seed)
+	population := len(recordOf)
+	mu := newFactoredSample(prefixes, suffixWidth, SampleIndexes(population, seed), recordOf, record).distanceScale(seed)
 	return paramsForScale(mu, population, labelCount, isEdge)
 }
 
@@ -136,7 +139,9 @@ const (
 )
 
 // factoredSample is the adaptation sample in factored form: per sampled
-// element its prefix id and its suffix as a bitset of words uint64s.
+// element the index of its record among the R records present in the
+// sample, and per such record its prefix id and its suffix as a bitset of
+// words uint64s.
 //
 // The dense distance loop accumulates Σ(a_i−b_i)² in ascending position
 // order. Over the prefix block that is the prefix pair's partial sum; over
@@ -146,37 +151,75 @@ const (
 // time, with m = popcount of the suffix XOR — bit for bit. A single
 // s += float64(m) rounds differently when the ones carry s across two or
 // more powers of two and s has fraction bits the intermediate sums shed.
+//
+// A pair's distance is a function of its two records, so when the R×R
+// record-pair table has no more entries than there are pairs to evaluate
+// it is filled once and every pair reads it (dist). Otherwise — a dense
+// vector set has one record per element — each pair is computed from its
+// two records, over the prefix-pair table sums when that one is small
+// enough by the same rule.
 type factoredSample struct {
 	prefixes [][]float64
-	prefix   []int // per sampled element: its prefix id
+	rec      []int32 // per sampled element: its sample record
+	prefix   []int   // per sample record: its prefix id
 	bits     []uint64
 	words    int
-	// sums holds squaredDistance for every ordered prefix pair when that
-	// table has no more entries than there are pairs to evaluate, so
-	// filling it never costs more than computing each pair's prefix sum.
-	// Otherwise (a dense vector set has one prefix per element) it is nil
-	// and each pair computes its prefix sum directly.
+	// dist holds recordDistance for every ordered pair of sample records,
+	// or is nil.
+	dist []float64
+	// sums holds squaredDistance for every ordered prefix pair when dist is
+	// nil and that table has no more entries than there are pairs to
+	// evaluate, so filling it never costs more than computing each pair's
+	// prefix sum. Otherwise it is nil and each pair computes its prefix sum
+	// directly.
 	sums []float64
 }
 
-func newFactoredSample(prefixes [][]float64, suffixWidth int, idx []int, element func(int) (int, []int32)) *factoredSample {
+func newFactoredSample(prefixes [][]float64, suffixWidth int, idx []int, recordOf []int32, record func(int) (int, []int32)) *factoredSample {
 	words := (suffixWidth + 63) / 64
 	s := &factoredSample{
 		prefixes: prefixes,
-		prefix:   make([]int, len(idx)),
-		bits:     make([]uint64, len(idx)*words),
+		rec:      make([]int32, len(idx)),
 		words:    words,
 	}
+	// Number the records present in the sample in order of appearance:
+	// slot holds a record's sample index plus one, 0 while unseen.
+	maxRec := int32(-1)
+	for _, i := range idx {
+		maxRec = max(maxRec, recordOf[i])
+	}
+	slot := make([]int32, maxRec+1)
+	var recs []int32
 	for e, i := range idx {
-		id, suffix := element(i)
-		s.prefix[e] = id
-		row := s.bits[e*words : (e+1)*words]
-		for _, k := range suffix {
-			row[k>>6] |= 1 << (k & 63)
+		r := recordOf[i]
+		if slot[r] == 0 {
+			recs = append(recs, r)
+			slot[r] = int32(len(recs))
+		}
+		s.rec[e] = slot[r] - 1
+	}
+	s.prefix = make([]int, len(recs))
+	s.bits = make([]uint64, len(recs)*words)
+	for k, r := range recs {
+		id, suffix := record(int(r))
+		s.prefix[k] = id
+		row := s.bits[k*words : (k+1)*words]
+		for _, b := range suffix {
+			row[b>>6] |= 1 << (b & 63)
 		}
 	}
-	n, p := len(idx), len(prefixes)
-	if p*p <= min(n*(n-1)/2, maxPairs) {
+	n, R, p := len(idx), len(recs), len(prefixes)
+	pairs := min(n*(n-1)/2, maxPairs)
+	if R*R <= pairs {
+		s.dist = make([]float64, R*R)
+		for a := range R {
+			for b := range R {
+				s.dist[a*R+b] = s.recordDistance(a, b)
+			}
+		}
+		return s
+	}
+	if p*p <= pairs {
 		s.sums = make([]float64, p*p)
 		for a := range prefixes {
 			for b := range prefixes {
@@ -190,6 +233,16 @@ func newFactoredSample(prefixes [][]float64, suffixWidth int, idx []int, element
 // distance returns the Euclidean distance between sampled elements a and b,
 // bit-identical to EuclideanDistance on their dense vectors.
 func (s *factoredSample) distance(a, b int) float64 {
+	ra, rb := int(s.rec[a]), int(s.rec[b])
+	if s.dist != nil {
+		return s.dist[ra*len(s.prefix)+rb]
+	}
+	return s.recordDistance(ra, rb)
+}
+
+// recordDistance returns the Euclidean distance between the vectors of
+// sample records a and b.
+func (s *factoredSample) recordDistance(a, b int) float64 {
 	pa, pb := s.prefix[a], s.prefix[b]
 	var sum float64
 	if s.sums != nil {
@@ -213,7 +266,7 @@ func (s *factoredSample) distance(a, b int) float64 {
 // the sample: every pair when there are at most maxPairs of them, otherwise
 // maxPairs random pairs drawn from seed.
 func (s *factoredSample) distanceScale(seed int64) float64 {
-	n := len(s.prefix)
+	n := len(s.rec)
 	if n < 2 {
 		return 0
 	}

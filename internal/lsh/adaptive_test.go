@@ -68,12 +68,21 @@ func denseScale(sample [][]float64, seed int64) float64 {
 }
 
 // ownPrefix presents a dense vector set to the factored kernel: every
-// vector is its own prefix and the suffix is empty.
-func ownPrefix(i int) (int, []int32) { return i, nil }
+// vector is its own record and its own prefix, and the suffix is empty.
+func ownPrefix(r int) (int, []int32) { return r, nil }
+
+// identity maps every one of n elements to its own record.
+func identity(n int) []int32 {
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = int32(i)
+	}
+	return out
+}
 
 // adaptVectors adapts on a dense vector set through the factored kernel.
 func adaptVectors(vectors [][]float64, labelCount int, isEdge bool, seed int64) Params {
-	return AdaptParams(vectors, 0, len(vectors), ownPrefix, labelCount, isEdge, seed)
+	return AdaptParams(vectors, 0, identity(len(vectors)), ownPrefix, labelCount, isEdge, seed)
 }
 
 // factoredScale is the factored kernel's µ over exactly the given vectors
@@ -83,7 +92,14 @@ func factoredScale(vectors [][]float64, seed int64) float64 {
 	for i := range idx {
 		idx[i] = i
 	}
-	return newFactoredSample(vectors, 0, idx, ownPrefix).distanceScale(seed)
+	return newFactoredSample(vectors, 0, idx, identity(len(vectors)), ownPrefix).distanceScale(seed)
+}
+
+// sameParams reports whether two parameter sets are equal bit for bit.
+func sameParams(a, b Params) bool {
+	bitsEq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return bitsEq(a.Mu, b.Mu) && bitsEq(a.BBase, b.BBase) && bitsEq(a.Alpha, b.Alpha) &&
+		bitsEq(a.Bucket, b.Bucket) && a.Tables == b.Tables
 }
 
 func TestAlphaForLabels(t *testing.T) {
@@ -256,14 +272,19 @@ func TestPairDistanceScaleLargeInputSampled(t *testing.T) {
 // TestAdaptParamsFactoredMatchesDense is the factored adaptation's
 // bit-identity property: on hybrid vectors in factored form, every pair
 // distance equals EuclideanDistance on the materialized vectors, and
-// AdaptParams returns exactly the Params (µ included) of the dense µ loop.
-// The cases cover both pair regimes (a sample of at most 200 evaluates every
-// pair, a larger one 20,000 drawn pairs), the all-zero prefix of unlabeled
-// elements, empty suffixes, suffix widths at and across word boundaries,
-// one prefix shared by every element, one prefix per element, and the dense
-// special case itself. Small prefix scales keep the prefix-pair sums below
-// the suffix counts, where adding the suffix ones in bulk would round
-// differently from the dense loop.
+// AdaptParams returns exactly the Params (µ included, bit for bit) of the
+// dense µ loop. The cases cover both pair regimes (a sample of at most 200
+// evaluates every pair, a larger one 20,000 drawn pairs), the all-zero
+// prefix of unlabeled elements, empty suffixes, suffix widths at and across
+// word boundaries, one prefix shared by every element, one prefix per
+// element, and the dense special case itself. Elements either each have
+// their own record or draw from a pool of records: one record (R = 1), few
+// enough that the R×R record-pair table is filled (R² at most the pairs to
+// evaluate, up to the limit itself), and too many (R² above the pairs, and
+// above maxPairs), where each pair is computed from its records. Small
+// prefix scales keep the prefix-pair sums below the suffix counts, where
+// adding the suffix ones in bulk would round differently from the dense
+// loop.
 func TestAdaptParamsFactoredMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const (
@@ -280,25 +301,37 @@ func TestAdaptParamsFactoredMatchesDense(t *testing.T) {
 		prefixes  int
 		nnz       float64
 		scale     float64 // multiplies the generated prefix floats
+		records   int     // distinct records the elements draw from; 0: one per element
+		table     bool    // the record-pair table is filled
 	}{
-		{"all-pairs/width1", 150, 16, 1, pool, 0.5, 1},
-		{"all-pairs/width64", 200, 16, 64, pool, 0.3, 0.05},
-		{"all-pairs/width65", 120, 8, 65, pool, 0.4, 1},
-		{"all-pairs/width200", 180, 48, 200, pool, 0.2, 0.02},
-		{"drawn/width1", 700, 16, 1, pool, 0.5, 0.1},
-		{"drawn/width64", 500, 16, 64, pool, 0.3, 1},
-		{"drawn/width65", 900, 4, 65, pool, 0.5, 0.05},
-		{"drawn/width300", 400, 48, 300, pool, 0.1, 0.02},
-		{"unlabeled/all-pairs", 60, 16, 40, unlabeled, 0.3, 1},
-		{"unlabeled/drawn", 300, 16, 40, unlabeled, 0.3, 1},
-		{"shared/all-pairs", 80, 16, 66, shared, 0.3, 1},
-		{"shared/drawn", 350, 16, 66, shared, 0.3, 1},
-		{"own/all-pairs", 100, 16, 130, own, 0.25, 0.03},
-		{"own/drawn", 260, 16, 130, own, 0.25, 0.03},
-		{"empty-suffix/all-pairs", 90, 16, 0, pool, 0, 1},
-		{"empty-suffix/drawn", 250, 16, 0, pool, 0, 1},
-		{"no-bits-set", 300, 16, 70, pool, 0, 1},
-		{"suffix-only", 400, 0, 129, unlabeled, 0.3, 1},
+		{"all-pairs/width1", 150, 16, 1, pool, 0.5, 1, 0, false},
+		{"all-pairs/width64", 200, 16, 64, pool, 0.3, 0.05, 0, false},
+		{"all-pairs/width65", 120, 8, 65, pool, 0.4, 1, 0, false},
+		{"all-pairs/width200", 180, 48, 200, pool, 0.2, 0.02, 0, false},
+		{"drawn/width1", 700, 16, 1, pool, 0.5, 0.1, 0, false},
+		{"drawn/width64", 500, 16, 64, pool, 0.3, 1, 0, false},
+		{"drawn/width65", 900, 4, 65, pool, 0.5, 0.05, 0, false},
+		{"drawn/width300", 400, 48, 300, pool, 0.1, 0.02, 0, false},
+		{"unlabeled/all-pairs", 60, 16, 40, unlabeled, 0.3, 1, 0, false},
+		{"unlabeled/drawn", 300, 16, 40, unlabeled, 0.3, 1, 0, false},
+		{"shared/all-pairs", 80, 16, 66, shared, 0.3, 1, 0, false},
+		{"shared/drawn", 350, 16, 66, shared, 0.3, 1, 0, false},
+		{"own/all-pairs", 100, 16, 130, own, 0.25, 0.03, 0, false},
+		{"own/drawn", 260, 16, 130, own, 0.25, 0.03, 0, false},
+		{"empty-suffix/all-pairs", 90, 16, 0, pool, 0, 1, 0, false},
+		{"empty-suffix/drawn", 250, 16, 0, pool, 0, 1, 0, false},
+		{"no-bits-set", 300, 16, 70, pool, 0, 1, 0, false},
+		{"suffix-only", 400, 0, 129, unlabeled, 0.3, 1, 0, false},
+		{"R=1/all-pairs", 150, 16, 66, pool, 0.3, 1, 1, true},
+		{"R=1/drawn", 700, 16, 66, pool, 0.3, 1, 1, true},
+		{"table/all-pairs", 200, 16, 130, pool, 0.25, 0.03, 12, true},
+		{"table/drawn", 900, 48, 200, pool, 0.2, 0.02, 40, true},
+		{"table/suffix-only", 400, 0, 129, unlabeled, 0.3, 1, 9, true},
+		{"table/at-pairs", 20, 16, 65, pool, 0.4, 1, 13, true},       // 169 ≤ 190 pairs
+		{"fallback/over-pairs", 20, 16, 65, pool, 0.4, 1, 14, false}, // 196 > 190 pairs
+		{"table/at-max-pairs", 900, 16, 70, pool, 0.3, 0.05, 141, true},
+		{"fallback/all-pairs", 200, 16, 70, pool, 0.3, 0.05, 150, false},
+		{"fallback/over-max-pairs", 900, 16, 70, pool, 0.3, 0.05, 150, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -326,12 +359,29 @@ func TestAdaptParamsFactoredMatchesDense(t *testing.T) {
 					c.tokenIDs[i] = i
 				}
 			}
-			element := func(i int) (int, []int32) { return c.tokenIDs[i], c.suffixes[i] }
+			// Record r is element r's (prefix, suffix); with a pool, the
+			// first tc.records elements are the records and every later
+			// element takes one of them.
+			recordOf := identity(tc.elements)
+			if tc.records > 0 {
+				for i := tc.records; i < tc.elements; i++ {
+					recordOf[i] = int32(rng.Intn(tc.records))
+					c.dense[i] = c.dense[recordOf[i]]
+				}
+			}
+			record := func(r int) (int, []int32) { return c.tokenIDs[r], c.suffixes[r] }
 			all := make([]int, tc.elements)
 			for i := range all {
 				all[i] = i
 			}
-			fs := newFactoredSample(c.prefixes, tc.suffixLen, all, element)
+			fs := newFactoredSample(c.prefixes, tc.suffixLen, all, recordOf, record)
+			if got := fs.dist != nil; got != tc.table {
+				t.Fatalf("record-pair table filled = %v, want %v", got, tc.table)
+			}
+			pairs := min(tc.elements*(tc.elements-1)/2, maxPairs)
+			if len(fs.dist) > pairs {
+				t.Fatalf("record-pair table of %d distances, more than the %d pairs", len(fs.dist), pairs)
+			}
 			for i := range c.dense {
 				for j := i + 1; j < len(c.dense); j += 1 + i%7 {
 					if got, want := fs.distance(i, j), EuclideanDistance(c.dense[i], c.dense[j]); got != want {
@@ -343,10 +393,10 @@ func TestAdaptParamsFactoredMatchesDense(t *testing.T) {
 				for _, isEdge := range []bool{false, true} {
 					seed := rng.Int63()
 					want := denseAdaptParams(c.dense, labels, isEdge, seed)
-					if got := AdaptParams(c.prefixes, tc.suffixLen, tc.elements, element, labels, isEdge, seed); got != want {
+					if got := AdaptParams(c.prefixes, tc.suffixLen, recordOf, record, labels, isEdge, seed); !sameParams(got, want) {
 						t.Fatalf("L=%d edge=%v: factored %+v, dense %+v", labels, isEdge, got, want)
 					}
-					if got := adaptVectors(c.dense, labels, isEdge, seed); got != want {
+					if got := adaptVectors(c.dense, labels, isEdge, seed); !sameParams(got, want) {
 						t.Fatalf("L=%d edge=%v: dense special case %+v, dense %+v", labels, isEdge, got, want)
 					}
 				}
@@ -363,7 +413,8 @@ func BenchmarkAdapt(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{500, 24_000} {
 		c := genHybrid(rng, n, 48, 64, 12, 0.2)
-		element := func(i int) (int, []int32) { return c.tokenIDs[i], c.suffixes[i] }
+		recordOf := identity(n)
+		record := func(r int) (int, []int32) { return c.tokenIDs[r], c.suffixes[r] }
 		b.Run(fmt.Sprintf("n=%d/dense", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -373,7 +424,7 @@ func BenchmarkAdapt(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/factored", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				AdaptParams(c.prefixes, 64, n, element, 5, true, 1)
+				AdaptParams(c.prefixes, 64, recordOf, record, 5, true, 1)
 			}
 		})
 	}

@@ -131,8 +131,10 @@ const (
 	// by reusing one (beyond the first element per distinct prefix).
 	CtrPrefixDotsComputed
 	CtrPrefixDotHits
-	// CtrRecordSigsComputed counts distinct MinHash record signatures
-	// computed; CtrRecordSigHits counts elements served by a memoized one.
+	// CtrRecordSigsComputed counts record signatures computed, one per
+	// record (element shape) of a batch kind, by either kernel (ELSH or
+	// MinHash); CtrRecordSigHits counts elements served by their record's
+	// signature beyond the first.
 	CtrRecordSigsComputed
 	CtrRecordSigHits
 	// CtrSoakWindows counts invariant windows the soak harness checked;

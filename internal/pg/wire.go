@@ -100,14 +100,18 @@ func (w *WireWriter) Value(v Value) error {
 // prior write.
 func (w *WireWriter) Flush() error { return w.bw.Flush() }
 
-// WireReader reads wire-format primitives. It keeps two pieces of reusable
-// decode state: a scratch buffer that string reads stage their bytes in, and
-// an intern table that dedups the short, endlessly repeated strings of a
-// graph stream (labels, property keys) so decoding a million "Person" nodes
-// allocates the label string once. Reset lets one reader (and its warm
-// state) decode many streams.
+// WireReader reads wire-format primitives. It keeps three pieces of reusable
+// decode state: a fixed array that doubles stage their bytes in, a scratch
+// buffer that string reads stage their bytes in, and an intern table that
+// dedups the short, endlessly repeated strings of a graph stream (labels,
+// property keys) so decoding a million "Person" nodes allocates the label
+// string once. Reset lets one reader (and its warm state) decode many
+// streams.
 type WireReader struct {
 	br *bufio.Reader
+	// fixed stages a double's bytes: a stack array handed to io.ReadFull
+	// would escape to the heap on every call.
+	fixed [8]byte
 	// scratch is the staging buffer for string payloads; valid only until
 	// the next read call.
 	scratch []byte
@@ -179,11 +183,10 @@ func (r *WireReader) Bool() (bool, error) {
 
 // Float64 reads a little-endian IEEE-754 double.
 func (r *WireReader) Float64() (float64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r.br, buf[:]); err != nil {
+	if _, err := io.ReadFull(r.br, r.fixed[:]); err != nil {
 		return 0, err
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
+	return math.Float64frombits(binary.LittleEndian.Uint64(r.fixed[:])), nil
 }
 
 // String reads a length-prefixed string (length capped at 1 GiB). The

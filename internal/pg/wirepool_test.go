@@ -199,6 +199,45 @@ func TestWireWriterPrimitivesAllocFree(t *testing.T) {
 	}
 }
 
+// TestWireReaderPrimitivesAllocFree: reading a double, or a property value
+// holding one, stages its bytes in the reader's own array, so it allocates
+// nothing, and it decodes what the writer wrote.
+func TestWireReaderPrimitivesAllocFree(t *testing.T) {
+	const runs = 100 // AllocsPerRun calls once more to warm up
+	var buf bytes.Buffer
+	w := NewWireWriter(&buf)
+	for i := 0; i <= runs; i++ {
+		w.Float64(float64(i) + 0.25)
+	}
+	for i := 0; i <= runs; i++ {
+		w.Value(Float(-float64(i) / 8)) //nolint:errcheck // a valid kind
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewWireReader(bytes.NewReader(buf.Bytes()))
+	i := 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		f, err := r.Float64()
+		if err != nil || f != float64(i)+0.25 {
+			t.Fatalf("Float64 #%d = %v, %v; want %v", i, f, err, float64(i)+0.25)
+		}
+		i++
+	}); allocs != 0 {
+		t.Errorf("Float64: %.1f allocs per call, want 0", allocs)
+	}
+	i = 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		v, err := r.Value()
+		if err != nil || v.Kind() != KindFloat || v.AsFloat() != -float64(i)/8 {
+			t.Fatalf("Value #%d = %v, %v; want float %v", i, v, err, -float64(i)/8)
+		}
+		i++
+	}); allocs != 0 {
+		t.Errorf("Value/float: %.1f allocs per call, want 0", allocs)
+	}
+}
+
 // BenchmarkReadBatchWarm measures the steady-state decode path over many
 // streams: one reader, warm intern table, reused scratch buffer.
 func BenchmarkReadBatchWarm(bm *testing.B) {

@@ -3,17 +3,19 @@ package vectorize
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"pghive/internal/pg"
 )
 
-// materialize reconstructs element i's dense hybrid vector from its compact
-// record: prefix floats then 0/1 suffix.
+// materialize reconstructs element i's dense hybrid vector from its
+// shape's compact record: prefix floats then 0/1 suffix.
 func materialize(e *Encoding, i int) []float64 {
 	v := make([]float64, e.Dim)
-	r := e.Records[i]
+	r := e.Records[e.RecordOf[i]]
 	copy(v, e.Prefixes[r.TokenID])
 	for _, k := range r.Props {
 		v[e.PrefixDim+int(k)] = 1
@@ -68,8 +70,8 @@ func TestEncodingMatchesDenseVectors(t *testing.T) {
 			b := randomBatch(rng, 60, 60, tc.keys, tc.nnz)
 			v := New(b, DefaultConfig())
 			for kind, enc := range map[string]*Encoding{
-				"nodes": v.NodeEncoding(b),
-				"edges": v.EdgeEncoding(b),
+				"nodes": v.NodeEncoding(),
+				"edges": v.EdgeEncoding(),
 			} {
 				var n int
 				var dense func(i int) []float64
@@ -80,8 +82,8 @@ func TestEncodingMatchesDenseVectors(t *testing.T) {
 					n = len(b.Edges)
 					dense = func(i int) []float64 { return v.EdgeVector(&b.Edges[i]) }
 				}
-				if len(enc.Records) != n {
-					t.Fatalf("%s: %d records for %d elements", kind, len(enc.Records), n)
+				if len(enc.RecordOf) != n {
+					t.Fatalf("%s: %d record ids for %d elements", kind, len(enc.RecordOf), n)
 				}
 				for i := 0; i < n; i++ {
 					want := dense(i)
@@ -94,10 +96,9 @@ func TestEncodingMatchesDenseVectors(t *testing.T) {
 							t.Fatalf("%s[%d] dim %d: %v vs dense %v", kind, i, d, got[d], want[d])
 						}
 					}
-					if !sort.SliceIsSorted(enc.Records[i].Props, func(a, b int) bool {
-						return enc.Records[i].Props[a] < enc.Records[i].Props[b]
-					}) {
-						t.Fatalf("%s[%d]: property indexes not ascending: %v", kind, i, enc.Records[i].Props)
+					props := enc.Records[enc.RecordOf[i]].Props
+					if !sort.SliceIsSorted(props, func(a, b int) bool { return props[a] < props[b] }) {
+						t.Fatalf("%s[%d]: property indexes not ascending: %v", kind, i, props)
 					}
 				}
 			}
@@ -120,7 +121,7 @@ func TestEncodingSetsMatchDenseSets(t *testing.T) {
 	check := func(kind string, enc *Encoding, n int, dense func(i int) []uint64) {
 		for i := 0; i < n; i++ {
 			want := sorted(dense(i))
-			got := sorted(enc.AppendSet(nil, i))
+			got := sorted(enc.AppendSet(nil, int(enc.RecordOf[i])))
 			if len(want) != len(got) {
 				t.Fatalf("%s[%d]: set size %d vs dense %d", kind, i, len(got), len(want))
 			}
@@ -131,46 +132,38 @@ func TestEncodingSetsMatchDenseSets(t *testing.T) {
 			}
 		}
 	}
-	check("nodes", v.NodeEncoding(b), len(b.Nodes), func(i int) []uint64 { return v.NodeSet(&b.Nodes[i]) })
-	check("edges", v.EdgeEncoding(b), len(b.Edges), func(i int) []uint64 { return v.EdgeSet(&b.Edges[i]) })
+	check("nodes", v.NodeEncoding(), len(b.Nodes), func(i int) []uint64 { return v.NodeSet(&b.Nodes[i]) })
+	check("edges", v.EdgeEncoding(), len(b.Edges), func(i int) []uint64 { return v.EdgeSet(&b.Edges[i]) })
 }
 
-// TestDistinctRecords: dedup groups exactly the elements with equal
-// (prefix, property-set) records, representatives come in first-appearance
-// order, and two distinct records never share an id.
-func TestDistinctRecords(t *testing.T) {
+// TestEncodingRecordTable: the encoding holds one record per shape, in
+// first-appearance order, and maps every element to its shape's record:
+// elements with equal label lists and key sets share one, whatever their
+// values, and every other element gets its own.
+func TestEncodingRecordTable(t *testing.T) {
 	b := &pg.Batch{Nodes: []pg.NodeRecord{
 		{Labels: []string{"A"}, Props: pg.Properties{"x": pg.Int(1)}},
 		{Labels: []string{"B"}, Props: pg.Properties{"x": pg.Int(1)}},
-		{Labels: []string{"A"}, Props: pg.Properties{"x": pg.Int(2)}}, // same record as 0
+		{Labels: []string{"A"}, Props: pg.Properties{"x": pg.Int(2)}}, // same shape as 0
 		{Labels: []string{"A"}, Props: pg.Properties{"y": pg.Int(1)}},
 		{Labels: []string{"A"}, Props: pg.Properties{"x": pg.Int(1), "y": pg.Int(1)}},
 		{Labels: nil, Props: pg.Properties{"x": pg.Int(1)}},
 	}}
 	v := New(b, DefaultConfig())
-	enc := v.NodeEncoding(b)
-	recID, reps := enc.DistinctRecords()
-	if len(recID) != len(b.Nodes) {
-		t.Fatalf("recID covers %d elements, want %d", len(recID), len(b.Nodes))
+	enc := v.NodeEncoding()
+	if want := []int32{0, 1, 0, 2, 3, 4}; !slices.Equal(enc.RecordOf, want) {
+		t.Fatalf("RecordOf = %v, want %v", enc.RecordOf, want)
 	}
-	if want := []int{0, 1, 0, 2, 3, 4}; !equalInts(recID, want) {
-		t.Fatalf("recID = %v, want %v", recID, want)
+	want := []Record{
+		{TokenID: 0, Props: []int32{0}},
+		{TokenID: 1, Props: []int32{0}},
+		{TokenID: 0, Props: []int32{1}},
+		{TokenID: 0, Props: []int32{0, 1}},
+		{TokenID: 2, Props: []int32{0}},
 	}
-	if want := []int{0, 1, 3, 4, 5}; !equalInts(reps, want) {
-		t.Fatalf("reps = %v, want %v", reps, want)
+	if !reflect.DeepEqual(enc.Records, want) {
+		t.Fatalf("Records = %v, want %v", enc.Records, want)
 	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestEncodingPrefixSharing: node prefixes alias the session's weighted
@@ -185,11 +178,11 @@ func TestEncodingPrefixSharing(t *testing.T) {
 		})
 	}
 	v := New(b, DefaultConfig())
-	ne := v.NodeEncoding(b)
+	ne := v.NodeEncoding()
 	if len(ne.Prefixes) != 1 {
 		t.Fatalf("10 identically-labeled nodes produced %d prefixes, want 1", len(ne.Prefixes))
 	}
-	ee := v.EdgeEncoding(b)
+	ee := v.EdgeEncoding()
 	if len(ee.Prefixes) != 1 {
 		t.Fatalf("10 identical-triple edges produced %d prefixes, want 1", len(ee.Prefixes))
 	}

@@ -140,11 +140,13 @@ func New(b *pg.Batch, cfg Config) *Vectorizer {
 	return NewSession(cfg).Vectorize(b)
 }
 
-// Vectorize scans the batch (property-key vocabulary, label-set tokens),
-// trains the embedding on the tokens this batch introduces, and returns a
-// Vectorizer rendering against an immutable snapshot of the session's
-// embedding table.
+// Vectorize indexes the batch's element shapes (pg.IndexShapes), scans them
+// for the property-key vocabulary and the label-set tokens, trains the
+// embedding on the tokens this batch introduces, and returns a Vectorizer
+// rendering against an immutable snapshot of the session's embedding table.
+// The Vectorizer carries the shape index.
 func (s *Session) Vectorize(b *pg.Batch) *Vectorizer {
+	shapes := pg.IndexShapes(b)
 	nodeKeySet := map[string]struct{}{}
 	edgeKeySet := map[string]struct{}{}
 	batchTokens := map[string]struct{}{}
@@ -156,15 +158,17 @@ func (s *Session) Vectorize(b *pg.Batch) *Vectorizer {
 	// semantically different elements apart even when their structure
 	// matches (distinct label sets are distinct types under the paper's
 	// model). With SemanticLabels, sentences also carry the member labels,
-	// so overlapping sets attract.
-	observe := func(labels []string) {
+	// so overlapping sets attract. Shapes come in first-appearance order,
+	// so a token's sentence takes the label order of the first element
+	// that carries it, as a scan over the elements would.
+	observe := func(labels []string) string {
 		key := pg.LabelSetKey(labels)
 		if key == "" {
-			return
+			return key
 		}
 		batchTokens[key] = struct{}{}
 		if _, seen := s.sentences[key]; seen {
-			return
+			return key
 		}
 		if !s.semantic || len(labels) == 1 {
 			s.sentences[key] = []string{key}
@@ -175,22 +179,23 @@ func (s *Session) Vectorize(b *pg.Batch) *Vectorizer {
 			s.sentences[key] = sentence
 		}
 		newTokens = append(newTokens, key)
+		return key
 	}
-	for i := range b.Nodes {
-		n := &b.Nodes[i]
-		for k := range n.Props {
+	nodeTokens := make([]string, len(shapes.Nodes))
+	for i := range shapes.Nodes {
+		sh := &shapes.Nodes[i]
+		for _, k := range sh.Keys {
 			nodeKeySet[k] = struct{}{}
 		}
-		observe(n.Labels)
+		nodeTokens[i] = observe(sh.Labels)
 	}
-	for i := range b.Edges {
-		e := &b.Edges[i]
-		for k := range e.Props {
+	edgeTokens := make([][3]string, len(shapes.Edges))
+	for i := range shapes.Edges {
+		sh := &shapes.Edges[i]
+		for _, k := range sh.Keys {
 			edgeKeySet[k] = struct{}{}
 		}
-		observe(e.Labels)
-		observe(e.SrcLabels)
-		observe(e.DstLabels)
+		edgeTokens[i] = [3]string{observe(sh.Labels), observe(sh.SrcLabels), observe(sh.DstLabels)}
 	}
 
 	s.train(newTokens)
@@ -204,6 +209,9 @@ func (s *Session) Vectorize(b *pg.Batch) *Vectorizer {
 		labelTokens: len(batchTokens),
 		nodeKeys:    sortedSlice(nodeKeySet),
 		edgeKeys:    sortedSlice(edgeKeySet),
+		shapes:      shapes,
+		nodeTokens:  nodeTokens,
+		edgeTokens:  edgeTokens,
 	}
 	v.nodeKeyPos = make(map[string]int, len(v.nodeKeys))
 	for i, k := range v.nodeKeys {
@@ -319,9 +327,10 @@ func sortedSlice(set map[string]struct{}) []string {
 }
 
 // Vectorizer renders one batch's element vectors: it holds the batch's
-// property-key layout and an immutable snapshot of the session's embedding
-// table. Algorithm 1 constructs one Vectorizer per batch (the preprocess
-// step). All methods except Model are safe for concurrent use.
+// shape index, its property-key layout and an immutable snapshot of the
+// session's embedding table. Algorithm 1 constructs one Vectorizer per batch
+// (the preprocess step). All methods except Model are safe for concurrent
+// use.
 type Vectorizer struct {
 	model       *embed.Model
 	dim         int
@@ -333,7 +342,18 @@ type Vectorizer struct {
 	edgeKeys    []string       // sorted distinct edge property keys (Q)
 	edgeKeyPos  map[string]int
 	labelTokens int // distinct non-empty label-set tokens seen in the batch
+
+	shapes *pg.ShapeIndex
+	// nodeTokens and edgeTokens hold each shape's label-set tokens (an
+	// edge's label, source and target tokens), aligned with shapes.Nodes
+	// and shapes.Edges.
+	nodeTokens []string
+	edgeTokens [][3]string
 }
+
+// Shapes returns the shape index of the batch the Vectorizer was built
+// from.
+func (v *Vectorizer) Shapes() *pg.ShapeIndex { return v.shapes }
 
 // Model exposes the session's combined label embedding as of this batch. It
 // is a live reference: do not call its methods concurrently with a later
