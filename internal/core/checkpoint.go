@@ -58,18 +58,19 @@ type SkipReport struct {
 	Reason string
 }
 
-// fingerprint renders, after the layout tag v4, every Config field whose
+// fingerprint renders, after the layout tag v5, every Config field whose
 // `checkpoint` tag says it can change discovery output — quarantine-only
 // fields under DriftQuarantine only — as name=value in declaration order.
 // A checkpoint cannot be resumed under another fingerprint: the replayed
 // batches would be processed differently and the byte-identity guarantee
-// would silently break. A func renders only whether it is set, since func
-// values cannot be compared; a nil pointer renders as auto. A field without
-// a known class renders as fingerprinted (and fails
-// TestConfigFieldsClassified).
+// would silently break. Callers fingerprint a configuration after
+// withDefaults, so a zero field and its default render alike. A nil
+// pointer renders as auto. A field without a known class renders as
+// fingerprinted; it fails TestConfigFieldsClassified, as does a func field
+// that is not execution-only.
 func (c Config) fingerprint() string {
 	var b strings.Builder
-	b.WriteString("v4")
+	b.WriteString("v5")
 	v := reflect.ValueOf(c)
 	for i := 0; i < v.NumField(); i++ {
 		f, fv := v.Type().Field(i), v.Field(i)
@@ -81,12 +82,9 @@ func (c Config) fingerprint() string {
 				continue
 			}
 		}
-		switch {
-		case fv.Kind() == reflect.Func:
-			fmt.Fprintf(&b, " %s=%t", f.Name, !fv.IsNil())
-		case fv.Kind() == reflect.Pointer && fv.IsNil():
+		if fv.Kind() == reflect.Pointer && fv.IsNil() {
 			fmt.Fprintf(&b, " %s=auto", f.Name)
-		default:
+		} else {
 			fmt.Fprintf(&b, " %s=%+v", f.Name, reflect.Indirect(fv))
 		}
 	}

@@ -10,8 +10,6 @@ import (
 	"runtime"
 	"sync"
 
-	"pghive/internal/align"
-	"pghive/internal/embed"
 	"pghive/internal/infer"
 	"pghive/internal/lsh"
 	"pghive/internal/obs"
@@ -57,19 +55,18 @@ const (
 
 func classOf(f reflect.StructField) fieldClass { return fieldClass(f.Tag.Get("checkpoint")) }
 
-// Config controls a discovery run. The zero value plus DefaultConfig's
-// fields reproduce the paper's configuration: adaptive LSH parameters,
-// θ = 0.9, 10 %/≥1000 data-type sampling. Each field's `checkpoint` tag
-// declares its checkpoint class (fieldClass).
+// Config controls a discovery run. Its zero value is the paper's
+// configuration apart from Seed, which DefaultConfig sets to 1: adaptive LSH
+// parameters, θ = 0.9, 10 %/≥1000 data-type sampling, labels embedded by one
+// 16-dimensional Word2Vec model (embed.DefaultConfig). Each field's
+// `checkpoint` tag declares its checkpoint class (fieldClass).
 type Config struct {
 	// Method is the clustering family.
 	Method Method `checkpoint:"fingerprinted"`
-	// Theta is the Jaccard merge threshold θ of Algorithm 2.
+	// Theta is the Jaccard merge threshold θ of Algorithm 2 (0 means 0.9).
 	Theta float64 `checkpoint:"fingerprinted"`
-	// Embedding configures the per-batch Word2Vec label model.
-	Embedding embed.Config `checkpoint:"fingerprinted"`
 	// LabelWeight scales the embedding block relative to the binary
-	// property indicators (0 means the vectorizer default).
+	// property indicators (0 means vectorize.DefaultLabelWeight, 2).
 	LabelWeight float64 `checkpoint:"fingerprinted"`
 	// SemanticLabels trains the label embedding on multi-label
 	// co-occurrence so overlapping label sets attract (off by default;
@@ -78,20 +75,10 @@ type Config struct {
 	// AlignLabels enables label alignment for integration scenarios (the
 	// paper's future-work item (c)): label variants such as Organization /
 	// Organisation are canonicalized before clustering, so sources with
-	// inconsistent label conventions land in shared types. Uses
-	// AlignThreshold over AlignSimilarity.
+	// inconsistent label conventions land in shared types. Two labels align
+	// when their normalized edit distance over folded labels gives a
+	// similarity of at least 0.8 (align.DefaultSimilarity).
 	AlignLabels bool `checkpoint:"fingerprinted"`
-	// AlignThreshold is the similarity threshold for label alignment
-	// (0 means 0.8).
-	AlignThreshold float64 `checkpoint:"fingerprinted"`
-	// AlignSimilarity overrides the label similarity function (nil means
-	// normalized edit distance over folded labels; an embedding- or
-	// LLM-backed scorer can drop in). The checkpoint fingerprint records
-	// only whether a custom scorer is set, since func values cannot be
-	// compared: resuming a checkpoint written under one custom scorer with
-	// a different custom scorer is outside the fingerprint's reach, so the
-	// two must match by caller contract.
-	AlignSimilarity align.Similarity `checkpoint:"fingerprinted"`
 	// NodeParams and EdgeParams override the adaptive LSH parameters when
 	// non-nil (the paper's manual mode; Figure 6 sweeps these).
 	NodeParams *lsh.Params `checkpoint:"fingerprinted"`
@@ -108,7 +95,8 @@ type Config struct {
 	Participation bool `checkpoint:"fingerprinted"`
 	// SampleFraction and SampleMin control the data-type sample: every
 	// property's first SampleMin observations are always sampled, then a
-	// SampleFraction share of the rest (paper: 10 %, at least 1000).
+	// SampleFraction share of the rest (0 means the paper's 10 % and at
+	// least 1000).
 	SampleFraction float64 `checkpoint:"fingerprinted"`
 	SampleMin      int     `checkpoint:"fingerprinted"`
 	// TrackMembers records per-type member element IDs (needed by the
@@ -201,8 +189,8 @@ type Config struct {
 	// 1 runs the same stages inline; 0 means DefaultPipelineDepth.
 	PipelineDepth int `checkpoint:"execution-only"`
 	// Seed drives the LSH hash families, adaptive parameter sampling and the
-	// data-type sample. It seeds the Word2Vec label model only when
-	// Embedding.Dim is 0, so under DefaultConfig Embedding.Seed (1) does.
+	// data-type sample. The Word2Vec label model always trains with seed 1
+	// (embed.DefaultConfig), whatever Seed is.
 	Seed int64 `checkpoint:"fingerprinted"`
 }
 
@@ -211,21 +199,18 @@ type Config struct {
 // extract stages all busy, shallow enough to bound resident batches.
 const DefaultPipelineDepth = 4
 
-// DefaultConfig returns the paper's configuration.
-func DefaultConfig() Config {
-	return Config{
-		Method:         MethodELSH,
-		Theta:          0.9,
-		Embedding:      embed.DefaultConfig(),
-		SampleFraction: 0.10,
-		SampleMin:      1000,
-		Seed:           1,
-	}
-}
+// DefaultConfig returns the paper's configuration: the zero Config with
+// Seed 1. withDefaults fills in the rest.
+func DefaultConfig() Config { return Config{Seed: 1} }
 
+// withDefaults resolves every field whose zero value means a default, so
+// that two configurations that run alike fingerprint alike.
 func (c Config) withDefaults() Config {
 	if c.Theta <= 0 {
 		c.Theta = 0.9
+	}
+	if c.LabelWeight <= 0 {
+		c.LabelWeight = vectorize.DefaultLabelWeight
 	}
 	if c.SampleFraction <= 0 {
 		c.SampleFraction = 0.10
@@ -261,23 +246,6 @@ func (c Config) finalize(s *schema.Schema) *schema.Def {
 		SampleBased:   c.SampleDatatypes,
 		Participation: c.Participation,
 	})
-}
-
-func (c Config) vectorizeConfig() vectorize.Config {
-	vc := vectorize.Config{
-		Embedding:      c.Embedding,
-		LabelWeight:    c.LabelWeight,
-		SemanticLabels: c.SemanticLabels,
-	}
-	if vc.Embedding.Dim == 0 {
-		// Leave Dim zero: the vectorizer picks it from the batch's label
-		// vocabulary. Fill the remaining hyperparameters with defaults.
-		def := embed.DefaultConfig()
-		def.Dim = 0
-		def.Seed = c.Seed
-		vc.Embedding = def
-	}
-	return vc
 }
 
 // parmap runs f(i) for i in [0, n) across at most workers goroutines.

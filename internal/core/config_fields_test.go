@@ -1,12 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"io"
 	"reflect"
-	"strings"
 	"testing"
 
-	"pghive/internal/align"
+	"pghive/internal/datagen"
 	"pghive/internal/lsh"
 	"pghive/internal/obs"
 	"pghive/internal/pg"
@@ -20,12 +21,9 @@ import (
 var configSetters = map[string]func(*Config){
 	"Method":          func(c *Config) { c.Method = MethodMinHash },
 	"Theta":           func(c *Config) { c.Theta = 0.7 },
-	"Embedding":       func(c *Config) { c.Embedding.Dim = 7 },
-	"LabelWeight":     func(c *Config) { c.LabelWeight = 2 },
+	"LabelWeight":     func(c *Config) { c.LabelWeight = 3 },
 	"SemanticLabels":  func(c *Config) { c.SemanticLabels = true },
 	"AlignLabels":     func(c *Config) { c.AlignLabels = true },
-	"AlignThreshold":  func(c *Config) { c.AlignThreshold = 0.6 },
-	"AlignSimilarity": func(c *Config) { c.AlignSimilarity = align.DefaultSimilarity },
 	"NodeParams":      func(c *Config) { c.NodeParams = &lsh.Params{Bucket: 1, Tables: 4} },
 	"EdgeParams":      func(c *Config) { c.EdgeParams = &lsh.Params{Bucket: 1, Tables: 4} },
 	"MinHashRows":     func(c *Config) { c.MinHashRows = 4 },
@@ -48,9 +46,11 @@ var configSetters = map[string]func(*Config){
 
 // TestConfigFieldsClassified: every Config field declares a checkpoint
 // class and has a setter in configSetters, and changing each field away
-// from DefaultConfig() changes fingerprint() exactly when the field is
-// fingerprinted — quarantine-only fields change it under DriftQuarantine
-// and nowhere else.
+// from DefaultConfig() changes the fingerprint of the defaulted
+// configuration exactly when the field is fingerprinted — quarantine-only
+// fields change it under DriftQuarantine and nowhere else. A func field
+// must be execution-only: a func value has no rendering that two processes
+// share, so fingerprint() cannot record it.
 func TestConfigFieldsClassified(t *testing.T) {
 	typ := reflect.TypeOf(Config{})
 	for i := 0; i < typ.NumField(); i++ {
@@ -62,6 +62,9 @@ func TestConfigFieldsClassified(t *testing.T) {
 		}
 		if configSetters[f.Name] == nil {
 			t.Errorf("Config.%s has no setter in configSetters", f.Name)
+		}
+		if f.Type.Kind() == reflect.Func && classOf(f) != executionOnly {
+			t.Errorf("Config.%s is a func classed %q: only an execution-only func can be left out of the fingerprint", f.Name, classOf(f))
 		}
 	}
 	for name, set := range configSetters {
@@ -80,7 +83,7 @@ func TestConfigFieldsClassified(t *testing.T) {
 				after.Kind() != reflect.Func && before.Equal(after) {
 				t.Fatalf("%s: setter leaves the field at its %s value", name, where)
 			}
-			if changed := c.fingerprint() != base.fingerprint(); changed != wantChange {
+			if changed := c.withDefaults().fingerprint() != base.withDefaults().fingerprint(); changed != wantChange {
 				t.Errorf("%s (%s): fingerprint changed = %t, want %t", name, where, changed, wantChange)
 			}
 		}
@@ -94,37 +97,59 @@ func TestConfigFieldsClassified(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsAlignSimilarityChange: a checkpoint written with label
-// alignment under a custom scorer must refuse to resume under the default
-// scorer, and vice versa — the scorer decides alignment classes and so the
-// schema. The same custom scorer resumes.
-func TestResumeRejectsAlignSimilarityChange(t *testing.T) {
-	batches := faultFreeBatches(t, 100, 3)
-	custom := DefaultConfig()
-	custom.AlignLabels = true
-	custom.AlignSimilarity = func(a, b string) float64 { return 1 }
-	def := custom
-	def.AlignSimilarity = nil
-
-	for _, tc := range []struct {
-		name           string
-		writer, reader Config
-		wantErr        bool
+// TestZeroConfigIsDefault: a zero field means its default, so the zero
+// Config runs what DefaultConfig() runs but for the seed. Configurations
+// that differ only by a zero field and its default fingerprint alike after
+// withDefaults, and Config{Seed: 1} gives DefaultConfig()'s JSON, DDL and
+// untimed reports over the engine graph and the noise-ramp scenario, at
+// depth 1 and 4 and at two shards. noise-ramp's label noise grows its
+// vocabulary to 32 label-set tokens, so it checks that the label model
+// keeps its one dimension however many tokens a run has seen.
+func TestZeroConfigIsDefault(t *testing.T) {
+	for _, pair := range []struct {
+		name string
+		a, b Config
 	}{
-		{"custom-to-default", custom, def, true},
-		{"default-to-custom", def, custom, true},
-		{"custom-to-custom", custom, custom, false},
+		{"Config{Seed: 1} vs DefaultConfig()", Config{Seed: 1}, DefaultConfig()},
+		{"Config{LabelWeight: 2} vs Config{}", Config{LabelWeight: 2}, Config{}},
 	} {
-		ck := &statesCheckpointer{}
-		if _, err := Run(pg.AsErrSource(pg.NewSliceSource(batches...)), tc.writer, RunOptions{Checkpoint: ck}); err != nil {
-			t.Fatal(err)
+		if a, b := pair.a.withDefaults().fingerprint(), pair.b.withDefaults().fingerprint(); a != b {
+			t.Errorf("%s: fingerprints differ:\n  %s\n  %s", pair.name, a, b)
 		}
-		_, err := DecodeCheckpointSchemas(ck.states[len(ck.states)-1], tc.reader)
-		if tc.wantErr && (err == nil || !strings.Contains(err.Error(), "different configuration")) {
-			t.Errorf("%s: resume err = %v, want a fingerprint mismatch", tc.name, err)
-		}
-		if !tc.wantErr && err != nil {
-			t.Errorf("%s: resume: %v", tc.name, err)
+	}
+
+	var noiseRamp []*pg.Batch
+	src := datagen.ScenarioByName("noise-ramp").Stream(1)
+	for b := src.Next(); b != nil; b = src.Next() {
+		noiseRamp = append(noiseRamp, b)
+	}
+	for _, in := range []struct {
+		name    string
+		batches []*pg.Batch
+	}{
+		{"engine", faultFreeBatches(t, 300, 6)},
+		{"noise-ramp", noiseRamp},
+	} {
+		for _, shape := range []struct{ depth, shards int }{{1, 0}, {4, 0}, {4, 2}} {
+			t.Run(fmt.Sprintf("%s/depth=%d/shards=%d", in.name, shape.depth, shape.shards), func(t *testing.T) {
+				run := func(cfg Config) (jsonBytes, ddl []byte, reports []BatchReport) {
+					cfg.PipelineDepth, cfg.Shards = shape.depth, shape.shards
+					res, err := Run(pg.AsErrSource(pg.NewSliceSource(in.batches...)), cfg, RunOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					jsonBytes, ddl = renderDef(t, res.Def)
+					return jsonBytes, ddl, untimed(res.Reports)
+				}
+				zeroJSON, zeroDDL, zeroReports := run(Config{Seed: 1})
+				defJSON, defDDL, defReports := run(DefaultConfig())
+				if !bytes.Equal(zeroJSON, defJSON) || !bytes.Equal(zeroDDL, defDDL) {
+					t.Errorf("schemas differ: Config{Seed: 1} gives %d JSON bytes, DefaultConfig() %d", len(zeroJSON), len(defJSON))
+				}
+				if !reflect.DeepEqual(zeroReports, defReports) {
+					t.Errorf("reports differ:\n  Config{Seed: 1}: %+v\n  DefaultConfig(): %+v", zeroReports, defReports)
+				}
+			})
 		}
 	}
 }

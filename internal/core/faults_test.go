@@ -170,10 +170,10 @@ func TestResumeRejectsConfigMismatch(t *testing.T) {
 // TestPipelineCheckpointRoundTrip: with label alignment on, a run resumed
 // through Run over the whole stream from any checkpoint of an
 // uninterrupted run gives its bytes and reports, at depth 1 and 4. The
-// stream's label variants arrive on both sides of every checkpoint and its
-// vocabulary outgrows the first embedding dimension, so the resumed run
-// must rebuild the aligner and the embedding session from its resume
-// window: the checkpoint holds neither.
+// stream's label variants arrive on both sides of every checkpoint and
+// every batch trains new label-set tokens, so the resumed run must rebuild
+// the aligner and the embedding session from its resume window: the
+// checkpoint holds neither.
 func TestPipelineCheckpointRoundTrip(t *testing.T) {
 	batches := vocabStream(true)
 	for _, depth := range []int{1, 4} {

@@ -88,11 +88,12 @@ func matrixInputs(t testing.TB) map[string]matrixInput {
 }
 
 // vocabStream is eight batches whose label-set vocabulary grows by five
-// node labels a batch, to 40 (plus the edge label LINKS), so the adaptive
-// embedding dimension grows from 16 to 32 at the fifth batch: a resumed run
-// reproduces the embedding session only by replaying its resume window.
-// Each label's four nodes carry its own two properties and link to the
-// next node with a LINKS edge. With variants set, every batch from the
+// node labels a batch, to 40 (plus the edge label LINKS), so every batch
+// trains new label-set tokens against the session's earlier ones: a run
+// resumed after a kill embeds them as the uninterrupted run did only by
+// replaying its resume window, and one that skips that preprocessing
+// diverges. Each label's four nodes carry its own two properties and link
+// to the next node with a LINKS edge. With variants set, every batch from the
 // second on also carries a lower-case and a plural variant of earlier
 // labels, with their properties, which AlignLabels folds into them; so a
 // run killed at any batch sees variants on both sides of the kill.
@@ -208,7 +209,8 @@ func pinnedRows() []matrixRow {
 		add("engine", MethodELSH, depth, 0, "clean", 6)
 		for _, shards := range []int{0, 2} {
 			add("drift", MethodELSH, depth, shards, "clean", noKill)
-			// Killed before and after the embedding dimension grows.
+			// Killed early and late: the batches after either kill train
+			// new tokens.
 			add("vocab", MethodELSH, depth, shards, "clean", 3)
 			add("vocab", MethodELSH, depth, shards, "clean", 6)
 		}

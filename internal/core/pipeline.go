@@ -91,7 +91,7 @@ func NewPipeline(cfg Config) *Pipeline {
 		cfg:     cfg,
 		schema:  schema.NewSchema(),
 		sampler: newSampler(cfg.SampleFraction, cfg.SampleMin, cfg.Seed),
-		session: vectorize.NewSession(cfg.vectorizeConfig()),
+		session: vectorize.NewSession(vectorize.Config{LabelWeight: cfg.LabelWeight, SemanticLabels: cfg.SemanticLabels}),
 		instr:   obs.NewInstr(cfg.Telemetry),
 	}
 	p.schema.SetEvidencePolicy(cfg.evidencePolicy())
@@ -99,7 +99,7 @@ func NewPipeline(cfg Config) *Pipeline {
 	if cfg.AlignLabels {
 		// The aligner persists across batches so alignment classes stay
 		// stable throughout an incremental run.
-		p.aligner = align.NewAligner(cfg.AlignSimilarity, cfg.AlignThreshold)
+		p.aligner = align.NewAligner(align.DefaultSimilarity, 0.8)
 	}
 	return p
 }
@@ -246,7 +246,6 @@ func (p *Pipeline) countSession() {
 	ss := p.session.Stats()
 	p.instr.Add(obs.CtrEmbedTokensReused, ss.TokensReused-p.lastSess.TokensReused)
 	p.instr.Add(obs.CtrEmbedTokensTrained, ss.TokensTrained-p.lastSess.TokensTrained)
-	p.instr.Add(obs.CtrEmbedRetrains, ss.Retrains-p.lastSess.Retrains)
 	p.lastSess = ss
 }
 

@@ -490,7 +490,6 @@ func TestAlignLabelsDoesNotMutateGraph(t *testing.T) {
 	g.AddNode([]string{"Color"}, nil)
 	cfg := DefaultConfig()
 	cfg.AlignLabels = true
-	cfg.AlignThreshold = 0.8
 	Discover(pg.NewSliceSource(g.Snapshot()), cfg)
 	if g.Node(0).Labels[0] != "Colour" || g.Node(1).Labels[0] != "Color" {
 		t.Error("alignment mutated the source graph's labels")

@@ -121,11 +121,9 @@ const (
 	CtrCheckpoints
 	CtrCheckpointBytes
 	// CtrEmbedTokensReused / CtrEmbedTokensTrained count label-set tokens
-	// served from the cross-batch embedding cache vs newly trained;
-	// CtrEmbedRetrains counts full-corpus retrains (adaptive dim growth).
+	// served from the cross-batch embedding cache vs newly trained.
 	CtrEmbedTokensReused
 	CtrEmbedTokensTrained
-	CtrEmbedRetrains
 	// CtrPrefixDotsComputed counts distinct prefix projection-dot sets the
 	// factored ELSH kernel computed; CtrPrefixDotHits counts elements hashed
 	// by reusing one (beyond the first element per distinct prefix).
@@ -180,7 +178,7 @@ var counterNames = [numCounters]string{
 	"batches", "nodes", "edges", "node_clusters", "edge_clusters",
 	"types_created", "types_merged", "retries", "retry_attempts",
 	"quarantined", "checkpoints", "checkpoint_bytes",
-	"embed_tokens_reused", "embed_tokens_trained", "embed_retrains",
+	"embed_tokens_reused", "embed_tokens_trained",
 	"prefix_dots_computed", "prefix_dot_hits",
 	"record_sigs_computed", "record_sig_hits",
 	"soak_windows", "soak_kills", "soak_violations",

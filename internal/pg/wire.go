@@ -317,10 +317,3 @@ func (r *WireReader) Value() (Value, error) {
 		return Null(), fmt.Errorf("pg: unknown value kind byte %d", kindByte)
 	}
 }
-
-func min(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}

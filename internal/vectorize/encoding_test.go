@@ -68,7 +68,7 @@ func TestEncodingMatchesDenseVectors(t *testing.T) {
 	}{{8, 0.5}, {64, 0.1}, {512, 0.01}} {
 		t.Run(fmt.Sprintf("K=%d", tc.keys), func(t *testing.T) {
 			b := randomBatch(rng, 60, 60, tc.keys, tc.nnz)
-			v := New(b, DefaultConfig())
+			v := New(b, Config{})
 			for kind, enc := range map[string]*Encoding{
 				"nodes": v.NodeEncoding(),
 				"edges": v.EdgeEncoding(),
@@ -111,7 +111,7 @@ func TestEncodingMatchesDenseVectors(t *testing.T) {
 func TestEncodingSetsMatchDenseSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	b := randomBatch(rng, 80, 80, 32, 0.3)
-	v := New(b, DefaultConfig())
+	v := New(b, Config{})
 
 	sorted := func(s []uint64) []uint64 {
 		out := append([]uint64(nil), s...)
@@ -149,7 +149,7 @@ func TestEncodingRecordTable(t *testing.T) {
 		{Labels: []string{"A"}, Props: pg.Properties{"x": pg.Int(1), "y": pg.Int(1)}},
 		{Labels: nil, Props: pg.Properties{"x": pg.Int(1)}},
 	}}
-	v := New(b, DefaultConfig())
+	v := New(b, Config{})
 	enc := v.NodeEncoding()
 	if want := []int32{0, 1, 0, 2, 3, 4}; !slices.Equal(enc.RecordOf, want) {
 		t.Fatalf("RecordOf = %v, want %v", enc.RecordOf, want)
@@ -177,7 +177,7 @@ func TestEncodingPrefixSharing(t *testing.T) {
 			Labels: []string{"E"}, SrcLabels: []string{"P"}, DstLabels: []string{"P"},
 		})
 	}
-	v := New(b, DefaultConfig())
+	v := New(b, Config{})
 	ne := v.NodeEncoding()
 	if len(ne.Prefixes) != 1 {
 		t.Fatalf("10 identically-labeled nodes produced %d prefixes, want 1", len(ne.Prefixes))

@@ -1,7 +1,6 @@
 package vectorize
 
 import (
-	"fmt"
 	"testing"
 
 	"pghive/internal/pg"
@@ -21,8 +20,8 @@ func labeledBatch(labels ...string) *pg.Batch {
 
 func TestNewMatchesSessionFirstBatch(t *testing.T) {
 	b := exampleBatch(t)
-	oneShot := New(b, DefaultConfig())
-	sess := NewSession(DefaultConfig()).Vectorize(b)
+	oneShot := New(b, Config{})
+	sess := NewSession(Config{}).Vectorize(b)
 	for i := range b.Nodes {
 		a, c := oneShot.NodeVector(&b.Nodes[i]), sess.NodeVector(&b.Nodes[i])
 		for j := range a {
@@ -37,7 +36,7 @@ func TestNewMatchesSessionFirstBatch(t *testing.T) {
 // keeps the embedding it was assigned when first observed, even as later
 // batches introduce new vocabulary.
 func TestSessionReusesTokenVectors(t *testing.T) {
-	s := NewSession(DefaultConfig())
+	s := NewSession(Config{})
 	b1 := labeledBatch("Person", "Person", "Organization")
 	v1 := s.Vectorize(b1)
 	before := v1.NodeVector(&b1.Nodes[0])
@@ -66,7 +65,7 @@ func TestSessionReusesTokenVectors(t *testing.T) {
 // introduced by later batches — it is an immutable snapshot, which is what
 // makes it safe to read while the next batch is being vectorized.
 func TestSessionVectorizerSnapshotIsolated(t *testing.T) {
-	s := NewSession(DefaultConfig())
+	s := NewSession(Config{})
 	v1 := s.Vectorize(labeledBatch("Person"))
 	s.Vectorize(labeledBatch("Organization"))
 
@@ -79,52 +78,11 @@ func TestSessionVectorizerSnapshotIsolated(t *testing.T) {
 	}
 }
 
-// TestSessionDimInvalidation: when the cumulative vocabulary crosses an
-// adaptiveDim threshold, the whole table is retrained at the new
-// dimensionality; earlier snapshots keep the old one.
-func TestSessionDimInvalidation(t *testing.T) {
-	s := NewSession(Config{})
-	var first []string
-	for i := 0; i < 10; i++ {
-		first = append(first, fmt.Sprintf("T%02d", i))
-	}
-	v1 := s.Vectorize(labeledBatch(first...))
-	if v1.Model().Dim() != 16 {
-		t.Fatalf("batch 1 dim = %d, want 16 (10 tokens)", v1.Model().Dim())
-	}
-
-	var second []string
-	for i := 10; i < 40; i++ {
-		second = append(second, fmt.Sprintf("T%02d", i))
-	}
-	v2 := s.Vectorize(labeledBatch(second...))
-	if v2.Model().Dim() != 32 {
-		t.Fatalf("batch 2 dim = %d, want 32 (40 cumulative tokens)", v2.Model().Dim())
-	}
-	if v1.NodeDim() != 16+1 {
-		t.Errorf("batch-1 snapshot dim changed retroactively: NodeDim = %d", v1.NodeDim())
-	}
-	// Every token — cached and new — must render at the new dimensionality.
-	for _, tok := range []string{"T00", "T39"} {
-		rec := pg.NodeRecord{Labels: []string{tok}}
-		vec := v2.NodeVector(&rec)
-		nonzero := false
-		for i := 0; i < 32; i++ {
-			if vec[i] != 0 {
-				nonzero = true
-			}
-		}
-		if !nonzero {
-			t.Errorf("token %q has a zero embedding after invalidation", tok)
-		}
-	}
-}
-
 // TestVectorIntoMatchesAllocating: the arena renderers must fully overwrite
 // dst, so recycled (dirty) slices render identically to fresh allocations.
 func TestVectorIntoMatchesAllocating(t *testing.T) {
 	b := exampleBatch(t)
-	v := New(b, DefaultConfig())
+	v := New(b, Config{})
 	dirtyN := make([]float64, v.NodeDim())
 	dirtyE := make([]float64, v.EdgeDim())
 	for i := range dirtyN {

@@ -9,11 +9,13 @@
 // It also produces the set representation consumed by MinHash LSH: hashed
 // tokens for the label set, endpoints and property keys.
 //
-// Embeddings are cached across batches by a Session: a label-set token keeps
-// the vector it was assigned when first observed, and only the tokens a batch
-// introduces are trained. The weighted embedding block (LabelWeight × vector)
-// is memoized per token, so rendering a record copies a precomputed prefix
-// instead of re-scaling the embedding for every element that shares a token.
+// Labels are embedded by one Word2Vec model (embed.DefaultConfig: 16
+// dimensions, seed 1), cached across batches by a Session: a label-set
+// token keeps the vector it was assigned when first observed, and only the
+// tokens a batch introduces are trained. The weighted embedding block
+// (LabelWeight × vector) is memoized per token, so rendering a record copies
+// a precomputed prefix instead of re-scaling the embedding for every element
+// that shares a token.
 //
 // Discovery never renders a dense vector: it clusters, and adapts its LSH
 // parameters, on the factored Encoding (encoding.go). The dense renderers
@@ -29,16 +31,13 @@ import (
 	"pghive/internal/pg"
 )
 
-// Config controls vectorization.
+// Config controls vectorization. The zero value is the pipeline default.
 type Config struct {
-	// Embedding configures the Word2Vec model trained on the batch's label
-	// sentences.
-	Embedding embed.Config
 	// LabelWeight scales the embedding block(s) relative to the binary
 	// property indicators. Labels are exact evidence while property
 	// presence is noisy, so weighting the semantic part keeps
 	// differently-labeled elements apart when property noise shrinks the
-	// structural distance. 0 means the default of 2.
+	// structural distance. 0 means DefaultLabelWeight.
 	LabelWeight float64
 	// SemanticLabels trains the embedding on multi-label co-occurrence
 	// (each label set contributes a sentence of its member labels plus its
@@ -54,19 +53,12 @@ type Config struct {
 // DefaultLabelWeight is the default scale of the embedding block.
 const DefaultLabelWeight = 2.0
 
-// DefaultConfig returns the pipeline defaults.
-func DefaultConfig() Config {
-	return Config{Embedding: embed.DefaultConfig(), LabelWeight: DefaultLabelWeight}
-}
-
 // Session carries the label-embedding state of an incremental discovery run
 // across batches. The first batch trains a Word2Vec model over its label-set
-// sentences exactly as a one-shot run would; each subsequent batch reuses the
-// cached vectors of already-seen tokens and trains only on the sentences its
-// new tokens introduce. When the adaptive embedding dimensionality outgrows
-// the current model (the vocabulary crossed an adaptiveDim threshold), the
-// whole corpus is retrained at the new dimensionality — the explicit
-// invalidation path.
+// sentences exactly as a one-shot run would, and that model becomes the
+// session's table; each subsequent batch reuses the cached vectors of
+// already-seen tokens and trains a model only on the sentences its new
+// tokens introduce, adopting their vectors into the table.
 //
 // A Session is not safe for concurrent use: Vectorize calls must be
 // serialized in batch order (the cache is order-dependent). The Vectorizers
@@ -76,27 +68,20 @@ func DefaultConfig() Config {
 //
 // The session's state is a function of the batches vectorized so far and
 // their order: the new tokens of a batch are sorted and trained by the
-// single-threaded, seeded embed.Train, and a retrain at a new dimension
-// trains the whole corpus the same way. So a fresh session fed the same
+// single-threaded, seeded embed.Train. So a fresh session fed the same
 // batches in the same order holds bit-identical vectors; a resumed
 // discovery run relies on this to rebuild its session, which checkpoints
 // do not hold.
 type Session struct {
 	labelWeight float64
 	semantic    bool
-	adaptive    bool         // Embedding.Dim was 0: pick dim from vocab size
-	embCfg      embed.Config // training hyperparameters; Dim set per round
 	model       *embed.Model // combined embedding table, grows across batches
-	// sentences maps every label-set token ever observed to its training
-	// sentence; it is both the dedup set and the retained corpus for the
-	// dim-invalidation retrain.
-	sentences map[string][]string
-	// weighted memoizes labelWeight × vector per token. Entry slices are
-	// never mutated after insertion; invalidation replaces the whole map.
+	// weighted memoizes labelWeight × vector per token, for every token
+	// trained so far. Entry slices are never mutated after insertion.
 	weighted map[string][]float64
 	// stats counts cache behaviour across the session's lifetime. Telemetry
 	// only — never consulted by the pipeline (a resumed run counts again
-	// the tokens it retrains while replaying).
+	// the tokens it trains while replaying).
 	stats SessionStats
 }
 
@@ -109,9 +94,6 @@ type SessionStats struct {
 	TokensReused uint64
 	// TokensTrained counts tokens newly trained.
 	TokensTrained uint64
-	// Retrains counts full-corpus retrains forced by adaptive embedding
-	// dimensionality growth (the explicit invalidation path).
-	Retrains uint64
 }
 
 // Stats returns the session's cumulative cache counters. Like Vectorize,
@@ -123,9 +105,6 @@ func NewSession(cfg Config) *Session {
 	s := &Session{
 		labelWeight: cfg.LabelWeight,
 		semantic:    cfg.SemanticLabels,
-		adaptive:    cfg.Embedding.Dim <= 0,
-		embCfg:      cfg.Embedding,
-		sentences:   map[string][]string{},
 		weighted:    map[string][]float64{},
 	}
 	if s.labelWeight <= 0 {
@@ -150,7 +129,7 @@ func (s *Session) Vectorize(b *pg.Batch) *Vectorizer {
 	nodeKeySet := map[string]struct{}{}
 	edgeKeySet := map[string]struct{}{}
 	batchTokens := map[string]struct{}{}
-	var newTokens []string
+	sentences := map[string][]string{} // the training sentence of each new token
 
 	// The Word2Vec corpus is the set of observed label sets (§4.1). By
 	// default each distinct set contributes a single-token sentence — the
@@ -167,18 +146,20 @@ func (s *Session) Vectorize(b *pg.Batch) *Vectorizer {
 			return key
 		}
 		batchTokens[key] = struct{}{}
-		if _, seen := s.sentences[key]; seen {
+		if _, seen := s.weighted[key]; seen {
+			return key
+		}
+		if _, seen := sentences[key]; seen {
 			return key
 		}
 		if !s.semantic || len(labels) == 1 {
-			s.sentences[key] = []string{key}
+			sentences[key] = []string{key}
 		} else {
 			sentence := make([]string, 0, len(labels)+1)
 			sentence = append(sentence, key)
 			sentence = append(sentence, labels...)
-			s.sentences[key] = sentence
+			sentences[key] = sentence
 		}
-		newTokens = append(newTokens, key)
 		return key
 	}
 	nodeTokens := make([]string, len(shapes.Nodes))
@@ -198,10 +179,9 @@ func (s *Session) Vectorize(b *pg.Batch) *Vectorizer {
 		edgeTokens[i] = [3]string{observe(sh.Labels), observe(sh.SrcLabels), observe(sh.DstLabels)}
 	}
 
-	s.train(newTokens)
-	s.stats.TokensTrained += uint64(len(newTokens))
-	s.stats.TokensReused += uint64(len(batchTokens) - len(newTokens))
-
+	s.train(sentences)
+	s.stats.TokensTrained += uint64(len(sentences))
+	s.stats.TokensReused += uint64(len(batchTokens) - len(sentences))
 	v := &Vectorizer{
 		model:       s.model,
 		dim:         s.model.Dim(),
@@ -230,94 +210,37 @@ func (s *Session) Vectorize(b *pg.Batch) *Vectorizer {
 	return v
 }
 
-// train brings the session's embedding table up to date with the given new
-// tokens (sorted before training so the run is deterministic in batch
-// order).
-func (s *Session) train(newTokens []string) {
-	dim := s.embCfg.Dim
-	if s.adaptive {
-		dim = adaptiveDim(len(s.sentences))
-	}
-	if s.model == nil || s.model.Dim() != dim {
-		if s.model != nil {
-			// The first batch's full training is expected; only dim-growth
-			// invalidations count as retrains.
-			s.stats.Retrains++
-		}
-		s.retrainAll(dim)
+// train embeds the tokens a batch introduces: it trains a model on their
+// sentences, in sorted token order so the run is deterministic in batch
+// order, and adopts their vectors into the session's table. The first
+// batch's model, trained even when the batch has no tokens, becomes the
+// table.
+func (s *Session) train(sentences map[string][]string) {
+	if s.model != nil && len(sentences) == 0 {
 		return
 	}
-	if len(newTokens) == 0 {
-		return
-	}
-	sort.Strings(newTokens)
-	corpus := make([][]string, 0, len(newTokens))
-	for _, tok := range newTokens {
-		corpus = append(corpus, s.sentences[tok])
-	}
-	cfg := s.embCfg
-	cfg.Dim = dim
-	sub := embed.Train(corpus, cfg)
-	for _, tok := range newTokens {
-		s.adopt(tok, sub.Vector(tok))
-	}
-}
-
-// retrainAll rebuilds the whole embedding table at the given dimensionality
-// from every sentence seen so far — the invalidation path taken on the first
-// batch and whenever the adaptive dim changes.
-func (s *Session) retrainAll(dim int) {
-	tokens := make([]string, 0, len(s.sentences))
-	for tok := range s.sentences {
-		tokens = append(tokens, tok)
-	}
-	sort.Strings(tokens)
+	tokens := sortedSlice(sentences)
 	corpus := make([][]string, 0, len(tokens))
 	for _, tok := range tokens {
-		corpus = append(corpus, s.sentences[tok])
+		corpus = append(corpus, sentences[tok])
 	}
-	cfg := s.embCfg
-	cfg.Dim = dim
-	s.model = embed.Train(corpus, cfg)
-	s.weighted = make(map[string][]float64, len(tokens))
+	sub := embed.Train(corpus, embed.DefaultConfig())
+	if s.model == nil {
+		s.model = sub
+	}
 	for _, tok := range tokens {
-		s.memoize(tok, s.model.Vector(tok))
+		vec := sub.Vector(tok)
+		s.model.Set(tok, vec)
+		// Scale once per token instead of once per record.
+		w := make([]float64, len(vec))
+		for i, x := range vec {
+			w[i] = s.labelWeight * x
+		}
+		s.weighted[tok] = w
 	}
 }
 
-// adopt installs a newly trained token into the combined model and the
-// weighted memo.
-func (s *Session) adopt(token string, vec []float64) {
-	s.model.Set(token, vec)
-	s.memoize(token, vec)
-}
-
-// memoize stores the labelWeight-scaled copy of the token's vector. The
-// scaling happens once per token instead of once per record.
-func (s *Session) memoize(token string, vec []float64) {
-	w := make([]float64, len(vec))
-	for i, x := range vec {
-		w[i] = s.labelWeight * x
-	}
-	s.weighted[token] = w
-}
-
-// adaptiveDim picks the embedding dimensionality from the label-token
-// vocabulary: many distinct label sets need more room for near-orthogonal
-// embeddings, or type separation degrades (at 86 types in 16 dimensions the
-// closest token pairs crowd together and ELSH mixes their clusters).
-func adaptiveDim(labelTokens int) int {
-	switch {
-	case labelTokens <= 24:
-		return 16
-	case labelTokens <= 96:
-		return 32
-	default:
-		return 48
-	}
-}
-
-func sortedSlice(set map[string]struct{}) []string {
+func sortedSlice[V any](set map[string]V) []string {
 	out := make([]string, 0, len(set))
 	for k := range set {
 		out = append(out, k)

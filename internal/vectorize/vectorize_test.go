@@ -23,7 +23,7 @@ func exampleBatch(t testing.TB) *pg.Batch {
 
 func TestDimensions(t *testing.T) {
 	b := exampleBatch(t)
-	v := New(b, DefaultConfig())
+	v := New(b, Config{})
 	d := v.Model().Dim()
 	// K = {bday, gender, name, url} = 4, Q = {from} = 1.
 	if got, want := v.NodeDim(), d+4; got != want {
@@ -36,7 +36,7 @@ func TestDimensions(t *testing.T) {
 
 func TestPropertyKeyLayoutSorted(t *testing.T) {
 	b := exampleBatch(t)
-	v := New(b, DefaultConfig())
+	v := New(b, Config{})
 	want := []string{"bday", "gender", "name", "url"}
 	got := v.NodePropertyKeys()
 	if len(got) != len(want) {
@@ -51,7 +51,7 @@ func TestPropertyKeyLayoutSorted(t *testing.T) {
 
 func TestUnlabeledNodeHasZeroEmbeddingBlock(t *testing.T) {
 	b := exampleBatch(t)
-	v := New(b, DefaultConfig())
+	v := New(b, Config{})
 	var alice *pg.NodeRecord
 	for i := range b.Nodes {
 		if len(b.Nodes[i].Labels) == 0 {
@@ -82,7 +82,7 @@ func TestSameLabelSameStructureSameVector(t *testing.T) {
 	g.AddNode([]string{"Person"}, pg.Properties{"name": pg.Str("a")})
 	g.AddNode([]string{"Person"}, pg.Properties{"name": pg.Str("b")})
 	b := g.Snapshot()
-	v := New(b, DefaultConfig())
+	v := New(b, Config{})
 	v1 := v.NodeVector(&b.Nodes[0])
 	v2 := v.NodeVector(&b.Nodes[1])
 	for i := range v1 {
@@ -97,7 +97,7 @@ func TestMultiLabelOrderInvariant(t *testing.T) {
 	g.AddNode([]string{"Student", "Person"}, pg.Properties{"name": pg.Str("a")})
 	g.AddNode([]string{"Person", "Student"}, pg.Properties{"name": pg.Str("b")})
 	b := g.Snapshot()
-	v := New(b, DefaultConfig())
+	v := New(b, Config{})
 	v1, v2 := v.NodeVector(&b.Nodes[0]), v.NodeVector(&b.Nodes[1])
 	for i := range v1 {
 		if v1[i] != v2[i] {
@@ -108,7 +108,7 @@ func TestMultiLabelOrderInvariant(t *testing.T) {
 
 func TestEdgeVectorLayout(t *testing.T) {
 	b := exampleBatch(t)
-	v := New(b, DefaultConfig())
+	v := New(b, Config{})
 	var worksAt *pg.EdgeRecord
 	for i := range b.Edges {
 		if pg.LabelSetKey(b.Edges[i].Labels) == "WORKS_AT" {
@@ -138,7 +138,7 @@ func TestEdgeVectorLayout(t *testing.T) {
 
 func TestKnowsEdgeUnlabeledSourceBlockZero(t *testing.T) {
 	b := exampleBatch(t)
-	v := New(b, DefaultConfig())
+	v := New(b, Config{})
 	var knows *pg.EdgeRecord
 	for i := range b.Edges {
 		if pg.LabelSetKey(b.Edges[i].Labels) == "KNOWS" {
@@ -156,7 +156,7 @@ func TestKnowsEdgeUnlabeledSourceBlockZero(t *testing.T) {
 
 func TestLabelTokensCountsEndpoints(t *testing.T) {
 	b := exampleBatch(t)
-	v := New(b, DefaultConfig())
+	v := New(b, Config{})
 	// Distinct tokens: Person, Organization, WORKS_AT, KNOWS.
 	if v.LabelTokens() != 4 {
 		t.Errorf("LabelTokens = %d, want 4", v.LabelTokens())
@@ -165,7 +165,7 @@ func TestLabelTokensCountsEndpoints(t *testing.T) {
 
 func TestNodeSetTokens(t *testing.T) {
 	b := exampleBatch(t)
-	v := New(b, DefaultConfig())
+	v := New(b, Config{})
 	var bob, alice *pg.NodeRecord
 	for i := range b.Nodes {
 		switch {
@@ -196,7 +196,7 @@ func TestSetTokenNamespacesDisjoint(t *testing.T) {
 
 func TestEdgeSetIncludesEndpoints(t *testing.T) {
 	b := exampleBatch(t)
-	v := New(b, DefaultConfig())
+	v := New(b, Config{})
 	for i := range b.Edges {
 		e := &b.Edges[i]
 		set := v.EdgeSet(e)
@@ -215,7 +215,7 @@ func TestEdgeSetIncludesEndpoints(t *testing.T) {
 
 func TestBulkRenderAligned(t *testing.T) {
 	b := exampleBatch(t)
-	v := New(b, DefaultConfig())
+	v := New(b, Config{})
 	nv := v.NodeVectors(b)
 	if len(nv) != len(b.Nodes) {
 		t.Fatalf("NodeVectors len = %d, want %d", len(nv), len(b.Nodes))
@@ -232,7 +232,7 @@ func TestBulkRenderAligned(t *testing.T) {
 }
 
 func TestEmptyBatch(t *testing.T) {
-	v := New(&pg.Batch{}, DefaultConfig())
+	v := New(&pg.Batch{}, Config{})
 	if v.NodeDim() != v.Model().Dim() {
 		t.Errorf("empty batch NodeDim = %d, want %d", v.NodeDim(), v.Model().Dim())
 	}

@@ -29,7 +29,6 @@ package pghive
 import (
 	"io"
 
-	"pghive/internal/align"
 	"pghive/internal/core"
 	"pghive/internal/infer"
 	"pghive/internal/lsh"
@@ -132,6 +131,7 @@ const DefaultPipelineDepth = core.DefaultPipelineDepth
 
 // DefaultConfig returns the paper's configuration: ELSH with adaptive
 // parameters, merge threshold θ = 0.9, and 10 %/≥1000 data-type sampling.
+// It is the zero Config with Seed 1.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // Discover infers the schema of a fully loaded graph in one batch. Like
@@ -304,14 +304,6 @@ type Collector = stream.Collector
 func NewCollector(pipe *Pipeline, batchSize int) *Collector {
 	return stream.NewCollector(pipe, batchSize)
 }
-
-// LabelSimilarity scores two labels in [0, 1] for label alignment
-// (Config.AlignSimilarity); see DefaultLabelSimilarity.
-type LabelSimilarity = align.Similarity
-
-// DefaultLabelSimilarity is the normalized-edit-distance similarity used
-// when Config.AlignLabels is set without a custom scorer.
-var DefaultLabelSimilarity = align.DefaultSimilarity
 
 // Discovered schema model.
 type (

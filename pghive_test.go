@@ -194,10 +194,7 @@ func TestPublicAPICollector(t *testing.T) {
 	}
 }
 
-func TestPublicAPILabelSimilarity(t *testing.T) {
-	if pghive.DefaultLabelSimilarity("Colour", "Color") < 0.8 {
-		t.Error("default similarity too strict for spelling variants")
-	}
+func TestPublicAPIAlignLabels(t *testing.T) {
 	cfg := pghive.DefaultConfig()
 	cfg.AlignLabels = true
 	g := pghive.NewGraph()
